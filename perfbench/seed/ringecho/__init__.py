@@ -1,0 +1,89 @@
+"""Exact input-output response of a traveling-wave ring cavity.
+
+Spectral transfer functions at arbitrary junction coupling, their time-domain
+echo kernels as exact delta trains, field-commutator bookkeeping, the high-Q
+single-mode reduction with regime diagnostics, two-photon wave-packet
+shaping, a dissipative-loss model with its fluctuation sum rule, and a
+brute-force lattice simulator that cross-validates all of it.
+"""
+
+from .core_response import (
+    FrequencyGrid,
+    JunctionCoupling,
+    RingGeometry,
+    density_of_states_profile,
+    fsr_integral,
+    g_ab,
+    g_ba,
+    g_ca,
+)
+from .echo_kernels import (
+    DeltaTrain,
+    IncommensurateGrid,
+    SampledSignal,
+    apply_train,
+    convolve,
+    correlate,
+    kernel_ab,
+    kernel_ba,
+    kernel_ca,
+    unit_train,
+)
+from .commutators import (
+    CommutatorMap,
+    SpaceTimePoint,
+    UnitTrainCheck,
+    cavity_commutator_train,
+    commutator_figure,
+    cross_commutator_ca,
+    output_commutator_check,
+    output_commutator_correlate,
+    output_commutator_decomposition,
+    spacetime_commutator_support,
+)
+from .highq import (
+    QuasimodeParams,
+    StepTooCoarse,
+    echo_sum_cavity_field,
+    fig4_dataset,
+    g_ca_effective,
+    kappa,
+    peak_ratio,
+    quasimode_commutator,
+    quasimode_evolve,
+    quasimode_field_error,
+    quasimode_output,
+)
+from .two_photon import (
+    DivisionByZeroRho,
+    JointAmplitudeGrid,
+    TwoPhotonGaussian,
+    F_m,
+    correlation_function,
+    cw_output,
+    cw_truncation_bound,
+    gaussian_amplitude,
+    gaussian_output_closed_form,
+    outer_product_grid,
+    peak_locate,
+    resummation_check,
+    separability_rank,
+    separable_output,
+    transform_output,
+    transform_output_on_window,
+)
+from .lossy_cavity import (
+    AbsorberParams,
+    LossySpectrumResult,
+    fp_correlation,
+    fp_correlation_integral,
+    g_ba_lossy,
+    g_ca_lossy,
+    lossy_output_spectrum,
+    noise_power,
+    noise_power_quadrature,
+    sum_rule_residual,
+)
+from .fdtd_oracle import RingState, run
+
+__version__ = "0.1.0"

@@ -1,0 +1,406 @@
+"""Command-line front end: figure datasets, validation suite, parameter sweeps.
+
+Emits data files only (CSV by default, JSON on request); plotting is left to
+whatever the user prefers. Outputs are deterministic: identical configuration
+gives byte-identical files, floats are written at 17 significant digits, and
+no timestamps ever enter a data file.
+
+Exit codes: 0 success, 1 validation failure, 2 bad arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .commutators import commutator_figure
+from .core_response import FrequencyGrid, JunctionCoupling, density_of_states_profile
+from .highq import fig4_dataset, kappa
+from .two_photon import (
+    TwoPhotonGaussian,
+    gaussian_output_closed_form,
+    peak_locate,
+    separability_rank,
+)
+from .validation import run_suite
+
+FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+SWEEP_METRICS = ("peak_ratio", "cw_residual", "absorbed_fraction")
+
+
+class BadArguments(ValueError):
+    pass
+
+
+@dataclass
+class RunConfig:
+    rho: float | None = None
+    tau: float | None = None
+    T: float = 1.0
+    eps: float = 1e-10
+    dt: float | None = None
+    out: str = "."
+    format: str = "csv"
+
+    def __post_init__(self) -> None:
+        if self.rho is not None and self.tau is not None:
+            raise BadArguments("give exactly one of --rho or --tau, not both")
+        if not 0.0 < self.eps <= 1e-3:
+            raise BadArguments(f"eps must lie in (0, 1e-3], got {self.eps}")
+        if self.T <= 0.0:
+            raise BadArguments(f"T must be positive, got {self.T}")
+        if self.format not in ("csv", "json"):
+            raise BadArguments(f"format must be csv or json, got {self.format}")
+
+    def junction(self, default_rho: float) -> JunctionCoupling:
+        if self.tau is not None:
+            return JunctionCoupling.from_tau(self.tau)
+        return JunctionCoupling(self.rho if self.rho is not None else default_rho)
+
+    @property
+    def coupling_given(self) -> bool:
+        return self.rho is not None or self.tau is not None
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def write_table(path: Path, header: list[str], columns: list[np.ndarray], fmt: str) -> Path:
+    rows = list(zip(*columns))
+    if fmt == "csv":
+        path = path.with_suffix(".csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(float(v)) for v in row])
+    else:
+        path = path.with_suffix(".json")
+        with open(path, "w") as fh:
+            json.dump(
+                {"columns": header, "data": [[float(v) for v in row] for row in rows]},
+                fh,
+            )
+    return path
+
+
+def write_matrix(
+    path: Path, matrix: np.ndarray, meta: dict, fmt: str
+) -> list[Path]:
+    written = []
+    if fmt == "csv":
+        p = path.with_suffix(".csv")
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in matrix:
+                writer.writerow([_fmt(float(v)) for v in row])
+        written.append(p)
+        m = path.with_name(path.name + "_axes").with_suffix(".json")
+        with open(m, "w") as fh:
+            json.dump(meta, fh)
+        written.append(m)
+    else:
+        p = path.with_suffix(".json")
+        with open(p, "w") as fh:
+            json.dump({**meta, "values": matrix.tolist()}, fh)
+        written.append(p)
+    return written
+
+
+def cmd_figure(name: str, cfg: RunConfig) -> int:
+    if name not in FIGURES:
+        raise BadArguments(f"unknown figure {name!r}; choose from {FIGURES}")
+    out_dir = Path(cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write_probe"
+        probe.touch()
+        probe.unlink()
+    except OSError as exc:
+        raise BadArguments(f"output directory not writable: {exc}") from exc
+    T = cfg.T
+    written: list[Path] = []
+
+    if name == "fig2":
+        j = cfg.junction(0.75)
+        fsr = 2.0 * math.pi / T
+        grid = FrequencyGrid(-1.5 * fsr, 3.0 * fsr / 1200, 1201)
+        omega, dos = density_of_states_profile(j, T, grid)
+        _, dos_flat = density_of_states_profile(JunctionCoupling(0.0), T, grid)
+        written.append(
+            write_table(
+                out_dir / "fig2",
+                ["omega", "dos", "dos_flat"],
+                [omega, dos, dos_flat],
+                cfg.format,
+            )
+        )
+        peak = float(np.max(dos))
+        print(f"fig2: rho={j.rho:g} T={T:g}  max |g_ca|^2 = {peak:.6f} "
+              f"(closed form {(1 + j.rho) / (1 - j.rho):.6f})")
+
+    elif name == "fig3":
+        j = cfg.junction(math.sqrt(0.998))
+        broadening = T / 100.0
+        for label, zp in (("a", 0.0), ("b", 0.333), ("c", 0.666)):
+            cmap = commutator_figure(j, zp * T, T, broadening)
+            meta = {
+                "zprime": zp * T,
+                "broadening": broadening,
+                "z_values": [float(z) for z in cmap.z_values],
+                "t_values": [float(t) for t in cmap.t_values],
+            }
+            written.extend(
+                write_matrix(out_dir / f"fig3{label}", cmap.matrix, meta, cfg.format)
+            )
+            row0 = np.argmin(np.abs(cmap.t_values))
+            z_at_peak = float(cmap.z_values[int(np.argmax(cmap.matrix[row0]))])
+            print(
+                f"fig3{label}: zprime={zp:g}  t=0 crossing at z = {z_at_peak:.4f} "
+                f"(expected {zp:g})"
+            )
+
+    elif name == "fig4":
+        couplings = (
+            [cfg.junction(0.97)]
+            if cfg.coupling_given
+            else [JunctionCoupling(0.97), JunctionCoupling(0.70)]
+        )
+        for j in couplings:
+            dt_sep, rendered, envelope = fig4_dataset(j, "linear", T / 100.0, T)
+            label = f"fig4_rho{j.rho:g}".replace(".", "p")
+            written.append(
+                write_table(
+                    out_dir / label,
+                    ["dt", "exact_rendered", "approx_envelope"],
+                    [dt_sep, rendered, envelope],
+                    cfg.format,
+                )
+            )
+            ks = np.arange(1, int(dt_sep[-1] / T) + 1)
+            q = kappa(j, T, "linear")
+            dev = float(np.max(np.abs(np.exp(-q.kappa * ks * T) - j.rho**ks)))
+            flag = "significant deviation" if dev > 0.02 else "envelope tracks train"
+            print(f"fig4 rho={j.rho:g}: max lattice deviation = {dev:.4f} ({flag})")
+
+    elif name in ("fig5", "fig6"):
+        g = (
+            TwoPhotonGaussian(0.3 * T, 0.3 * T)
+            if name == "fig5"
+            else TwoPhotonGaussian(0.2 * T, 0.7 * T)
+        )
+        taus = (
+            [cfg.junction(0.97).tau]
+            if cfg.coupling_given
+            else [0.999, 0.95, 0.85, 0.60]
+        )
+        dt = cfg.dt if cfg.dt is not None else T / 16.0
+        half = 4.0 * (g.sigma + g.beta)
+        n_half = int(math.ceil(half / dt))
+        t_start = -n_half * dt
+        n = 2 * n_half + 1 + int(round(4 * T / dt))
+        for tau in taus:
+            j = JunctionCoupling.from_tau(tau)
+            grid = gaussian_output_closed_form(g, j, T, t_start, n, dt, cfg.eps)
+            label = f"{name}_tau{tau:g}".replace(".", "p")
+            meta = {"tau": tau, "sigma": g.sigma, "beta": g.beta}
+            if cfg.format == "csv":
+                grid.write_csv(out_dir / label, meta_extra=meta)
+                written.extend(
+                    out_dir / f"{label}_{suffix}"
+                    for suffix in ("magnitude.csv", "phase.csv", "axes.json")
+                )
+            else:
+                p = (out_dir / label).with_suffix(".json")
+                with open(p, "w") as fh:
+                    json.dump(
+                        {
+                            "t1_start": grid.t1_start,
+                            "t2_start": grid.t2_start,
+                            "dt": grid.dt,
+                            **meta,
+                            "magnitude": np.abs(grid.values).tolist(),
+                            "phase": np.angle(grid.values).tolist(),
+                        },
+                        fh,
+                    )
+                written.append(p)
+            pk = peak_locate(grid)
+            sv = separability_rank(grid)
+            ratio = float(sv[1]) if len(sv) > 1 else 0.0
+            print(
+                f"{name} tau={tau:g}: peak at (t1, t2) = ({pk[0]:.4f}, {pk[1]:.4f}), "
+                f"s2/s1 = {ratio:.3g}"
+            )
+
+    print(f"{name}: wrote {len(written)} file(s) to {out_dir}")
+    return 0
+
+
+def cmd_validate(cfg: RunConfig) -> int:
+    j = cfg.junction(0.75)
+    # invariant tolerances are calibrated for the strict kernel floor
+    results = run_suite(rho=j.rho, T=cfg.T, eps=min(cfg.eps, 1e-12))
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = {
+        "config": {"rho": j.rho, "T": cfg.T, "eps": cfg.eps},
+        "checks": [r.to_dict() for r in results],
+        "all_passed": all(r.passed for r in results),
+    }
+    report_path = out_dir / "validation_report.json"
+    with open(report_path, "w") as fh:
+        json.dump(report, fh, indent=2)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        if r.skipped:
+            status = "SKIP"
+        print(f"{status:4s} {r.name}: {r.detail}")
+    n_fail = sum(1 for r in results if not r.passed)
+    print(f"validate: {len(results) - n_fail}/{len(results)} checks passed; "
+          f"report at {report_path}")
+    return 0 if n_fail == 0 else 1
+
+
+def cmd_sweep(
+    metric: str, start: float, stop: float, count: int, cfg: RunConfig
+) -> int:
+    if metric not in SWEEP_METRICS:
+        raise BadArguments(f"unknown metric {metric!r}; choose from {SWEEP_METRICS}")
+    if count < 2:
+        raise BadArguments(f"count must be >= 2, got {count}")
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    T = cfg.T
+
+    if metric == "peak_ratio":
+        from .highq import peak_ratio
+
+        rhos = np.linspace(start, stop, count)
+        if np.any(rhos <= 0.0) or np.any(rhos >= 1.0):
+            raise BadArguments("peak_ratio sweep needs rho in (0, 1)")
+        vals = np.array([peak_ratio(JunctionCoupling(r)) for r in rhos])
+        path = write_table(out_dir / "sweep_peak_ratio", ["rho", "peak_ratio"],
+                           [rhos, vals], cfg.format)
+
+    elif metric == "cw_residual":
+        from .echo_kernels import SampledSignal
+        from .two_photon import cw_output
+
+        j = cfg.junction(0.75)
+        if j.rho <= 0.0:
+            raise BadArguments("cw_residual sweep needs rho > 0")
+        kmaxes = np.unique(np.round(np.linspace(start, stop, count)).astype(int))
+        if kmaxes.min() < 1:
+            raise BadArguments("cw_residual sweep needs kmax >= 1")
+        dt = T / 8.0
+        half = (int(kmaxes.max()) + 6) * int(round(T / dt))
+        x = dt * np.arange(-half, half + 1)
+        d = SampledSignal(x[0], dt, np.exp(-(x**2) / (2.0 * (0.4 * T) ** 2)))
+        vals = np.array([cw_output(d, j, T, int(k))[0] for k in kmaxes])
+        path = write_table(out_dir / "sweep_cw_residual", ["kmax", "residual"],
+                           [kmaxes.astype(float), vals], cfg.format)
+
+    else:  # absorbed_fraction
+        from .lossy_cavity import g_ba_lossy
+
+        j = cfg.junction(0.0)
+        if np.any(np.linspace(start, stop, count) < 0.0):
+            raise BadArguments("absorbed_fraction sweep needs Gamma*T >= 0")
+        gts = np.linspace(start, stop, count)
+        fsr = 2.0 * math.pi / T
+        omega = (np.arange(2048) + 0.5) * (fsr / 2048)
+        vals = np.array(
+            [
+                1.0 - float(np.mean(np.abs(g_ba_lossy(omega, j, T, gt / T)) ** 2))
+                for gt in gts
+            ]
+        )
+        path = write_table(out_dir / "sweep_absorbed_fraction",
+                           ["GammaT", "absorbed_fraction"], [gts, vals], cfg.format)
+
+    print(f"sweep {metric}: wrote {path}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ringecho",
+        description="Ring-cavity response datasets, validation, and sweeps",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rho", type=float, help="junction reflection in [0, 1)")
+        p.add_argument("--tau", type=float, help="junction transmission in (0, 1]")
+        p.add_argument("--T", type=float, default=None, help="round-trip time")
+        p.add_argument("--eps", type=float, default=None, help="kernel truncation floor")
+        p.add_argument("--dt", type=float, default=None, help="grid spacing")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--config", default=None, help="JSON config file")
+
+    p_fig = sub.add_parser("figure", help="write a figure dataset with baked-in defaults")
+    p_fig.add_argument("name", choices=FIGURES)
+    add_common(p_fig)
+
+    p_val = sub.add_parser("validate", help="run the invariant suite")
+    add_common(p_val)
+
+    p_sw = sub.add_parser("sweep", help="tabulate a metric over a parameter range")
+    p_sw.add_argument("metric", choices=SWEEP_METRICS)
+    p_sw.add_argument("--start", type=float, required=True)
+    p_sw.add_argument("--stop", type=float, required=True)
+    p_sw.add_argument("--count", type=int, default=20)
+    add_common(p_sw)
+
+    return parser
+
+
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    base: dict = {}
+    if args.config:
+        with open(args.config) as fh:
+            base = json.load(fh)
+        unknown = set(base) - {"rho", "tau", "T", "eps", "dt", "out", "format"}
+        if unknown:
+            raise BadArguments(f"unknown config keys: {sorted(unknown)}")
+    for key in ("rho", "tau", "T", "eps", "dt", "out", "format"):
+        val = getattr(args, key, None)
+        if val is not None:
+            base[key] = val
+    base.setdefault("T", 1.0)
+    base.setdefault("eps", 1e-10)
+    base.setdefault("out", ".")
+    base.setdefault("format", "csv")
+    return RunConfig(**base)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = config_from_args(args)
+        if args.command == "figure":
+            return cmd_figure(args.name, cfg)
+        if args.command == "validate":
+            return cmd_validate(cfg)
+        return cmd_sweep(args.metric, args.start, args.stop, args.count, cfg)
+    except BadArguments as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

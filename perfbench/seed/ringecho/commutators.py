@@ -1,0 +1,251 @@
+"""Field commutator trains of the empty ring cavity.
+
+Because the lossless cavity maps are linear in the input field, every
+commutator of the theory reduces to a c-number delta train on the round-trip
+lattice, equal to a correlation of the generating echo kernels. This module
+builds those trains directly, checks them against each other, and renders the
+space-time structure of the circulating-field commutator as a 2-D map.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core_response import JunctionCoupling
+from .echo_kernels import DeltaTrain, correlate, kernel_ba
+
+
+@dataclass(frozen=True)
+class SpaceTimePoint:
+    """A position inside the loop (0 <= z < L) at a given time."""
+
+    z: float
+    t: float
+
+
+@dataclass(frozen=True)
+class CommutatorMap:
+    """Rendered |commutator| over a (z, t) grid, deltas broadened for display.
+
+    ``matrix[i, k]`` is the value at time ``t_values[i]`` and position
+    ``z_values[k]``; entries are non-negative. The broadening Gaussians are
+    area-normalized, so the integral over t of each stripe recovers the
+    underlying delta weight.
+    """
+
+    z_values: np.ndarray
+    t_values: np.ndarray
+    matrix: np.ndarray
+    broadening: float
+
+    def __post_init__(self) -> None:
+        if self.broadening <= 0.0:
+            raise ValueError("broadening must be positive")
+        if self.matrix.shape != (len(self.t_values), len(self.z_values)):
+            raise ValueError("matrix shape must be (len(t), len(z))")
+        if np.any(self.matrix < 0.0):
+            raise ValueError("map entries must be non-negative")
+
+    def write_csv(self, path, sidecar_path=None) -> None:
+        """One row per t value; axis metadata goes to a JSON sidecar."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in self.matrix:
+                writer.writerow([f"{v:.17g}" for v in row])
+        if sidecar_path is not None:
+            meta = {
+                "z_values": [float(z) for z in self.z_values],
+                "t_values": [float(t) for t in self.t_values],
+                "broadening": self.broadening,
+            }
+            with open(sidecar_path, "w") as fh:
+                json.dump(meta, fh)
+
+
+def cavity_commutator_train(
+    j: JunctionCoupling, T: float, kmax: int
+) -> DeltaTrain:
+    """Equal-position commutator of the circulating field.
+
+    Weight ``rho^|k|`` at every lag k in [-kmax, kmax]: the field fails to
+    commute with itself exactly at time separations reachable by whole round
+    trips, with memory decaying geometrically.
+    """
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    weights = {0: 1.0}
+    for k in range(1, kmax + 1):
+        w = j.rho**k
+        if w == 0.0:
+            break
+        weights[k] = w
+        weights[-k] = w
+    tail = 2.0 * j.rho ** (kmax + 1) / (1.0 - j.rho) if j.rho > 0.0 else 0.0
+    return DeltaTrain(T, weights, 0.0, tail)
+
+
+def spacetime_commutator_support(
+    j: JunctionCoupling,
+    p: SpaceTimePoint,
+    p_ref: SpaceTimePoint,
+    v: float,
+    T: float,
+    kmax: int,
+) -> list[tuple[int, float, float]]:
+    """Where the two-position circulating-field commutator fires.
+
+    For each lag k in [-kmax, kmax] the delta at
+    ``t = t_ref + (z - z_ref)/v - k T`` carries weight ``rho^|k|``. Both
+    positions must lie inside the loop, 0 <= z < L = v T. At equal times
+    only z = z_ref (lag 0) can fire, which is the fundamental equal-time
+    relation; at fixed positions infinitely many times fire.
+    """
+    L = v * T
+    for q in (p, p_ref):
+        if not 0.0 <= q.z < L:
+            raise ValueError(f"position {q.z} outside the loop [0, {L})")
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    out = []
+    for k in range(-kmax, kmax + 1):
+        w = j.rho ** abs(k) if k != 0 else 1.0
+        if w == 0.0:
+            continue
+        t_hit = p_ref.t + (p.z - p_ref.z) / v - k * T
+        out.append((k, w, t_hit))
+    return out
+
+
+def cross_commutator_ca(
+    j: JunctionCoupling, T: float, nmax: int
+) -> DeltaTrain:
+    """Commutator of the circulating field with the input field.
+
+    Weights ``tau rho^n`` at offsets n >= 0 only: the circulating field
+    cannot depend on input values from its own future, so no support exists
+    at negative lags. Term by term this is the same train as ``kernel_ca``.
+    """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    weights: dict[int, float] = {}
+    c = j.tau
+    for n in range(nmax + 1):
+        if c == 0.0:
+            break
+        weights[n] = c
+        c *= j.rho
+    tail = c / (1.0 - j.rho) if j.rho > 0.0 else 0.0
+    return DeltaTrain(T, weights, 0.0, tail)
+
+
+@dataclass(frozen=True)
+class UnitTrainCheck:
+    """Result of verifying that a computed commutator is the unit train."""
+
+    train: DeltaTrain
+    weight_zero_error: float
+    max_spurious: float
+    path_disagreement: float | None = None
+
+
+def output_commutator_correlate(
+    j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
+) -> DeltaTrain:
+    """Output-field commutator as the autocorrelation of the output kernel."""
+    k = kernel_ba(j, T, eps)
+    return correlate(k, k)
+
+
+def output_commutator_decomposition(
+    j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
+) -> DeltaTrain:
+    """Output-field commutator assembled from the junction decomposition.
+
+    Writes the output as ``-(1/rho) A + (tau/rho) C`` and expands the four
+    cross terms into their commutator trains. Requires rho > 0; the
+    correlate path covers the free-space case.
+    """
+    rho, tau = j.rho, j.tau
+    if rho <= 0.0:
+        raise ValueError("decomposition path requires rho > 0")
+    # truncate once the geometric weights drop below eps relative to 1/rho^2
+    nmax = max(1, math.ceil(math.log(eps * rho * rho / (tau * tau)) / math.log(rho)))
+    weights: dict[int, float] = {0: 1.0 / rho**2}
+    pref = tau * tau / rho**2
+    for n in range(0, nmax + 1):
+        rn = rho**n
+        weights[n] = weights.get(n, 0.0) - pref * rn   # [C, A^dag] term
+        weights[-n] = weights.get(-n, 0.0) - pref * rn  # [A, C^dag] term
+    for k in range(-nmax, nmax + 1):
+        weights[k] = weights.get(k, 0.0) + pref * rho ** abs(k)
+    weights = {k: c for k, c in weights.items() if c != 0.0}
+    tail = 3.0 * pref * rho ** (nmax + 1) / (1.0 - rho)
+    return DeltaTrain(T, weights, 0.0, tail)
+
+
+def output_commutator_check(
+    j: JunctionCoupling, eps: float = 1e-12, T: float = 1.0
+) -> UnitTrainCheck:
+    """Verify the output field keeps the free-space commutator.
+
+    Computes the correlate path for any rho, the decomposition path when
+    rho > 0, and reports the deviation from the unit train plus the maximum
+    term-by-term disagreement between the two paths.
+    """
+    train = output_commutator_correlate(j, T, eps)
+    zero_err = abs(train.weight(0) - 1.0)
+    spurious = max(
+        (abs(c) for k, c in train.weights.items() if k != 0), default=0.0
+    )
+    disagreement = None
+    if j.rho > 0.0:
+        other = output_commutator_decomposition(j, T, eps)
+        disagreement = train.max_abs_diff(other)
+    return UnitTrainCheck(train, zero_err, spurious, disagreement)
+
+
+def commutator_figure(
+    j: JunctionCoupling,
+    zprime: float,
+    T: float,
+    broadening: float,
+    v: float = 1.0,
+    t_range: tuple[float, float] = (-3.0, 3.0),
+    nt: int = 1201,
+    nz: int = 240,
+) -> CommutatorMap:
+    """Render |commutator(z, t; z', t'=0)| over the loop cross-section.
+
+    Each delta becomes an area-normalized Gaussian of width ``broadening``
+    in t, producing the slanted-stripe picture: one stripe per lag k,
+    crossing t = 0 only at z = z'.
+    """
+    L = v * T
+    if not 0.0 <= zprime < L:
+        raise ValueError(f"zprime {zprime} outside the loop [0, {L})")
+    if broadening <= 0.0:
+        raise ValueError("broadening must be positive")
+    t_lo, t_hi = t_range
+    t_vals = np.linspace(t_lo, t_hi, nt)
+    z_vals = (np.arange(nz) + 0.5) * (L / nz)
+    # lags whose stripes can enter the window (offset (z - z')/v is < T)
+    k_lo = math.floor((-t_hi - 1.0 * T) / T) - 1
+    k_hi = math.ceil((-t_lo + 1.0 * T) / T) + 1
+    norm = 1.0 / (broadening * math.sqrt(2.0 * math.pi))
+    matrix = np.zeros((nt, nz))
+    for ik, z in enumerate(z_vals):
+        base = (z - zprime) / v
+        for k in range(k_lo, k_hi + 1):
+            w = j.rho ** abs(k)
+            if w < 1e-300:
+                continue
+            t_hit = base - k * T
+            matrix[:, ik] += w * norm * np.exp(
+                -((t_vals - t_hit) ** 2) / (2.0 * broadening**2)
+            )
+    return CommutatorMap(z_vals, t_vals, matrix, broadening)

@@ -1,0 +1,204 @@
+"""Frequency-domain response of a traveling-wave ring cavity.
+
+The cavity is a single loop of optical path coupled to one input and one
+output channel through a partially transmitting junction with real amplitude
+coefficients (rho for reflection, tau for transmission, tau^2 + rho^2 = 1).
+This module provides the exact transfer functions of that system:
+
+- ``g_ca``: input channel to the circulating field just past the junction.
+- ``g_ba``: input channel to the output channel (unimodular all-pass).
+- ``g_ab``: the inverse map, output back to input.
+
+All functions accept scalar or ndarray frequencies and are pure; frequencies
+are angular (rad per unit time) measured relative to the optical carrier.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class JunctionCoupling:
+    """Amplitude reflection/transmission pair of the coupling junction.
+
+    Construct from ``rho``; ``tau`` is normalized to ``sqrt(1 - rho^2)`` so
+    the pair is always unitary. ``rho = 1`` (no outcoupling at all) is
+    rejected.
+
+    Parameters
+    ----------
+    rho : float
+        Amplitude reflection coefficient, in [0, 1).
+    """
+
+    rho: float
+    tau: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
+        object.__setattr__(self, "tau", math.sqrt(1.0 - self.rho * self.rho))
+
+    @classmethod
+    def from_tau(cls, tau: float) -> "JunctionCoupling":
+        """Build from the transmission coefficient, tau in (0, 1]."""
+        if not 0.0 < tau <= 1.0:
+            raise ValueError(f"tau must lie in (0, 1], got {tau}")
+        return cls(rho=math.sqrt(max(0.0, 1.0 - tau * tau)))
+
+
+@dataclass(frozen=True)
+class RingGeometry:
+    """Loop length and group velocity; round trip and FSR are derived.
+
+    Parameters
+    ----------
+    length : float
+        Optical path length of the loop (distance units).
+    group_velocity : float
+        Propagation speed along the loop (distance/time).
+    """
+
+    length: float
+    group_velocity: float
+
+    def __post_init__(self) -> None:
+        if self.length <= 0.0:
+            raise ValueError(f"length must be positive, got {self.length}")
+        if self.group_velocity <= 0.0:
+            raise ValueError(
+                f"group_velocity must be positive, got {self.group_velocity}"
+            )
+
+    @property
+    def round_trip(self) -> float:
+        """Round-trip time T = L / v."""
+        return self.length / self.group_velocity
+
+    @property
+    def fsr(self) -> float:
+        """Free spectral range Omega = 2 pi / T (rad/time)."""
+        return TWO_PI / self.round_trip
+
+
+@dataclass(frozen=True)
+class FrequencyGrid:
+    """Uniform grid of angular frequencies."""
+
+    start: float
+    step: float
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.step <= 0.0:
+            raise ValueError(f"step must be positive, got {self.step}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.start + self.step * np.arange(self.count)
+
+
+def _reduced_phase(omega, T: float) -> np.ndarray:
+    # reduce omega*T mod 2*pi before exponentiation; the response is exactly
+    # periodic so this costs nothing and avoids precision loss at large omega
+    return np.mod(np.asarray(omega, dtype=float) * T, TWO_PI)
+
+
+def g_ca(omega, j: JunctionCoupling, T: float):
+    """Transfer function from the input field to the circulating cavity field.
+
+    Returns ``tau / (1 - rho * exp(i omega T))``. The denominator never
+    vanishes for rho < 1, so no poles sit on the real axis.
+
+    Parameters
+    ----------
+    omega : float or ndarray
+        Angular frequency (rad/time).
+    j : JunctionCoupling
+    T : float
+        Round-trip time, must be positive.
+    """
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    z = np.exp(1j * _reduced_phase(omega, T))
+    out = j.tau / (1.0 - j.rho * z)
+    return out if out.ndim else complex(out)
+
+
+def g_ba(omega, j: JunctionCoupling, T: float):
+    """Transfer function from input to output channel.
+
+    Returns ``exp(i omega T) (1 - rho exp(-i omega T)) / (1 - rho exp(i omega T))``,
+    which has unit modulus for every real frequency: the cavity only
+    rearranges spectral phase, it cannot absorb.
+    """
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    z = np.exp(1j * _reduced_phase(omega, T))
+    out = z * (1.0 - j.rho * np.conj(z)) / (1.0 - j.rho * z)
+    return out if out.ndim else complex(out)
+
+
+def g_ab(omega, j: JunctionCoupling, T: float):
+    """Inverse transfer function, output channel back to input.
+
+    Equals the complex conjugate of ``g_ba`` (equivalently ``g_ba`` with the
+    round trip reversed in sign), so ``g_ab * g_ba == 1``.
+    """
+    return np.conj(g_ba(omega, j, T))
+
+
+def fsr_integral(
+    j: JunctionCoupling,
+    T: float,
+    n_periods: int = 1,
+    quadrature_points: int = 4096,
+) -> float:
+    """Average of |g_ca|^2 over an integer number of free spectral ranges.
+
+    The exact value is 1 for every coupling: the junction redistributes the
+    density of states across each period without creating or destroying any.
+    Composite midpoint quadrature on ``quadrature_points`` points per period;
+    the integrand is smooth and periodic so convergence is spectral.
+
+    Raises
+    ------
+    ValueError
+        If either count is not a positive integer.
+    """
+    if n_periods < 1:
+        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    if quadrature_points < 1:
+        raise ValueError(
+            f"quadrature_points must be >= 1, got {quadrature_points}"
+        )
+    fsr = TWO_PI / T
+    n_total = n_periods * quadrature_points
+    d_omega = n_periods * fsr / n_total
+    omega = (np.arange(n_total) + 0.5) * d_omega
+    dos = np.abs(g_ca(omega, j, T)) ** 2
+    return float(np.sum(dos) * d_omega / (n_periods * fsr))
+
+
+def density_of_states_profile(
+    j: JunctionCoupling, T: float, grid: FrequencyGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate |g_ca(omega)|^2 on a frequency grid.
+
+    Peaks of height (1 + rho)/(1 - rho) sit at multiples of the FSR; the
+    profile is even in omega and periodic with the FSR.
+
+    Returns
+    -------
+    (omega, dos) : pair of ndarray
+    """
+    omega = grid.values
+    return omega, np.abs(g_ca(omega, j, T)) ** 2

@@ -1,0 +1,198 @@
+"""Ring cavity with a distributed intracavity absorber.
+
+A fast-relaxing absorbing medium, once adiabatically eliminated, attenuates
+the circulating field at a rate Gamma and injects fluctuations in exchange.
+In steady state the transfer functions generalize by the substitution
+``exp(i omega T) -> exp((i omega - Gamma) T)``:
+
+    g_ca_lossy = tau / (1 - rho exp((i omega - Gamma) T))
+    g_ba_lossy = (exp((i omega - Gamma) T) - rho) / (1 - rho exp((i omega - Gamma) T))
+
+The output channel is no longer unimodular; what the mean field loses, the
+fluctuations replace. The noise power ``N(omega)`` is normalized by the only
+physically forced condition, the sum rule ``|g_ba_lossy|^2 + N = 1``, which
+is the lossy generalization of the free-space output commutator. All
+bookkeeping here is deterministic second moments; no noise realizations are
+sampled.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core_response import JunctionCoupling
+
+
+@dataclass(frozen=True)
+class AbsorberParams:
+    """Microscopic absorber constants; only the combination Gamma enters.
+
+    Parameters
+    ----------
+    gamma : float
+        Dipole damping rate of the medium (1/time), positive.
+    alpha_c, beta_c : float
+        Field-polarization and polarization-field couplings. Their absolute
+        normalization is not pinned down; only ``Gamma = alpha_c beta_c /
+        gamma`` is ever used downstream.
+    """
+
+    gamma: float
+    alpha_c: float
+    beta_c: float
+
+    def __post_init__(self) -> None:
+        if self.gamma <= 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.alpha_c * self.beta_c < 0.0:
+            raise ValueError("couplings must give a non-negative attenuation rate")
+
+    @property
+    def Gamma(self) -> float:
+        """Field attenuation rate alpha_c * beta_c / gamma."""
+        return self.alpha_c * self.beta_c / self.gamma
+
+    def is_adiabatic(self, T: float, min_gamma_T: float = 20.0) -> bool:
+        """Whether the medium relaxes fast on the round-trip scale."""
+        return self.gamma * T > min_gamma_T
+
+
+def fp_correlation(dt_sep: float, gamma: float):
+    """Normalized correlation of the eliminated polarization fluctuations.
+
+    ``exp(-gamma |dt|)``; its integral over the separation is 2/gamma, so for
+    large gamma it acts on slow test functions as a delta of that weight.
+    (The proportionality constant of the underlying force is not fixed by
+    the model; the sum rule below is insensitive to it.)
+    """
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    out = np.exp(-gamma * np.abs(np.asarray(dt_sep, dtype=float)))
+    return out if out.ndim else float(out)
+
+
+def fp_correlation_integral(gamma: float) -> float:
+    """Closed form of the correlation's time integral, 2/gamma."""
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    return 2.0 / gamma
+
+
+def _loop_factor(omega, T: float, Gamma: float) -> np.ndarray:
+    return np.exp((1j * np.asarray(omega, dtype=float) - Gamma) * T)
+
+
+def g_ca_lossy(omega, j: JunctionCoupling, T: float, Gamma: float):
+    """Input to circulating field with distributed attenuation."""
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    if Gamma < 0.0:
+        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
+    out = j.tau / (1.0 - j.rho * _loop_factor(omega, T, Gamma))
+    return out if out.ndim else complex(out)
+
+
+def g_ba_lossy(omega, j: JunctionCoupling, T: float, Gamma: float):
+    """Input to output with distributed attenuation; |g| < 1 when Gamma > 0."""
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    if Gamma < 0.0:
+        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
+    E = _loop_factor(omega, T, Gamma)
+    out = (E - j.rho) / (1.0 - j.rho * E)
+    return out if out.ndim else complex(out)
+
+
+def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
+    """Fluctuation power reaching the output channel.
+
+    ``N = tau^2 (1 - exp(-2 Gamma T)) / |1 - rho exp((i omega - Gamma) T)|^2``,
+    normalized so that ``|g_ba_lossy|^2 + N = 1`` identically: every bit of
+    absorbed signal power returns as fluctuation power, keeping the output
+    commutator free-space.
+    """
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    if Gamma < 0.0:
+        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
+    E = _loop_factor(omega, T, Gamma)
+    out = (
+        j.tau**2
+        * (1.0 - math.exp(-2.0 * Gamma * T))
+        / np.abs(1.0 - j.rho * E) ** 2
+    )
+    return out if np.ndim(out) else float(out)
+
+
+def noise_power_quadrature(
+    omega, j: JunctionCoupling, T: float, Gamma: float, n_points: int = 4096
+):
+    """Independent evaluation of the noise power by spatial quadrature.
+
+    Integrates the squared propagation factor of fluctuations injected along
+    the loop, ``(2 Gamma) int_0^T |exp((i omega - Gamma)(T - s))|^2 ds``, by
+    the midpoint rule, then routes it through the junction the same way the
+    signal goes. Used to cross-check the closed form in ``noise_power``.
+    """
+    s = (np.arange(n_points) + 0.5) * (T / n_points)
+    spatial = 2.0 * Gamma * np.sum(np.exp(-2.0 * Gamma * (T - s))) * (T / n_points)
+    E = _loop_factor(omega, T, Gamma)
+    out = j.tau**2 * spatial / np.abs(1.0 - j.rho * E) ** 2
+    return out if np.ndim(out) else float(out)
+
+
+def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
+    """|g_ba_lossy|^2 + N(omega) - 1, which should vanish identically."""
+    return (
+        np.abs(g_ba_lossy(omega, j, T, Gamma)) ** 2
+        + noise_power(omega, j, T, Gamma)
+        - 1.0
+    )
+
+
+@dataclass(frozen=True)
+class LossySpectrumResult:
+    """Filtered output spectrum and the energy fraction lost to the absorber."""
+
+    values: np.ndarray
+    absorbed_fraction: float
+
+
+def lossy_output_spectrum(
+    omega: np.ndarray,
+    a_values: np.ndarray,
+    j: JunctionCoupling,
+    T: float,
+    Gamma: float,
+) -> LossySpectrumResult:
+    """Filter a sampled input spectrum through the attenuated cavity.
+
+    Pointwise multiplication by ``g_ba_lossy``; the absorbed fraction is
+    ``1 - sum|b|^2 / sum|a|^2`` over the grid.
+    """
+    a = np.asarray(a_values, dtype=np.complex128)
+    b = g_ba_lossy(omega, j, T, Gamma) * a
+    total = float(np.sum(np.abs(a) ** 2))
+    absorbed = 1.0 - float(np.sum(np.abs(b) ** 2)) / total if total > 0.0 else 0.0
+    return LossySpectrumResult(b, absorbed)
+
+
+def write_response_csv(
+    path, omega: np.ndarray, j: JunctionCoupling, T: float, Gamma: float
+) -> None:
+    """Tabulate the lossy response: omega, |g_ca|^2, |g_ba|^2, N, sum-rule residual."""
+    gca2 = np.abs(g_ca_lossy(omega, j, T, Gamma)) ** 2
+    gba2 = np.abs(g_ba_lossy(omega, j, T, Gamma)) ** 2
+    npow = np.atleast_1d(noise_power(omega, j, T, Gamma))
+    resid = gba2 + npow - 1.0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["omega", "gca_lossy_sq", "gba_lossy_sq", "noise_power", "sum_rule_residual"]
+        )
+        for row in zip(omega, gca2, gba2, npow, resid):
+            writer.writerow([f"{v:.17g}" for v in row])

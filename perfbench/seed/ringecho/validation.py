@@ -1,0 +1,323 @@
+"""Cross-module invariant suite behind the ``validate`` CLI command.
+
+Each check is quick, deterministic (fixed RNG seeds), and returns a record
+that serializes cleanly. The suite also contains one negative control: a
+deliberately sign-flipped kernel must make the unitarity check fail, which
+guards against the suite itself going soft.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from . import (
+    DeltaTrain,
+    JunctionCoupling,
+    RingGeometry,
+    SampledSignal,
+    SpaceTimePoint,
+    TwoPhotonGaussian,
+    apply_train,
+    cavity_commutator_train,
+    convolve,
+    correlate,
+    cross_commutator_ca,
+    cw_output,
+    fsr_integral,
+    g_ba,
+    g_ca,
+    gaussian_amplitude,
+    gaussian_output_closed_form,
+    kappa,
+    kernel_ab,
+    kernel_ba,
+    kernel_ca,
+    noise_power_quadrature,
+    outer_product_grid,
+    output_commutator_check,
+    peak_ratio,
+    resummation_check,
+    run,
+    separable_output,
+    spacetime_commutator_support,
+    sum_rule_residual,
+    transform_output_on_window,
+)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+    skipped: bool = False
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
+    vals = np.zeros(stride * n_trips, dtype=np.complex128)
+    vals[0] = 1.0
+    return SampledSignal(0.0, T / stride, vals)
+
+
+def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[CheckResult]:
+    """Run the full invariant suite at one coupling value."""
+    j = JunctionCoupling(rho)
+    rng = np.random.default_rng(20240901)
+    results: list[CheckResult] = []
+
+    def check(name: str, passed: bool, detail: str, skipped: bool = False) -> None:
+        results.append(CheckResult(name, bool(passed), detail, skipped))
+
+    # -- spectral identities ------------------------------------------------
+    rhos = rng.uniform(0.0, 0.999, 1000)
+    omegas = rng.uniform(-80.0, 80.0, 1000)
+    worst = max(
+        abs(abs(g_ba(w, JunctionCoupling(r), T)) - 1.0)
+        for r, w in zip(rhos, omegas)
+    )
+    check("unimodularity", worst < 1e-12, f"max | |g_ba| - 1 | = {worst:.3g}")
+
+    prod = np.array(
+        [g_ba(w, j, T) * np.conj(g_ba(w, j, T)) for w in omegas[:200]]
+    )
+    worst = float(np.max(np.abs(prod - 1.0)))
+    check("inverse_identity", worst < 1e-14, f"max |g_ab*g_ba - 1| = {worst:.3g}")
+
+    fsr = 2.0 * math.pi / T
+    worst = max(
+        abs(g_ca(w + fsr, j, T) - g_ca(w, j, T)) for w in omegas[:200]
+    )
+    check("periodicity", worst < 1e-10, f"max |g_ca(w+FSR) - g_ca(w)| = {worst:.3g}")
+
+    vals = [abs(fsr_integral(JunctionCoupling(r), T) - 1.0) for r in (0.0, 0.5, rho, 0.98)]
+    check("fsr_state_count", max(vals) < 1e-6, f"max |integral - 1| = {max(vals):.3g}")
+
+    # -- kernel algebra -----------------------------------------------------
+    kca = kernel_ca(j, T, eps)
+    kba = kernel_ba(j, T, eps)
+    kab = kernel_ab(j, T, eps)
+    u1 = abs(kca.sum_sq() - 1.0)
+    u2 = abs(kba.sum_sq() - 1.0)
+    check("kernel_unitarity", max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}")
+
+    inv = convolve(kab, kba)
+    spurious = max((abs(c) for k, c in inv.weights.items() if k != 0), default=0.0)
+    ok = abs(inv.weight(0) - 1.0) < 1e-10 and spurious < 1e-10
+    check("kernel_inverse", ok, f"c0 err {abs(inv.weight(0)-1):.3g}, max off {spurious:.3g}")
+
+    stride = 16
+    sig = SampledSignal(
+        0.0, T / stride, rng.normal(size=8 * stride) + 1j * rng.normal(size=8 * stride)
+    )
+    round_trip = apply_train(kab, apply_train(kba, sig))
+    i0 = round(((sig.t0 - round_trip.t0) / sig.dt))
+    err = float(np.max(np.abs(round_trip.values[i0 : i0 + len(sig)] - sig.values)))
+    check("apply_round_trip", err < 1e-9, f"max reconstruction error = {err:.3g}")
+
+    parseval = abs(apply_train(kba, sig).energy() - sig.energy()) / sig.energy()
+    check("apply_parseval", parseval < 1e-10, f"relative energy change = {parseval:.3g}")
+
+    imp = _impulse(T, stride, 2)
+    train_sig = apply_train(kba, imp)
+    ws = np.linspace(-2.5 * fsr, 2.5 * fsr, 101)
+    dft = np.array(
+        [np.sum(train_sig.values * np.exp(1j * w * train_sig.times)) for w in ws]
+    )
+    err = float(np.max(np.abs(dft - np.array([g_ba(w, j, T) for w in ws]))))
+    check("kernel_spectrum_match", err < 1e-8, f"max DFT deviation = {err:.3g}")
+
+    # -- commutators ----------------------------------------------------------
+    train = cavity_commutator_train(j, T, 10)
+    err = max(abs(train.weight(k) - rho ** abs(k)) for k in range(-10, 11))
+    check("cavity_commutator", err < 1e-12, f"max |c_k - rho^|k|| = {err:.3g}")
+
+    cross = cross_commutator_ca(j, T, 40)
+    causal = all(k >= 0 for k in cross.weights)
+    check("causality", causal, "no support at negative lags")
+
+    L = T
+    zp = 0.333 * L
+    zs = np.append(np.linspace(0.0, L, 97, endpoint=False), zp)
+    hits = 0
+    for z in zs:
+        pts = spacetime_commutator_support(
+            j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), 1.0, T, 8
+        )
+        hits += sum(1 for (_, _, t_hit) in pts if abs(t_hit) < 1e-12)
+    check("equal_time_single_support", hits == 1, f"crossings at t=t' = {hits}")
+
+    occ = output_commutator_check(j, eps, T)
+    ok = occ.weight_zero_error < 1e-10 and occ.max_spurious < 1e-10
+    if j.rho > 0.0:
+        ok = ok and occ.path_disagreement < 1e-12
+        detail = (
+            f"c0 err {occ.weight_zero_error:.3g}, spurious {occ.max_spurious:.3g}, "
+            f"paths differ by {occ.path_disagreement:.3g}"
+        )
+        check("output_commutator", ok, detail)
+    else:
+        check(
+            "output_commutator",
+            ok,
+            f"c0 err {occ.weight_zero_error:.3g} (decomposition path skipped: rho = 0)",
+        )
+
+    f = rng.integers(-9, 10, size=51).astype(float)
+    g = rng.integers(-9, 10, size=51).astype(float)
+
+    def side_a() -> float:
+        tot = 0.0
+        for n in range(51):
+            for m in range(n + 1):
+                if n + m < 51:
+                    tot += f[n + m] * g[n - m]
+        return tot
+
+    def side_b() -> float:
+        tot = 0.0
+        for k in range(51):
+            for s in range(51):
+                if k + 2 * s < 51:
+                    tot += f[k + 2 * s] * g[k]
+        return tot
+
+    check("reindexing_identity", side_a() == side_b(), "double-sum reindexing exact")
+
+    # -- quasimode ------------------------------------------------------------
+    if j.rho > 0.0:
+        q = kappa(j, T, "exact")
+        err = max(
+            abs(math.exp(-q.kappa * k * T) - rho**k) for k in range(21)
+        )
+        check("envelope_interpolation", err < 1e-13, f"max |e^-k kT - rho^k| = {err:.3g}")
+        pr = peak_ratio(j)
+        check(
+            "peak_ratio_bounded",
+            0.0 < pr <= 1.0,
+            f"(1-rho)/ln(1/rho) = {pr:.6f}",
+        )
+    else:
+        check("envelope_interpolation", True, "skipped: rho = 0", skipped=True)
+        check("peak_ratio_bounded", True, "skipped: rho = 0", skipped=True)
+
+    # -- lossy cavity -----------------------------------------------------------
+    ws = rng.uniform(-40.0, 40.0, 200)
+    worst = 0.0
+    for gt in (0.0, 0.2, 2.0):
+        worst = max(worst, float(np.max(np.abs(sum_rule_residual(ws, j, T, gt / T)))))
+    check("lossy_sum_rule", worst < 1e-12, f"max residual = {worst:.3g}")
+
+    nq = noise_power_quadrature(ws[:50], j, T, 0.2 / T)
+    from .lossy_cavity import noise_power as np_closed
+
+    err = float(np.max(np.abs(nq - np_closed(ws[:50], j, T, 0.2 / T))))
+    check("noise_quadrature_match", err < 1e-6, f"max quadrature deviation = {err:.3g}")
+
+    # -- oracle ---------------------------------------------------------------
+    geom = RingGeometry(T, 1.0)
+    M = 16
+    imp = _impulse(T, M, 6)
+    out, _ = run(imp, j, geom, M)
+    err = max(
+        abs(out.values[n * M].real - kba.weight(n)) for n in range(6)
+    )
+    check("oracle_impulse_match", err < 1e-14, f"lattice weight error = {err:.3g}")
+
+    w_drive = 0.37 * fsr
+    if j.rho > 0.0:
+        n_trips = min(3000, max(60, math.ceil(math.log(1e-10) / math.log(j.rho))))
+    else:
+        n_trips = 60
+    tol = max(1e-9, 10.0 * j.rho**n_trips)
+    tgrid = np.arange(n_trips * M) * (T / M)
+    drive = SampledSignal(0.0, T / M, np.exp(-1j * w_drive * tgrid))
+    out, _ = run(drive, j, geom, M)
+    ratio = out.values[-1] / drive.values[-1]
+    err = abs(ratio - g_ba(w_drive, j, T))
+    check("oracle_transfer_match", err < tol, f"steady-state deviation = {err:.3g}")
+
+    # -- two-photon -------------------------------------------------------------
+    gspec = TwoPhotonGaussian(0.4 * T, 0.4 * T)
+    dgrid = np.arange(-40 * T, 40 * T + 1e-9, T / 8)
+    d = SampledSignal(dgrid[0], T / 8, np.exp(-(dgrid**2) / (2 * (0.4 * T) ** 2)))
+    if j.rho > 0.0:
+        kmax = max(10, int(math.ceil(math.log(1e-10) / math.log(rho))))
+        residual, _ = cw_output(d, j, T, kmax)
+        check("dispersion_cancellation", residual < 1e-9, f"residual = {residual:.3g}")
+        kwin = 24
+        x = np.arange(-kwin * T, kwin * T + 1e-9, T / 8)
+        d_narrow = SampledSignal(x[0], T / 8, np.exp(-(x**2) / (2 * (0.4 * T) ** 2)))
+        nmax = 80
+        # certified truncation deficit of the pair ladder at this order
+        bound = (rho**2 / (1.0 - rho**2)) * rho ** (2 * nmax - kwin)
+        tol = max(1e-10, 3.0 * bound)
+        err = resummation_check(rho, d_narrow, T, nmax=nmax)
+        check("ladder_resummation", err < tol, f"max deviation = {err:.3g} (tol {tol:.3g})")
+    else:
+        residual, _ = cw_output(d, j, T, 10)
+        check("dispersion_cancellation", residual < 1e-12, f"residual = {residual:.3g}")
+        check("ladder_resummation", True, "skipped: rho = 0", skipped=True)
+
+    phi = gaussian_amplitude(gspec, dt=T / 8)
+    n_out = phi.values.shape[0] + 6 * 8
+    direct = transform_output_on_window(phi, j, T, phi.t1_start, n_out, eps)
+    closed = gaussian_output_closed_form(
+        gspec, j, T, phi.t1_start, n_out, T / 8, eps
+    )
+    err = float(np.max(np.abs(direct.values - closed.values)))
+    check("closed_form_match", err < 1e-8, f"max pointwise deviation = {err:.3g}")
+
+    t = np.arange(-3.0 * T, 3.0 * T + 1e-9, T / 8)
+    f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * 0.35**2)))
+    f2 = SampledSignal(t[0], T / 8, np.exp(-((t - 0.25) ** 2) / (2 * 0.5**2)))
+    if j.rho > 0.0:
+        p1, p2 = separable_output(f1, f2, j, T, eps)
+        q1, q2 = separable_output(f1, f2, j, T, eps, use_reflective_form=True)
+        err = float(
+            max(
+                np.max(np.abs(p1.values - q1.values)),
+                np.max(np.abs(p2.values - q2.values)),
+            )
+        )
+        check("factor_form_equivalence", err < 1e-12, f"kernel vs reflective form: {err:.3g}")
+    else:
+        check(
+            "factor_form_equivalence",
+            True,
+            "skipped: rho = 0 (reflective factor form undefined, kernel form used)",
+            skipped=True,
+        )
+    p1, p2 = separable_output(f1, f2, j, T, eps)
+    prod_in = outer_product_grid(f1, f2)
+    full = transform_output_on_window(
+        prod_in, j, T, p1.t0, len(p1), eps
+    )
+    err = float(np.max(np.abs(np.outer(p1.values, p2.values) - full.values)))
+    check("separable_factorization", err < 1e-10, f"outer-product deviation = {err:.3g}")
+
+    # -- negative control -------------------------------------------------------
+    bad = DeltaTrain(T, dict(kba.weights), kba.eps, kba.tail_bound)
+    bad_weights = dict(bad.weights)
+    if 0 in bad_weights:
+        bad_weights[0] = -bad_weights[0]  # wrong junction sign
+    else:
+        bad_weights[0] = 0.5
+    bad = DeltaTrain(T, bad_weights, kba.eps, kba.tail_bound)
+    corr = correlate(bad, bad)
+    spurious = max((abs(c) for k, c in corr.weights.items() if k != 0), default=0.0)
+    detects = spurious > 1e-6 or abs(corr.weight(0) - 1.0) > 1e-6
+    if j.rho == 0.0:
+        detects = abs(corr.weight(0) - 1.0) > 1e-6
+    check(
+        "negative_control",
+        detects,
+        f"sign-flipped kernel breaks unitarity by {spurious:.3g} (detected)",
+    )
+
+    return results
