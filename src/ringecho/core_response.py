@@ -109,7 +109,11 @@ class FrequencyGrid:
 def _reduced_phase(omega, T: float) -> np.ndarray:
     # reduce omega*T mod 2*pi before exponentiation; the response is exactly
     # periodic so this costs nothing and avoids precision loss at large omega
-    return np.mod(np.asarray(omega, dtype=float) * T, TWO_PI)
+    w = np.asarray(omega, dtype=float)
+    # math.isfinite keeps the check cheap for the many scalar calls
+    if not (math.isfinite(w) if w.ndim == 0 else np.isfinite(w).all()):
+        raise ValueError("omega must be finite")
+    return np.mod(w * T, TWO_PI)
 
 
 def g_ca(omega, j: JunctionCoupling, T: float):
@@ -160,14 +164,18 @@ def fsr_integral(
     j: JunctionCoupling,
     T: float,
     n_periods: int = 1,
-    quadrature_points: int = 4096,
+    quadrature_points: int | None = None,
 ) -> float:
     """Average of |g_ca|^2 over an integer number of free spectral ranges.
 
     The exact value is 1 for every coupling: the junction redistributes the
     density of states across each period without creating or destroying any.
-    Composite midpoint quadrature on ``quadrature_points`` points per period;
-    the integrand is smooth and periodic so convergence is spectral.
+    Composite midpoint quadrature on ``quadrature_points`` points per period.
+    The integrand is periodic with Fourier coefficients ``rho^|k|``, so the
+    only quadrature error is aliasing, ``-2 rho^N / (1 + rho^N)`` for N
+    points. By default ``N = max(4096, ceil(ln(2e-14) / ln rho))``, which
+    keeps it below 4e-14; what remains is the rounding of
+    ``tau^2 = 1 - rho^2``, a relative ``4 eps / (1 - rho^2)`` at most.
 
     Raises
     ------
@@ -176,6 +184,11 @@ def fsr_integral(
     """
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    if quadrature_points is None:
+        quadrature_points = 4096
+        if j.rho > 0.0:
+            aliasing_free = math.ceil(math.log(2e-14) / math.log(j.rho))
+            quadrature_points = max(quadrature_points, aliasing_free)
     if quadrature_points < 1:
         raise ValueError(
             f"quadrature_points must be >= 1, got {quadrature_points}"

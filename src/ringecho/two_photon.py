@@ -31,6 +31,9 @@ from .echo_kernels import (
     DeltaTrain,
     IncommensurateGrid,
     SampledSignal,
+    _dense,
+    _lattice_apply,
+    _lattice_stride,
     apply_train,
     kernel_ba,
 )
@@ -148,22 +151,6 @@ def gaussian_amplitude(
     return grid
 
 
-def _stride(T: float, dt: float) -> int:
-    ratio = T / dt
-    stride = round(ratio)
-    if stride < 1 or abs(ratio - stride) > 1e-9 * ratio:
-        raise IncommensurateGrid(
-            f"round trip {T} is not an integer multiple of grid spacing {dt}"
-        )
-    return stride
-
-
-def _axis_shift_weights(train: DeltaTrain) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.array(sorted(train.weights), dtype=int)
-    cs = np.array([train.weights[int(k)] for k in ks])
-    return ks, cs
-
-
 def transform_output(
     phi: JointAmplitudeGrid,
     j: JunctionCoupling,
@@ -176,22 +163,14 @@ def transform_output(
     ``Phi_out(t1, t2) = sum_{n,m} K_n K_m Phi(t1 - nT, t2 - mT)`` with
     K_0 = -rho and K_n = tau^2 rho^(n-1). The axes are extended to hold all
     retained echoes; exchange symmetry of the input is preserved because the
-    same kernel acts on both axes.
+    same kernel acts on both axes, one ``_lattice_apply`` pass per axis.
     """
-    train = kernel_ba(j, T, eps)
-    stride = _stride(T, phi.dt)
-    ks, cs = _axis_shift_weights(train)
-    kmax = int(ks.max())
-    n1, n2 = phi.values.shape
-    ext = kmax * stride
-    mid = np.zeros((n1 + ext, n2), dtype=np.complex128)
-    for k, c in zip(ks, cs):
-        off = int(k) * stride
-        mid[off : off + n1, :] += c * phi.values
-    out = np.zeros((n1 + ext, n2 + ext), dtype=np.complex128)
-    for k, c in zip(ks, cs):
-        off = int(k) * stride
-        out[:, off : off + n2] += c * mid
+    stride = _lattice_stride(T, phi.dt)
+    k0, c, _ = _dense(kernel_ba(j, T, eps))
+    ext = (k0 + len(c) - 1) * stride
+    out = phi.values
+    for axis in (0, 1):
+        out = _lattice_apply(c, k0, stride, out, axis, 0, out.shape[axis] + ext)
     return JointAmplitudeGrid(phi.t1_start, phi.t2_start, phi.dt, out)
 
 
@@ -205,33 +184,20 @@ def transform_output_on_window(
 ) -> JointAmplitudeGrid:
     """Direct tensor transform evaluated on a requested square output window.
 
-    Same sum as ``transform_output`` but gathering input samples per output
-    point, so a small display window does not force materializing the full
-    echo extension. The window start must sit on the input grid.
+    Same sum as ``transform_output`` restricted to the window, so a small
+    display window does not force materializing the full echo extension:
+    ``_lattice_apply`` keeps only the kernel terms that reach the window.
+    The window start must sit on the input grid.
     """
-    stride = _stride(T, phi.dt)
+    stride = _lattice_stride(T, phi.dt)
     off0 = (t_out_start - phi.t1_start) / phi.dt
     base = round(off0)
     if abs(off0 - base) > 1e-6:
         raise IncommensurateGrid("output window start must lie on the input grid")
-    train = kernel_ba(j, T, eps)
-    ks, cs = _axis_shift_weights(train)
-    n1, n2 = phi.values.shape
-    mid = np.zeros((n_out, n2), dtype=np.complex128)
-    for k, c in zip(ks, cs):
-        src_lo = base - int(k) * stride          # input row feeding output row 0
-        lo = max(0, -src_lo)
-        hi = min(n_out, n1 - src_lo)
-        if lo < hi:
-            mid[lo:hi, :] += c * phi.values[src_lo + lo : src_lo + hi, :]
-    out = np.zeros((n_out, n_out), dtype=np.complex128)
     base2 = round((t_out_start - phi.t2_start) / phi.dt)
-    for k, c in zip(ks, cs):
-        src_lo = base2 - int(k) * stride
-        lo = max(0, -src_lo)
-        hi = min(n_out, n2 - src_lo)
-        if lo < hi:
-            out[:, lo:hi] += c * mid[:, src_lo + lo : src_lo + hi]
+    k0, c, _ = _dense(kernel_ba(j, T, eps))
+    mid = _lattice_apply(c, k0, stride, phi.values, 0, base, n_out)
+    out = _lattice_apply(c, k0, stride, mid, 1, base2, n_out)
     return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
 
 
@@ -250,7 +216,7 @@ def cw_output(
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     rho, tau = j.rho, j.tau
-    stride = _stride(T, d.dt)
+    stride = _lattice_stride(T, d.dt)
     n = len(d)
     vals = d.values
 
@@ -305,7 +271,7 @@ def resummation_check(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    stride = _stride(T, d.dt)
+    stride = _lattice_stride(T, d.dt)
     n_len = len(d)
     vals = d.values
 
@@ -375,16 +341,25 @@ def gaussian_output_closed_form(
 ) -> JointAmplitudeGrid:
     """Closed-form output amplitude for the pulsed double-Gaussian input.
 
-    Assembles the three-term expression built from the ladder sums ``F_m``;
-    the ``F_m`` chains are evaluated by the downward recurrence
-    ``F_m = tau^2 rho^m E(m+2) + F_(m+2)`` so each Gaussian plane is
-    computed once. Verified elsewhere against the direct tensor transform;
-    treated as a derived identity, not an independent model.
+    Assembles the three-term expression built from the ladder sums ``F_m``:
+    ``out = sum_m A_m(t1 + t2) B_m(t1 - t2)``, where each ``A_m`` is a
+    combination of ``F_m`` and Gaussians ``E(q)`` in the sum coordinate and
+    each ``B_m`` a pair of Gaussians in the difference coordinate. On the
+    grid, ``s = t1 + t2`` and ``d = t1 - t2`` take only ``2n - 1`` values, so
+    the factors are rows of two ``(mmax + 1, 2n - 1)`` arrays ``A`` and
+    ``B``; the ``F_m`` chains follow the downward recurrence
+    ``F_m = tau^2 rho^m E(m+2) + F_(m+2)`` on those rows. Then
+    ``C = A.T @ B`` holds every pairing and
+    ``out[i, j] = C[i + j, i - j + n - 1]``. Cost: O(mmax n) exponentials
+    and memory, plus one O(mmax n^2) matrix product. Verified elsewhere
+    against the direct tensor transform; treated as a derived identity, not
+    an independent model.
     """
     rho, tau = j.rho, j.tau
     t = t_start + dt * np.arange(n)
-    s = t[:, None] + t[None, :]
-    d = t[:, None] - t[None, :]
+    # one (t1, t2) pair per value: s[i + j] = t1 + t2, d[i - j + n - 1] = t1 - t2
+    s = np.concatenate((t[0] + t, t[-1] + t[1:]))
+    d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
     two_b2 = 2.0 * g.beta**2
     two_s2 = 2.0 * g.sigma**2
 
@@ -393,23 +368,22 @@ def gaussian_output_closed_form(
     else:
         mmax = max(1, int(math.ceil(math.log(eps) / math.log(rho))))
 
-    def e_beta(q: int) -> np.ndarray:
-        return np.exp(-((s - q * T) ** 2) / two_b2)
+    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / two_b2)
+    coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
+    # F_m = tau^2 rho^m E(m+2) + F_(m+2): a reversed running sum per parity
+    f_chain = coef * e_beta[2:]
+    for top in range(max(mmax - 1, 0), mmax + 1):
+        f_chain[top::-2] = np.cumsum(f_chain[top::-2], axis=0)
 
-    # F_m for m = mmax down to 0 via F_m = tau^2 rho^m E(m+2) + F_{m+2}
-    f_chain: dict[int, np.ndarray] = {mmax + 1: np.zeros_like(s), mmax + 2: np.zeros_like(s)}
-    for m in range(mmax, -1, -1):
-        f_chain[m] = tau * tau * rho**m * e_beta(m + 2) + f_chain[m + 2]
-
-    out = (tau * tau * f_chain[0] + rho * rho * e_beta(0)) * np.exp(
-        -(d**2) / two_s2
-    )
-    for m in range(1, mmax + 1):
-        bracket = tau * tau * f_chain[m] - tau * tau * rho**m * e_beta(m)
-        out += bracket * (
-            np.exp(-((d + m * T) ** 2) / two_s2)
-            + np.exp(-((d - m * T) ** 2) / two_s2)
-        )
+    a = tau * tau * f_chain - coef * e_beta[: mmax + 1]
+    a[0] = tau * tau * f_chain[0] + rho * rho * e_beta[0]
+    m_t = (np.arange(1, mmax + 1) * T)[:, None]
+    b = np.empty_like(a)
+    b[0] = np.exp(-(d**2) / two_s2)
+    b[1:] = np.exp(-((d + m_t) ** 2) / two_s2) + np.exp(-((d - m_t) ** 2) / two_s2)
+    c = a.T @ b
+    r = np.arange(n)
+    out = c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)]
     return JointAmplitudeGrid(t_start, t_start, dt, out.astype(np.complex128))
 
 

@@ -103,6 +103,12 @@ class TestGca:
         with pytest.raises(ValueError):
             g_ca(1.0, JunctionCoupling(0.5), 0.0)
 
+    @pytest.mark.parametrize("fn", [g_ca, g_ba, g_ab])
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, np.array([0.5, -math.inf])])
+    def test_rejects_nonfinite_frequency(self, fn, omega):
+        with pytest.raises(ValueError):
+            fn(omega, JunctionCoupling(0.5), 1.0)
+
     def test_vectorized(self):
         j = JunctionCoupling(0.5)
         w = np.linspace(-5, 5, 11)
@@ -165,6 +171,12 @@ class TestFsrIntegral:
         val = fsr_integral(JunctionCoupling(0.98), 1.0, n_periods=3,
                            quadrature_points=8192)
         assert abs(val - 1.0) < 1e-5
+
+    @pytest.mark.parametrize("rho", [0.999, 0.9999])
+    def test_default_quadrature_resolves_high_q(self, rho):
+        # left over: the rounding of tau^2 = 1 - rho^2, relative 4 eps / tau^2
+        tol = 4.0 * np.finfo(float).eps / (1.0 - rho * rho)
+        assert abs(fsr_integral(JunctionCoupling(rho), 1.0) - 1.0) <= tol
 
     def test_rejects_nonpositive_counts(self):
         j = JunctionCoupling(0.5)

@@ -17,8 +17,69 @@ from ringecho import (
     kernel_ca,
     unit_train,
 )
+from ringecho.echo_kernels import _dense, _lattice_apply
 
 J75 = JunctionCoupling(0.75)
+
+
+# -- reference implementations: the original pairwise dict loops -------------
+
+
+def reference_convolve(f, g):
+    out = {}
+    for m, fm in f.weights.items():
+        for n, gn in g.weights.items():
+            out[m + n] = out.get(m + n, 0.0) + fm * gn
+    return out
+
+
+def reference_correlate(f, g):
+    out = {}
+    for n, fn in f.weights.items():
+        for m, gm in g.weights.items():
+            out[m - n] = out.get(m - n, 0.0) + fn * gm
+    return out
+
+
+def reference_apply(f, s, stride):
+    """Per-term shift-add over the full echo extension: (t0, values)."""
+    if not f.weights:
+        return s.t0, np.zeros(len(s), dtype=complex)
+    kmin, kmax = min(f.weights), max(f.weights)
+    out = np.zeros(len(s) + (kmax - kmin) * stride, dtype=complex)
+    for k, c in f.weights.items():
+        off = (k - kmin) * stride
+        out[off : off + len(s)] += c * s.values
+    return s.t0 + kmin * f.period, out
+
+
+def brute_lattice_apply(c, k0, stride, x, start, n_out):
+    """y[i] = sum_k c[k - k0] x[i - k stride] along axis 0, sample by sample."""
+    y = np.zeros((n_out,) + x.shape[1:], dtype=complex)
+    for r in range(n_out):
+        for jj, ck in enumerate(c):
+            src = start + r - (k0 + jj) * stride
+            if 0 <= src < len(x):
+                y[r] += ck * x[src]
+    return y
+
+
+@st.composite
+def trains(draw, max_span=24):
+    """Random trains: empty, single-term, contiguous or with holes, with
+    negative offsets and zero weights among the stored ones."""
+    lo = draw(st.integers(-max_span, max_span))
+    kind = draw(st.sampled_from(["empty", "single", "run", "holes"]))
+    if kind == "empty":
+        offsets = []
+    elif kind == "single":
+        offsets = [lo]
+    elif kind == "run":
+        offsets = list(range(lo, lo + draw(st.integers(1, max_span))))
+    else:
+        offsets = sorted(draw(st.sets(st.integers(lo, lo + max_span), min_size=2)))
+    weight = st.one_of(st.floats(-3.0, 3.0), st.just(0.0))
+    return DeltaTrain(1.0, {k: draw(weight) for k in offsets})
 
 
 def impulse(T, stride, n_trips):
@@ -216,3 +277,56 @@ class TestSerialization:
         )
         assert cut.tail_bound == pytest.approx(train.tail_bound + dropped)
         assert all(abs(c) >= 1e-3 for c in cut.weights.values())
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+    def test_truncated_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ValueError):
+            kernel_ca(J75, 1.0).truncated(eps)
+
+
+class TestLatticeAgainstReference:
+    """Array-native lattice algebra against the pairwise reference loops."""
+
+    @given(f=trains(), g=trains())
+    @settings(max_examples=150, deadline=None)
+    def test_convolve_and_correlate(self, f, g):
+        tol = 1e-13 * f.sum_abs() * g.sum_abs()
+        for fast, ref in ((convolve, reference_convolve), (correlate, reference_correlate)):
+            got, want = fast(f, g), ref(f, g)
+            assert set(got.weights) == set(want)
+            for k, w in want.items():
+                assert abs(got.weights[k] - w) <= tol
+            if len(f.weights) == 1 and len(g.weights) == 1:
+                assert got.weights == want
+
+    @given(f=trains(), stride=st.integers(1, 16), n=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_train(self, f, stride, n, seed):
+        rng = np.random.default_rng(seed)
+        s = SampledSignal(-0.5, 1.0 / stride, rng.normal(size=n) + 1j * rng.normal(size=n))
+        out = apply_train(f, s)
+        t0, want = reference_apply(f, s, stride)
+        assert out.t0 == t0
+        assert out.values.shape == want.shape
+        if len(f.weights) == 1:
+            assert np.array_equal(out.values, want)
+        tol = 1e-13 * f.sum_abs() * np.max(np.abs(s.values))
+        assert np.max(np.abs(out.values - want), initial=0.0) <= tol
+
+    @given(f=trains(max_span=12), stride=st.integers(1, 6), n=st.integers(1, 12),
+           start=st.integers(-60, 60), n_out=st.integers(1, 40), axis=st.integers(0, 1),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_windowed_apply_along_either_axis(self, f, stride, n, start, n_out, axis, seed):
+        if not f.weights:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        k0, c, _ = _dense(f)
+        want = brute_lattice_apply(c, k0, stride, x, start, n_out)
+        got = _lattice_apply(c, k0, stride, x if axis == 0 else x.T, axis, start, n_out)
+        got = got if axis == 0 else got.T
+        tol = 1e-13 * f.sum_abs() * np.max(np.abs(x))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= tol

@@ -1,0 +1,21 @@
+"""Smoke test of the benchmark's job definitions: two high-Q layer jobs run
+through ``perfbench/jobs.py`` and pass that file's own checks."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+_write_bytecode = sys.dont_write_bytecode
+sys.dont_write_bytecode = True  # the import must leave perfbench/ untouched
+import jobs  # noqa: E402
+
+sys.dont_write_bytecode = _write_bytecode
+
+
+@pytest.mark.parametrize("name", ["correlate_unit_0.99", "window_vs_closed_form_0.99"])
+def test_highq_job_passes_its_check(name):
+    (job,) = [j for j in jobs.highq_jobs(np.random.default_rng(1)) if j.name == name]
+    assert job.check(job.run()) is None

@@ -34,6 +34,31 @@ def gaussian_d(width, dt, half_trips):
     return SampledSignal(x[0], dt, np.exp(-(x**2) / (2.0 * width**2)))
 
 
+def reference_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
+    """The original closed form: one n x n Gaussian plane per ladder index."""
+    rho, tau = j.rho, j.tau
+    t = t_start + dt * np.arange(n)
+    s = t[:, None] + t[None, :]
+    d = t[:, None] - t[None, :]
+    two_b2 = 2.0 * g.beta**2
+    two_s2 = 2.0 * g.sigma**2
+    mmax = 0 if rho == 0.0 else max(1, int(math.ceil(math.log(eps) / math.log(rho))))
+
+    def e_beta(q):
+        return np.exp(-((s - q * T) ** 2) / two_b2)
+
+    f_chain = {mmax + 1: np.zeros_like(s), mmax + 2: np.zeros_like(s)}
+    for m in range(mmax, -1, -1):
+        f_chain[m] = tau * tau * rho**m * e_beta(m + 2) + f_chain[m + 2]
+    out = (tau * tau * f_chain[0] + rho * rho * e_beta(0)) * np.exp(-(d**2) / two_s2)
+    for m in range(1, mmax + 1):
+        bracket = tau * tau * f_chain[m] - tau * tau * rho**m * e_beta(m)
+        out += bracket * (
+            np.exp(-((d + m * T) ** 2) / two_s2) + np.exp(-((d - m * T) ** 2) / two_s2)
+        )
+    return out
+
+
 class TestGaussianAmplitude:
     def test_peak_at_origin(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 16)
@@ -74,6 +99,17 @@ class TestTransformOutput:
             atol=0,
         )
         assert np.max(np.abs(out.values[:stride, :])) == 0.0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_full_window_equals_full_transform(self, rho):
+        grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.4), dt=T / 8)
+        j = JunctionCoupling(rho)
+        full = transform_output(grid, j, T)
+        window = transform_output_on_window(
+            grid, j, T, grid.t1_start, full.values.shape[0])
+        assert window.values.shape == full.values.shape
+        err = np.max(np.abs(window.values - full.values))
+        assert err <= 1e-13 * np.max(np.abs(full.values))
 
     def test_moderate_coupling_peak_stays_at_origin(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 16)
@@ -233,6 +269,16 @@ class TestClosedForm:
             g, j, T, phi.t1_start, n_out, dt, eps=1e-12
         )
         assert np.max(np.abs(direct.values - closed.values)) < 1e-8
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 0.99])
+    def test_matches_plane_by_plane_reference(self, rho):
+        g = TwoPhotonGaussian(0.3, 0.45)
+        j = JunctionCoupling(rho)
+        dt = T / 4
+        t_start, n = -2.5, 32
+        got = gaussian_output_closed_form(g, j, T, t_start, n, dt)
+        want = reference_closed_form(g, j, T, t_start, n, dt)
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_nearly_closed_junction_peak_moves_one_trip(self):
         g = TwoPhotonGaussian(0.3, 0.3)
