@@ -33,11 +33,8 @@ from .commutators import (
     CommutatorMap,
     SpaceTimePoint,
     UnitTrainCheck,
-    cavity_commutator_train,
     commutator_figure,
-    cross_commutator_ca,
     output_commutator_check,
-    output_commutator_correlate,
     output_commutator_decomposition,
     spacetime_commutator_support,
 )
@@ -55,7 +52,6 @@ from .highq import (
     quasimode_output,
 )
 from .two_photon import (
-    DivisionByZeroRho,
     JointAmplitudeGrid,
     TwoPhotonGaussian,
     F_m,
@@ -77,8 +73,6 @@ from .lossy_cavity import (
     LossySpectrumResult,
     fp_correlation,
     fp_correlation_integral,
-    g_ba_lossy,
-    g_ca_lossy,
     lossy_output_spectrum,
     noise_power,
     noise_power_quadrature,

@@ -21,7 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .commutators import commutator_figure
-from .core_response import FrequencyGrid, JunctionCoupling, density_of_states_profile
+from .core_response import (
+    FrequencyGrid,
+    JunctionCoupling,
+    density_of_states_profile,
+    g_ba,
+)
 from .highq import fig4_dataset, kappa
 from .two_photon import (
     TwoPhotonGaussian,
@@ -56,6 +61,8 @@ class RunConfig:
             raise BadArguments(f"eps must lie in (0, 1e-3], got {self.eps}")
         if self.T <= 0.0:
             raise BadArguments(f"T must be positive, got {self.T}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise BadArguments(f"dt must be finite and positive, got {self.dt}")
         if self.format not in ("csv", "json"):
             raise BadArguments(f"format must be csv or json, got {self.format}")
 
@@ -73,15 +80,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_rows(path: Path, rows, header: list[str] | None = None) -> Path:
+    """The one CSV writer: an optional header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(float(v)) for v in row])
+    return path
+
+
 def write_table(path: Path, header: list[str], columns: list[np.ndarray], fmt: str) -> Path:
     rows = list(zip(*columns))
     if fmt == "csv":
-        path = path.with_suffix(".csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(float(v)) for v in row])
+        path = _write_rows(path.with_suffix(".csv"), rows, header)
     else:
         path = path.with_suffix(".json")
         with open(path, "w") as fh:
@@ -97,12 +110,7 @@ def write_matrix(
 ) -> list[Path]:
     written = []
     if fmt == "csv":
-        p = path.with_suffix(".csv")
-        with open(p, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in matrix:
-                writer.writerow([_fmt(float(v)) for v in row])
-        written.append(p)
+        written.append(_write_rows(path.with_suffix(".csv"), matrix))
         m = path.with_name(path.name + "_axes").with_suffix(".json")
         with open(m, "w") as fh:
             json.dump(meta, fh)
@@ -212,27 +220,19 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             grid = gaussian_output_closed_form(g, j, T, t_start, n, dt, cfg.eps)
             label = f"{name}_tau{tau:g}".replace(".", "p")
             meta = {"tau": tau, "sigma": g.sigma, "beta": g.beta}
+            axes = {"t1_start": grid.t1_start, "t2_start": grid.t2_start, "dt": grid.dt}
+            mag, phase = np.abs(grid.values), np.angle(grid.values)
             if cfg.format == "csv":
-                grid.write_csv(out_dir / label, meta_extra=meta)
-                written.extend(
-                    out_dir / f"{label}_{suffix}"
-                    for suffix in ("magnitude.csv", "phase.csv", "axes.json")
-                )
+                written.append(_write_rows(out_dir / f"{label}_magnitude.csv", mag))
+                written.append(_write_rows(out_dir / f"{label}_phase.csv", phase))
+                doc = {**axes, "shape": list(mag.shape), **meta}
+                p = out_dir / f"{label}_axes.json"
             else:
+                doc = {**axes, **meta, "magnitude": mag.tolist(), "phase": phase.tolist()}
                 p = (out_dir / label).with_suffix(".json")
-                with open(p, "w") as fh:
-                    json.dump(
-                        {
-                            "t1_start": grid.t1_start,
-                            "t2_start": grid.t2_start,
-                            "dt": grid.dt,
-                            **meta,
-                            "magnitude": np.abs(grid.values).tolist(),
-                            "phase": np.angle(grid.values).tolist(),
-                        },
-                        fh,
-                    )
-                written.append(p)
+            with open(p, "w") as fh:
+                json.dump(doc, fh)
+            written.append(p)
             pk = peak_locate(grid)
             sv = separability_rank(grid)
             ratio = float(sv[1]) if len(sv) > 1 else 0.0
@@ -310,8 +310,6 @@ def cmd_sweep(
                            [kmaxes.astype(float), vals], cfg.format)
 
     else:  # absorbed_fraction
-        from .lossy_cavity import g_ba_lossy
-
         j = cfg.junction(0.0)
         if np.any(np.linspace(start, stop, count) < 0.0):
             raise BadArguments("absorbed_fraction sweep needs Gamma*T >= 0")
@@ -320,7 +318,7 @@ def cmd_sweep(
         omega = (np.arange(2048) + 0.5) * (fsr / 2048)
         vals = np.array(
             [
-                1.0 - float(np.mean(np.abs(g_ba_lossy(omega, j, T, gt / T)) ** 2))
+                1.0 - float(np.mean(np.abs(g_ba(omega, j, T, gt / T)) ** 2))
                 for gt in gts
             ]
         )

@@ -2,15 +2,17 @@
 
 Because the lossless cavity maps are linear in the input field, every
 commutator of the theory reduces to a c-number delta train on the round-trip
-lattice, equal to a correlation of the generating echo kernels. This module
-builds those trains directly, checks them against each other, and renders the
-space-time structure of the circulating-field commutator as a 2-D map.
+lattice, equal to a correlation of the generating echo kernels: the
+circulating-field commutator is ``correlate(kernel_ca, kernel_ca)`` (weights
+``rho^|k|``), the circulating/input cross commutator is ``kernel_ca`` itself,
+and the output commutator is ``correlate(kernel_ba, kernel_ba)``. This module
+checks the output commutator against an independent junction decomposition,
+locates where the two-position commutator fires, and renders its space-time
+structure as a 2-D map.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,43 +53,6 @@ class CommutatorMap:
         if np.any(self.matrix < 0.0):
             raise ValueError("map entries must be non-negative")
 
-    def write_csv(self, path, sidecar_path=None) -> None:
-        """One row per t value; axis metadata goes to a JSON sidecar."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.matrix:
-                writer.writerow([f"{v:.17g}" for v in row])
-        if sidecar_path is not None:
-            meta = {
-                "z_values": [float(z) for z in self.z_values],
-                "t_values": [float(t) for t in self.t_values],
-                "broadening": self.broadening,
-            }
-            with open(sidecar_path, "w") as fh:
-                json.dump(meta, fh)
-
-
-def cavity_commutator_train(
-    j: JunctionCoupling, T: float, kmax: int
-) -> DeltaTrain:
-    """Equal-position commutator of the circulating field.
-
-    Weight ``rho^|k|`` at every lag k in [-kmax, kmax]: the field fails to
-    commute with itself exactly at time separations reachable by whole round
-    trips, with memory decaying geometrically.
-    """
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
-    weights = {0: 1.0}
-    for k in range(1, kmax + 1):
-        w = j.rho**k
-        if w == 0.0:
-            break
-        weights[k] = w
-        weights[-k] = w
-    tail = 2.0 * j.rho ** (kmax + 1) / (1.0 - j.rho) if j.rho > 0.0 else 0.0
-    return DeltaTrain(T, weights, 0.0, tail)
-
 
 def spacetime_commutator_support(
     j: JunctionCoupling,
@@ -121,28 +86,6 @@ def spacetime_commutator_support(
     return out
 
 
-def cross_commutator_ca(
-    j: JunctionCoupling, T: float, nmax: int
-) -> DeltaTrain:
-    """Commutator of the circulating field with the input field.
-
-    Weights ``tau rho^n`` at offsets n >= 0 only: the circulating field
-    cannot depend on input values from its own future, so no support exists
-    at negative lags. Term by term this is the same train as ``kernel_ca``.
-    """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    weights: dict[int, float] = {}
-    c = j.tau
-    for n in range(nmax + 1):
-        if c == 0.0:
-            break
-        weights[n] = c
-        c *= j.rho
-    tail = c / (1.0 - j.rho) if j.rho > 0.0 else 0.0
-    return DeltaTrain(T, weights, 0.0, tail)
-
-
 @dataclass(frozen=True)
 class UnitTrainCheck:
     """Result of verifying that a computed commutator is the unit train."""
@@ -151,14 +94,6 @@ class UnitTrainCheck:
     weight_zero_error: float
     max_spurious: float
     path_disagreement: float | None = None
-
-
-def output_commutator_correlate(
-    j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
-) -> DeltaTrain:
-    """Output-field commutator as the autocorrelation of the output kernel."""
-    k = kernel_ba(j, T, eps)
-    return correlate(k, k)
 
 
 def output_commutator_decomposition(
@@ -193,11 +128,13 @@ def output_commutator_check(
 ) -> UnitTrainCheck:
     """Verify the output field keeps the free-space commutator.
 
-    Computes the correlate path for any rho, the decomposition path when
-    rho > 0, and reports the deviation from the unit train plus the maximum
-    term-by-term disagreement between the two paths.
+    Computes the correlate path (the autocorrelation of the output kernel)
+    for any rho, the decomposition path when rho > 0, and reports the
+    deviation from the unit train plus the maximum term-by-term disagreement
+    between the two paths.
     """
-    train = output_commutator_correlate(j, T, eps)
+    kba = kernel_ba(j, T, eps)
+    train = correlate(kba, kba)
     zero_err = abs(train.weight(0) - 1.0)
     spurious = max(
         (abs(c) for k, c in train.weights.items() if k != 0), default=0.0

@@ -7,7 +7,11 @@ This module provides the exact transfer functions of that system:
 
 - ``g_ca``: input channel to the circulating field just past the junction.
 - ``g_ba``: input channel to the output channel (unimodular all-pass).
-- ``g_ab``: the inverse map, output back to input.
+- ``g_ab``: the inverse map, output back to input (lossless only).
+
+``g_ca`` and ``g_ba`` take an optional field attenuation rate ``Gamma`` of a
+distributed intracavity absorber, which scales the round-trip amplitude by
+``exp(-Gamma T)``; ``Gamma = 0`` is the lossless cavity.
 
 All functions accept scalar or ndarray frequencies and are pure; frequencies
 are angular (rad per unit time) measured relative to the optical carrier.
@@ -116,38 +120,50 @@ def _reduced_phase(omega, T: float) -> np.ndarray:
     return np.mod(w * T, TWO_PI)
 
 
-def g_ca(omega, j: JunctionCoupling, T: float):
+def _pole_and_phase(omega, T: float, Gamma: float) -> tuple[float, np.ndarray]:
+    """Round-trip amplitude ``exp(-Gamma T)`` and phase factor ``exp(i omega T)``."""
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    if not 0.0 <= Gamma < math.inf:
+        raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
+    return math.exp(-Gamma * T), np.exp(1j * _reduced_phase(omega, T))
+
+
+def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     """Transfer function from the input field to the circulating cavity field.
 
-    Returns ``tau / (1 - rho * exp(i omega T))``. The denominator never
-    vanishes for rho < 1, so no poles sit on the real axis.
+    Returns ``tau / (1 - rho a exp(i omega T))`` with round-trip amplitude
+    ``a = exp(-Gamma T)``: a distributed absorber with field attenuation rate
+    ``Gamma`` only shrinks the pole radius from rho to ``rho a``. The
+    denominator never vanishes for rho < 1, so no poles sit on the real axis.
 
     Parameters
     ----------
     omega : float or ndarray
-        Angular frequency (rad/time).
+        Angular frequency (rad/time), finite.
     j : JunctionCoupling
     T : float
         Round-trip time, must be positive.
+    Gamma : float
+        Field attenuation rate (1/time), finite and non-negative; 0 is the
+        lossless cavity.
     """
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
-    z = np.exp(1j * _reduced_phase(omega, T))
-    out = j.tau / (1.0 - j.rho * z)
+    a, z = _pole_and_phase(omega, T, Gamma)
+    out = j.tau / (1.0 - (j.rho * a) * z)
     return out if out.ndim else complex(out)
 
 
-def g_ba(omega, j: JunctionCoupling, T: float):
+def g_ba(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     """Transfer function from input to output channel.
 
-    Returns ``exp(i omega T) (1 - rho exp(-i omega T)) / (1 - rho exp(i omega T))``,
-    which has unit modulus for every real frequency: the cavity only
-    rearranges spectral phase, it cannot absorb.
+    Returns ``exp(i omega T) (a - rho exp(-i omega T)) / (1 - rho a exp(i omega T))``
+    with ``a = exp(-Gamma T)``. At ``Gamma = 0`` it has unit modulus for
+    every real frequency: the cavity only rearranges spectral phase, it
+    cannot absorb. With ``Gamma > 0`` the modulus drops below 1 and the
+    power lost is returned as noise (``lossy_cavity.noise_power``).
     """
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
-    z = np.exp(1j * _reduced_phase(omega, T))
-    out = z * (1.0 - j.rho * np.conj(z)) / (1.0 - j.rho * z)
+    a, z = _pole_and_phase(omega, T, Gamma)
+    out = z * (a - j.rho * np.conj(z)) / (1.0 - (j.rho * a) * z)
     return out if out.ndim else complex(out)
 
 

@@ -16,7 +16,6 @@ Nothing here shares code with the analytic kernels; that is the point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +118,3 @@ def run(
         SampledSignal(signal.t0, dt, b_vals),
         SampledSignal(signal.t0, dt, c_vals),
     )
-
-
-def dump_output_csv(path, signal: SampledSignal) -> None:
-    """Debug helper: write (t, Re b, Im b) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re", "im"])
-        for t, v in zip(signal.times, signal.values):
-            writer.writerow([f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])

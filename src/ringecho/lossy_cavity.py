@@ -1,30 +1,30 @@
-"""Ring cavity with a distributed intracavity absorber.
+"""Noise model of a ring cavity with a distributed intracavity absorber.
 
 A fast-relaxing absorbing medium, once adiabatically eliminated, attenuates
 the circulating field at a rate Gamma and injects fluctuations in exchange.
-In steady state the transfer functions generalize by the substitution
-``exp(i omega T) -> exp((i omega - Gamma) T)``:
+The mean-field transfer functions are ``core_response.g_ca`` and
+``core_response.g_ba`` called with ``Gamma``: the absorber only scales the
+round-trip amplitude by ``exp(-Gamma T)``, shrinking the pole radius from
+rho to ``rho exp(-Gamma T)``.
 
-    g_ca_lossy = tau / (1 - rho exp((i omega - Gamma) T))
-    g_ba_lossy = (exp((i omega - Gamma) T) - rho) / (1 - rho exp((i omega - Gamma) T))
-
-The output channel is no longer unimodular; what the mean field loses, the
-fluctuations replace. The noise power ``N(omega)`` is normalized by the only
-physically forced condition, the sum rule ``|g_ba_lossy|^2 + N = 1``, which
-is the lossy generalization of the free-space output commutator. All
+The output channel is then no longer unimodular; what the mean field loses,
+the fluctuations replace. This module holds that noise model: the absorber
+constants, the correlation of the eliminated fluctuations, the noise power
+``N(omega)`` and the filtered output spectrum. ``N`` is normalized by the
+only physically forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is
+the lossy generalization of the free-space output commutator. All
 bookkeeping here is deterministic second moments; no noise realizations are
 sampled.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_response import JunctionCoupling
+from .core_response import JunctionCoupling, g_ba, g_ca
 
 
 @dataclass(frozen=True)
@@ -82,49 +82,15 @@ def fp_correlation_integral(gamma: float) -> float:
     return 2.0 / gamma
 
 
-def _loop_factor(omega, T: float, Gamma: float) -> np.ndarray:
-    return np.exp((1j * np.asarray(omega, dtype=float) - Gamma) * T)
-
-
-def g_ca_lossy(omega, j: JunctionCoupling, T: float, Gamma: float):
-    """Input to circulating field with distributed attenuation."""
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
-    if Gamma < 0.0:
-        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
-    out = j.tau / (1.0 - j.rho * _loop_factor(omega, T, Gamma))
-    return out if out.ndim else complex(out)
-
-
-def g_ba_lossy(omega, j: JunctionCoupling, T: float, Gamma: float):
-    """Input to output with distributed attenuation; |g| < 1 when Gamma > 0."""
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
-    if Gamma < 0.0:
-        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
-    E = _loop_factor(omega, T, Gamma)
-    out = (E - j.rho) / (1.0 - j.rho * E)
-    return out if out.ndim else complex(out)
-
-
 def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     """Fluctuation power reaching the output channel.
 
-    ``N = tau^2 (1 - exp(-2 Gamma T)) / |1 - rho exp((i omega - Gamma) T)|^2``,
-    normalized so that ``|g_ba_lossy|^2 + N = 1`` identically: every bit of
-    absorbed signal power returns as fluctuation power, keeping the output
-    commutator free-space.
+    ``N = (1 - exp(-2 Gamma T)) |g_ca(omega, Gamma)|^2``, normalized so that
+    ``|g_ba|^2 + N = 1`` identically: every bit of absorbed signal power
+    returns as fluctuation power, keeping the output commutator free-space.
     """
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
-    if Gamma < 0.0:
-        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
-    E = _loop_factor(omega, T, Gamma)
-    out = (
-        j.tau**2
-        * (1.0 - math.exp(-2.0 * Gamma * T))
-        / np.abs(1.0 - j.rho * E) ** 2
-    )
+    gain = np.abs(g_ca(omega, j, T, Gamma)) ** 2
+    out = (1.0 - math.exp(-2.0 * Gamma * T)) * gain
     return out if np.ndim(out) else float(out)
 
 
@@ -136,19 +102,19 @@ def noise_power_quadrature(
     Integrates the squared propagation factor of fluctuations injected along
     the loop, ``(2 Gamma) int_0^T |exp((i omega - Gamma)(T - s))|^2 ds``, by
     the midpoint rule, then routes it through the junction the same way the
-    signal goes. Used to cross-check the closed form in ``noise_power``.
+    signal goes, ``|g_ca(omega, Gamma)|^2``. Used to cross-check the closed
+    form in ``noise_power``.
     """
     s = (np.arange(n_points) + 0.5) * (T / n_points)
     spatial = 2.0 * Gamma * np.sum(np.exp(-2.0 * Gamma * (T - s))) * (T / n_points)
-    E = _loop_factor(omega, T, Gamma)
-    out = j.tau**2 * spatial / np.abs(1.0 - j.rho * E) ** 2
+    out = spatial * np.abs(g_ca(omega, j, T, Gamma)) ** 2
     return out if np.ndim(out) else float(out)
 
 
 def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
-    """|g_ba_lossy|^2 + N(omega) - 1, which should vanish identically."""
+    """|g_ba|^2 + N(omega) - 1, which should vanish identically."""
     return (
-        np.abs(g_ba_lossy(omega, j, T, Gamma)) ** 2
+        np.abs(g_ba(omega, j, T, Gamma)) ** 2
         + noise_power(omega, j, T, Gamma)
         - 1.0
     )
@@ -171,28 +137,11 @@ def lossy_output_spectrum(
 ) -> LossySpectrumResult:
     """Filter a sampled input spectrum through the attenuated cavity.
 
-    Pointwise multiplication by ``g_ba_lossy``; the absorbed fraction is
+    Pointwise multiplication by ``g_ba``; the absorbed fraction is
     ``1 - sum|b|^2 / sum|a|^2`` over the grid.
     """
     a = np.asarray(a_values, dtype=np.complex128)
-    b = g_ba_lossy(omega, j, T, Gamma) * a
+    b = g_ba(omega, j, T, Gamma) * a
     total = float(np.sum(np.abs(a) ** 2))
     absorbed = 1.0 - float(np.sum(np.abs(b) ** 2)) / total if total > 0.0 else 0.0
     return LossySpectrumResult(b, absorbed)
-
-
-def write_response_csv(
-    path, omega: np.ndarray, j: JunctionCoupling, T: float, Gamma: float
-) -> None:
-    """Tabulate the lossy response: omega, |g_ca|^2, |g_ba|^2, N, sum-rule residual."""
-    gca2 = np.abs(g_ca_lossy(omega, j, T, Gamma)) ** 2
-    gba2 = np.abs(g_ba_lossy(omega, j, T, Gamma)) ** 2
-    npow = np.atleast_1d(noise_power(omega, j, T, Gamma))
-    resid = gba2 + npow - 1.0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["omega", "gca_lossy_sq", "gba_lossy_sq", "noise_power", "sum_rule_residual"]
-        )
-        for row in zip(omega, gca2, gba2, npow, resid):
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -19,8 +19,6 @@ Amplitudes are unnormalized throughout; only relative quantities are used.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +26,6 @@ import numpy as np
 
 from .core_response import JunctionCoupling
 from .echo_kernels import (
-    DeltaTrain,
     IncommensurateGrid,
     SampledSignal,
     _dense,
@@ -37,10 +34,6 @@ from .echo_kernels import (
     apply_train,
     kernel_ba,
 )
-
-
-class DivisionByZeroRho(ZeroDivisionError):
-    """Raised when the reflective factor form is requested at rho = 0."""
 
 
 @dataclass(frozen=True)
@@ -98,26 +91,6 @@ class JointAmplitudeGrid:
     def norm_sq(self) -> float:
         """Squared L2 norm, sum |Phi|^2 dt^2."""
         return float(np.sum(np.abs(self.values) ** 2) * self.dt**2)
-
-    def write_csv(self, basepath, meta_extra: dict | None = None) -> None:
-        """Write magnitude and phase CSVs (t1 rows x t2 columns) plus axis JSON."""
-        mag = np.abs(self.values)
-        phase = np.angle(self.values)
-        for suffix, arr in (("magnitude", mag), ("phase", phase)):
-            with open(f"{basepath}_{suffix}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in arr:
-                    writer.writerow([f"{v:.17g}" for v in row])
-        meta = {
-            "t1_start": self.t1_start,
-            "t2_start": self.t2_start,
-            "dt": self.dt,
-            "shape": list(self.values.shape),
-        }
-        if meta_extra:
-            meta.update(meta_extra)
-        with open(f"{basepath}_axes.json", "w") as fh:
-            json.dump(meta, fh)
 
 
 def symmetric_axis(g: TwoPhotonGaussian, dt: float) -> tuple[float, int]:
@@ -201,6 +174,17 @@ def transform_output_on_window(
     return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
 
 
+def _shifted(vals: np.ndarray, offset_steps: int) -> np.ndarray:
+    """``vals[i + offset_steps]`` on the original index range, zero outside."""
+    n = len(vals)
+    out = np.zeros(n, dtype=np.complex128)
+    lo = max(0, -offset_steps)
+    hi = min(n, n - offset_steps)
+    if lo < hi:
+        out[lo:hi] = vals[lo + offset_steps : hi + offset_steps]
+    return out
+
+
 def cw_output(
     d: SampledSignal, j: JunctionCoupling, T: float, kmax: int
 ) -> tuple[float, SampledSignal]:
@@ -217,25 +201,15 @@ def cw_output(
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     rho, tau = j.rho, j.tau
     stride = _lattice_stride(T, d.dt)
-    n = len(d)
     vals = d.values
-
-    def shifted(offset_steps: int) -> np.ndarray:
-        # D(x + offset_steps * dt) sampled on the original window, zero outside
-        out = np.zeros(n, dtype=np.complex128)
-        lo = max(0, -offset_steps)
-        hi = min(n, n - offset_steps)
-        if lo < hi:
-            out[lo:hi] = vals[lo + offset_steps : hi + offset_steps]
-        return out
 
     rec = (rho * rho) * vals.copy()
     for m in range(1, kmax + 1):
         w = tau * tau * rho**m
         if w == 0.0 and rho > 0.0:
             break
-        rec -= w * shifted(m * stride)    # D(x + mT)
-        rec -= w * shifted(-m * stride)   # D(x - mT)
+        rec -= w * _shifted(vals, m * stride)    # D(x + mT)
+        rec -= w * _shifted(vals, -m * stride)   # D(x - mT)
     # double ladder, grouped by transit difference k = n' - m'
     for k in range(-(kmax - 1), kmax):
         m_lo = max(1, 1 - k)
@@ -243,7 +217,7 @@ def cw_output(
         coeff = 0.0
         for m in range(m_lo, m_hi + 1):
             coeff += rho ** (2 * m + k - 2)
-        rec += tau**4 * coeff * shifted(-k * stride)  # D(x - kT)
+        rec += tau**4 * coeff * _shifted(vals, -k * stride)  # D(x - kT)
     residual = float(np.max(np.abs(rec - vals)))
     return residual, SampledSignal(d.t0, d.dt, rec)
 
@@ -272,26 +246,17 @@ def resummation_check(
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     stride = _lattice_stride(T, d.dt)
-    n_len = len(d)
     vals = d.values
 
-    def shifted(offset_steps: int) -> np.ndarray:
-        out = np.zeros(n_len, dtype=np.complex128)
-        lo = max(0, -offset_steps)
-        hi = min(n_len, n_len - offset_steps)
-        if lo < hi:
-            out[lo:hi] = vals[lo + offset_steps : hi + offset_steps]
-        return out
-
-    lhs = np.zeros(n_len, dtype=np.complex128)
+    lhs = np.zeros(len(d), dtype=np.complex128)
     for nn in range(1, nmax + 1):
         for mm in range(1, nmax + 1):
-            lhs += rho ** (nn + mm) * shifted((nn - mm) * stride)
+            lhs += rho ** (nn + mm) * _shifted(vals, (nn - mm) * stride)
     pref = rho * rho / (1.0 - rho * rho)
-    rhs = pref * shifted(0)
+    rhs = pref * _shifted(vals, 0)
     k = 1
     while pref * rho**k >= 1e-18:
-        rhs += pref * rho**k * (shifted(k * stride) + shifted(-k * stride))
+        rhs += pref * rho**k * (_shifted(vals, k * stride) + _shifted(vals, -k * stride))
         k += 1
         if k > 100 * nmax:
             break
@@ -393,34 +358,13 @@ def separable_output(
     j: JunctionCoupling,
     T: float,
     eps: float = 1e-12,
-    use_reflective_form: bool = False,
 ) -> tuple[SampledSignal, SampledSignal]:
     """Per-axis transformed factors of a product-state pair.
 
     The outer product of the results equals the full tensor transform of the
-    product state. ``use_reflective_form`` evaluates the algebraically
-    equivalent expression ``-rho phi + (tau^2/rho) sum rho^n phi(t - nT)``,
-    which is singular at rho = 0; the kernel form is regular everywhere and
-    is the default.
-
-    Raises
-    ------
-    DivisionByZeroRho
-        If the reflective form is requested with rho = 0.
+    product state.
     """
     train = kernel_ba(j, T, eps)
-    if use_reflective_form:
-        if j.rho == 0.0:
-            raise DivisionByZeroRho(
-                "reflective factor form divides by rho; use the kernel form"
-            )
-        rho, tau = j.rho, j.tau
-        # same support as the kernel form, weights via the rho-divided expression
-        weights = {
-            nn: -rho if nn == 0 else (tau * tau / rho) * rho**nn
-            for nn in train.weights
-        }
-        train = DeltaTrain(T, weights, eps, train.tail_bound)
     return apply_train(train, phi1), apply_train(train, phi2)
 
 

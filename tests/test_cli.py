@@ -81,6 +81,11 @@ class TestFigureCommand:
     def test_bad_eps_exits_2(self, tmp_path):
         assert main(["figure", "fig2", "--eps", "0.5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("dt", ["0", "-0.0625", "nan"])
+    def test_bad_dt_exits_2(self, tmp_path, capsys, dt):
+        assert main(["figure", "fig5", "--dt", dt, "--out", str(tmp_path)]) == 2
+        assert "dt must be finite and positive" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_default_run_passes(self, tmp_path, capsys):

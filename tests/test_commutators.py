@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from ringecho import (
     JunctionCoupling,
     SpaceTimePoint,
-    cavity_commutator_train,
     commutator_figure,
     correlate,
-    cross_commutator_ca,
+    kernel_ba,
     kernel_ca,
     output_commutator_check,
-    output_commutator_correlate,
     output_commutator_decomposition,
     spacetime_commutator_support,
 )
+from ringecho.cli import write_matrix
 
 
 def brute_force_pair_ladder(rho, tau, n_terms):
@@ -31,36 +30,42 @@ def brute_force_pair_ladder(rho, tau, n_terms):
     return {int(k - n_terms): float(v) for k, v in enumerate(out)}
 
 
+def cavity_commutator(rho):
+    """The circulating-field commutator train, ``correlate(kernel_ca, kernel_ca)``."""
+    k = kernel_ca(JunctionCoupling(rho), 1.0)
+    return correlate(k, k)
+
+
 class TestCavityCommutator:
     def test_free_space_limit(self):
-        train = cavity_commutator_train(JunctionCoupling(0.0), 1.0, 5)
-        assert train.weights == {0: 1.0}
+        assert cavity_commutator(0.0).weights == {0: 1.0}
 
     @pytest.mark.parametrize("rho", [0.3, 0.75, 0.97])
     def test_against_brute_force_double_sum(self, rho):
         j = JunctionCoupling(rho)
         n_terms = max(200, int(np.ceil(-30.0 / np.log(rho))))
         oracle = brute_force_pair_ladder(rho, j.tau, n_terms)
-        train = cavity_commutator_train(j, 1.0, 10)
+        train = cavity_commutator(rho)
         for k in range(-10, 11):
             assert train.weight(k) == pytest.approx(oracle[k], abs=1e-12)
 
     def test_specific_value(self):
-        train = cavity_commutator_train(JunctionCoupling(0.75), 1.0, 5)
-        assert train.weight(2) == pytest.approx(0.5625, abs=1e-15)
+        assert cavity_commutator(0.75).weight(2) == pytest.approx(0.5625, abs=1e-15)
 
     @given(rho=st.floats(0.0, 0.99), k=st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_symmetric(self, rho, k):
-        train = cavity_commutator_train(JunctionCoupling(rho), 1.0, 12)
+        train = cavity_commutator(rho)
         assert train.weight(k) == train.weight(-k)
 
     def test_matches_kernel_autocorrelation(self):
-        j = JunctionCoupling(0.8)
-        direct = cavity_commutator_train(j, 1.0, 15)
-        via_corr = correlate(kernel_ca(j, 1.0), kernel_ca(j, 1.0))
+        # weights rho^|k| within the certified tail bound plus rounding
+        k_ca = kernel_ca(JunctionCoupling(0.8), 1.0)
+        train = correlate(k_ca, k_ca)
+        rounding = len(k_ca.weights) * np.finfo(float).eps * k_ca.sum_abs() ** 2
+        tol = train.tail_bound + rounding
         for k in range(-15, 16):
-            assert direct.weight(k) == pytest.approx(via_corr.weight(k), abs=1e-12)
+            assert abs(train.weight(k) - 0.8 ** abs(k)) <= tol
 
 
 class TestSpacetimeSupport:
@@ -107,21 +112,20 @@ class TestSpacetimeSupport:
 
 
 class TestCrossCommutator:
+    """The circulating/input cross commutator is ``kernel_ca`` itself."""
+
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.75, 0.97])
     def test_causality_no_negative_lags(self, rho):
-        train = cross_commutator_ca(JunctionCoupling(rho), 1.0, 30)
-        assert all(k >= 0 for k in train.weights)
+        assert all(k >= 0 for k in kernel_ca(JunctionCoupling(rho), 1.0).weights)
 
     def test_free_space(self):
-        train = cross_commutator_ca(JunctionCoupling(0.0), 1.0, 5)
-        assert train.weights == {0: 1.0}
+        assert kernel_ca(JunctionCoupling(0.0), 1.0).weights == {0: 1.0}
 
     def test_equals_forward_kernel(self):
         j = JunctionCoupling(0.75)
         kern = kernel_ca(j, 1.0)
-        train = cross_commutator_ca(j, 1.0, max(kern.weights))
         for k in kern.weights:
-            assert train.weight(k) == pytest.approx(kern.weight(k), rel=1e-14)
+            assert kern.weight(k) == pytest.approx(j.tau * 0.75**k, rel=1e-14)
 
 
 class TestOutputCommutator:
@@ -144,7 +148,8 @@ class TestOutputCommutator:
 
     def test_paths_agree_term_by_term(self):
         j = JunctionCoupling(0.75)
-        a = output_commutator_correlate(j, 1.0, 1e-12)
+        k = kernel_ba(j, 1.0, 1e-12)
+        a = correlate(k, k)
         b = output_commutator_decomposition(j, 1.0, 1e-12)
         assert a.max_abs_diff(b) < 1e-12
 
@@ -212,9 +217,12 @@ class TestCommutatorFigure:
 
     def test_csv_export(self, tmp_path):
         cmap = commutator_figure(JunctionCoupling(0.5), 0.0, 1.0, 0.05, nt=51, nz=10)
-        csv_path = tmp_path / "map.csv"
-        meta_path = tmp_path / "map.json"
-        cmap.write_csv(csv_path, meta_path)
+        meta = {
+            "z_values": [float(z) for z in cmap.z_values],
+            "t_values": [float(t) for t in cmap.t_values],
+            "broadening": cmap.broadening,
+        }
+        csv_path, meta_path = write_matrix(tmp_path / "map", cmap.matrix, meta, "csv")
         rows = csv_path.read_text().strip().splitlines()
         assert len(rows) == 51
         import json

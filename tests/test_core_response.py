@@ -159,6 +159,40 @@ class TestGab:
         assert g_ab(w, j, 1.0) == pytest.approx(reversed_T, abs=1e-14)
 
 
+class TestAbsorptionRate:
+    def test_lossy_output_periodic_far_from_carrier(self):
+        # 2^37 float FSRs is exact, so the shift is a whole number of periods
+        j = JunctionCoupling(0.75)
+        w = 0.5 + 2**37 * (2.0 * math.pi)
+        assert w > 8e11
+        assert abs(g_ba(w, j, 1.0, Gamma=0.2) - g_ba(0.5, j, 1.0, Gamma=0.2)) < 1e-15
+
+    @pytest.mark.parametrize("fn", [g_ca, g_ba])
+    def test_zero_rate_is_bitwise_lossless(self, fn):
+        def lossless(w, j, T):
+            # the lossless expressions as they stood before the rate was added
+            z = np.exp(1j * np.mod(np.asarray(w) * T, 2.0 * math.pi))
+            if fn is g_ca:
+                return j.tau / (1.0 - j.rho * z)
+            return z * (1.0 - j.rho * np.conj(z)) / (1.0 - j.rho * z)
+
+        rng = np.random.default_rng(5)
+        for rho in (0.0, 0.5, 0.97, 0.999):
+            j = JunctionCoupling(rho)
+            w = rng.uniform(-1e4, 1e4, 1000)
+            want = lossless(w, j, 1.3)
+            assert np.array_equal(fn(w, j, 1.3, Gamma=0.0), want)
+            assert np.array_equal(fn(w, j, 1.3), want)
+            w0 = float(w[0])
+            assert fn(w0, j, 1.3, Gamma=0.0) == fn(w0, j, 1.3) == lossless(w0, j, 1.3)
+
+    @pytest.mark.parametrize("fn", [g_ca, g_ba])
+    @pytest.mark.parametrize("Gamma", [-0.1, -math.inf, math.nan, math.inf])
+    def test_rejects_bad_rate(self, fn, Gamma):
+        with pytest.raises(ValueError):
+            fn(0.5, JunctionCoupling(0.5), 1.0, Gamma=Gamma)
+
+
 class TestFsrIntegral:
     def test_flat_case_exact(self):
         assert fsr_integral(JunctionCoupling(0.0), 1.0) == pytest.approx(1.0, abs=1e-15)

@@ -1,13 +1,19 @@
 """Smoke test of the benchmark's job definitions: two high-Q layer jobs run
-through ``perfbench/jobs.py`` and pass that file's own checks."""
+through ``perfbench/jobs.py`` and pass that file's own checks, and the
+validation suite still reports every check the benchmark's reference
+names."""
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from ringecho.validation import run_suite
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 _write_bytecode = sys.dont_write_bytecode
 sys.dont_write_bytecode = True  # the import must leave perfbench/ untouched
 import jobs  # noqa: E402
@@ -19,3 +25,10 @@ sys.dont_write_bytecode = _write_bytecode
 def test_highq_job_passes_its_check(name):
     (job,) = [j for j in jobs.highq_jobs(np.random.default_rng(1)) if j.name == name]
     assert job.check(job.run()) is None
+
+
+def test_validate_reports_every_reference_check():
+    # the benchmark lets a change add validation checks but never drop one
+    names = json.loads((PERFBENCH / "reference.json").read_text())["validate_checks"]
+    reported = {r.name for r in run_suite(0.5)}
+    assert [n for n in names if n not in reported] == []

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ringecho import (
-    DivisionByZeroRho,
+    DeltaTrain,
     IncommensurateGrid,
     JointAmplitudeGrid,
     JunctionCoupling,
     SampledSignal,
     TwoPhotonGaussian,
     F_m,
+    apply_train,
     correlation_function,
     cw_output,
     cw_truncation_bound,
@@ -323,14 +324,14 @@ class TestSeparableOutput:
         phi = SampledSignal(t[0], T / 4, np.exp(-(t**2)))
         j = JunctionCoupling(0.6)
         a1, _ = separable_output(phi, phi, j, T)
-        b1, _ = separable_output(phi, phi, j, T, use_reflective_form=True)
+        # -rho phi + (tau^2/rho) sum rho^n phi(t - nT) on the kernel's support
+        kern = kernel_ba(j, T)
+        reflective = DeltaTrain(
+            T,
+            {n: -j.rho if n == 0 else (j.tau**2 / j.rho) * j.rho**n for n in kern.weights},
+        )
+        b1 = apply_train(reflective, phi)
         assert np.max(np.abs(a1.values - b1.values)) < 1e-14
-
-    def test_reflective_form_rejects_open_junction(self):
-        phi = SampledSignal(0.0, T / 4, np.ones(4, dtype=complex))
-        with pytest.raises(DivisionByZeroRho):
-            separable_output(phi, phi, JunctionCoupling(0.0), T,
-                             use_reflective_form=True)
 
 
 class TestDiagnostics:
@@ -368,14 +369,21 @@ class TestDiagnostics:
     def test_grid_csv_serialization(self, tmp_path):
         import json
 
-        grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 4)
-        base = tmp_path / "grid"
-        grid.write_csv(base, meta_extra={"note": 1})
-        mag_rows = (tmp_path / "grid_magnitude.csv").read_text().strip().splitlines()
-        phase_rows = (tmp_path / "grid_phase.csv").read_text().strip().splitlines()
-        n = grid.values.shape[0]
-        assert len(mag_rows) == n and len(phase_rows) == n
-        meta = json.loads((tmp_path / "grid_axes.json").read_text())
+        from ringecho.cli import main
+
+        argv = ["figure", "fig5", "--tau", "0.85", "--dt", "0.25", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "fig5_tau0p85_axes.json").read_text())
+        tau = JunctionCoupling.from_tau(0.85).tau
+        n = meta["shape"][0]
         assert meta["shape"] == [n, n]
-        assert meta["dt"] == grid.dt
-        assert meta["note"] == 1
+        assert meta["dt"] == 0.25
+        assert meta["tau"] == tau
+        grid = gaussian_output_closed_form(
+            TwoPhotonGaussian(0.3, 0.3), JunctionCoupling.from_tau(tau), T,
+            meta["t1_start"], n, 0.25, 1e-10,
+        )
+        # 17 significant digits round-trip every float exactly
+        for suffix, want in (("magnitude", np.abs), ("phase", np.angle)):
+            got = np.loadtxt(tmp_path / f"fig5_tau0p85_{suffix}.csv", delimiter=",")
+            np.testing.assert_array_equal(got, want(grid.values))
