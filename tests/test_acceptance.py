@@ -260,9 +260,10 @@ def test_criterion_13_lossy_sum_rule():
                 float(np.max(np.abs(sum_rule_residual(omegas, j, T, gamma_t / T)))),
             )
     j = JunctionCoupling(0.75)
+    z = np.exp(1j * omegas * T)
     recover = max(
-        float(np.max(np.abs(g_ca(omegas, j, T, Gamma=0.0) - g_ca(omegas, j, T)))),
-        float(np.max(np.abs(g_ba(omegas, j, T, Gamma=0.0) - g_ba(omegas, j, T)))),
+        float(np.max(np.abs(g_ca(omegas, j, T, Gamma=0.0) - j.tau / (1.0 - j.rho * z)))),
+        float(np.max(np.abs(g_ba(omegas, j, T, Gamma=0.0) - (z - j.rho) / (1.0 - j.rho * z)))),
         float(np.max(np.abs(noise_power(omegas, j, T, 0.0)))),
     )
     ok = worst < 1e-12 and recover < 1e-12

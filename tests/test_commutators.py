@@ -59,13 +59,10 @@ class TestCavityCommutator:
         assert train.weight(k) == train.weight(-k)
 
     def test_matches_kernel_autocorrelation(self):
-        # weights rho^|k| within the certified tail bound plus rounding
         k_ca = kernel_ca(JunctionCoupling(0.8), 1.0)
         train = correlate(k_ca, k_ca)
-        rounding = len(k_ca.weights) * np.finfo(float).eps * k_ca.sum_abs() ** 2
-        tol = train.tail_bound + rounding
         for k in range(-15, 16):
-            assert abs(train.weight(k) - 0.8 ** abs(k)) <= tol
+            assert train.weight(k) == pytest.approx(0.8 ** abs(k), abs=1e-12)
 
 
 class TestSpacetimeSupport:
