@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ class RunConfig:
             raise BadArguments("give exactly one of --rho or --tau, not both")
         if not 0.0 < self.eps <= 1e-3:
             raise BadArguments(f"eps must lie in (0, 1e-3], got {self.eps}")
-        if self.T <= 0.0:
-            raise BadArguments(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise BadArguments(f"T must be finite and positive, got {self.T}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise BadArguments(f"dt must be finite and positive, got {self.dt}")
         if self.format not in ("csv", "json"):
@@ -248,11 +248,12 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     j = cfg.junction(0.75)
     # invariant tolerances are calibrated for the strict kernel floor
-    results = run_suite(rho=j.rho, T=cfg.T, eps=min(cfg.eps, 1e-12))
+    eps = min(cfg.eps, 1e-12)
+    results = run_suite(rho=j.rho, T=cfg.T, eps=eps)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
-        "config": {"rho": j.rho, "T": cfg.T, "eps": cfg.eps},
+        "config": {"rho": j.rho, "T": cfg.T, "eps": eps},
         "checks": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
@@ -265,8 +266,8 @@ def cmd_validate(cfg: RunConfig) -> int:
             status = "SKIP"
         print(f"{status:4s} {r.name}: {r.detail}")
     n_fail = sum(1 for r in results if not r.passed)
-    print(f"validate: {len(results) - n_fail}/{len(results)} checks passed; "
-          f"report at {report_path}")
+    print(f"validate: {len(results) - n_fail}/{len(results)} checks passed "
+          f"at eps {eps:g}; report at {report_path}")
     return 0 if n_fail == 0 else 1
 
 
@@ -364,21 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Config file values, overridden by flags; ``RunConfig`` fills the rest."""
+    keys = [f.name for f in fields(RunConfig)]
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-        unknown = set(base) - {"rho", "tau", "T", "eps", "dt", "out", "format"}
+        unknown = set(base) - set(keys)
         if unknown:
             raise BadArguments(f"unknown config keys: {sorted(unknown)}")
-    for key in ("rho", "tau", "T", "eps", "dt", "out", "format"):
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
-    base.setdefault("T", 1.0)
-    base.setdefault("eps", 1e-10)
-    base.setdefault("out", ".")
-    base.setdefault("format", "csv")
     return RunConfig(**base)
 
 

@@ -110,23 +110,19 @@ class FrequencyGrid:
         return self.start + self.step * np.arange(self.count)
 
 
-def _reduced_phase(omega, T: float) -> np.ndarray:
-    # reduce omega*T mod 2*pi before exponentiation; the response is exactly
-    # periodic so this costs nothing and avoids precision loss at large omega
-    w = np.asarray(omega, dtype=float)
-    # math.isfinite keeps the check cheap for the many scalar calls
-    if not (math.isfinite(w) if w.ndim == 0 else np.isfinite(w).all()):
-        raise ValueError("omega must be finite")
-    return np.mod(w * T, TWO_PI)
-
-
 def _pole_and_phase(omega, T: float, Gamma: float) -> tuple[float, np.ndarray]:
     """Round-trip amplitude ``exp(-Gamma T)`` and phase factor ``exp(i omega T)``."""
     if T <= 0.0:
         raise ValueError(f"round-trip time must be positive, got {T}")
     if not 0.0 <= Gamma < math.inf:
         raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
-    return math.exp(-Gamma * T), np.exp(1j * _reduced_phase(omega, T))
+    w = np.asarray(omega, dtype=float)
+    # math.isfinite keeps the check cheap for the many scalar calls
+    if not (math.isfinite(w) if w.ndim == 0 else np.isfinite(w).all()):
+        raise ValueError("omega must be finite")
+    # np.exp reduces omega T mod 2 pi exactly; subtracting multiples of the
+    # float 2 pi first would add its rounding error once per period removed
+    return math.exp(-Gamma * T), np.exp(1j * (w * T))
 
 
 def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):

@@ -174,17 +174,6 @@ def transform_output_on_window(
     return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
 
 
-def _shifted(vals: np.ndarray, offset_steps: int) -> np.ndarray:
-    """``vals[i + offset_steps]`` on the original index range, zero outside."""
-    n = len(vals)
-    out = np.zeros(n, dtype=np.complex128)
-    lo = max(0, -offset_steps)
-    hi = min(n, n - offset_steps)
-    if lo < hi:
-        out[lo:hi] = vals[lo + offset_steps : hi + offset_steps]
-    return out
-
-
 def cw_output(
     d: SampledSignal, j: JunctionCoupling, T: float, kmax: int
 ) -> tuple[float, SampledSignal]:
@@ -201,24 +190,22 @@ def cw_output(
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     rho, tau = j.rho, j.tau
     stride = _lattice_stride(T, d.dt)
-    vals = d.values
 
-    rec = (rho * rho) * vals.copy()
-    for m in range(1, kmax + 1):
-        w = tau * tau * rho**m
-        if w == 0.0 and rho > 0.0:
-            break
-        rec -= w * _shifted(vals, m * stride)    # D(x + mT)
-        rec -= w * _shifted(vals, -m * stride)   # D(x - mT)
-    # double ladder, grouped by transit difference k = n' - m'
-    for k in range(-(kmax - 1), kmax):
-        m_lo = max(1, 1 - k)
-        m_hi = kmax - max(k, 0)
-        coeff = 0.0
-        for m in range(m_lo, m_hi + 1):
-            coeff += rho ** (2 * m + k - 2)
-        rec += tau**4 * coeff * _shifted(vals, -k * stride)  # D(x - kT)
-    residual = float(np.max(np.abs(rec - vals)))
+    # c[kmax + k] multiplies D(x - kT), k = -kmax..kmax
+    c = np.zeros(2 * kmax + 1)
+    c[kmax] = rho * rho
+    m = np.arange(1, kmax + 1)
+    single = tau * tau * rho**m
+    c[kmax + m] -= single  # D(x - mT)
+    c[kmax - m] -= single  # D(x + mT)
+    # double ladder, grouped by transit difference k = n' - m': its kmax - |k|
+    # pairs sum to rho^|k| (1 + rho^2 + ... + rho^(2 (kmax - |k| - 1)))
+    k = np.arange(kmax)
+    double = tau**4 * rho**k * np.cumsum(rho ** (2 * k))[::-1]
+    c[kmax + k] += double
+    c[kmax - k[1:]] += double[1:]
+    rec = _lattice_apply(c, -kmax, stride, d.values, 0, 0, len(d))
+    residual = float(np.max(np.abs(rec - d.values)))
     return residual, SampledSignal(d.t0, d.dt, rec)
 
 
@@ -246,21 +233,19 @@ def resummation_check(
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     stride = _lattice_stride(T, d.dt)
-    vals = d.values
 
-    lhs = np.zeros(len(d), dtype=np.complex128)
+    # lag coefficients of D(x - kT); the left side has k = m - n in (-nmax, nmax)
+    lhs = np.zeros(2 * nmax - 1)
     for nn in range(1, nmax + 1):
         for mm in range(1, nmax + 1):
-            lhs += rho ** (nn + mm) * _shifted(vals, (nn - mm) * stride)
+            lhs[nmax - 1 + mm - nn] += rho ** (nn + mm)
     pref = rho * rho / (1.0 - rho * rho)
-    rhs = pref * _shifted(vals, 0)
-    k = 1
-    while pref * rho**k >= 1e-18:
-        rhs += pref * rho**k * (_shifted(vals, k * stride) + _shifted(vals, -k * stride))
-        k += 1
-        if k > 100 * nmax:
-            break
-    return float(np.max(np.abs(lhs - rhs)))
+    tail = pref * rho ** np.arange(1, 100 * nmax + 1)
+    tail = tail[tail >= 1e-18]
+    rhs = np.concatenate([tail[::-1], [pref], tail])
+    left = _lattice_apply(lhs, 1 - nmax, stride, d.values, 0, 0, len(d))
+    right = _lattice_apply(rhs, -len(tail), stride, d.values, 0, 0, len(d))
+    return float(np.max(np.abs(left - right)))
 
 
 def F_m(

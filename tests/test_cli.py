@@ -81,10 +81,15 @@ class TestFigureCommand:
     def test_bad_eps_exits_2(self, tmp_path):
         assert main(["figure", "fig2", "--eps", "0.5", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("dt", ["0", "-0.0625", "nan"])
+    @pytest.mark.parametrize("dt", ["0", "-0.0625", "nan", "inf"])
     def test_bad_dt_exits_2(self, tmp_path, capsys, dt):
         assert main(["figure", "fig5", "--dt", dt, "--out", str(tmp_path)]) == 2
         assert "dt must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
+    def test_bad_round_trip_exits_2(self, tmp_path, capsys, T):
+        assert main(["figure", "fig2", "--T", T, "--out", str(tmp_path)]) == 2
+        assert "T must be finite and positive" in capsys.readouterr().err
 
 
 class TestValidateCommand:
@@ -102,6 +107,13 @@ class TestValidateCommand:
         skipped = [c["name"] for c in report["checks"] if c.get("skipped")]
         assert "factor_form_equivalence" in skipped
         assert "decomposition path skipped" in capsys.readouterr().out
+
+    def test_report_records_eps_used(self, tmp_path, capsys):
+        # the suite runs at the strict kernel floor whatever --eps asks for
+        assert main(["validate", "--eps", "1e-6", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "validation_report.json").read_text())
+        assert report["config"]["eps"] == 1e-12
+        assert "at eps 1e-12" in capsys.readouterr().out
 
     def test_report_deterministic(self, tmp_path):
         main(["validate", "--out", str(tmp_path / "a")])

@@ -47,6 +47,7 @@ class TestCavityCommutator:
         oracle = brute_force_pair_ladder(rho, j.tau, n_terms)
         train = cavity_commutator(rho)
         for k in range(-10, 11):
+            assert oracle[k] == pytest.approx(rho ** abs(k), abs=1e-12)
             assert train.weight(k) == pytest.approx(oracle[k], abs=1e-12)
 
     def test_specific_value(self):

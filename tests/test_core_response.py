@@ -132,6 +132,9 @@ class TestGba:
         rng = np.random.default_rng(42)
         w = rng.uniform(-100, 100, 1000)
         assert np.max(np.abs(np.abs(g_ba(w, j, 1.0)) - 1.0)) < 1e-12
+        # and it is the first-order all-pass section (z - rho) / (1 - rho z)
+        z = np.exp(1j * w)
+        assert np.max(np.abs(g_ba(w, j, 1.0) - (z - j.rho) / (1.0 - j.rho * z))) < 1e-12
 
     @given(rho=st.floats(0.0, 0.999), omega=st.floats(-200.0, 200.0))
     @settings(max_examples=120, deadline=None)
@@ -163,8 +166,8 @@ class TestAbsorptionRate:
     @pytest.mark.parametrize("fn", [g_ca, g_ba])
     def test_zero_rate_is_bitwise_lossless(self, fn):
         def lossless(w, j, T):
-            # the lossless expressions as they stood before the rate was added
-            z = np.exp(1j * np.mod(np.asarray(w) * T, 2.0 * math.pi))
+            # the lossless expressions, their phase factor reduced by np.exp
+            z = np.exp(1j * np.asarray(w) * T)
             if fn is g_ca:
                 return j.tau / (1.0 - j.rho * z)
             return z * (1.0 - j.rho * np.conj(z)) / (1.0 - j.rho * z)
@@ -178,6 +181,20 @@ class TestAbsorptionRate:
             assert np.array_equal(fn(w, j, 1.3), want)
             w0 = float(w[0])
             assert fn(w0, j, 1.3, Gamma=0.0) == fn(w0, j, 1.3) == lossless(w0, j, 1.3)
+
+    @pytest.mark.parametrize("fn", [g_ca, g_ba])
+    @pytest.mark.parametrize("Gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("omega", [1e6, 1e9, 1e12])
+    def test_large_frequency_against_mpmath(self, fn, Gamma, omega):
+        mpmath = pytest.importorskip("mpmath")
+        j = JunctionCoupling(0.75)
+        with mpmath.workdps(40):
+            z = mpmath.expj(omega)  # T = 1: the float omega T, reduced exactly
+            a = mpmath.exp(-mpmath.mpf(Gamma))
+            den = 1 - j.rho * a * z
+            want = complex(j.tau / den if fn is g_ca else (a * z - j.rho) / den)
+        for w in (omega, np.array([omega])):
+            assert abs(fn(w, j, 1.0, Gamma=Gamma) - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("fn", [g_ca, g_ba])
     @pytest.mark.parametrize("Gamma", [-0.1, -math.inf, math.nan, math.inf])

@@ -185,9 +185,11 @@ class TestTrainAlgebra:
         assert correlate(a, b).weights == {0: -6.0}
 
     def test_correlate_ca_gives_geometric_memory(self):
-        corr = correlate(kernel_ca(J75, 1.0), kernel_ca(J75, 1.0))
-        for k in range(-10, 11):
-            assert corr.weight(k) == pytest.approx(0.75 ** abs(k), abs=1e-12)
+        for rho in (0.3, 0.75, 0.97):
+            k_ca = kernel_ca(JunctionCoupling(rho), 1.0)
+            corr = correlate(k_ca, k_ca)
+            for k in range(-10, 11):
+                assert corr.weight(k) == pytest.approx(rho ** abs(k), abs=1e-12)
 
     def test_correlate_ba_is_unit(self):
         corr = correlate(kernel_ba(J75, 1.0), kernel_ba(J75, 1.0))

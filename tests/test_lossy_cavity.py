@@ -96,7 +96,7 @@ class TestLossyTransferFunctions:
 
 class TestNoisePower:
     def test_lossless_limit_silent(self):
-        w = np.linspace(-5, 5, 101)
+        w = np.linspace(-80, 80, 501)
         assert np.max(np.abs(noise_power(w, J75, T, 0.0))) == 0.0
 
     def test_strong_loss_limit(self):
@@ -109,7 +109,7 @@ class TestNoisePower:
     def test_sum_rule(self, rho, gamma_t):
         j = JunctionCoupling(rho)
         rng = np.random.default_rng(17)
-        w = rng.uniform(-60.0, 60.0, 500)
+        w = rng.uniform(-80.0, 80.0, 500)
         assert np.max(np.abs(sum_rule_residual(w, j, T, gamma_t / T))) < 1e-12
 
     def test_matches_spatial_quadrature_oracle(self):

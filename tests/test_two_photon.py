@@ -242,6 +242,8 @@ class TestClosedForm:
         assert F_m(0, 0.37, g_flat, j, T) == pytest.approx(1.0, rel=1e-9)
         assert F_m(3, 0.37, g_flat, j, T) == pytest.approx(0.421875, rel=1e-9)
         assert F_m(-3, 0.37, g_flat, j, T) == F_m(3, 0.37, g_flat, j, T)
+        for m in range(7):
+            assert F_m(m, 0.0, g_flat, j, T) == pytest.approx(0.75**m, abs=1e-9)
 
     def test_ladder_single_term_at_zero_reflection(self):
         g = TwoPhotonGaussian(0.3, 0.5)
@@ -254,9 +256,17 @@ class TestClosedForm:
         [
             (0.3, 0.3, 0.999),
             (0.3, 0.3, 0.95),
+            (0.3, 0.3, 0.85),
             (0.3, 0.3, 0.60),
+            (0.2, 0.7, 0.999),
+            (0.2, 0.7, 0.95),
             (0.2, 0.7, 0.85),
+            (0.2, 0.7, 0.60),
+            (0.5, 0.2, 0.999),
+            (0.5, 0.2, 0.95),
+            (0.5, 0.2, 0.85),
             (0.5, 0.2, 0.75),
+            (0.5, 0.2, 0.60),
         ],
     )
     def test_matches_direct_transform(self, sigma, beta, tau):
@@ -294,12 +304,14 @@ class TestSeparableOutput:
         t = np.arange(-2.4, 2.4 + 1e-12, T / 8)
         f = np.exp(-(t**2) / (2 * 0.3**2))
         phi1 = SampledSignal(t[0], T / 8, f)
-        phi2 = SampledSignal(t[0], T / 8, f * np.exp(0.2j))
         j = JunctionCoupling.from_tau(0.85)
-        p1, p2 = separable_output(phi1, phi2, j, T, eps=1e-12)
-        grid_in = outer_product_grid(phi1, phi2)
-        full = transform_output(grid_in, j, T, eps=1e-12)
-        assert np.max(np.abs(np.outer(p1.values, p2.values) - full.values)) < 1e-10
+        # the same pulse with a phase, and a wider pulse off centre
+        for f2 in (f * np.exp(0.2j), np.exp(-((t - 0.2) ** 2) / (2 * 0.45**2))):
+            phi2 = SampledSignal(t[0], T / 8, f2)
+            p1, p2 = separable_output(phi1, phi2, j, T, eps=1e-12)
+            grid_in = outer_product_grid(phi1, phi2)
+            full = transform_output(grid_in, j, T, eps=1e-12)
+            assert np.max(np.abs(np.outer(p1.values, p2.values) - full.values)) < 1e-10
 
     def test_open_junction_is_pure_delay(self):
         t = np.arange(-1.0, 1.0 + 1e-12, T / 4)
