@@ -5,7 +5,8 @@ whatever the user prefers. Outputs are deterministic: identical configuration
 gives byte-identical files, floats are written at 17 significant digits, and
 no timestamps ever enter a data file.
 
-Exit codes: 0 success, 1 validation failure, 2 bad arguments.
+Exit codes: 0 success, 1 validation failure, 2 bad arguments or a request
+larger than the memory available.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .two_photon import (
 from .validation import run_suite
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+FIGURE_EPS = 1e-10  # kernel truncation floor of the figure datasets
+VALIDATE_EPS = 1e-12  # the loosest floor the suite's tolerances are derived for
 SWEEP_METRICS = ("peak_ratio", "cw_residual", "absorbed_fraction")
 
 
@@ -49,7 +52,7 @@ class RunConfig:
     rho: float | None = None
     tau: float | None = None
     T: float = 1.0
-    eps: float = 1e-10
+    eps: float | None = None  # None: the command's own floor
     dt: float | None = None
     out: str = "."
     format: str = "csv"
@@ -57,7 +60,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.rho is not None and self.tau is not None:
             raise BadArguments("give exactly one of --rho or --tau, not both")
-        if not 0.0 < self.eps <= 1e-3:
+        if self.eps is not None and not 0.0 < self.eps <= 1e-3:
             raise BadArguments(f"eps must lie in (0, 1e-3], got {self.eps}")
         if not 0.0 < self.T < math.inf:
             raise BadArguments(f"T must be finite and positive, got {self.T}")
@@ -217,7 +220,8 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
         n = 2 * n_half + 1 + int(round(4 * T / dt))
         for tau in taus:
             j = JunctionCoupling.from_tau(tau)
-            grid = gaussian_output_closed_form(g, j, T, t_start, n, dt, cfg.eps)
+            eps = cfg.eps if cfg.eps is not None else FIGURE_EPS
+            grid = gaussian_output_closed_form(g, j, T, t_start, n, dt, eps)
             label = f"{name}_tau{tau:g}".replace(".", "p")
             meta = {"tau": tau, "sigma": g.sigma, "beta": g.beta}
             axes = {"t1_start": grid.t1_start, "t2_start": grid.t2_start, "dt": grid.dt}
@@ -247,8 +251,12 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     j = cfg.junction(0.75)
-    # invariant tolerances are calibrated for the strict kernel floor
-    eps = min(cfg.eps, 1e-12)
+    eps = cfg.eps if cfg.eps is not None else VALIDATE_EPS
+    if eps > VALIDATE_EPS:
+        raise BadArguments(
+            f"validate needs eps <= {VALIDATE_EPS:g}: its tolerances are derived "
+            f"for kernels truncated at that floor or below, got {eps:g}"
+        )
     results = run_suite(rho=j.rho, T=cfg.T, eps=eps)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -396,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

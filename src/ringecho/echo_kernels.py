@@ -24,9 +24,13 @@ stored as exact ``{offset: weight}`` dicts, but the sums run on dense views
 ``convolve`` and ``correlate`` are one ``np.convolve`` call, and sampled
 signals (including both axes of the two-photon transforms) go through
 ``_lattice_apply``, which cuts the axis into blocks of one round trip and
-keeps only the kernel terms that reach the requested output window. Results
-keep the exact supports of the pairwise definitions and agree with them to
-rounding (relative 1e-13); single-term trains give bitwise-identical output.
+keeps only the kernel terms that reach the requested output window. On
+wide inputs it is a matrix product with the banded Toeplitz matrix of the
+kernel, from input blocks to output blocks (the all-pass section's impulse
+response as a block-Toeplitz operator); on narrow ones, one ``np.convolve``
+per within-block column. Results keep the exact supports of the pairwise
+definitions and agree with them to rounding (relative 1e-13); single-term
+trains give bitwise-identical output.
 """
 
 from __future__ import annotations
@@ -36,8 +40,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_response import JunctionCoupling
+
+
+# _lattice_apply's matrix products: fewest output blocks, and fewest outputs, per product
+_MIN_CHUNK = 16
+_MIN_PRODUCT = 16
 
 
 class IncommensurateGrid(ValueError):
@@ -309,6 +319,34 @@ def _lattice_stride(period: float, dt: float) -> int:
     return stride
 
 
+def _toeplitz_band(c: np.ndarray, d0: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """``K[r, s] = c[d0 + r - s]``, zero where that index leaves ``c``."""
+    lo = d0 - n_cols + 1  # index of c at K[0, n_cols - 1]
+    seg = np.zeros(n_rows + n_cols - 1)
+    a, b = max(lo, 0), min(lo + len(seg), len(c))
+    if a < b:
+        seg[a - lo : b - lo] = c[a:b]
+    # window r of seg holds c[lo + r], ..., c[lo + r + n_cols - 1]: K's row r reversed
+    return np.ascontiguousarray(sliding_window_view(seg, n_cols)[:, ::-1])
+
+
+def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
+    """Output blocks per matrix product in ``_lattice_apply``; 0 picks the
+    per-column path.
+
+    A chunk spans at least the kernel length (and ``_MIN_CHUNK``), so its
+    band does at most about twice the needed multiply-adds. When the input
+    has more blocks than there are columns, the chunk is cut so that its
+    band, ``chunk + n_c - 1`` input blocks wide, has no more entries than
+    the ``chunk x cols`` output it produces. Products smaller than
+    ``_MIN_PRODUCT`` outputs cost more in calls than ``np.convolve`` does.
+    """
+    chunk = min(qy, max(n_c, _MIN_CHUNK))
+    if qx > cols:
+        chunk = min(chunk, cols - n_c + 1)
+    return chunk if chunk >= 1 and chunk * cols >= _MIN_PRODUCT else 0
+
+
 def _lattice_apply(
     c: np.ndarray,
     k0: int,
@@ -326,9 +364,17 @@ def _lattice_apply(
     block index, independent for each within-block position (a "column";
     the real and imaginary parts and the other axes are columns too). Only
     the kernel terms whose shifted input meets the output window are kept.
-    The sum is then formed by whichever loop makes fewer Python-level
-    steps: one vectorized shift-add per kept term, or one ``np.convolve``
-    per column. Both do the same multiply-adds. The result is a view with
+
+    Wide inputs are one matrix product from input blocks to output blocks,
+    ``y[q] = sum_p K[q, p] x[p]`` with the banded Toeplitz matrix
+    ``K[q, p] = c[q + e0 - p - k0]``. The output blocks are cut into chunks
+    (``_gemm_chunk``), each ``K`` covers only the input blocks its chunk
+    reaches and never holds more entries than the output it produces, and
+    every chunk whose band lies inside the input shares one ``K`` in a
+    single batched ``np.matmul``. Narrow inputs, where a chunk that small
+    would make too few outputs (1-D signals, kernels longer than the
+    column count), take one ``np.convolve`` per column instead. Either way
+    the multiply-adds run in compiled code and the result is a view with
     ``axis`` outermost in memory.
     """
     x = np.moveaxis(x, axis, 0)
@@ -337,25 +383,45 @@ def _lattice_apply(
     qx = -(-(pad + n) // stride)
     qy = -(-n_out // stride)
     e0 = (start + pad) // stride  # output block q reads input block q + e0 - k
-    xb = np.zeros((qx * stride,) + rest, dtype=np.complex128)
-    xb[pad : pad + n] = x
-    xb = xb.view(np.float64).reshape(qx, -1)
     lo = max(0, e0 - qx + 1 - k0)
     c = c[lo : max(lo, min(len(c), e0 + qy - k0))]
     k0 += lo
-    if len(c) < xb.shape[1]:
-        y = np.zeros((qy, xb.shape[1]))
-        for j in np.flatnonzero(c):
-            shift = e0 - (k0 + int(j))
-            q_lo, q_hi = max(0, -shift), min(qy, qx - shift)
-            y[q_lo:q_hi] += c[j] * xb[q_lo + shift : q_hi + shift]
+    if not len(c):  # no kernel term reaches the output window
+        return np.moveaxis(np.zeros((n_out,) + rest, dtype=np.complex128), 0, axis)
+    xb = np.zeros((qx * stride,) + rest, dtype=np.complex128)
+    xb[pad : pad + n] = x
+    xb = xb.view(np.float64).reshape(qx, -1)
+    n_c, cols = len(c), xb.shape[1]
+    shift = e0 - k0  # output block q reads input blocks q + shift - n_c + 1 .. q + shift
+    chunk = _gemm_chunk(n_c, qx, qy, cols)
+    if chunk:
+        y = np.zeros((qy, cols))
+        width = chunk + n_c - 1
+        # chunks i_lo .. i_hi - 1 read whole bands inside the input
+        i_lo = -(-max(0, n_c - 1 - shift) // chunk)
+        i_hi = max(i_lo, min(qy, qx - shift) // chunk)
+        if i_hi > i_lo:
+            p0 = i_lo * chunk + shift - n_c + 1
+            bands = sliding_window_view(xb, width, axis=0)[p0 :: chunk][: i_hi - i_lo]
+            np.matmul(
+                _toeplitz_band(c, n_c - 1, chunk, width),
+                bands.transpose(0, 2, 1),
+                out=y[i_lo * chunk : i_hi * chunk].reshape(-1, chunk, cols),
+            )
+        n_chunks = -(-qy // chunk)
+        for i in (*range(min(i_lo, n_chunks)), *range(i_hi, n_chunks)):
+            qa, qb = i * chunk, min(qy, (i + 1) * chunk)
+            pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
+            if pa < pb:
+                K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)
+                np.matmul(K, xb[pa:pb], out=y[qa:qb])
     else:
-        y_cols = np.zeros((xb.shape[1], qy))
-        shift = e0 - k0  # output block q is entry q + shift of the full convolution
-        q_lo, q_hi = max(0, -shift), min(qy, qx + len(c) - 1 - shift)
-        for col, out in zip(xb.T, y_cols):
-            out[q_lo:q_hi] = np.convolve(col, c)[q_lo + shift : q_hi + shift]
-        y = np.ascontiguousarray(y_cols.T)
+        xb = np.ascontiguousarray(xb.T)  # one column per row; frees the blocked copy
+        y = np.zeros((qy, cols))
+        # output block q is entry q + shift of the full convolution
+        q_lo, q_hi = max(0, -shift), min(qy, qx + n_c - 1 - shift)
+        for col in range(cols):
+            y[q_lo:q_hi, col] = np.convolve(xb[col], c)[q_lo + shift : q_hi + shift]
     y = y.view(np.complex128).reshape((qy * stride,) + rest)[:n_out]
     return np.moveaxis(y, 0, axis)
 
@@ -369,8 +435,9 @@ def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:
     identities of the kernels survive in the sampled arithmetic. The output
     window is extended to hold every retained echo. The sum runs through
     ``_lattice_apply``: O(n_samples x n_terms) multiply-adds in compiled
-    code, with Python-level steps numbering the smaller of the kernel length
-    and twice the stride.
+    code, as banded Toeplitz matrix products when the kernel is short
+    against twice the stride, else as one ``np.convolve`` per within-block
+    position and real/imaginary part.
 
     Raises
     ------

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_response import JunctionCoupling
 from .echo_kernels import (
@@ -234,11 +235,12 @@ def resummation_check(
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     stride = _lattice_stride(T, d.dt)
 
-    # lag coefficients of D(x - kT); the left side has k = m - n in (-nmax, nmax)
-    lhs = np.zeros(2 * nmax - 1)
-    for nn in range(1, nmax + 1):
-        for mm in range(1, nmax + 1):
-            lhs[nmax - 1 + mm - nn] += rho ** (nn + mm)
+    # lag coefficients of D(x - kT): the pair (n, m), 1 <= n, m <= nmax, adds
+    # rho^(n+m) at k = m - n, index nmax - 1 + k. Row n - 1 of both windows
+    # lists the pairs (n, 1..nmax), and np.bincount adds them one at a time
+    lags = sliding_window_view(np.arange(2 * nmax - 1), nmax)[::-1].ravel()
+    weights = sliding_window_view(rho ** np.arange(2, 2 * nmax + 1), nmax).ravel()
+    lhs = np.bincount(lags, weights=weights, minlength=2 * nmax - 1)
     pref = rho * rho / (1.0 - rho * rho)
     tail = pref * rho ** np.arange(1, 100 * nmax + 1)
     tail = tail[tail >= 1e-18]

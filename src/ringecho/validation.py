@@ -46,6 +46,9 @@ from . import (
 )
 
 
+_COMPARE_CELLS = 1 << 16  # cells per block of the separable_factorization comparison
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -63,11 +66,45 @@ def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
     return SampledSignal(0.0, T / stride, vals)
 
 
+# every check of the suite, in the order it runs at every rho
+CHECK_NAMES = (
+    "unimodularity", "inverse_identity", "periodicity", "fsr_state_count",
+    "kernel_unitarity", "kernel_inverse", "apply_round_trip", "apply_parseval",
+    "kernel_spectrum_match", "cavity_commutator", "causality",
+    "equal_time_single_support", "output_commutator", "reindexing_identity",
+    "envelope_interpolation", "peak_ratio_bounded", "lossy_sum_rule",
+    "noise_quadrature_match", "oracle_impulse_match", "oracle_transfer_match",
+    "dispersion_cancellation", "ladder_resummation", "closed_form_match",
+    "factor_form_equivalence", "separable_factorization", "negative_control",
+)
+
+
+class CheckOutOfMemory(MemoryError):
+    """A check of the suite asked for more memory than it could get."""
+
+
 def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[CheckResult]:
-    """Run the full invariant suite at one coupling value."""
+    """Run the full invariant suite at one coupling value.
+
+    Raises
+    ------
+    CheckOutOfMemory
+        If a check fails to allocate; the message names the check and
+        repeats the allocation error, which states the size requested.
+    """
+    results: list[CheckResult] = []
+    try:
+        _run_checks(rho, T, eps, results)
+    except MemoryError as exc:
+        name = CHECK_NAMES[len(results)]
+        raise CheckOutOfMemory(f"check {name} at rho = {rho:g}: {exc}") from exc
+    return results
+
+
+def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) -> None:
+    """Body of ``run_suite``: appends one result per name in ``CHECK_NAMES``."""
     j = JunctionCoupling(rho)
     rng = np.random.default_rng(20240901)
-    results: list[CheckResult] = []
 
     def check(name: str, passed: bool, detail: str, skipped: bool = False) -> None:
         results.append(CheckResult(name, bool(passed), detail, skipped))
@@ -265,12 +302,18 @@ def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[Che
         kwin = 24
         x = np.arange(-kwin * T, kwin * T + 1e-9, T / 8)
         d_narrow = SampledSignal(x[0], T / 8, np.exp(-(x**2) / (2 * (0.4 * T) ** 2)))
-        nmax = 80
-        # certified truncation deficit of the pair ladder at this order
-        bound = (rho**2 / (1.0 - rho**2)) * rho ** (2 * nmax - kwin)
+        # certified truncation deficit of the pair ladder at order nmax is
+        # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within 1e-10
+        pref = rho**2 / (1.0 - rho**2)
+        nmax = max(1, math.ceil((kwin + math.log(1e-10 / (3.0 * pref)) / math.log(rho)) / 2))
+        bound = pref * rho ** (2 * nmax - kwin)
         tol = max(1e-10, 3.0 * bound)
         err = resummation_check(rho, d_narrow, T, nmax=nmax)
-        check("ladder_resummation", err < tol, f"max deviation = {err:.3g} (tol {tol:.3g})")
+        check(
+            "ladder_resummation",
+            err < tol,
+            f"max deviation = {err:.3g} (tol {tol:.3g}, nmax {nmax})",
+        )
     else:
         residual, _ = cw_output(d, j, T, 10)
         check("dispersion_cancellation", residual < 1e-12, f"residual = {residual:.3g}")
@@ -318,7 +361,15 @@ def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[Che
     full = transform_output_on_window(
         prod_in, j, T, p1.t0, len(p1), eps
     )
-    err = float(np.max(np.abs(np.outer(p1.values, p2.values) - full.values)))
+    # full.values.T is C-contiguous (the last transformed axis is outermost):
+    # compare it with p2 (x) p1 a block of rows at a time, every cell included
+    cells = full.values.T
+    rows = max(1, _COMPARE_CELLS // cells.shape[1])
+    err = 0.0
+    for r in range(0, cells.shape[0], rows):
+        block = np.multiply.outer(p2.values[r : r + rows], p1.values)
+        block -= cells[r : r + rows]
+        err = max(err, float(np.max(np.abs(block))))
     check("separable_factorization", err < 1e-10, f"outer-product deviation = {err:.3g}")
 
     # -- negative control -------------------------------------------------------
@@ -339,5 +390,3 @@ def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[Che
         detects,
         f"sign-flipped kernel breaks unitarity by {spurious:.3g} (detected)",
     )
-
-    return results

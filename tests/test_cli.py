@@ -109,11 +109,46 @@ class TestValidateCommand:
         assert "decomposition path skipped" in capsys.readouterr().out
 
     def test_report_records_eps_used(self, tmp_path, capsys):
-        # the suite runs at the strict kernel floor whatever --eps asks for
-        assert main(["validate", "--eps", "1e-6", "--out", str(tmp_path)]) == 0
+        assert main(["validate", "--eps", "1e-13", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "validation_report.json").read_text())
+        assert report["config"]["eps"] == 1e-13
+        assert "at eps 1e-13" in capsys.readouterr().out
+
+    def test_default_eps_is_the_strict_floor(self, tmp_path, capsys):
+        assert main(["validate", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "validation_report.json").read_text())
         assert report["config"]["eps"] == 1e-12
         assert "at eps 1e-12" in capsys.readouterr().out
+
+    def test_eps_above_the_floor_exits_2(self, tmp_path, capsys):
+        # the suite's tolerances hold only for kernels truncated at 1e-12 or below
+        assert main(["validate", "--eps", "1e-6", "--out", str(tmp_path)]) == 2
+        assert "validate needs eps <= 1e-12" in capsys.readouterr().err
+        assert not (tmp_path / "validation_report.json").exists()
+
+    def test_out_of_memory_exits_2_naming_the_check(self, tmp_path, capsys, monkeypatch):
+        import ringecho.validation as validation
+
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 5.34 GiB for an array with "
+                              "shape (18929, 18929) and data type complex128")
+
+        # separable_factorization builds its input grid here, before the transform
+        monkeypatch.setattr(validation, "outer_product_grid", refuse)
+        assert main(["validate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "out of memory: check separable_factorization at rho = 0.75" in err
+        assert "Unable to allocate 5.34 GiB" in err
+
+    def test_memory_error_from_the_suite_exits_2(self, tmp_path, capsys, monkeypatch):
+        import ringecho.cli as cli
+
+        def refuse(**kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        assert main(["validate", "--out", str(tmp_path)]) == 2
+        assert "error: out of memory: Unable to allocate 1.00 TiB" in capsys.readouterr().err
 
     def test_report_deterministic(self, tmp_path):
         main(["validate", "--out", str(tmp_path / "a")])

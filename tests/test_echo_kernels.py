@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from ringecho import (
     kernel_ca,
     unit_train,
 )
+import ringecho.echo_kernels as echo_kernels
 from ringecho.echo_kernels import _dense, _lattice_apply
 
 J75 = JunctionCoupling(0.75)
@@ -332,3 +335,67 @@ class TestLatticeAgainstReference:
         tol = 1e-13 * f.sum_abs() * np.max(np.abs(x))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+    # (x shape, stride, kernel length): columns per block are 2 * stride * width.
+    # With more input blocks than columns a kernel of the column count still
+    # takes products (one output block each), one term more takes the
+    # per-column path; 1-D inputs cross over where a product would make
+    # fewer than 16 outputs.
+    @pytest.mark.parametrize(
+        "shape,stride,n_c,path",
+        [
+            ((40, 4), 2, 15, "gemm"),
+            ((40, 4), 2, 16, "gemm"),
+            ((40, 4), 2, 17, "column"),
+            ((64,), 4, 7, "gemm"),
+            ((64,), 4, 8, "column"),
+            ((5, 4), 2, 40, "gemm"),  # fewer input blocks than columns
+            ((5,), 1, 40, "column"),
+            ((400, 8), 1, 3, "gemm"),  # many chunks in one batched product
+        ],
+    )
+    def test_both_paths_at_their_boundary(self, monkeypatch, shape, stride, n_c, path):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return toeplitz_band(*args)
+
+        toeplitz_band = echo_kernels._toeplitz_band
+        monkeypatch.setattr(echo_kernels, "_toeplitz_band", spy)
+        rng = np.random.default_rng(n_c)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        c, k0 = rng.normal(size=n_c), -2
+        start, n_out = k0 * stride, shape[0] + (n_c - 1) * stride
+        got = _lattice_apply(c, k0, stride, x, 0, start, n_out)
+        assert ("gemm" if built else "column") == path
+        want = brute_lattice_apply(c, k0, stride, x, start, n_out)
+        tol = 1e-13 * np.sum(np.abs(c)) * np.max(np.abs(x))
+        assert np.max(np.abs(got - want)) <= tol
+
+
+class TestLatticeApplyMemory:
+    """``_lattice_apply`` holds at most three outputs' worth of memory: the
+    blocked input copy, the output, and a band matrix no larger than it."""
+
+    @pytest.mark.parametrize(
+        "shape,stride",
+        [((2000, 2000), 8), ((1 << 20,), 1), ((1 << 20,), 16)],
+    )
+    def test_peak_within_three_outputs(self, shape, stride):
+        # rho = 0 gives a one-term kernel, whose output is no larger than its
+        # input: the blocked copy and the band matrix weigh the most there
+        k0, c, _ = _dense(kernel_ba(JunctionCoupling(0.0), 1.0))
+        assert len(c) == 1
+        x = np.random.default_rng(0).normal(size=shape).astype(complex)
+        n_out = shape[0] + (len(c) - 1) * stride
+        out_bytes = n_out * x[0].size * 16
+        tracemalloc.start()
+        try:
+            out = _lattice_apply(c, k0, stride, x, 0, k0 * stride, n_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_out,) + shape[1:]
+        assert np.array_equal(out, c[0] * x)
+        assert peak <= 3 * out_bytes

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's job definitions: two high-Q layer jobs run
+"""Smoke test of the benchmark's job definitions: three high-Q layer jobs run
 through ``perfbench/jobs.py`` and pass that file's own checks, and the
 validation suite still reports every check the benchmark's reference
 names."""
@@ -21,7 +21,9 @@ import jobs  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
 
-@pytest.mark.parametrize("name", ["correlate_unit_0.99", "window_vs_closed_form_0.99"])
+@pytest.mark.parametrize(
+    "name", ["correlate_unit_0.99", "window_vs_closed_form_0.99", "transform_full_0.9"]
+)
 def test_highq_job_passes_its_check(name):
     (job,) = [j for j in jobs.highq_jobs(np.random.default_rng(1)) if j.name == name]
     assert job.check(job.run()) is None
