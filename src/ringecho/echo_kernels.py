@@ -334,11 +334,13 @@ def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
     """Output blocks per matrix product in ``_lattice_apply``; 0 picks the
     per-column path.
 
-    A chunk spans at least the kernel length (and ``_MIN_CHUNK``), so its
-    band does at most about twice the needed multiply-adds. When the input
-    has more blocks than there are columns, the chunk is cut so that its
-    band, ``chunk + n_c - 1`` input blocks wide, has no more entries than
-    the ``chunk x cols`` output it produces. Products smaller than
+    A chunk spans at least the kernel length and ``_MIN_CHUNK`` blocks, so
+    its band does ``(chunk + n_c - 1) / n_c`` times the needed multiply-adds:
+    at most about twice for kernels of ``_MIN_CHUNK`` terms or more, up to
+    ``_MIN_CHUNK`` times for a one-term kernel. When the input has more
+    blocks than there are columns, the chunk is cut so that its band,
+    ``chunk + n_c - 1`` input blocks wide, has no more entries than the
+    ``chunk x cols`` output it produces. Products smaller than
     ``_MIN_PRODUCT`` outputs cost more in calls than ``np.convolve`` does.
     """
     chunk = min(qy, max(n_c, _MIN_CHUNK))
@@ -365,17 +367,16 @@ def _lattice_apply(
     the real and imaginary parts and the other axes are columns too). Only
     the kernel terms whose shifted input meets the output window are kept.
 
-    Wide inputs are one matrix product from input blocks to output blocks,
+    Wide inputs are matrix products from input blocks to output blocks,
     ``y[q] = sum_p K[q, p] x[p]`` with the banded Toeplitz matrix
     ``K[q, p] = c[q + e0 - p - k0]``. The output blocks are cut into chunks
-    (``_gemm_chunk``), each ``K`` covers only the input blocks its chunk
-    reaches and never holds more entries than the output it produces, and
-    every chunk whose band lies inside the input shares one ``K`` in a
-    single batched ``np.matmul``. Narrow inputs, where a chunk that small
-    would make too few outputs (1-D signals, kernels longer than the
-    column count), take one ``np.convolve`` per column instead. Either way
-    the multiply-adds run in compiled code and the result is a view with
-    ``axis`` outermost in memory.
+    (``_gemm_chunk``), one product each; each ``K`` covers only the input
+    blocks its chunk reaches and never holds more entries than the output
+    it produces. Narrow inputs, where a chunk that small would make too few
+    outputs (1-D signals, kernels longer than the column count), take one
+    ``np.convolve`` per column instead. Either way the multiply-adds run in
+    compiled code and the result is a view with ``axis`` outermost in
+    memory.
     """
     x = np.moveaxis(x, axis, 0)
     n, rest = x.shape[0], x.shape[1:]
@@ -396,21 +397,8 @@ def _lattice_apply(
     chunk = _gemm_chunk(n_c, qx, qy, cols)
     if chunk:
         y = np.zeros((qy, cols))
-        width = chunk + n_c - 1
-        # chunks i_lo .. i_hi - 1 read whole bands inside the input
-        i_lo = -(-max(0, n_c - 1 - shift) // chunk)
-        i_hi = max(i_lo, min(qy, qx - shift) // chunk)
-        if i_hi > i_lo:
-            p0 = i_lo * chunk + shift - n_c + 1
-            bands = sliding_window_view(xb, width, axis=0)[p0 :: chunk][: i_hi - i_lo]
-            np.matmul(
-                _toeplitz_band(c, n_c - 1, chunk, width),
-                bands.transpose(0, 2, 1),
-                out=y[i_lo * chunk : i_hi * chunk].reshape(-1, chunk, cols),
-            )
-        n_chunks = -(-qy // chunk)
-        for i in (*range(min(i_lo, n_chunks)), *range(i_hi, n_chunks)):
-            qa, qb = i * chunk, min(qy, (i + 1) * chunk)
+        for qa in range(0, qy, chunk):
+            qb = min(qy, qa + chunk)
             pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
             if pa < pb:
                 K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)

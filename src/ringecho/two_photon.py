@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_response import JunctionCoupling
 from .echo_kernels import (
@@ -236,11 +235,12 @@ def resummation_check(
     stride = _lattice_stride(T, d.dt)
 
     # lag coefficients of D(x - kT): the pair (n, m), 1 <= n, m <= nmax, adds
-    # rho^(n+m) at k = m - n, index nmax - 1 + k. Row n - 1 of both windows
-    # lists the pairs (n, 1..nmax), and np.bincount adds them one at a time
-    lags = sliding_window_view(np.arange(2 * nmax - 1), nmax)[::-1].ravel()
-    weights = sliding_window_view(rho ** np.arange(2, 2 * nmax + 1), nmax).ravel()
-    lhs = np.bincount(lags, weights=weights, minlength=2 * nmax - 1)
+    # rho^(n+m) at k = m - n, index nmax - 1 + k; pairs are added one at a
+    # time, n outer
+    lhs = np.zeros(2 * nmax - 1)
+    m = np.arange(1, nmax + 1)
+    for n in range(1, nmax + 1):
+        lhs[nmax - n : 2 * nmax - n] += rho ** (n + m)
     pref = rho * rho / (1.0 - rho * rho)
     tail = pref * rho ** np.arange(1, 100 * nmax + 1)
     tail = tail[tail >= 1e-18]

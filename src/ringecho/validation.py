@@ -369,7 +369,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     for r in range(0, cells.shape[0], rows):
         block = np.multiply.outer(p2.values[r : r + rows], p1.values)
         block -= cells[r : r + rows]
-        err = max(err, float(np.max(np.abs(block))))
+        err = float(np.maximum(err, np.max(np.abs(block))))  # keeps a NaN
     check("separable_factorization", err < 1e-10, f"outer-product deviation = {err:.3g}")
 
     # -- negative control -------------------------------------------------------

@@ -351,7 +351,7 @@ class TestLatticeAgainstReference:
             ((64,), 4, 8, "column"),
             ((5, 4), 2, 40, "gemm"),  # fewer input blocks than columns
             ((5,), 1, 40, "column"),
-            ((400, 8), 1, 3, "gemm"),  # many chunks in one batched product
+            ((400, 8), 1, 3, "gemm"),  # many chunks, edge and interior
         ],
     )
     def test_both_paths_at_their_boundary(self, monkeypatch, shape, stride, n_c, path):

@@ -1,6 +1,7 @@
 """Checks of the ``validate`` suite itself: a check fails where it should,
 and ``ladder_resummation`` runs at the order its truncation bound asks for."""
 
+import numpy as np
 import pytest
 
 import ringecho.validation as validation
@@ -25,6 +26,22 @@ def test_separable_factorization_sees_every_cell(monkeypatch, cell):
     r = _result(run_suite(0.5), "separable_factorization")
     assert not r.passed
     assert "deviation = 1e-09" in r.detail
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (-1, -1)], ids=["first", "last"])
+def test_separable_factorization_fails_on_nan(monkeypatch, cell):
+    # a NaN in any compared block must reach the reported deviation
+    transform = validation.transform_output_on_window
+
+    def poisoned(*args, **kwargs):
+        out = transform(*args, **kwargs)
+        out.values[cell] = np.nan
+        return out
+
+    monkeypatch.setattr(validation, "transform_output_on_window", poisoned)
+    r = _result(run_suite(0.5), "separable_factorization")
+    assert not r.passed
+    assert "deviation = nan" in r.detail
 
 
 @pytest.mark.parametrize("rho,nmax", [(0.5, 29), (0.9, 134)])
