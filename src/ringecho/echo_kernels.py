@@ -341,12 +341,15 @@ def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
     blocks than there are columns, the chunk is cut so that its band,
     ``chunk + n_c - 1`` input blocks wide, has no more entries than the
     ``chunk x cols`` output it produces. Products smaller than
-    ``_MIN_PRODUCT`` outputs cost more in calls than ``np.convolve`` does.
+    ``_MIN_PRODUCT`` outputs, or more products than there are columns, cost
+    more in calls than one ``np.convolve`` per column does.
     """
     chunk = min(qy, max(n_c, _MIN_CHUNK))
     if qx > cols:
         chunk = min(chunk, cols - n_c + 1)
-    return chunk if chunk >= 1 and chunk * cols >= _MIN_PRODUCT else 0
+    if chunk < 1 or chunk * cols < _MIN_PRODUCT or -(-qy // chunk) > cols:
+        return 0
+    return chunk
 
 
 def _lattice_apply(

@@ -337,21 +337,24 @@ class TestLatticeAgainstReference:
         assert np.max(np.abs(got - want), initial=0.0) <= tol
 
     # (x shape, stride, kernel length): columns per block are 2 * stride * width.
-    # With more input blocks than columns a kernel of the column count still
-    # takes products (one output block each), one term more takes the
-    # per-column path; 1-D inputs cross over where a product would make
-    # fewer than 16 outputs.
+    # With more input blocks than columns the band cut shrinks the chunk as
+    # the kernel grows, until there would be more products than columns; 1-D
+    # inputs also cross over where a product would make fewer than 16
+    # outputs, or where the signal is long enough to need more products than
+    # its 2 * stride columns.
     @pytest.mark.parametrize(
         "shape,stride,n_c,path",
         [
-            ((40, 4), 2, 15, "gemm"),
-            ((40, 4), 2, 16, "gemm"),
-            ((40, 4), 2, 17, "column"),
-            ((64,), 4, 7, "gemm"),
-            ((64,), 4, 8, "column"),
+            ((40, 16), 1, 20, "gemm"),  # chunks of 13 blocks, cut by the band
+            ((40, 16), 1, 30, "gemm"),  # 23 products of 3 blocks
+            ((40, 16), 1, 31, "column"),  # 35 products of 2 blocks
+            ((32,), 2, 1, "gemm"),
+            ((32,), 2, 2, "column"),  # 3 x 4 outputs per product
+            ((2048,), 8, 1, "gemm"),  # 16 products
+            ((2056,), 8, 1, "column"),  # 17 products
             ((5, 4), 2, 40, "gemm"),  # fewer input blocks than columns
             ((5,), 1, 40, "column"),
-            ((400, 8), 1, 3, "gemm"),  # many chunks, edge and interior
+            ((400, 64), 1, 3, "gemm"),  # many chunks, edge and interior
         ],
     )
     def test_both_paths_at_their_boundary(self, monkeypatch, shape, stride, n_c, path):
