@@ -14,34 +14,19 @@ def _result(results, name):
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (-1, -1)], ids=["first", "last"])
-def test_separable_factorization_sees_every_cell(monkeypatch, cell):
+@pytest.mark.parametrize("delta", [1e-9, np.nan])  # ten times the tolerance; a NaN
+def test_separable_factorization_sees_every_cell(monkeypatch, cell, delta):
     transform = validation.transform_output_on_window
 
     def perturbed(*args, **kwargs):
         out = transform(*args, **kwargs)
-        out.values[cell] += 1e-9  # ten times the check's tolerance
+        out.values[cell] += delta
         return out
 
     monkeypatch.setattr(validation, "transform_output_on_window", perturbed)
     r = _result(run_suite(0.5), "separable_factorization")
     assert not r.passed
-    assert "deviation = 1e-09" in r.detail
-
-
-@pytest.mark.parametrize("cell", [(0, 0), (-1, -1)], ids=["first", "last"])
-def test_separable_factorization_fails_on_nan(monkeypatch, cell):
-    # a NaN in any compared block must reach the reported deviation
-    transform = validation.transform_output_on_window
-
-    def poisoned(*args, **kwargs):
-        out = transform(*args, **kwargs)
-        out.values[cell] = np.nan
-        return out
-
-    monkeypatch.setattr(validation, "transform_output_on_window", poisoned)
-    r = _result(run_suite(0.5), "separable_factorization")
-    assert not r.passed
-    assert "deviation = nan" in r.detail
+    assert f"deviation = {delta:.3g}" in r.detail
 
 
 @pytest.mark.parametrize("rho,nmax", [(0.5, 29), (0.9, 134)])
