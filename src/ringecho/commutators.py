@@ -6,9 +6,9 @@ lattice, equal to a correlation of the generating echo kernels: the
 circulating-field commutator is ``correlate(kernel_ca, kernel_ca)`` (weights
 ``rho^|k|``), the circulating/input cross commutator is ``kernel_ca`` itself,
 and the output commutator is ``correlate(kernel_ba, kernel_ba)``. This module
-checks the output commutator against an independent junction decomposition,
-locates where the two-position commutator fires, and renders its space-time
-structure as a 2-D map.
+checks the output commutator against an independent path through the
+junction relation, built from ``kernel_ca``, locates where the two-position
+commutator fires, and renders its space-time structure as a 2-D map.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_response import JunctionCoupling
-from .echo_kernels import DeltaTrain, correlate, kernel_ba
+from .echo_kernels import DeltaTrain, correlate, kernel_ba, kernel_ca
 
 
 @dataclass(frozen=True)
@@ -93,33 +93,34 @@ class UnitTrainCheck:
     train: DeltaTrain
     weight_zero_error: float
     max_spurious: float
-    path_disagreement: float | None = None
+    path_disagreement: float
 
 
 def output_commutator_decomposition(
     j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
 ) -> DeltaTrain:
-    """Output-field commutator assembled from the junction decomposition.
+    """Output-field commutator assembled from the junction relation.
 
-    Writes the output as ``-(1/rho) A + (tau/rho) C`` and expands the four
-    cross terms into their commutator trains. Requires rho > 0; the
-    correlate path covers the free-space case.
+    The junction writes the output as ``b(t) = tau C(t - T) - rho A(t)``,
+    with C the circulating field just past the junction and A the input.
+    Expanding the commutator of b with itself gives
+    ``tau^2 correlate(kca, kca)`` (the circulating-field train), minus
+    ``rho tau`` times ``kca`` delayed by one round trip and its mirror (the
+    two cross terms, since ``kca`` is the circulating/input commutator),
+    plus ``rho^2`` times the unit train. It is built from ``kernel_ca``
+    alone, shares no weights with ``kernel_ba``, never divides by rho, and
+    holds at every rho in [0, 1).
     """
     rho, tau = j.rho, j.tau
-    if rho <= 0.0:
-        raise ValueError("decomposition path requires rho > 0")
-    # truncate once the geometric weights drop below eps relative to 1/rho^2
-    nmax = max(1, math.ceil(math.log(eps * rho * rho / (tau * tau)) / math.log(rho)))
-    weights: dict[int, float] = {0: 1.0 / rho**2}
-    pref = tau * tau / rho**2
-    for n in range(0, nmax + 1):
-        rn = rho**n
-        weights[n] = weights.get(n, 0.0) - pref * rn   # [C, A^dag] term
-        weights[-n] = weights.get(-n, 0.0) - pref * rn  # [A, C^dag] term
-    for k in range(-nmax, nmax + 1):
-        weights[k] = weights.get(k, 0.0) + pref * rho ** abs(k)
+    kca = kernel_ca(j, T, eps)
+    circ = correlate(kca, kca)
+    weights = {k: tau * tau * c for k, c in circ.weights.items()}
+    for n, c in kca.weights.items():
+        weights[n + 1] = weights.get(n + 1, 0.0) - rho * tau * c  # [C(t - T), A^dag]
+        weights[-n - 1] = weights.get(-n - 1, 0.0) - rho * tau * c  # its mirror
+    weights[0] = weights.get(0, 0.0) + rho * rho
     weights = {k: c for k, c in weights.items() if c != 0.0}
-    tail = 3.0 * pref * rho ** (nmax + 1) / (1.0 - rho)
+    tail = tau * tau * circ.tail_bound + 2.0 * rho * tau * kca.tail_bound
     return DeltaTrain(T, weights, 0.0, tail)
 
 
@@ -129,9 +130,9 @@ def output_commutator_check(
     """Verify the output field keeps the free-space commutator.
 
     Computes the correlate path (the autocorrelation of the output kernel)
-    for any rho, the decomposition path when rho > 0, and reports the
-    deviation from the unit train plus the maximum term-by-term disagreement
-    between the two paths.
+    and the junction path (``output_commutator_decomposition``), and
+    reports the deviation of the first from the unit train plus the
+    maximum term-by-term disagreement between the two.
     """
     kba = kernel_ba(j, T, eps)
     train = correlate(kba, kba)
@@ -139,11 +140,8 @@ def output_commutator_check(
     spurious = max(
         (abs(c) for k, c in train.weights.items() if k != 0), default=0.0
     )
-    disagreement = None
-    if j.rho > 0.0:
-        other = output_commutator_decomposition(j, T, eps)
-        disagreement = train.max_abs_diff(other)
-    return UnitTrainCheck(train, zero_err, spurious, disagreement)
+    other = output_commutator_decomposition(j, T, eps)
+    return UnitTrainCheck(train, zero_err, spurious, train.max_abs_diff(other))
 
 
 def commutator_figure(

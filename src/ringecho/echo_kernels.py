@@ -20,17 +20,34 @@ Lattice algebra
 The lossless cavity is a first-order all-pass section whose delay is one
 round trip, so every sum here is a strided 1-D convolution. Trains stay
 stored as exact ``{offset: weight}`` dicts, but the sums run on dense views
-(``k0`` plus an array over the offset span) in compiled numpy code:
-``convolve`` and ``correlate`` are one ``np.convolve`` call, and sampled
-signals (including both axes of the two-photon transforms) go through
-``_lattice_apply``, which cuts the axis into blocks of one round trip and
-keeps only the kernel terms that reach the requested output window. On
-wide inputs it is a matrix product with the banded Toeplitz matrix of the
-kernel, from input blocks to output blocks (the all-pass section's impulse
-response as a block-Toeplitz operator); on narrow ones, one ``np.convolve``
-per within-block column. Results keep the exact supports of the pairwise
-definitions and agree with them to rounding (relative 1e-13); single-term
-trains give bitwise-identical output.
+(``k0`` plus an array over the offset span) in compiled numpy code.
+
+``convolve`` and ``correlate`` are one direct ``np.convolve`` call each,
+and their results keep the exact supports of the pairwise definitions.
+They stay direct: an FFT there would save about 3 ms per pass of the
+high-Q benchmark and would break exact symmetries of the weights, such as
+``correlate(h, h).weight(k) == weight(-k)``, which the direct sum keeps.
+
+Sampled signals (including both axes of the two-photon transforms) go
+through ``_lattice_apply``, which cuts the axis into blocks of one round
+trip and keeps only the kernel terms that reach the requested output
+window. It has three branches:
+
+- wide inputs: a matrix product with the banded Toeplitz matrix of the
+  kernel, from input blocks to output blocks (the all-pass section's
+  impulse response as a block-Toeplitz operator);
+- long kernels on long inputs (both at least ``_MIN_FFT`` blocks, and the
+  shorter times the column count at least ``_MIN_FFT_WORK``): FFT
+  convolution by overlap-add (Cooley & Tukey, Math. Comp. 19, 297 (1965);
+  Oppenheim & Schafer, Discrete-Time Signal Processing), which costs
+  O(n log n) instead of terms x blocks;
+- everything else: one direct ``np.convolve`` per within-block column.
+
+The direct branches agree with the pairwise definitions to rounding
+(relative 1e-13), and single-term trains give bitwise-identical output.
+FFT rounding is absolute instead: an output sample deviates from the exact
+sum by about ``eps log2(n) sum|c| max|x|``, with n the length of the full
+convolution in blocks, ``c`` the kernel weights and ``x`` the input.
 """
 
 from __future__ import annotations
@@ -48,6 +65,11 @@ from .core_response import JunctionCoupling
 # _lattice_apply's matrix products: fewest output blocks, and fewest outputs, per product
 _MIN_CHUNK = 16
 _MIN_PRODUCT = 16
+# _lattice_apply's FFT branch: fewest blocks in the shorter of kernel and
+# input, and fewest of those times the column count; below either, the calls
+# per segment cost more than the direct sum's multiply-adds
+_MIN_FFT = 64
+_MIN_FFT_WORK = 2048
 
 
 class IncommensurateGrid(ValueError):
@@ -277,14 +299,17 @@ def convolve(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     """Convolution ``(f * g)_k = sum_m f_m g_(k-m)``.
 
     Realizes kernel composition. Both trains are laid out as dense arrays
-    over their offset spans and combined by one ``np.convolve`` call, which
-    costs O(n_f n_g) multiply-adds in compiled code (about 0.1 s for two
-    21,000-term kernels at rho = 0.999). The result holds exactly the lags
-    that some pair of stored offsets reaches: all of them when both supports
-    are contiguous, otherwise those found by convolving the 0/1 support
-    masks. No truncation is applied to the result (cancellations are kept so
-    tests can inspect them); the tail bound of the inputs propagates as
-    ``tail_f (S_g + tail_g) + tail_g S_f`` with S the total absolute weight.
+    over their offset spans and combined by one direct ``np.convolve``
+    call, which costs O(n_f n_g) multiply-adds in compiled code (about
+    0.1 s for two 21,000-term kernels at rho = 0.999). It takes no FFT
+    branch: that would save little here and would lose exact symmetries of
+    the weights (see the module docstring). The result holds exactly the
+    lags that some pair of stored offsets reaches: all of them when both
+    supports are contiguous, otherwise those found by convolving the 0/1
+    support masks. No truncation is applied to the result (cancellations
+    are kept so tests can inspect them); the tail bound of the inputs
+    propagates as ``tail_f (S_g + tail_g) + tail_g S_f`` with S the total
+    absolute weight.
     """
     return _lattice_sum(f, g, reverse_f=False)
 
@@ -294,8 +319,9 @@ def correlate(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
 
     The autocorrelation of a kernel is its commutator train: the weight at
     lag k of ``correlate(h, h)`` is exactly the equal-position field
-    commutator at time separation k periods. Computed as ``convolve`` with
-    ``f`` reversed in offset, at the same cost and with the same exact
+    commutator at time separation k periods, and ``weight(k) ==
+    weight(-k)`` holds bit for bit. Computed as ``convolve`` with ``f``
+    reversed in offset, directly, at the same cost and with the same exact
     support and tail-bound rules.
     """
     return _lattice_sum(f, g, reverse_f=True)
@@ -352,6 +378,43 @@ def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
     return chunk
 
 
+def _overlap_add(xb: np.ndarray, c: np.ndarray, shift: int, qy: int) -> np.ndarray:
+    """Rows ``[shift, shift + qy)`` of the full convolution of ``c`` with
+    every column of ``xb`` (blocks x columns), by FFT overlap-add.
+
+    The longer operand is cut into segments; each takes one batched
+    ``rfft``/``irfft`` pair over all columns against the transform of the
+    whole shorter operand, and only the rows its result shares with the
+    window are added. The transform length is the power of two at or above
+    twice the shorter operand, so each segment carries more new blocks than
+    the overlap it recomputes, and the three working arrays of that length
+    stay within a few outputs' worth of memory.
+    """
+    from numpy.fft import irfft, rfft  # deferred: importing ringecho stays cheap
+
+    n_x, n_c, cols = len(xb), len(c), xb.shape[1]
+    short, long = min(n_x, n_c), max(n_x, n_c)
+    n_fft = 1 << (2 * short - 1).bit_length()
+    seg = n_fft - short + 1
+    spec = np.empty((n_fft // 2 + 1, cols), np.complex128)
+    part = np.empty((n_fft, cols))
+    y = np.zeros((qy, cols))
+    fixed = rfft(c, n_fft)[:, None] if n_x >= n_c else rfft(xb, n_fft, axis=0)
+    for a in range(0, long, seg):
+        # segment a reaches full-convolution rows a .. a + len + short - 2
+        lo, hi = max(a, shift), min(min(a + seg, long) + short - 1, shift + qy)
+        if lo >= hi:
+            continue
+        if n_x >= n_c:
+            rfft(xb[a : a + seg], n_fft, axis=0, out=spec)
+            spec *= fixed
+        else:
+            np.multiply(fixed, rfft(c[a : a + seg], n_fft)[:, None], out=spec)
+        irfft(spec, n_fft, axis=0, out=part)
+        y[lo - shift : hi - shift] += part[lo - a : hi - a]
+    return y
+
+
 def _lattice_apply(
     c: np.ndarray,
     k0: int,
@@ -369,17 +432,30 @@ def _lattice_apply(
     block index, independent for each within-block position (a "column";
     the real and imaginary parts and the other axes are columns too). Only
     the kernel terms whose shifted input meets the output window are kept.
+    Three branches, tried in this order:
 
-    Wide inputs are matrix products from input blocks to output blocks,
-    ``y[q] = sum_p K[q, p] x[p]`` with the banded Toeplitz matrix
-    ``K[q, p] = c[q + e0 - p - k0]``. The output blocks are cut into chunks
-    (``_gemm_chunk``), one product each; each ``K`` covers only the input
-    blocks its chunk reaches and never holds more entries than the output
-    it produces. Narrow inputs, where a chunk that small would make too few
-    outputs (1-D signals, kernels longer than the column count), take one
-    ``np.convolve`` per column instead. Either way the multiply-adds run in
-    compiled code and the result is a view with ``axis`` outermost in
-    memory.
+    - Wide inputs are matrix products from input blocks to output blocks,
+      ``y[q] = sum_p K[q, p] x[p]`` with the banded Toeplitz matrix
+      ``K[q, p] = c[q + e0 - p - k0]``. The output blocks are cut into
+      chunks (``_gemm_chunk``), one product each; each ``K`` covers only the
+      input blocks its chunk reaches and never holds more entries than the
+      output it produces.
+    - When the cropped kernel and the input both have at least ``_MIN_FFT``
+      blocks, and the shorter of them times the column count is at least
+      ``_MIN_FFT_WORK`` (on 1-D signals the FFT measured faster from
+      about 512 blocks at stride 1, 256 at stride 2 and 128 at stride 8),
+      the convolution runs by FFT overlap-add (``_overlap_add``),
+      one batched transform pair per segment over all columns. Each output
+      sample then deviates from the exact sum by about
+      ``eps log2(n) sum|c| max|x|``, n the full convolution's length in
+      blocks; the working arrays stay within a few outputs' worth.
+    - Otherwise (short kernels on narrow inputs) one ``np.convolve`` per
+      column, a direct sum.
+
+    The matrix products and the direct sums agree with the pairwise
+    definition to relative rounding, and a one-term kernel, which never
+    takes the FFT branch, gives bitwise-exact output. The result is a view
+    with ``axis`` outermost in memory.
     """
     x = np.moveaxis(x, axis, 0)
     n, rest = x.shape[0], x.shape[1:]
@@ -406,6 +482,8 @@ def _lattice_apply(
             if pa < pb:
                 K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)
                 np.matmul(K, xb[pa:pb], out=y[qa:qb])
+    elif min(n_c, qx) >= _MIN_FFT and min(n_c, qx) * cols >= _MIN_FFT_WORK:
+        y = _overlap_add(xb, c, shift, qy)
     else:
         xb = np.ascontiguousarray(xb.T)  # one column per row; frees the blocked copy
         y = np.zeros((qy, cols))
@@ -425,10 +503,12 @@ def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:
     placed by exact index shifts, never interpolated, so the lattice
     identities of the kernels survive in the sampled arithmetic. The output
     window is extended to hold every retained echo. The sum runs through
-    ``_lattice_apply``: O(n_samples x n_terms) multiply-adds in compiled
-    code, as banded Toeplitz matrix products when the kernel is short
-    against twice the stride, else as one ``np.convolve`` per within-block
-    position and real/imaginary part.
+    ``_lattice_apply``: banded Toeplitz matrix products when the kernel is
+    short against twice the stride, FFT overlap-add when the kernel and the
+    signal both span many round trips (O(n log n); each
+    output sample within about ``eps log2(n) sum|c| max|x|`` of the exact
+    sum), else one direct ``np.convolve`` per within-block position and
+    real/imaginary part.
 
     Raises
     ------

@@ -11,6 +11,11 @@ placement of the loss factor. The junction update per step is the 2x2 unitary
 followed by the one-cell shift and a uniform amplitude factor
 ``exp(-Gamma * dt)`` modeling a distributed absorber.
 
+``RingState.step`` advances one sample. ``run`` advances one round trip of
+M samples per step: in one trip every cell meets the junction exactly once,
+in order, so the update above acts on M-vectors at once, with the same
+arithmetic per sample as ``step``.
+
 Nothing here shares code with the analytic kernels; that is the point.
 """
 
@@ -94,6 +99,17 @@ def run(
     """Drive the discretized cavity with a sampled input.
 
     The input spacing must equal T/M (the caller resamples if needed).
+    Advances one round trip per loop step, bitwise equal to calling
+    ``RingState.step`` once per sample. Trip by trip: the cell reaching
+    the junction at sample s of the trip is the one injected at sample s of
+    the trip before, so with ``a`` the trip's M inputs and ``c`` those cells,
+
+        b = tau * c - rho * a,    c <- rho * c + tau * a,
+
+    on M-vectors. With loss, the probe is the new cell after one factor
+    ``exp(-Gamma dt)``, and every cell takes M factors, one per sample and
+    in that order, before it meets the junction again. A last partial trip
+    uses the first samples only.
 
     Returns
     -------
@@ -110,10 +126,23 @@ def run(
     if Gamma < 0.0:
         raise ValueError(f"Gamma must be non-negative, got {Gamma}")
     state = RingState.empty(M, j, float(np.exp(-Gamma * dt)))
-    b_vals = np.empty(len(signal), dtype=np.complex128)
-    c_vals = np.empty(len(signal), dtype=np.complex128)
-    for i, a in enumerate(signal.values):
-        b_vals[i], c_vals[i] = state.step(a)
+    rho, tau, loss = j.rho, j.tau, state.loss_per_step
+    cells = state.cells[::-1]  # cells[s] meets the junction at sample s of a trip
+    n = len(signal)
+    rho_a, tau_a = rho * signal.values, tau * signal.values
+    b_vals = np.empty(n, dtype=np.complex128)
+    c_vals = np.empty(n, dtype=np.complex128)
+    for i in range(0, n, M):
+        c = cells[: n - i]
+        b_vals[i : i + M] = tau * c - rho_a[i : i + M]
+        cells = rho * c + tau_a[i : i + M]
+        if loss != 1.0:
+            cells = cells * loss
+            c_vals[i : i + M] = cells
+            for _ in range(M - 1):
+                cells = cells * loss
+        else:
+            c_vals[i : i + M] = cells
     return (
         SampledSignal(signal.t0, dt, b_vals),
         SampledSignal(signal.t0, dt, c_vals),

@@ -66,6 +66,34 @@ def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
     return SampledSignal(0.0, T / stride, vals)
 
 
+# round trips the oracle_transfer_match drive runs at most: the transient
+# rho^n falls to 1e-10 by then at every rho <= 0.999
+_MAX_DRIVE_TRIPS = math.ceil(math.log(1e-10) / math.log(0.999))
+
+
+def oracle_transfer_deviation(
+    j: JunctionCoupling, T: float = 1.0, M: int = 16
+) -> tuple[float, float, int]:
+    """Drive the FDTD oracle with a tone at 0.37 FSR until its transient has
+    decayed, and compare the last output sample with ``g_ba``.
+
+    Runs ``ceil(ln 1e-10 / ln rho)`` round trips (at least 60, at most
+    ``_MAX_DRIVE_TRIPS``), so the transient ``rho^n`` is below 1e-10.
+    Returns the deviation, its tolerance ``max(1e-9, 10 rho^n)`` and n.
+    """
+    w_drive = 0.37 * (2.0 * math.pi / T)
+    n_trips = 60
+    if j.rho > 0.0:
+        n_trips = max(60, math.ceil(math.log(1e-10) / math.log(j.rho)))
+    n_trips = min(_MAX_DRIVE_TRIPS, n_trips)
+    tol = max(1e-9, 10.0 * j.rho**n_trips)
+    tgrid = np.arange(n_trips * M) * (T / M)
+    drive = SampledSignal(0.0, T / M, np.exp(-1j * w_drive * tgrid))
+    out, _ = run(drive, j, RingGeometry(T, 1.0), M)
+    ratio = out.values[-1] / drive.values[-1]
+    return abs(ratio - g_ba(w_drive, j, T)), tol, n_trips
+
+
 # every check of the suite, in the order it runs at every rho
 CHECK_NAMES = (
     "unimodularity", "inverse_identity", "periodicity", "fsr_state_count",
@@ -194,20 +222,16 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     check("equal_time_single_support", hits == 1, f"crossings at t=t' = {hits}")
 
     occ = output_commutator_check(j, eps, T)
-    ok = occ.weight_zero_error < 1e-10 and occ.max_spurious < 1e-10
-    if j.rho > 0.0:
-        ok = ok and occ.path_disagreement < 1e-12
-        detail = (
-            f"c0 err {occ.weight_zero_error:.3g}, spurious {occ.max_spurious:.3g}, "
-            f"paths differ by {occ.path_disagreement:.3g}"
-        )
-        check("output_commutator", ok, detail)
-    else:
-        check(
-            "output_commutator",
-            ok,
-            f"c0 err {occ.weight_zero_error:.3g} (decomposition path skipped: rho = 0)",
-        )
+    ok = (
+        occ.weight_zero_error < 1e-10
+        and occ.max_spurious < 1e-10
+        and occ.path_disagreement < 1e-12
+    )
+    detail = (
+        f"c0 err {occ.weight_zero_error:.3g}, spurious {occ.max_spurious:.3g}, "
+        f"paths differ by {occ.path_disagreement:.3g}"
+    )
+    check("output_commutator", ok, detail)
 
     f = rng.integers(-9, 10, size=51).astype(float)
     g = rng.integers(-9, 10, size=51).astype(float)
@@ -278,18 +302,12 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
         f"(tol 1e-14, plus tail bound {kba.tail_bound:.3g} on dropped offsets)",
     )
 
-    w_drive = 0.37 * fsr
-    if j.rho > 0.0:
-        n_trips = min(3000, max(60, math.ceil(math.log(1e-10) / math.log(j.rho))))
-    else:
-        n_trips = 60
-    tol = max(1e-9, 10.0 * j.rho**n_trips)
-    tgrid = np.arange(n_trips * M) * (T / M)
-    drive = SampledSignal(0.0, T / M, np.exp(-1j * w_drive * tgrid))
-    out, _ = run(drive, j, geom, M)
-    ratio = out.values[-1] / drive.values[-1]
-    err = abs(ratio - g_ba(w_drive, j, T))
-    check("oracle_transfer_match", err < tol, f"steady-state deviation = {err:.3g}")
+    err, tol, n_trips = oracle_transfer_deviation(j, T, M)
+    check(
+        "oracle_transfer_match",
+        err < tol,
+        f"steady-state deviation = {err:.3g} (tol {tol:.3g}, {n_trips} round trips)",
+    )
 
     # -- two-photon -------------------------------------------------------------
     gspec = TwoPhotonGaussian(0.4 * T, 0.4 * T)

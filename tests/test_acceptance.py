@@ -41,28 +41,8 @@ def _suite(rho: float) -> dict:
 # out of memory by its place in this list
 CHECKS = CHECK_NAMES
 
-# At small rho the junction decomposition cancels O(1/rho^2) terms, so the
-# two derivations differ by 1.2e-4 at 1e-6 and 1.2e-10 at 1e-3 (ROADMAP item 4).
-_ILL_CONDITIONED = pytest.mark.xfail(
-    strict=True,
-    reason="output_commutator_decomposition cancels O(1/rho^2) terms (ROADMAP item 4)",
-)
 
-
-@pytest.mark.parametrize(
-    "rho,name",
-    [
-        pytest.param(
-            rho,
-            name,
-            marks=_ILL_CONDITIONED
-            if name == "output_commutator" and rho in (1e-6, 1e-3)
-            else (),
-        )
-        for rho in RHOS
-        for name in CHECKS
-    ],
-)
+@pytest.mark.parametrize("rho,name", [(rho, name) for rho in RHOS for name in CHECKS])
 def test_run_suite(rho, name):
     results = _suite(rho)
     assert tuple(results) == CHECKS, f"run_suite({rho}) reports {list(results)}"

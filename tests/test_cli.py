@@ -106,7 +106,8 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "validation_report.json").read_text())
         skipped = [c["name"] for c in report["checks"] if c.get("skipped")]
         assert "factor_form_equivalence" in skipped
-        assert "decomposition path skipped" in capsys.readouterr().out
+        # the output commutator's junction path holds at rho = 0 too
+        assert "c0 err 0, spurious 0, paths differ by 0\n" in capsys.readouterr().out
 
     def test_report_records_eps_used(self, tmp_path, capsys):
         assert main(["validate", "--eps", "1e-13", "--out", str(tmp_path)]) == 0

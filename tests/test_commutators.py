@@ -138,11 +138,7 @@ class TestOutputCommutator:
     def test_free_space_exact(self):
         res = output_commutator_check(JunctionCoupling(0.0))
         assert res.train.weights == {0: 1.0}
-        assert res.path_disagreement is None
-
-    def test_decomposition_requires_reflection(self):
-        with pytest.raises(ValueError):
-            output_commutator_decomposition(JunctionCoupling(0.0))
+        assert res.path_disagreement == 0.0
 
     def test_paths_agree_term_by_term(self):
         j = JunctionCoupling(0.75)
@@ -150,6 +146,13 @@ class TestOutputCommutator:
         a = correlate(k, k)
         b = output_commutator_decomposition(j, 1.0, 1e-12)
         assert a.max_abs_diff(b) < 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-6, 1e-3])
+    def test_junction_path_well_conditioned_at_small_rho(self, rho):
+        # nothing is divided by rho, so the paths agree to rounding of O(1)
+        # weights where a 1/rho form cancels terms of size 1/rho^2
+        res = output_commutator_check(JunctionCoupling(rho))
+        assert res.path_disagreement <= 4 * np.finfo(float).eps
 
 
 class TestReindexingIdentity:

@@ -341,7 +341,9 @@ class TestLatticeAgainstReference:
     # the kernel grows, until there would be more products than columns; 1-D
     # inputs also cross over where a product would make fewer than 16
     # outputs, or where the signal is long enough to need more products than
-    # its 2 * stride columns.
+    # its 2 * stride columns. Where no product is taken, kernels and inputs
+    # of at least _MIN_FFT = 64 blocks each go to the FFT if the shorter of
+    # them times the column count reaches _MIN_FFT_WORK = 2048.
     @pytest.mark.parametrize(
         "shape,stride,n_c,path",
         [
@@ -355,26 +357,51 @@ class TestLatticeAgainstReference:
             ((5, 4), 2, 40, "gemm"),  # fewer input blocks than columns
             ((5,), 1, 40, "column"),
             ((400, 64), 1, 3, "gemm"),  # many chunks, edge and interior
+            ((64, 16), 1, 64, "fft"),  # 64 blocks each, 32 columns: 2048
+            ((63, 16), 1, 64, "column"),  # input one block short
+            ((64, 16), 1, 63, "column"),  # kernel one term short
+            ((64, 15), 1, 64, "column"),  # 30 columns: 1920
+            ((1024,), 16, 64, "fft"),  # 1-D, 32 columns from the stride
+            ((70, 16), 1, 300, "fft"),  # kernel longer than the input: 2 kernel segments
+            ((400, 16), 1, 70, "fft"),  # input longer than the kernel: 3 input segments
         ],
     )
     def test_both_paths_at_their_boundary(self, monkeypatch, shape, stride, n_c, path):
-        built = []
+        built, transformed = [], []
 
         def spy(*args):
             built.append(args)
             return toeplitz_band(*args)
 
+        def fft_spy(*args):
+            transformed.append(args)
+            return overlap_add(*args)
+
         toeplitz_band = echo_kernels._toeplitz_band
+        overlap_add = echo_kernels._overlap_add
         monkeypatch.setattr(echo_kernels, "_toeplitz_band", spy)
+        monkeypatch.setattr(echo_kernels, "_overlap_add", fft_spy)
         rng = np.random.default_rng(n_c)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         c, k0 = rng.normal(size=n_c), -2
         start, n_out = k0 * stride, shape[0] + (n_c - 1) * stride
-        got = _lattice_apply(c, k0, stride, x, 0, start, n_out)
-        assert ("gemm" if built else "column") == path
-        want = brute_lattice_apply(c, k0, stride, x, start, n_out)
-        tol = 1e-13 * np.sum(np.abs(c)) * np.max(np.abs(x))
-        assert np.max(np.abs(got - want)) <= tol
+        # the whole output, then a window that starts and ends inside a
+        # segment; cropping may move a narrow window to another path
+        for w_start, w_out in ((start, n_out), (start + n_out // 3 + 1, n_out // 3)):
+            del built[:], transformed[:]
+            got = _lattice_apply(c, k0, stride, x, 0, w_start, w_out)
+            taken = "gemm" if built else "fft" if transformed else "column"
+            assert taken == path or (path != "fft" and w_out < n_out)
+            if taken == "fft":
+                # the FFT branch's rounding bound, n the full convolution's
+                # length in blocks
+                n_blocks = -(-shape[0] // stride) + n_c - 1
+                scale = np.finfo(float).eps * np.log2(n_blocks)
+            else:
+                scale = 1e-13
+            want = brute_lattice_apply(c, k0, stride, x, w_start, w_out)
+            tol = scale * np.sum(np.abs(c)) * np.max(np.abs(x))
+            assert np.max(np.abs(got - want)) <= tol
 
 
 class TestLatticeApplyMemory:
@@ -402,3 +429,37 @@ class TestLatticeApplyMemory:
         assert out.shape == (n_out,) + shape[1:]
         assert np.array_equal(out, c[0] * x)
         assert peak <= 3 * out_bytes
+
+    # (samples, stride, kernel terms): a long signal, the quasimode job's
+    # shape at rho = 0.999, and a kernel three times longer than its signal
+    @pytest.mark.parametrize(
+        "n,stride,n_c", [(1 << 20, 1, 20_000), (12_954, 2, 19_909), (1 << 16, 1, 200_000)]
+    )
+    def test_fft_peak_within_four_outputs(self, monkeypatch, n, stride, n_c):
+        """Overlap-add keeps three FFT-length arrays beside the blocked copy
+        and the output; one transform of the whole output would hold more."""
+        transformed = []
+        overlap_add = echo_kernels._overlap_add
+        monkeypatch.setattr(
+            echo_kernels, "_overlap_add", lambda *a: transformed.append(a) or overlap_add(*a)
+        )
+        rng = np.random.default_rng(n_c)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c = rng.normal(size=n_c)
+        n_out = n + (n_c - 1) * stride
+        tracemalloc.start()
+        try:
+            out = _lattice_apply(c, 0, stride, x, 0, 0, n_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transformed
+        assert peak <= 4 * n_out * 16
+        # spot rows against the direct sum, within the FFT rounding bound
+        n_blocks = -(-n // stride) + n_c - 1
+        tol = np.finfo(float).eps * np.log2(n_blocks) * np.sum(np.abs(c)) * np.max(np.abs(x))
+        for r in rng.integers(0, n_out, 8):
+            k = np.arange(n_c)
+            src = r - k * stride
+            ok = (src >= 0) & (src < n)
+            assert abs(out[r] - np.dot(c[ok], x[src[ok]])) <= tol

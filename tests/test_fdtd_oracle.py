@@ -12,6 +12,7 @@ from ringecho import (
     kernel_ba,
     run,
 )
+from ringecho.validation import oracle_transfer_deviation
 
 GEOM = RingGeometry(1.0, 1.0)
 
@@ -157,3 +158,29 @@ class TestRun:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             run(impulse(8, 2), JunctionCoupling(0.5), GEOM, 8, Gamma=-1.0)
+
+
+class TestRoundTripUpdate:
+    """``run`` advances a whole round trip per loop step; it must reproduce
+    the per-sample ``RingState.step`` loop bit for bit."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
+    def test_bitwise_equal_to_step_loop(self, rho, Gamma):
+        j, M = JunctionCoupling(rho), 7
+        n = 40 * M + 3  # ends in a partial round trip
+        rng = np.random.default_rng(17)
+        sig = SampledSignal(0.0, 1.0 / M, rng.normal(size=n) + 1j * rng.normal(size=n))
+        state = RingState.empty(M, j, float(np.exp(-Gamma * (GEOM.round_trip / M))))
+        steps = [state.step(a) for a in sig.values]
+        out, probe = run(sig, j, GEOM, M, Gamma)
+        assert np.array_equal(out.values, [b for b, _ in steps])
+        assert np.array_equal(probe.values, [c for _, c in steps])
+
+    def test_transfer_match_at_0999_checks_to_1e9(self):
+        # the drive is long enough at rho = 0.999 for its transient to decay
+        # below 1e-10, so the check's tolerance is 1e-9, not 10 rho^3000 = 0.5
+        err, tol, n_trips = oracle_transfer_deviation(JunctionCoupling(0.999))
+        assert n_trips == 23_015
+        assert tol == 1e-9
+        assert err < tol

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,37 @@ class TestNoisePower:
         rng = np.random.default_rng(17)
         w = rng.uniform(-80.0, 80.0, 500)
         assert np.max(np.abs(sum_rule_residual(w, j, T, gamma_t / T))) < 1e-12
+
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.2, 2.0])
+    @pytest.mark.parametrize("T_rt", [1.0, 1.3])
+    def test_sum_rule_bitwise_equals_composed_form(self, gamma_t, T_rt):
+        # one phase and one denominator for both terms, same arithmetic
+        j = JunctionCoupling(0.999)
+        w = np.random.default_rng(5).uniform(-40.0, 40.0, 40_000) * (2.0 * math.pi / T_rt)
+        G = gamma_t / T_rt
+        for omega in (w, 0.37):
+            got = sum_rule_residual(omega, j, T_rt, G)
+            want = np.abs(g_ba(omega, j, T_rt, G)) ** 2 + noise_power(omega, j, T_rt, G) - 1.0
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    def test_sum_rule_peak_memory_within_composed_form(self):
+        j = JunctionCoupling(0.999)
+        w = np.random.default_rng(6).uniform(-40.0, 40.0, 1 << 20) * (2.0 * math.pi)
+        peaks = []
+        for f in (
+            lambda: sum_rule_residual(w, j, T, 0.2),
+            lambda: np.abs(g_ba(w, j, T, 0.2)) ** 2 + noise_power(w, j, T, 0.2) - 1.0,
+        ):
+            tracemalloc.start()
+            try:
+                f()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # both peak at four complex arrays (64 MiB); one more array would add
+        # 8 or 16 MiB, interpreter objects a few hundred bytes
+        assert peaks[0] <= peaks[1] + (64 << 10)
 
     def test_matches_spatial_quadrature_oracle(self):
         """Closed form agrees with the independently integrated noise transport."""

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's job definitions: three high-Q layer jobs run
+"""Smoke test of the benchmark's job definitions: seven high-Q layer jobs run
 through ``perfbench/jobs.py`` and pass that file's own checks, and the
 validation suite still reports every check the benchmark's reference
 names."""
@@ -22,7 +22,16 @@ sys.dont_write_bytecode = _write_bytecode
 
 
 @pytest.mark.parametrize(
-    "name", ["correlate_unit_0.99", "window_vs_closed_form_0.99", "transform_full_0.9"]
+    "name",
+    [
+        "correlate_unit_0.99",
+        "window_vs_closed_form_0.99",
+        "transform_full_0.9",
+        "quasimode_error_0.999",  # FFT overlap-add, a kernel longer than its signal
+        "oracle_impulse_sqrt0.998",  # the per-round-trip oracle
+        "apply_parseval_0.999",  # FFT overlap-add in kernel segments
+        "bulk_spectral_2^20",  # the one-phase sum-rule residual
+    ],
 )
 def test_highq_job_passes_its_check(name):
     (job,) = [j for j in jobs.highq_jobs(np.random.default_rng(1)) if j.name == name]
