@@ -38,6 +38,7 @@ from .two_photon import (
 from .validation import run_suite
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+DT_FIGURES = ("fig5", "fig6")  # the only commands that read --dt
 FIGURE_EPS = 1e-10  # kernel truncation floor of the figure datasets
 VALIDATE_EPS = 1e-12  # the loosest floor the suite's tolerances are derived for
 SWEEP_METRICS = ("peak_ratio", "cw_residual", "absorbed_fraction")
@@ -394,6 +395,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
+        if cfg.dt is not None and getattr(args, "name", None) not in DT_FIGURES:
+            command = f"figure {args.name}" if args.command == "figure" else args.command
+            raise BadArguments(
+                f"{command} does not use dt; only figure "
+                f"{' and '.join(DT_FIGURES)} read it"
+            )
         if args.command == "figure":
             return cmd_figure(args.name, cfg)
         if args.command == "validate":

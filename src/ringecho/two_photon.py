@@ -14,12 +14,19 @@ consequences fall out and are all implemented and cross-checked here:
 - separability is invariant: a product-state input emerges as the product of
   the per-axis transformed factors.
 
+The windowed direct transform has one code path, ``_transform_tiles``:
+two ``_lattice_apply`` passes, along t1 and then along t2, restricted to a
+rectangular tile of a square output window. ``transform_output_on_window``
+is its one-tile case; ``validation`` walks a large window tile by tile, so
+the window is never stored whole.
+
 Amplitudes are unnormalized throughout; only relative quantities are used.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +167,34 @@ def transform_output_on_window(
     Same sum as ``transform_output`` restricted to the window, so a small
     display window does not force materializing the full echo extension:
     ``_lattice_apply`` keeps only the kernel terms that reach the window.
+    The window start must sit on the input grid. This is the one-tile case
+    of ``_transform_tiles``.
+    """
+    whole = slice(0, n_out)
+    ((_, _, out),) = _transform_tiles(phi, j, T, t_out_start, [(whole, [whole])], eps)
+    return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
+
+
+def _transform_tiles(
+    phi: JointAmplitudeGrid,
+    j: JunctionCoupling,
+    T: float,
+    t_out_start: float,
+    tiles: list[tuple[slice, list[slice]]],
+    eps: float = 1e-12,
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Rectangular tiles of the direct tensor transform on the square output
+    window that starts at ``t_out_start`` on both axes.
+
+    ``tiles`` pairs a t1 range with the t2 ranges to evaluate on it, both as
+    slices of sample offsets into the window (start and stop given, step 1).
+    Yields ``(t1 range, t2 range, values)`` for each pair in order, ``values``
+    of shape ``(t1 count, t2 count)`` with the t2 axis outermost in memory
+    (``values.T`` is C-contiguous). The first ``_lattice_apply`` pass, along
+    t1, runs once per t1 range and serves all of its t2 ranges; the second,
+    along t2, runs once per tile. So no more than one tile and one t1 strip
+    are held at a time, whatever the window's size. A tile's cells equal the
+    whole window's to rounding, and bitwise when the tile is the window.
     The window start must sit on the input grid.
     """
     stride = _lattice_stride(T, phi.dt)
@@ -169,9 +204,12 @@ def transform_output_on_window(
         raise IncommensurateGrid("output window start must lie on the input grid")
     base2 = round((t_out_start - phi.t2_start) / phi.dt)
     k0, c, _ = _dense(kernel_ba(j, T, eps))
-    mid = _lattice_apply(c, k0, stride, phi.values, 0, base, n_out)
-    out = _lattice_apply(c, k0, stride, mid, 1, base2, n_out)
-    return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
+    for rows, cols_list in tiles:
+        n1 = rows.stop - rows.start
+        mid = _lattice_apply(c, k0, stride, phi.values, 0, base + rows.start, n1)
+        for cols in cols_list:
+            n2 = cols.stop - cols.start
+            yield rows, cols, _lattice_apply(c, k0, stride, mid, 1, base2 + cols.start, n2)
 
 
 def cw_output(
@@ -236,11 +274,11 @@ def resummation_check(
 
     # lag coefficients of D(x - kT): the pair (n, m), 1 <= n, m <= nmax, adds
     # rho^(n+m) at k = m - n, index nmax - 1 + k; pairs are added one at a
-    # time, n outer
+    # time, n outer, each row's powers sliced from one table g[i] = rho^(i+2)
     lhs = np.zeros(2 * nmax - 1)
-    m = np.arange(1, nmax + 1)
+    g = rho ** np.arange(2, 2 * nmax + 1)
     for n in range(1, nmax + 1):
-        lhs[nmax - n : 2 * nmax - n] += rho ** (n + m)
+        lhs[nmax - n : 2 * nmax - n] += g[n - 1 : n - 1 + nmax]
     pref = rho * rho / (1.0 - rho * rho)
     tail = pref * rho ** np.arange(1, 100 * nmax + 1)
     tail = tail[tail >= 1e-18]

@@ -81,6 +81,33 @@ class TestFigureCommand:
     def test_bad_eps_exits_2(self, tmp_path):
         assert main(["figure", "fig2", "--eps", "0.5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "fig2"],
+            ["figure", "fig3"],
+            ["figure", "fig4"],
+            ["validate"],
+            ["sweep", "peak_ratio", "--start", "0.5", "--stop", "0.9"],
+            ["sweep", "cw_residual", "--start", "10", "--stop", "20"],
+            ["sweep", "absorbed_fraction", "--start", "0", "--stop", "2"],
+        ],
+        ids=lambda argv: "_".join(argv[:2]),
+    )
+    def test_dt_refused_where_ignored(self, tmp_path, capsys, argv):
+        assert main(argv + ["--dt", "0.125", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        command = " ".join(argv[:2]) if argv[0] == "figure" else argv[0]
+        assert f"error: {command} does not use dt" in err
+        assert "only figure fig5 and fig6 read it" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_dt_from_config_refused_where_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 0.125}))
+        assert main(["figure", "fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "figure fig2 does not use dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt", ["0", "-0.0625", "nan", "inf"])
     def test_bad_dt_exits_2(self, tmp_path, capsys, dt):
         assert main(["figure", "fig5", "--dt", dt, "--out", str(tmp_path)]) == 2

@@ -26,6 +26,8 @@ from ringecho import (
     transform_output,
     transform_output_on_window,
 )
+import ringecho.two_photon as two_photon
+from ringecho.two_photon import _transform_tiles
 
 T = 1.0
 
@@ -150,6 +152,23 @@ class TestTransformOutput:
         )
         assert np.max(np.abs(win.values - full.values)) == 0.0
 
+    @pytest.mark.parametrize("side", [44, 256])
+    def test_tiles_equal_the_window(self, side):
+        # tiles starting on and off round-trip blocks, with a narrower last
+        # row and column, cover the window and give its cells
+        grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.4), dt=T / 8)
+        j = JunctionCoupling(0.9)
+        n = 600
+        win = transform_output_on_window(grid, j, T, grid.t1_start, n).values
+        cuts = [slice(a, min(n, a + side)) for a in range(0, n, side)]
+        plan = [(rows, cuts) for rows in cuts]
+        seen = np.zeros((n, n), dtype=int)
+        for rows, cols, tile in _transform_tiles(grid, j, T, grid.t1_start, plan):
+            assert tile.T.flags.c_contiguous
+            assert np.max(np.abs(tile - win[rows, cols])) <= 1e-13 * np.max(np.abs(win))
+            seen[rows, cols] += 1
+        assert np.all(seen == 1)
+
     def test_incommensurate_rejected(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=0.3)
         with pytest.raises(IncommensurateGrid):
@@ -233,6 +252,24 @@ class TestResummation:
         d = gaussian_d(0.4, T / 8, 5)
         with pytest.raises(ValueError):
             resummation_check(0.0, d, T)
+
+    @pytest.mark.parametrize("rho,nmax", [(0.5, 80), (0.99, 1407), (0.999, 4000)])
+    def test_pair_ladder_bitwise_equal_to_pairwise_rows(self, monkeypatch, rho, nmax):
+        # reference: the loop the power table replaced, rho ** (n + m) per row
+        m = np.arange(1, nmax + 1)
+        ref = np.zeros(2 * nmax - 1)
+        for n in range(1, nmax + 1):
+            ref[nmax - n : 2 * nmax - n] += rho ** (n + m)
+        ladders = []
+        apply = two_photon._lattice_apply
+
+        def spy(c, *args):
+            ladders.append(c)
+            return apply(c, *args)
+
+        monkeypatch.setattr(two_photon, "_lattice_apply", spy)
+        resummation_check(rho, gaussian_d(0.4, T / 8, 5), T, nmax=nmax)
+        assert np.array_equal(ladders[0], ref)
 
 
 class TestClosedForm:

@@ -1,9 +1,14 @@
 """Checks of the ``validate`` suite itself: a check fails where it should,
-and ``ladder_resummation`` runs at the order its truncation bound asks for."""
+``ladder_resummation`` runs at the order its truncation bound asks for, and
+``separable_factorization`` walks its window tile by tile in bounded memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ringecho.echo_kernels as echo_kernels
+import ringecho.two_photon as two_photon
 import ringecho.validation as validation
 from ringecho.validation import run_suite
 
@@ -13,20 +18,119 @@ def _result(results, name):
     return r
 
 
-@pytest.mark.parametrize("cell", [(0, 0), (-1, -1)], ids=["first", "last"])
+def _perturb_window_cell(monkeypatch, cell, delta):
+    """Make the check's tile walk add ``delta`` to one cell (t1, t2) of its
+    window, negative indices counting from the window's end; returns the
+    list of tiles that held the cell."""
+    tiles = validation._transform_tiles
+    hits = []
+
+    def perturbed(phi, j, T, t_out_start, plan, eps):
+        n = max(rows.stop for rows, _ in plan)  # the last tile row is always compared
+        i, k = (c % n for c in cell)
+        for rows, cols, tile in tiles(phi, j, T, t_out_start, plan, eps):
+            if rows.start <= i < rows.stop and cols.start <= k < cols.stop:
+                tile[i - rows.start, k - cols.start] += delta
+                hits.append((rows, cols))
+            yield rows, cols, tile
+
+    monkeypatch.setattr(validation, "_transform_tiles", perturbed)
+    return hits
+
+
+# at rho = 0.5 the window is 369 x 369: 2 x 2 tiles of up to 256 x 256
+@pytest.mark.parametrize(
+    "cell", [(0, 0), (-1, -1), (256, 255)], ids=["first", "last", "tile_boundary"]
+)
 @pytest.mark.parametrize("delta", [1e-9, np.nan])  # ten times the tolerance; a NaN
 def test_separable_factorization_sees_every_cell(monkeypatch, cell, delta):
-    transform = validation.transform_output_on_window
+    hits = _perturb_window_cell(monkeypatch, cell, delta)
+    r = _result(run_suite(0.5), "separable_factorization")
+    assert len(hits) == 1
+    assert not r.passed
+    assert f"deviation = {delta:.3g} (every cell: 136161 of 136161 cells, 4 tiles)" in r.detail
 
-    def perturbed(*args, **kwargs):
-        out = transform(*args, **kwargs)
-        out.values[cell] += delta
+
+def test_separable_factorization_sampled_tiles_see_the_corners(monkeypatch):
+    # rho = 0.99: 18929^2 cells, over the every-cell budget
+    hits = _perturb_window_cell(monkeypatch, (0, -1), 1e-9)
+    r = _result(run_suite(0.99), "separable_factorization")
+    assert len(hits) == 1
+    assert not r.passed
+    assert "deviation = 1e-09 (sampled tiles: 16293601 of 358307041 cells, 256 tiles)" in r.detail
+
+
+def test_separable_tiles_above_the_budget():
+    n = 18929
+    plan = validation._separable_tiles(n, np.random.default_rng(1))
+    side, nt = 256, -(-n // 256)
+    picked = {(rows.start // side, cols.start // side) for rows, cols_list in plan for cols in cols_list}
+    cells = sum(
+        (rows.stop - rows.start) * (cols.stop - cols.start)
+        for rows, cols_list in plan for cols in cols_list
+    )
+    assert cells <= validation._SAMPLED_CELLS
+    assert {(0, 0), (0, nt - 1), (nt - 1, 0), (nt - 1, nt - 1)} <= picked
+    edge = {t for t in picked if 0 in t or nt - 1 in t}
+    assert len(picked) - len(edge) == validation._INTERIOR_TILES
+    # evenly spaced along each edge: no gap much wider than the average
+    top = sorted(b for a, b in picked if a == 0)
+    assert max(np.diff(top)) <= -(-(nt - 1) // (len(top) - 1))
+    assert plan[-1][0] == slice((nt - 1) * side, n)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99])
+def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
+    # both passes of every tile are banded Toeplitz matrix products, as the
+    # whole window's were, so the check covers that branch on wide inputs
+    tiles = validation._transform_tiles
+    apply, chunk = two_photon._lattice_apply, echo_kernels._gemm_chunk
+    walking, applies, chunks = [False], [], []
+
+    def spied_apply(*args):
+        if walking[0]:
+            applies.append(args[4])  # the axis of the pass
+        return apply(*args)
+
+    def spied_chunk(*args):
+        out = chunk(*args)
+        if walking[0]:
+            chunks.append(out)
         return out
 
-    monkeypatch.setattr(validation, "transform_output_on_window", perturbed)
-    r = _result(run_suite(0.5), "separable_factorization")
-    assert not r.passed
-    assert f"deviation = {delta:.3g}" in r.detail
+    def spied_tiles(*args):
+        it = tiles(*args)
+        while True:
+            walking[0] = True
+            try:
+                item = next(it)
+            except StopIteration:
+                return
+            finally:
+                walking[0] = False
+            yield item
+
+    monkeypatch.setattr(two_photon, "_lattice_apply", spied_apply)
+    monkeypatch.setattr(echo_kernels, "_gemm_chunk", spied_chunk)
+    monkeypatch.setattr(validation, "_transform_tiles", spied_tiles)
+    r = _result(run_suite(rho), "separable_factorization")
+    assert r.passed, r.detail
+    n_tiles = int(r.detail.rsplit(", ", 1)[1].split()[0])
+    assert applies.count(1) == n_tiles
+    assert 0 < applies.count(0) < n_tiles
+    assert len(chunks) == len(applies) and min(chunks) > 0
+
+
+def test_run_suite_097_peak_memory():
+    # the whole 6569^2 window would be 690 MB; tiles keep the suite small
+    tracemalloc.start()
+    try:
+        results = run_suite(0.97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("rho,nmax", [(0.5, 29), (0.9, 134)])
@@ -35,4 +139,3 @@ def test_ladder_resummation_order_meets_1e_10(rho, nmax):
     r = _result(run_suite(rho), "ladder_resummation")
     assert r.passed, r.detail
     assert f"(tol 1e-10, nmax {nmax})" in r.detail
-
