@@ -26,14 +26,15 @@ from .core_response import (
     FrequencyGrid,
     JunctionCoupling,
     density_of_states_profile,
-    g_ba,
 )
 from .highq import fig4_dataset, kappa
+from .lossy_cavity import lossy_output_spectrum
 from .two_photon import (
     TwoPhotonGaussian,
     gaussian_output_closed_form,
     peak_locate,
     separability_rank,
+    symmetric_axis,
 )
 from .validation import run_suite
 
@@ -215,10 +216,8 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             else [0.999, 0.95, 0.85, 0.60]
         )
         dt = cfg.dt if cfg.dt is not None else T / 16.0
-        half = 4.0 * (g.sigma + g.beta)
-        n_half = int(math.ceil(half / dt))
-        t_start = -n_half * dt
-        n = 2 * n_half + 1 + int(round(4 * T / dt))
+        t_start, n_in = symmetric_axis(g, dt)
+        n = n_in + int(round(4 * T / dt))
         for tau in taus:
             j = JunctionCoupling.from_tau(tau)
             eps = cfg.eps if cfg.eps is not None else FIGURE_EPS
@@ -321,16 +320,14 @@ def cmd_sweep(
 
     else:  # absorbed_fraction
         j = cfg.junction(0.0)
-        if np.any(np.linspace(start, stop, count) < 0.0):
-            raise BadArguments("absorbed_fraction sweep needs Gamma*T >= 0")
         gts = np.linspace(start, stop, count)
+        if np.any(gts < 0.0):
+            raise BadArguments("absorbed_fraction sweep needs Gamma*T >= 0")
         fsr = 2.0 * math.pi / T
         omega = (np.arange(2048) + 0.5) * (fsr / 2048)
+        a = np.ones(2048)
         vals = np.array(
-            [
-                1.0 - float(np.mean(np.abs(g_ba(omega, j, T, gt / T)) ** 2))
-                for gt in gts
-            ]
+            [lossy_output_spectrum(omega, a, j, T, gt / T).absorbed_fraction for gt in gts]
         )
         path = write_table(out_dir / "sweep_absorbed_fraction",
                            ["GammaT", "absorbed_fraction"], [gts, vals], cfg.format)

@@ -114,14 +114,15 @@ def output_commutator_decomposition(
     rho, tau = j.rho, j.tau
     kca = kernel_ca(j, T, eps)
     circ = correlate(kca, kca)
-    weights = {k: tau * tau * c for k, c in circ.weights.items()}
-    for n, c in kca.weights.items():
-        weights[n + 1] = weights.get(n + 1, 0.0) - rho * tau * c  # [C(t - T), A^dag]
-        weights[-n - 1] = weights.get(-n - 1, 0.0) - rho * tau * c  # its mirror
-    weights[0] = weights.get(0, 0.0) + rho * rho
-    weights = {k: c for k, c in weights.items() if c != 0.0}
+    n = len(kca.c)  # kca holds offsets 0 .. n - 1, circ -(n - 1) .. n - 1
+    w = np.zeros(2 * n + 1)  # offsets -n .. n
+    w[1 : 2 * n] = tau * tau * circ.c
+    cross = rho * tau * kca.c
+    w[n + 1 :] -= cross  # [C(t - T), A^dag] at offsets 1 .. n
+    w[:n] -= cross[::-1]  # its mirror
+    w[n] += rho * rho
     tail = tau * tau * circ.tail_bound + 2.0 * rho * tau * kca.tail_bound
-    return DeltaTrain(T, weights, 0.0, tail)
+    return DeltaTrain(T, -n, w, w != 0.0, 0.0, tail)
 
 
 def output_commutator_check(

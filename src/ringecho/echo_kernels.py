@@ -2,9 +2,9 @@
 
 Every impulse response of the lossless cavity is a distribution supported on
 the round-trip lattice, ``sum_k c_k delta(t - k T)``. ``DeltaTrain`` stores
-the integer offsets and real weights exactly, together with a certified bound
-on the truncated tail, so downstream equality tests have principled
-tolerances instead of guessed ones.
+the real weights exactly as a dense array over an integer offset span, with
+a mask of the stored offsets and a certified bound on the truncated tail, so
+downstream equality tests have principled tolerances instead of guessed ones.
 
 Kernels
 -------
@@ -18,9 +18,9 @@ Kernels
 Lattice algebra
 ---------------
 The lossless cavity is a first-order all-pass section whose delay is one
-round trip, so every sum here is a strided 1-D convolution. Trains stay
-stored as exact ``{offset: weight}`` dicts, but the sums run on dense views
-(``k0`` plus an array over the offset span) in compiled numpy code.
+round trip, so every sum here is a strided 1-D convolution. Trains are
+stored in the layout those sums take, ``k0`` plus an array ``c`` over the
+offset span, and the sums run on ``c`` itself in compiled numpy code.
 
 ``convolve`` and ``correlate`` are one direct ``np.convolve`` call each,
 and their results keep the exact supports of the pairwise definitions.
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,60 +117,95 @@ class SampledSignal:
         return float(np.sum(np.abs(self.values) ** 2) * self.dt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaTrain:
-    """Distribution ``sum_k weights[k] * delta(t - k * period)``.
+    """Distribution ``sum_k c[k - k0] * delta(t - k * period)``.
 
-    Offsets are exact integers (negative offsets represent anticausal
-    kernels); weights are real. ``tail_bound`` bounds the total absolute
-    weight discarded by truncation, and ``eps`` records the truncation floor
-    used at construction (0 means nothing was dropped).
+    ``c`` holds the real weights over the offset span ``k0 .. k0 + len(c) - 1``
+    (negative offsets represent anticausal kernels), 0 in holes, and
+    ``support`` marks the stored offsets, so a stored zero and a hole stay
+    distinct. The constructor copies both into read-only arrays, trims the
+    span to the first and last stored offset and zeroes the holes.
+    ``tail_bound`` bounds the total absolute weight discarded by truncation,
+    and ``eps`` records the truncation floor used at construction (0 means
+    nothing was dropped). ``from_weights`` reads an ``{offset: weight}`` map.
     """
 
     period: float
-    weights: dict[int, float]
+    k0: int
+    c: np.ndarray
+    support: np.ndarray
     eps: float = 0.0
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
         if self.period <= 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
-        object.__setattr__(
-            self, "weights", {int(k): float(c) for k, c in self.weights.items()}
-        )
+        c = np.asarray(self.c, dtype=np.float64)
+        support = np.asarray(self.support, dtype=bool)
+        if c.ndim != 1 or support.shape != c.shape:
+            raise ValueError("c and support must be 1-D arrays of one length")
+        stored = np.flatnonzero(support)
+        lo, hi = (int(stored[0]), int(stored[-1]) + 1) if len(stored) else (0, 0)
+        support = support[lo:hi].copy()
+        c = np.where(support, c[lo:hi], 0.0)
+        c.flags.writeable = support.flags.writeable = False
+        object.__setattr__(self, "k0", int(self.k0) + lo)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "support", support)
+
+    @classmethod
+    def from_weights(
+        cls, period: float, weights: Mapping[int, float], eps: float = 0.0, tail_bound: float = 0.0
+    ) -> "DeltaTrain":
+        """Train holding the ``{offset: weight}`` mapping ``weights``."""
+        ks = np.fromiter(weights, np.int64, len(weights))
+        k0 = int(ks.min()) if len(ks) else 0
+        support = np.bincount(ks - k0) > 0
+        c = np.zeros(len(support))
+        c[ks - k0] = np.fromiter(weights.values(), np.float64, len(weights))
+        return cls(period, k0, c, support, eps, tail_bound)
+
+    @property
+    def weights(self) -> dict[int, float]:
+        """The stored weights as a new ``{offset: weight}`` dict."""
+        return dict(zip(self.offsets, self.c[self.support].tolist()))
 
     def weight(self, k: int) -> float:
-        return self.weights.get(k, 0.0)
+        i = k - self.k0
+        return float(self.c[i]) if 0 <= i < len(self.c) else 0.0
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        return tuple(sorted(self.weights))
+        return tuple((np.flatnonzero(self.support) + self.k0).tolist())
 
     def sum_abs(self) -> float:
-        return float(sum(abs(c) for c in self.weights.values()))
+        return float(np.abs(self.c).sum())
 
     def sum_sq(self) -> float:
-        return float(sum(c * c for c in self.weights.values()))
+        return float(np.square(self.c).sum())
 
     def truncated(self, eps: float) -> "DeltaTrain":
         """Drop weights below ``eps`` in magnitude, folding them into the tail bound."""
         if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        kept = {k: c for k, c in self.weights.items() if abs(c) >= eps}
-        dropped = sum(abs(c) for c in self.weights.values() if abs(c) < eps)
-        return DeltaTrain(self.period, kept, eps, self.tail_bound + dropped)
+        small = np.abs(self.c) < eps
+        dropped = float(np.abs(self.c[small]).sum())
+        kept = self.support & ~small
+        return DeltaTrain(self.period, self.k0, self.c, kept, eps, self.tail_bound + dropped)
 
     def max_abs_diff(self, other: "DeltaTrain") -> float:
         """Largest weight difference over the union of supports."""
-        keys = set(self.weights) | set(other.weights)
-        return max((abs(self.weight(k) - other.weight(k)) for k in keys), default=0.0)
+        lo, hi = min(self.k0, other.k0), max(self.k0 + len(self.c), other.k0 + len(other.c))
+        a, b = (np.pad(t.c, (t.k0 - lo, hi - t.k0 - len(t.c))) for t in (self, other))
+        return float(np.abs(a - b).max(initial=0.0))
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "T": self.period,
                 "eps": self.eps,
-                "weights": [[k, self.weights[k]] for k in self.offsets],
+                "weights": [[k, c] for k, c in self.weights.items()],
                 "tail_bound": self.tail_bound,
             }
         )
@@ -177,12 +213,28 @@ class DeltaTrain:
     @classmethod
     def from_json(cls, text: str) -> "DeltaTrain":
         obj = json.loads(text)
-        return cls(
-            period=obj["T"],
-            weights={int(k): float(c) for k, c in obj["weights"]},
-            eps=obj["eps"],
-            tail_bound=obj["tail_bound"],
-        )
+        weights = {int(k): float(c) for k, c in obj["weights"]}
+        return cls.from_weights(obj["T"], weights, obj["eps"], obj["tail_bound"])
+
+
+def _ladder(first: float, rho: float, eps: float) -> tuple[np.ndarray, float]:
+    """Weights ``first * rho^n``, n >= 0, down to the first one below ``eps``,
+    and the bound ``first rho^N / (1 - rho)`` on the tail they leave out.
+
+    The powers are running products, as a loop multiplying by rho would make
+    them; their count is sized from logarithms, with a guard of 3 against
+    rounding, before any is computed.
+    """
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    n = max(0, math.ceil(math.log(eps / first) / math.log(rho))) + 3 if rho > 0.0 else 1
+    steps = np.full(n + 1, rho)
+    steps[0] = first
+    w = np.cumprod(steps, out=steps)
+    cut = int(np.argmax(w < eps))
+    if not w[cut] < eps:
+        raise ValueError(f"rho {rho} is too close to 1 for eps {eps}")
+    return w[:cut], float(w[cut]) / (1.0 - rho)
 
 
 def kernel_ca(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
@@ -192,19 +244,8 @@ def kernel_ca(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     ladder of delayed, attenuated replicas. Truncated once ``tau * rho^N``
     falls below ``eps``; the dropped tail sums to ``tau rho^N / (1 - rho)``.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    rho, tau = j.rho, j.tau
-    weights: dict[int, float] = {}
-    n, c = 0, tau
-    while c >= eps:
-        weights[n] = c
-        n += 1
-        c *= rho
-        if rho == 0.0:
-            break
-    tail = c / (1.0 - rho) if rho > 0.0 else 0.0
-    return DeltaTrain(T, weights, eps, tail)
+    c, tail = _ladder(j.tau, j.rho, eps)
+    return DeltaTrain(T, 0, c, np.ones(len(c), bool), eps, tail)
 
 
 def kernel_ba(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
@@ -214,21 +255,9 @@ def kernel_ba(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     flip) and ``tau^2 rho^(n-1)`` at offsets n >= 1 (the echoes). The squared
     weights sum to 1: the map is lossless.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    rho, tau = j.rho, j.tau
-    weights: dict[int, float] = {}
-    if rho >= eps:
-        weights[0] = -rho
-    n, c = 1, tau * tau
-    while c >= eps:
-        weights[n] = c
-        n += 1
-        c *= rho
-        if rho == 0.0:
-            break
-    tail = c / (1.0 - rho) if rho > 0.0 else 0.0
-    return DeltaTrain(T, weights, eps, tail)
+    c, tail = _ladder(j.tau * j.tau, j.rho, eps)
+    k0, c = (0, np.concatenate([[-j.rho], c])) if j.rho >= eps else (1, c)
+    return DeltaTrain(T, k0, c, np.ones(len(c), bool), eps, tail)
 
 
 def kernel_ab(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
@@ -238,18 +267,13 @@ def kernel_ab(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     ``tau^2 rho^(n-1)`` at offsets -n, n >= 1. Composing with ``kernel_ba``
     gives the unit train.
     """
-    forward = kernel_ba(j, T, eps)
-    return DeltaTrain(
-        T,
-        {-k: c for k, c in forward.weights.items()},
-        eps,
-        forward.tail_bound,
-    )
+    f = kernel_ba(j, T, eps)
+    return DeltaTrain(T, -(f.k0 + len(f.c) - 1), f.c[::-1], f.support[::-1], eps, f.tail_bound)
 
 
 def unit_train(T: float) -> DeltaTrain:
     """The identity element for convolution, a single unit delta at 0."""
-    return DeltaTrain(T, {0: 1.0})
+    return DeltaTrain(T, 0, [1.0], [True])
 
 
 def _check_same_period(f: DeltaTrain, g: DeltaTrain) -> None:
@@ -259,40 +283,22 @@ def _check_same_period(f: DeltaTrain, g: DeltaTrain) -> None:
         )
 
 
-def _dense(f: DeltaTrain) -> tuple[int, np.ndarray, np.ndarray]:
-    """Dense view ``(k0, c, support)`` of a nonempty train.
-
-    ``c[i]`` is the weight at offset ``k0 + i`` (0 in holes) and
-    ``support[i]`` is 1 where that offset is stored, 0 elsewhere.
-    """
-    ks = np.fromiter(f.weights, np.int64, len(f.weights))
-    k0 = int(ks.min())
-    idx = ks - k0
-    c = np.zeros(int(idx.max()) + 1)
-    c[idx] = np.fromiter(f.weights.values(), np.float64, len(f.weights))
-    support = np.zeros(len(c), np.int64)
-    support[idx] = 1
-    return k0, c, support
-
-
 def _lattice_sum(f: DeltaTrain, g: DeltaTrain, reverse_f: bool) -> DeltaTrain:
     """Shared body of ``convolve`` and ``correlate`` (``f`` reversed)."""
     _check_same_period(f, g)
     tail = f.tail_bound * (g.sum_abs() + g.tail_bound) + g.tail_bound * f.sum_abs()
-    if not f.weights or not g.weights:
-        return DeltaTrain(f.period, {}, 0.0, tail)
-    fk0, fc, fsupport = _dense(f)
-    gk0, gc, gsupport = _dense(g)
+    if not len(f.c) or not len(g.c):
+        return DeltaTrain(f.period, 0, [], [], 0.0, tail)
+    fk0, fc, fsupport = f.k0, f.c, f.support
     if reverse_f:
         fk0, fc, fsupport = -(fk0 + len(fc) - 1), fc[::-1], fsupport[::-1]
-    vals = np.convolve(fc, gc)
-    if fsupport.all() and gsupport.all():
-        lags = np.arange(len(vals))
+    vals = np.convolve(fc, g.c)
+    if fsupport.all() and g.support.all():
+        support = np.ones(len(vals), bool)
     else:
         # keep exactly the lags some stored pair reaches, as the pairwise sum does
-        lags = np.flatnonzero(np.convolve(fsupport, gsupport))
-    weights = dict(zip((lags + (fk0 + gk0)).tolist(), vals[lags].tolist()))
-    return DeltaTrain(f.period, weights, 0.0, tail)
+        support = np.convolve(fsupport, g.support)
+    return DeltaTrain(f.period, fk0 + g.k0, vals, support, 0.0, tail)
 
 
 def convolve(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
@@ -516,9 +522,8 @@ def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:
         If T / dt is not an integer; resample the signal instead.
     """
     stride = _lattice_stride(f.period, s.dt)
-    if not f.weights:
+    if not len(f.c):
         return SampledSignal(s.t0, s.dt, np.zeros(len(s), dtype=np.complex128))
-    k0, c, _ = _dense(f)
-    n_out = len(s) + (len(c) - 1) * stride
-    out = _lattice_apply(c, k0, stride, s.values, 0, k0 * stride, n_out)
-    return SampledSignal(s.t0 + k0 * f.period, s.dt, out)
+    n_out = len(s) + (len(f.c) - 1) * stride
+    out = _lattice_apply(f.c, f.k0, stride, s.values, 0, f.k0 * stride, n_out)
+    return SampledSignal(s.t0 + f.k0 * f.period, s.dt, out)

@@ -35,7 +35,6 @@ from .core_response import JunctionCoupling
 from .echo_kernels import (
     IncommensurateGrid,
     SampledSignal,
-    _dense,
     _lattice_apply,
     _lattice_stride,
     apply_train,
@@ -146,11 +145,11 @@ def transform_output(
     same kernel acts on both axes, one ``_lattice_apply`` pass per axis.
     """
     stride = _lattice_stride(T, phi.dt)
-    k0, c, _ = _dense(kernel_ba(j, T, eps))
-    ext = (k0 + len(c) - 1) * stride
+    kba = kernel_ba(j, T, eps)
+    ext = (kba.k0 + len(kba.c) - 1) * stride
     out = phi.values
     for axis in (0, 1):
-        out = _lattice_apply(c, k0, stride, out, axis, 0, out.shape[axis] + ext)
+        out = _lattice_apply(kba.c, kba.k0, stride, out, axis, 0, out.shape[axis] + ext)
     return JointAmplitudeGrid(phi.t1_start, phi.t2_start, phi.dt, out)
 
 
@@ -203,13 +202,13 @@ def _transform_tiles(
     if abs(off0 - base) > 1e-6:
         raise IncommensurateGrid("output window start must lie on the input grid")
     base2 = round((t_out_start - phi.t2_start) / phi.dt)
-    k0, c, _ = _dense(kernel_ba(j, T, eps))
+    kba = kernel_ba(j, T, eps)
     for rows, cols_list in tiles:
         n1 = rows.stop - rows.start
-        mid = _lattice_apply(c, k0, stride, phi.values, 0, base + rows.start, n1)
+        mid = _lattice_apply(kba.c, kba.k0, stride, phi.values, 0, base + rows.start, n1)
         for cols in cols_list:
             n2 = cols.stop - cols.start
-            yield rows, cols, _lattice_apply(c, k0, stride, mid, 1, base2 + cols.start, n2)
+            yield rows, cols, _lattice_apply(kba.c, kba.k0, stride, mid, 1, base2 + cols.start, n2)
 
 
 def cw_output(
@@ -280,7 +279,9 @@ def resummation_check(
     for n in range(1, nmax + 1):
         lhs[nmax - n : 2 * nmax - n] += g[n - 1 : n - 1 + nmax]
     pref = rho * rho / (1.0 - rho * rho)
-    tail = pref * rho ** np.arange(1, 100 * nmax + 1)
+    # terms down to 1e-18, counted from logarithms with a guard of 2, then cut exactly
+    n_tail = min(100 * nmax, max(0, math.ceil(math.log(1e-18 / pref) / math.log(rho)) + 2))
+    tail = pref * rho ** np.arange(1, n_tail + 1)
     tail = tail[tail >= 1e-18]
     rhs = np.concatenate([tail[::-1], [pref], tail])
     left = _lattice_apply(lhs, 1 - nmax, stride, d.values, 0, 0, len(d))

@@ -215,6 +215,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     kca = kernel_ca(j, T, eps)
     kba = kernel_ba(j, T, eps)
     kab = kernel_ab(j, T, eps)
+    kba_weights = kba.weights
     u1 = abs(kca.sum_sq() - 1.0)
     u2 = abs(kba.sum_sq() - 1.0)
     check("kernel_unitarity", max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}")
@@ -248,7 +249,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     train = correlate(kca, kca)
     err = max(abs(train.weight(k) - rho ** abs(k)) for k in range(-10, 11))
     # certified truncation tail plus the rounding of the lattice sum
-    rounding = len(kca.weights) * np.finfo(float).eps * (kca.sum_abs() + kca.tail_bound) ** 2
+    rounding = len(kca.c) * np.finfo(float).eps * (kca.sum_abs() + kca.tail_bound) ** 2
     tol = train.tail_bound + rounding
     check(
         "cavity_commutator",
@@ -256,7 +257,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
         f"max |c_k - rho^|k|| = {err:.3g} (tol {tol:.3g})",
     )
 
-    causal = all(k >= 0 for k in kca.weights)
+    causal = kca.k0 >= 0
     check("causality", causal, "no support at negative lags")
 
     L = T
@@ -341,7 +342,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     errs = [abs(out.values[n * M].real - kba.weight(n)) for n in range(6)]
     # offsets the truncated kernel dropped may differ by up to its tail bound
     ok = all(
-        err < 1e-14 + (0.0 if n in kba.weights else kba.tail_bound)
+        err < 1e-14 + (0.0 if n in kba_weights else kba.tail_bound)
         for n, err in enumerate(errs)
     )
     check(
@@ -398,13 +399,13 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     t = np.arange(-3.0 * T, 3.0 * T + 1e-9, T / 8)
     f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * 0.35**2)))
     f2 = SampledSignal(t[0], T / 8, np.exp(-((t - 0.25) ** 2) / (2 * 0.5**2)))
+    p1, p2 = separable_output(f1, f2, j, T, eps)
     if j.rho > 0.0:
-        p1, p2 = separable_output(f1, f2, j, T, eps)
         # the algebraically equivalent -rho phi + (tau^2/rho) sum rho^n phi(t - nT),
         # on the kernel's support; it divides by rho
-        reflective = DeltaTrain(
+        reflective = DeltaTrain.from_weights(
             T,
-            {n: -rho if n == 0 else (j.tau * j.tau / rho) * rho**n for n in kba.weights},
+            {n: -rho if n == 0 else (j.tau * j.tau / rho) * rho**n for n in kba_weights},
             eps,
             kba.tail_bound,
         )
@@ -423,7 +424,6 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
             "skipped: rho = 0 (reflective factor form undefined, kernel form used)",
             skipped=True,
         )
-    p1, p2 = separable_output(f1, f2, j, T, eps)
     prod_in = outer_product_grid(f1, f2)
     n = len(p1)
     err, cells, n_tiles = 0.0, 0, 0
@@ -444,18 +444,12 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     )
 
     # -- negative control -------------------------------------------------------
-    bad = DeltaTrain(T, dict(kba.weights), kba.eps, kba.tail_bound)
-    bad_weights = dict(bad.weights)
-    if 0 in bad_weights:
-        bad_weights[0] = -bad_weights[0]  # wrong junction sign
-    else:
-        bad_weights[0] = 0.5
-    bad = DeltaTrain(T, bad_weights, kba.eps, kba.tail_bound)
+    bad_weights = dict(kba_weights)
+    bad_weights[0] = -bad_weights[0] if 0 in bad_weights else 0.5  # wrong junction sign
+    bad = DeltaTrain.from_weights(T, bad_weights, kba.eps, kba.tail_bound)
     corr = correlate(bad, bad)
     spurious = max((abs(c) for k, c in corr.weights.items() if k != 0), default=0.0)
-    detects = spurious > 1e-6 or abs(corr.weight(0) - 1.0) > 1e-6
-    if j.rho == 0.0:
-        detects = abs(corr.weight(0) - 1.0) > 1e-6
+    detects = abs(corr.weight(0) - 1.0) > 1e-6 or (j.rho > 0.0 and spurious > 1e-6)
     check(
         "negative_control",
         detects,

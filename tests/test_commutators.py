@@ -30,6 +30,18 @@ def brute_force_pair_ladder(rho, tau, n_terms):
     return {int(k - n_terms): float(v) for k, v in enumerate(out)}
 
 
+def reference_decomposition(j, eps):
+    """The junction path's original dict arithmetic, term by term."""
+    rho, tau = j.rho, j.tau
+    kca = kernel_ca(j, 1.0, eps)
+    weights = {k: tau * tau * c for k, c in correlate(kca, kca).weights.items()}
+    for n, c in kca.weights.items():
+        weights[n + 1] = weights.get(n + 1, 0.0) - rho * tau * c
+        weights[-n - 1] = weights.get(-n - 1, 0.0) - rho * tau * c
+    weights[0] = weights.get(0, 0.0) + rho * rho
+    return {k: c for k, c in weights.items() if c != 0.0}
+
+
 def cavity_commutator(rho):
     """The circulating-field commutator train, ``correlate(kernel_ca, kernel_ca)``."""
     k = kernel_ca(JunctionCoupling(rho), 1.0)
@@ -146,6 +158,14 @@ class TestOutputCommutator:
         a = correlate(k, k)
         b = output_commutator_decomposition(j, 1.0, 1e-12)
         assert a.max_abs_diff(b) < 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-3, 0.75, 0.999])
+    def test_junction_path_matches_reference_arithmetic(self, rho):
+        j = JunctionCoupling(rho)
+        want = reference_decomposition(j, 1e-12)
+        got = output_commutator_decomposition(j, 1.0, 1e-12)
+        assert got.offsets == tuple(sorted(want))
+        assert got.weights == want
 
     @pytest.mark.parametrize("rho", [0.0, 1e-6, 1e-3])
     def test_junction_path_well_conditioned_at_small_rho(self, rho):

@@ -20,7 +20,7 @@ from ringecho import (
     unit_train,
 )
 import ringecho.echo_kernels as echo_kernels
-from ringecho.echo_kernels import _dense, _lattice_apply
+from ringecho.echo_kernels import _lattice_apply
 
 J75 = JunctionCoupling(0.75)
 
@@ -56,6 +56,20 @@ def reference_apply(f, s, stride):
     return s.t0 + kmin * f.period, out
 
 
+def reference_ladder(first, rho, eps, start):
+    """The original builder loop: ``{start + n: first * rho^n}`` while the
+    running product stays at or above ``eps``, and the tail bound."""
+    weights = {}
+    n, c = start, first
+    while c >= eps:
+        weights[n] = c
+        n += 1
+        c *= rho
+        if rho == 0.0:
+            break
+    return weights, (c / (1.0 - rho) if rho > 0.0 else 0.0)
+
+
 def brute_lattice_apply(c, k0, stride, x, start, n_out):
     """y[i] = sum_k c[k - k0] x[i - k stride] along axis 0, sample by sample."""
     y = np.zeros((n_out,) + x.shape[1:], dtype=complex)
@@ -68,9 +82,9 @@ def brute_lattice_apply(c, k0, stride, x, start, n_out):
 
 
 @st.composite
-def trains(draw, max_span=24):
-    """Random trains: empty, single-term, contiguous or with holes, with
-    negative offsets and zero weights among the stored ones."""
+def train_weights(draw, max_span=24):
+    """Random ``{offset: weight}`` maps: empty, single-term, contiguous or
+    with holes, with negative offsets and zero weights among the stored ones."""
     lo = draw(st.integers(-max_span, max_span))
     kind = draw(st.sampled_from(["empty", "single", "run", "holes"]))
     if kind == "empty":
@@ -82,7 +96,11 @@ def trains(draw, max_span=24):
     else:
         offsets = sorted(draw(st.sets(st.integers(lo, lo + max_span), min_size=2)))
     weight = st.one_of(st.floats(-3.0, 3.0), st.just(0.0))
-    return DeltaTrain(1.0, {k: draw(weight) for k in offsets})
+    return {k: draw(weight) for k in offsets}
+
+
+def trains(max_span=24):
+    return train_weights(max_span).map(lambda w: DeltaTrain.from_weights(1.0, w))
 
 
 def impulse(T, stride, n_trips):
@@ -157,6 +175,23 @@ class TestKernelWeights:
         assert train.tail_bound == pytest.approx(expected, rel=1e-12)
         assert all(abs(c) >= 1e-6 for c in train.weights.values())
 
+    @pytest.mark.parametrize("rho", [0.0, 1e-6, 0.5, 0.999])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12])
+    def test_builders_match_reference_loops(self, rho, eps):
+        j = JunctionCoupling(rho)
+        ca, ca_tail = reference_ladder(j.tau, rho, eps, 0)
+        ba, ba_tail = reference_ladder(j.tau * j.tau, rho, eps, 1)
+        if rho >= eps:
+            ba = {0: -rho, **ba}
+        ab = {-k: c for k, c in ba.items()}
+        for maker, weights, tail in ((kernel_ca, ca, ca_tail), (kernel_ba, ba, ba_tail),
+                                     (kernel_ab, ab, ba_tail)):
+            train = maker(j, 1.0, eps)
+            assert train.offsets == tuple(sorted(weights))
+            assert train.weights == weights
+            assert train.tail_bound == tail
+            assert train.eps == eps
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             kernel_ca(J75, 1.0, eps=0.0)
@@ -183,8 +218,8 @@ class TestTrainAlgebra:
             convolve(kernel_ca(J75, 1.0), kernel_ca(J75, 2.0))
 
     def test_correlate_point_masses(self):
-        a = DeltaTrain(1.0, {0: 3.0})
-        b = DeltaTrain(1.0, {0: -2.0})
+        a = DeltaTrain.from_weights(1.0, {0: 3.0})
+        b = DeltaTrain.from_weights(1.0, {0: -2.0})
         assert correlate(a, b).weights == {0: -6.0}
 
     def test_correlate_ca_gives_geometric_memory(self):
@@ -204,7 +239,7 @@ class TestTrainAlgebra:
     def test_convolution_linear_in_scaling(self, rho, scale):
         j = JunctionCoupling(rho)
         f = kernel_ca(j, 1.0, eps=1e-8)
-        scaled = DeltaTrain(1.0, {k: scale * c for k, c in f.weights.items()})
+        scaled = DeltaTrain.from_weights(1.0, {k: scale * c for k, c in f.weights.items()})
         lhs = convolve(scaled, kernel_ba(j, 1.0, eps=1e-8))
         rhs = convolve(f, kernel_ba(j, 1.0, eps=1e-8))
         for k in lhs.weights:
@@ -258,6 +293,15 @@ class TestApply:
 
 
 class TestSerialization:
+    @given(w=train_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_from_weights_round_trip(self, w):
+        # holes and stored zeros both survive the dense layout
+        train = DeltaTrain.from_weights(1.0, w)
+        assert train.weights == w
+        assert train.offsets == tuple(sorted(w))
+        assert not train.c.flags.writeable and not train.support.flags.writeable
+
     def test_json_round_trip(self):
         train = kernel_ab(J75, 0.5, eps=1e-6)
         clone = DeltaTrain.from_json(train.to_json())
@@ -328,7 +372,7 @@ class TestLatticeAgainstReference:
             return
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        k0, c, _ = _dense(f)
+        k0, c = f.k0, f.c
         want = brute_lattice_apply(c, k0, stride, x, start, n_out)
         got = _lattice_apply(c, k0, stride, x if axis == 0 else x.T, axis, start, n_out)
         got = got if axis == 0 else got.T
@@ -415,7 +459,8 @@ class TestLatticeApplyMemory:
     def test_peak_within_three_outputs(self, shape, stride):
         # rho = 0 gives a one-term kernel, whose output is no larger than its
         # input: the blocked copy and the band matrix weigh the most there
-        k0, c, _ = _dense(kernel_ba(JunctionCoupling(0.0), 1.0))
+        f = kernel_ba(JunctionCoupling(0.0), 1.0)
+        k0, c = f.k0, f.c
         assert len(c) == 1
         x = np.random.default_rng(0).normal(size=shape).astype(complex)
         n_out = shape[0] + (len(c) - 1) * stride

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's job definitions: seven high-Q layer jobs run
+"""Smoke test of the benchmark's job definitions: ten high-Q layer jobs run
 through ``perfbench/jobs.py`` and pass that file's own checks, and the
 validation suite still reports every check the benchmark's reference
 names."""
@@ -24,6 +24,9 @@ sys.dont_write_bytecode = _write_bytecode
 @pytest.mark.parametrize(
     "name",
     [
+        "kernels",  # offsets, weights, sum_sq, eps and tail bounds; kernel_ab mirrors kernel_ba
+        "convolve_unit_0.99",
+        "apply_round_trip_0.99",
         "correlate_unit_0.99",
         "window_vs_closed_form_0.99",
         "transform_full_0.9",

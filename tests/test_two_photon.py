@@ -375,7 +375,7 @@ class TestSeparableOutput:
         a1, _ = separable_output(phi, phi, j, T)
         # -rho phi + (tau^2/rho) sum rho^n phi(t - nT) on the kernel's support
         kern = kernel_ba(j, T)
-        reflective = DeltaTrain(
+        reflective = DeltaTrain.from_weights(
             T,
             {n: -j.rho if n == 0 else (j.tau**2 / j.rho) * j.rho**n for n in kern.weights},
         )
