@@ -39,7 +39,18 @@ from .two_photon import (
 from .validation import run_suite
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
-DT_FIGURES = ("fig5", "fig6")  # the only commands that read --dt
+# the RunConfig fields each command reads; it refuses any other flag or config key
+READS = {
+    "figure fig2": ("rho", "tau", "T", "out", "format"),
+    "figure fig3": ("rho", "tau", "T", "out", "format"),
+    "figure fig4": ("rho", "tau", "T", "out", "format"),
+    "figure fig5": ("rho", "tau", "T", "eps", "dt", "out", "format"),
+    "figure fig6": ("rho", "tau", "T", "eps", "dt", "out", "format"),
+    "validate": ("rho", "tau", "T", "eps", "out"),
+    "sweep peak_ratio": ("out", "format"),
+    "sweep cw_residual": ("rho", "tau", "T", "out", "format"),
+    "sweep absorbed_fraction": ("rho", "tau", "T", "out", "format"),
+}
 FIGURE_EPS = 1e-10  # kernel truncation floor of the figure datasets
 VALIDATE_EPS = 1e-12  # the loosest floor the suite's tolerances are derived for
 SWEEP_METRICS = ("peak_ratio", "cw_residual", "absorbed_fraction")
@@ -255,7 +266,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     if eps > VALIDATE_EPS:
         raise BadArguments(
             f"validate needs eps <= {VALIDATE_EPS:g}: its tolerances are derived "
-            f"for kernels truncated at that floor or below, got {eps:g}"
+            f"for kernels cut off at that floor or below, got {eps:g}"
         )
     results = run_suite(rho=j.rho, T=cfg.T, eps=eps)
     out_dir = Path(cfg.out)
@@ -371,7 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Config file values, overridden by flags; ``RunConfig`` fills the rest."""
+    """Config file values, overridden by flags; ``RunConfig`` fills the rest.
+
+    A flag or config key that the command does not read (``READS``) is
+    refused rather than ignored.
+    """
     keys = [f.name for f in fields(RunConfig)]
     base: dict = {}
     if args.config:
@@ -384,6 +399,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
+    command = " ".join(
+        getattr(args, a) for a in ("command", "name", "metric") if hasattr(args, a)
+    )
+    ignored = [key for key in keys if key in base and key not in READS[command]]
+    if ignored:
+        raise BadArguments(
+            f"{command} does not use {', '.join(ignored)}; "
+            f"it reads only {', '.join(READS[command])}"
+        )
     return RunConfig(**base)
 
 
@@ -392,12 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if cfg.dt is not None and getattr(args, "name", None) not in DT_FIGURES:
-            command = f"figure {args.name}" if args.command == "figure" else args.command
-            raise BadArguments(
-                f"{command} does not use dt; only figure "
-                f"{' and '.join(DT_FIGURES)} read it"
-            )
         if args.command == "figure":
             return cmd_figure(args.name, cfg)
         if args.command == "validate":

@@ -1,10 +1,11 @@
 """Time-domain response of the ring cavity as weighted delta trains.
 
 Every impulse response of the lossless cavity is a distribution supported on
-the round-trip lattice, ``sum_k c_k delta(t - k T)``. ``DeltaTrain`` stores
-the real weights exactly as a dense array over an integer offset span, with
-a mask of the stored offsets and a certified bound on the truncated tail, so
-downstream equality tests have principled tolerances instead of guessed ones.
+the round-trip lattice, ``sum_k c_k delta(t - k T)``. ``DeltaTrain`` is
+that train and nothing more: the real weights as a dense array over an
+integer offset span, plus a certified bound on the tail cut off below the
+truncation floor, so downstream equality tests have principled tolerances
+instead of guessed ones.
 
 Kernels
 -------
@@ -23,7 +24,7 @@ stored in the layout those sums take, ``k0`` plus an array ``c`` over the
 offset span, and the sums run on ``c`` itself in compiled numpy code.
 
 ``convolve`` and ``correlate`` are one direct ``np.convolve`` call each,
-and their results keep the exact supports of the pairwise definitions.
+over the full span of lags the pairwise definitions reach.
 They stay direct: an FFT there would save about 3 ms per pass of the
 high-Q benchmark and would break exact symmetries of the weights, such as
 ``correlate(h, h).weight(k) == weight(-k)``, which the direct sum keeps.
@@ -52,9 +53,7 @@ convolution in blocks, ``c`` the kernel weights and ``x`` the input.
 
 from __future__ import annotations
 
-import json
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,54 +121,28 @@ class DeltaTrain:
     """Distribution ``sum_k c[k - k0] * delta(t - k * period)``.
 
     ``c`` holds the real weights over the offset span ``k0 .. k0 + len(c) - 1``
-    (negative offsets represent anticausal kernels), 0 in holes, and
-    ``support`` marks the stored offsets, so a stored zero and a hole stay
-    distinct. The constructor copies both into read-only arrays, trims the
-    span to the first and last stored offset and zeroes the holes.
-    ``tail_bound`` bounds the total absolute weight discarded by truncation,
-    and ``eps`` records the truncation floor used at construction (0 means
-    nothing was dropped). ``from_weights`` reads an ``{offset: weight}`` map.
+    (negative offsets represent anticausal kernels); every offset of the span
+    is stored, zeros included. The constructor copies ``c`` into a read-only
+    float64 array. ``tail_bound`` bounds the total absolute weight discarded
+    by truncation, and ``eps`` records the truncation floor used at
+    construction (0 means nothing was dropped).
     """
 
     period: float
     k0: int
     c: np.ndarray
-    support: np.ndarray
     eps: float = 0.0
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
         if self.period <= 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
-        c = np.asarray(self.c, dtype=np.float64)
-        support = np.asarray(self.support, dtype=bool)
-        if c.ndim != 1 or support.shape != c.shape:
-            raise ValueError("c and support must be 1-D arrays of one length")
-        stored = np.flatnonzero(support)
-        lo, hi = (int(stored[0]), int(stored[-1]) + 1) if len(stored) else (0, 0)
-        support = support[lo:hi].copy()
-        c = np.where(support, c[lo:hi], 0.0)
-        c.flags.writeable = support.flags.writeable = False
-        object.__setattr__(self, "k0", int(self.k0) + lo)
+        c = np.array(self.c, dtype=np.float64)
+        if c.ndim != 1:
+            raise ValueError("c must be a 1-D array")
+        c.flags.writeable = False
+        object.__setattr__(self, "k0", int(self.k0))
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "support", support)
-
-    @classmethod
-    def from_weights(
-        cls, period: float, weights: Mapping[int, float], eps: float = 0.0, tail_bound: float = 0.0
-    ) -> "DeltaTrain":
-        """Train holding the ``{offset: weight}`` mapping ``weights``."""
-        ks = np.fromiter(weights, np.int64, len(weights))
-        k0 = int(ks.min()) if len(ks) else 0
-        support = np.bincount(ks - k0) > 0
-        c = np.zeros(len(support))
-        c[ks - k0] = np.fromiter(weights.values(), np.float64, len(weights))
-        return cls(period, k0, c, support, eps, tail_bound)
-
-    @property
-    def weights(self) -> dict[int, float]:
-        """The stored weights as a new ``{offset: weight}`` dict."""
-        return dict(zip(self.offsets, self.c[self.support].tolist()))
 
     def weight(self, k: int) -> float:
         i = k - self.k0
@@ -177,7 +150,7 @@ class DeltaTrain:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(self.support) + self.k0).tolist())
+        return tuple(range(self.k0, self.k0 + len(self.c)))
 
     def sum_abs(self) -> float:
         return float(np.abs(self.c).sum())
@@ -185,36 +158,11 @@ class DeltaTrain:
     def sum_sq(self) -> float:
         return float(np.square(self.c).sum())
 
-    def truncated(self, eps: float) -> "DeltaTrain":
-        """Drop weights below ``eps`` in magnitude, folding them into the tail bound."""
-        if not eps > 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        small = np.abs(self.c) < eps
-        dropped = float(np.abs(self.c[small]).sum())
-        kept = self.support & ~small
-        return DeltaTrain(self.period, self.k0, self.c, kept, eps, self.tail_bound + dropped)
-
     def max_abs_diff(self, other: "DeltaTrain") -> float:
-        """Largest weight difference over the union of supports."""
+        """Largest weight difference over the union of spans."""
         lo, hi = min(self.k0, other.k0), max(self.k0 + len(self.c), other.k0 + len(other.c))
         a, b = (np.pad(t.c, (t.k0 - lo, hi - t.k0 - len(t.c))) for t in (self, other))
         return float(np.abs(a - b).max(initial=0.0))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "T": self.period,
-                "eps": self.eps,
-                "weights": [[k, c] for k, c in self.weights.items()],
-                "tail_bound": self.tail_bound,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeltaTrain":
-        obj = json.loads(text)
-        weights = {int(k): float(c) for k, c in obj["weights"]}
-        return cls.from_weights(obj["T"], weights, obj["eps"], obj["tail_bound"])
 
 
 def _ladder(first: float, rho: float, eps: float) -> tuple[np.ndarray, float]:
@@ -245,7 +193,7 @@ def kernel_ca(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     falls below ``eps``; the dropped tail sums to ``tau rho^N / (1 - rho)``.
     """
     c, tail = _ladder(j.tau, j.rho, eps)
-    return DeltaTrain(T, 0, c, np.ones(len(c), bool), eps, tail)
+    return DeltaTrain(T, 0, c, eps, tail)
 
 
 def kernel_ba(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
@@ -257,7 +205,7 @@ def kernel_ba(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     """
     c, tail = _ladder(j.tau * j.tau, j.rho, eps)
     k0, c = (0, np.concatenate([[-j.rho], c])) if j.rho >= eps else (1, c)
-    return DeltaTrain(T, k0, c, np.ones(len(c), bool), eps, tail)
+    return DeltaTrain(T, k0, c, eps, tail)
 
 
 def kernel_ab(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
@@ -268,12 +216,12 @@ def kernel_ab(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     gives the unit train.
     """
     f = kernel_ba(j, T, eps)
-    return DeltaTrain(T, -(f.k0 + len(f.c) - 1), f.c[::-1], f.support[::-1], eps, f.tail_bound)
+    return DeltaTrain(T, -(f.k0 + len(f.c) - 1), f.c[::-1], eps, f.tail_bound)
 
 
 def unit_train(T: float) -> DeltaTrain:
     """The identity element for convolution, a single unit delta at 0."""
-    return DeltaTrain(T, 0, [1.0], [True])
+    return DeltaTrain(T, 0, [1.0])
 
 
 def _check_same_period(f: DeltaTrain, g: DeltaTrain) -> None:
@@ -288,17 +236,9 @@ def _lattice_sum(f: DeltaTrain, g: DeltaTrain, reverse_f: bool) -> DeltaTrain:
     _check_same_period(f, g)
     tail = f.tail_bound * (g.sum_abs() + g.tail_bound) + g.tail_bound * f.sum_abs()
     if not len(f.c) or not len(g.c):
-        return DeltaTrain(f.period, 0, [], [], 0.0, tail)
-    fk0, fc, fsupport = f.k0, f.c, f.support
-    if reverse_f:
-        fk0, fc, fsupport = -(fk0 + len(fc) - 1), fc[::-1], fsupport[::-1]
-    vals = np.convolve(fc, g.c)
-    if fsupport.all() and g.support.all():
-        support = np.ones(len(vals), bool)
-    else:
-        # keep exactly the lags some stored pair reaches, as the pairwise sum does
-        support = np.convolve(fsupport, g.support)
-    return DeltaTrain(f.period, fk0 + g.k0, vals, support, 0.0, tail)
+        return DeltaTrain(f.period, 0, [], 0.0, tail)
+    fk0, fc = (-(f.k0 + len(f.c) - 1), f.c[::-1]) if reverse_f else (f.k0, f.c)
+    return DeltaTrain(f.period, fk0 + g.k0, np.convolve(fc, g.c), 0.0, tail)
 
 
 def convolve(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
@@ -309,11 +249,9 @@ def convolve(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     call, which costs O(n_f n_g) multiply-adds in compiled code (about
     0.1 s for two 21,000-term kernels at rho = 0.999). It takes no FFT
     branch: that would save little here and would lose exact symmetries of
-    the weights (see the module docstring). The result holds exactly the
-    lags that some pair of stored offsets reaches: all of them when both
-    supports are contiguous, otherwise those found by convolving the 0/1
-    support masks. No truncation is applied to the result (cancellations
-    are kept so tests can inspect them); the tail bound of the inputs
+    the weights (see the module docstring). The result spans every lag
+    some pair of offsets reaches. No truncation is applied to it
+    (cancellations are kept so tests can inspect them); the tail bound of the inputs
     propagates as ``tail_f (S_g + tail_g) + tail_g S_f`` with S the total
     absolute weight.
     """
@@ -327,8 +265,8 @@ def correlate(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     lag k of ``correlate(h, h)`` is exactly the equal-position field
     commutator at time separation k periods, and ``weight(k) ==
     weight(-k)`` holds bit for bit. Computed as ``convolve`` with ``f``
-    reversed in offset, directly, at the same cost and with the same exact
-    support and tail-bound rules.
+    reversed in offset, directly, at the same cost and with the same span
+    and tail-bound rules.
     """
     return _lattice_sum(f, g, reverse_f=True)
 

@@ -14,11 +14,12 @@ consequences fall out and are all implemented and cross-checked here:
 - separability is invariant: a product-state input emerges as the product of
   the per-axis transformed factors.
 
-The windowed direct transform has one code path, ``_transform_tiles``:
-two ``_lattice_apply`` passes, along t1 and then along t2, restricted to a
-rectangular tile of a square output window. ``transform_output_on_window``
-is its one-tile case; ``validation`` walks a large window tile by tile, so
-the window is never stored whole.
+The direct transform has one code path, ``_transform_tiles``: two
+``_lattice_apply`` passes, along t1 and then along t2, restricted to a
+rectangular tile of an output window. ``transform_output`` (the full echo
+extension) and ``transform_output_on_window`` are its one-tile cases;
+``validation`` walks a large window tile by tile, so the window is never
+stored whole.
 
 Amplitudes are unnormalized throughout; only relative quantities are used.
 """
@@ -142,14 +143,15 @@ def transform_output(
     ``Phi_out(t1, t2) = sum_{n,m} K_n K_m Phi(t1 - nT, t2 - mT)`` with
     K_0 = -rho and K_n = tau^2 rho^(n-1). The axes are extended to hold all
     retained echoes; exchange symmetry of the input is preserved because the
-    same kernel acts on both axes, one ``_lattice_apply`` pass per axis.
+    same kernel acts on both axes. This is the one-tile case of
+    ``_transform_tiles`` on the input's own starts.
     """
-    stride = _lattice_stride(T, phi.dt)
     kba = kernel_ba(j, T, eps)
-    ext = (kba.k0 + len(kba.c) - 1) * stride
-    out = phi.values
-    for axis in (0, 1):
-        out = _lattice_apply(kba.c, kba.k0, stride, out, axis, 0, out.shape[axis] + ext)
+    ext = (kba.k0 + len(kba.c) - 1) * _lattice_stride(T, phi.dt)
+    rows, cols = (slice(0, n + ext) for n in phi.values.shape)
+    ((_, _, out),) = _transform_tiles(
+        phi, j, T, phi.t1_start, phi.t2_start, [(rows, [cols])], eps
+    )
     return JointAmplitudeGrid(phi.t1_start, phi.t2_start, phi.dt, out)
 
 
@@ -166,24 +168,40 @@ def transform_output_on_window(
     Same sum as ``transform_output`` restricted to the window, so a small
     display window does not force materializing the full echo extension:
     ``_lattice_apply`` keeps only the kernel terms that reach the window.
-    The window start must sit on the input grid. This is the one-tile case
-    of ``_transform_tiles``.
+    The window starts at ``t_out_start`` on both axes, which must lie on
+    both input grids. This is the one-tile case of ``_transform_tiles``.
     """
     whole = slice(0, n_out)
-    ((_, _, out),) = _transform_tiles(phi, j, T, t_out_start, [(whole, [whole])], eps)
+    ((_, _, out),) = _transform_tiles(
+        phi, j, T, t_out_start, t_out_start, [(whole, [whole])], eps
+    )
     return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
+
+
+def _grid_offset(t_out_start: float, t_in_start: float, dt: float) -> int:
+    """Samples from an input axis's start to an output window's start, which
+    must lie on the input grid (else ``IncommensurateGrid``)."""
+    off = (t_out_start - t_in_start) / dt
+    base = round(off)
+    if abs(off - base) > 1e-6:
+        raise IncommensurateGrid(
+            f"output window start {t_out_start} does not lie on the input grid "
+            f"starting at {t_in_start} with spacing {dt}"
+        )
+    return base
 
 
 def _transform_tiles(
     phi: JointAmplitudeGrid,
     j: JunctionCoupling,
     T: float,
-    t_out_start: float,
+    t1_start: float,
+    t2_start: float,
     tiles: list[tuple[slice, list[slice]]],
     eps: float = 1e-12,
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Rectangular tiles of the direct tensor transform on the square output
-    window that starts at ``t_out_start`` on both axes.
+    """Rectangular tiles of the direct tensor transform on the output window
+    whose axes start at ``t1_start`` and ``t2_start``.
 
     ``tiles`` pairs a t1 range with the t2 ranges to evaluate on it, both as
     slices of sample offsets into the window (start and stop given, step 1).
@@ -194,18 +212,15 @@ def _transform_tiles(
     along t2, runs once per tile. So no more than one tile and one t1 strip
     are held at a time, whatever the window's size. A tile's cells equal the
     whole window's to rounding, and bitwise when the tile is the window.
-    The window start must sit on the input grid.
+    Each window start must lie on its input axis's grid.
     """
     stride = _lattice_stride(T, phi.dt)
-    off0 = (t_out_start - phi.t1_start) / phi.dt
-    base = round(off0)
-    if abs(off0 - base) > 1e-6:
-        raise IncommensurateGrid("output window start must lie on the input grid")
-    base2 = round((t_out_start - phi.t2_start) / phi.dt)
+    base1 = _grid_offset(t1_start, phi.t1_start, phi.dt)
+    base2 = _grid_offset(t2_start, phi.t2_start, phi.dt)
     kba = kernel_ba(j, T, eps)
     for rows, cols_list in tiles:
         n1 = rows.stop - rows.start
-        mid = _lattice_apply(kba.c, kba.k0, stride, phi.values, 0, base + rows.start, n1)
+        mid = _lattice_apply(kba.c, kba.k0, stride, phi.values, 0, base1 + rows.start, n1)
         for cols in cols_list:
             n2 = cols.stop - cols.start
             yield rows, cols, _lattice_apply(kba.c, kba.k0, stride, mid, 1, base2 + cols.start, n2)

@@ -57,6 +57,7 @@ from . import (
     sum_rule_residual,
     transform_output_on_window,
 )
+from .commutators import _unit_deviation
 from .two_photon import _transform_tiles
 
 
@@ -196,16 +197,13 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     )
     check("unimodularity", worst < 1e-12, f"max | |g_ba| - 1 | = {worst:.3g}")
 
-    prod = np.array(
-        [g_ba(w, j, T) * np.conj(g_ba(w, j, T)) for w in omegas[:200]]
-    )
-    worst = float(np.max(np.abs(prod - 1.0)))
+    w200 = omegas[:200]
+    gb = g_ba(w200, j, T)
+    worst = float(np.max(np.abs(gb * np.conj(gb) - 1.0)))
     check("inverse_identity", worst < 1e-14, f"max |g_ab*g_ba - 1| = {worst:.3g}")
 
     fsr = 2.0 * math.pi / T
-    worst = max(
-        abs(g_ca(w + fsr, j, T) - g_ca(w, j, T)) for w in omegas[:200]
-    )
+    worst = float(np.max(np.abs(g_ca(w200 + fsr, j, T) - g_ca(w200, j, T))))
     check("periodicity", worst < 1e-10, f"max |g_ca(w+FSR) - g_ca(w)| = {worst:.3g}")
 
     vals = [abs(fsr_integral(JunctionCoupling(r), T) - 1.0) for r in (0.0, 0.5, rho, 0.98)]
@@ -215,15 +213,13 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     kca = kernel_ca(j, T, eps)
     kba = kernel_ba(j, T, eps)
     kab = kernel_ab(j, T, eps)
-    kba_weights = kba.weights
     u1 = abs(kca.sum_sq() - 1.0)
     u2 = abs(kba.sum_sq() - 1.0)
     check("kernel_unitarity", max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}")
 
-    inv = convolve(kab, kba)
-    spurious = max((abs(c) for k, c in inv.weights.items() if k != 0), default=0.0)
-    ok = abs(inv.weight(0) - 1.0) < 1e-10 and spurious < 1e-10
-    check("kernel_inverse", ok, f"c0 err {abs(inv.weight(0)-1):.3g}, max off {spurious:.3g}")
+    zero_err, spurious = _unit_deviation(convolve(kab, kba))
+    ok = zero_err < 1e-10 and spurious < 1e-10
+    check("kernel_inverse", ok, f"c0 err {zero_err:.3g}, max off {spurious:.3g}")
 
     stride = 16
     sig = SampledSignal(
@@ -242,7 +238,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     ws = np.linspace(-2.5 * fsr, 2.5 * fsr, 101)
     nz = np.flatnonzero(train_sig.values)  # the lattice samples, and any stray one
     dft = np.exp(1j * np.multiply.outer(ws, train_sig.times[nz])) @ train_sig.values[nz]
-    err = float(np.max(np.abs(dft - np.array([g_ba(w, j, T) for w in ws]))))
+    err = float(np.max(np.abs(dft - g_ba(ws, j, T))))
     check("kernel_spectrum_match", err < 1e-8, f"max DFT deviation = {err:.3g}")
 
     # -- commutators ----------------------------------------------------------
@@ -340,9 +336,9 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     imp = _impulse(T, M, 6)
     out, _ = run(imp, j, geom, M)
     errs = [abs(out.values[n * M].real - kba.weight(n)) for n in range(6)]
-    # offsets the truncated kernel dropped may differ by up to its tail bound
+    # offsets outside the kernel's span were cut off: allow its tail bound there
     ok = all(
-        err < 1e-14 + (0.0 if n in kba_weights else kba.tail_bound)
+        err < 1e-14 + (0.0 if kba.k0 <= n < kba.k0 + len(kba.c) else kba.tail_bound)
         for n, err in enumerate(errs)
     )
     check(
@@ -402,13 +398,10 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     p1, p2 = separable_output(f1, f2, j, T, eps)
     if j.rho > 0.0:
         # the algebraically equivalent -rho phi + (tau^2/rho) sum rho^n phi(t - nT),
-        # on the kernel's support; it divides by rho
-        reflective = DeltaTrain.from_weights(
-            T,
-            {n: -rho if n == 0 else (j.tau * j.tau / rho) * rho**n for n in kba_weights},
-            eps,
-            kba.tail_bound,
-        )
+        # on the kernel's span; it divides by rho
+        ks = np.arange(kba.k0, kba.k0 + len(kba.c))
+        w = np.where(ks == 0, -rho, (j.tau * j.tau / rho) * rho**ks)
+        reflective = DeltaTrain(T, kba.k0, w, eps, kba.tail_bound)
         q1, q2 = apply_train(reflective, f1), apply_train(reflective, f2)
         err = float(
             max(
@@ -427,7 +420,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     prod_in = outer_product_grid(f1, f2)
     n = len(p1)
     err, cells, n_tiles = 0.0, 0, 0
-    tiles = _transform_tiles(prod_in, j, T, p1.t0, _separable_tiles(n, rng), eps)
+    tiles = _transform_tiles(prod_in, j, T, p1.t0, p2.t0, _separable_tiles(n, rng), eps)
     for rows, cols, tile in tiles:
         # tile.T is C-contiguous (the t2 pass is outermost): compare in that layout
         block = np.multiply.outer(p2.values[cols], p1.values[rows])
@@ -444,12 +437,12 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     )
 
     # -- negative control -------------------------------------------------------
-    bad_weights = dict(kba_weights)
-    bad_weights[0] = -bad_weights[0] if 0 in bad_weights else 0.5  # wrong junction sign
-    bad = DeltaTrain.from_weights(T, bad_weights, kba.eps, kba.tail_bound)
-    corr = correlate(bad, bad)
-    spurious = max((abs(c) for k, c in corr.weights.items() if k != 0), default=0.0)
-    detects = abs(corr.weight(0) - 1.0) > 1e-6 or (j.rho > 0.0 and spurious > 1e-6)
+    # wrong junction sign; below eps the kernel has no offset 0, so 0.5 goes there
+    bad_c = np.concatenate([np.zeros(kba.k0), kba.c])  # offsets 0 .. (kba.k0 is 0 or 1)
+    bad_c[0] = -bad_c[0] if kba.k0 == 0 else 0.5
+    bad = DeltaTrain(T, 0, bad_c, kba.eps, kba.tail_bound)
+    zero_err, spurious = _unit_deviation(correlate(bad, bad))
+    detects = zero_err > 1e-6 or (j.rho > 0.0 and spurious > 1e-6)
     check(
         "negative_control",
         detects,

@@ -78,8 +78,9 @@ class TestFigureCommand:
         )
         assert code == 2
 
-    def test_bad_eps_exits_2(self, tmp_path):
-        assert main(["figure", "fig2", "--eps", "0.5", "--out", str(tmp_path)]) == 2
+    def test_bad_eps_exits_2(self, tmp_path, capsys):
+        assert main(["figure", "fig5", "--eps", "0.5", "--out", str(tmp_path)]) == 2
+        assert "eps must lie in (0, 1e-3]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -97,9 +98,8 @@ class TestFigureCommand:
     def test_dt_refused_where_ignored(self, tmp_path, capsys, argv):
         assert main(argv + ["--dt", "0.125", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        command = " ".join(argv[:2]) if argv[0] == "figure" else argv[0]
-        assert f"error: {command} does not use dt" in err
-        assert "only figure fig5 and fig6 read it" in err
+        command = " ".join(argv[:2]) if argv[0] != "validate" else argv[0]
+        assert f"error: {command} does not use dt; it reads only " in err
         assert not any(tmp_path.iterdir())
 
     def test_dt_from_config_refused_where_ignored(self, tmp_path, capsys):
@@ -107,6 +107,40 @@ class TestFigureCommand:
         cfg.write_text(json.dumps({"dt": 0.125}))
         assert main(["figure", "fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "figure fig2 does not use dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (argv, flag)
+            for argv, ignored in [
+                (["figure", "fig2"], ["eps", "dt"]),
+                (["figure", "fig3"], ["eps", "dt"]),
+                (["figure", "fig4"], ["eps", "dt"]),
+                (["validate"], ["dt", "format"]),
+                (["sweep", "peak_ratio", "--start", "0.5", "--stop", "0.9"],
+                 ["rho", "tau", "T", "eps", "dt"]),
+                (["sweep", "cw_residual", "--start", "10", "--stop", "20"], ["eps", "dt"]),
+                (["sweep", "absorbed_fraction", "--start", "0", "--stop", "2"], ["eps", "dt"]),
+            ]
+            for flag in ignored
+        ],
+        ids=lambda v: "_".join(v[:2]) if isinstance(v, list) else v,
+    )
+    def test_ignored_flag_refused(self, tmp_path, capsys, argv, flag, source):
+        value = {"rho": 0.5, "tau": 0.9, "T": 1.0, "eps": 1e-12, "dt": 0.125,
+                 "format": "json"}[flag]
+        out = tmp_path / "out"
+        if source == "argv":
+            extra = [f"--{flag}", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: value}))
+            extra = ["--config", str(cfg)]
+        assert main(argv + extra + ["--out", str(out)]) == 2
+        command = " ".join(argv[:2]) if argv[0] != "validate" else argv[0]
+        assert f"error: {command} does not use {flag}; it reads only " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["0", "-0.0625", "nan", "inf"])
     def test_bad_dt_exits_2(self, tmp_path, capsys, dt):

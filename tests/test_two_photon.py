@@ -27,6 +27,7 @@ from ringecho import (
     transform_output_on_window,
 )
 import ringecho.two_photon as two_photon
+from ringecho.echo_kernels import _lattice_apply, _lattice_stride
 from ringecho.two_photon import _transform_tiles
 
 T = 1.0
@@ -35,6 +36,18 @@ T = 1.0
 def gaussian_d(width, dt, half_trips):
     x = np.arange(-half_trips * T, half_trips * T + 1e-12, dt)
     return SampledSignal(x[0], dt, np.exp(-(x**2) / (2.0 * width**2)))
+
+
+def reference_transform_output(phi, j, T, eps=1e-12):
+    """The earlier ``transform_output``: its own pass along each axis over
+    the whole grid, extended by the kernel's reach."""
+    stride = _lattice_stride(T, phi.dt)
+    kba = kernel_ba(j, T, eps)
+    ext = (kba.k0 + len(kba.c) - 1) * stride
+    out = phi.values
+    for axis in (0, 1):
+        out = _lattice_apply(kba.c, kba.k0, stride, out, axis, 0, out.shape[axis] + ext)
+    return out
 
 
 def reference_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
@@ -163,7 +176,7 @@ class TestTransformOutput:
         cuts = [slice(a, min(n, a + side)) for a in range(0, n, side)]
         plan = [(rows, cuts) for rows in cuts]
         seen = np.zeros((n, n), dtype=int)
-        for rows, cols, tile in _transform_tiles(grid, j, T, grid.t1_start, plan):
+        for rows, cols, tile in _transform_tiles(grid, j, T, grid.t1_start, grid.t2_start, plan):
             assert tile.T.flags.c_contiguous
             assert np.max(np.abs(tile - win[rows, cols])) <= 1e-13 * np.max(np.abs(win))
             seen[rows, cols] += 1
@@ -173,6 +186,23 @@ class TestTransformOutput:
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=0.3)
         with pytest.raises(IncommensurateGrid):
             transform_output(grid, JunctionCoupling(0.5), T)
+
+    @pytest.mark.parametrize("t1_start,t2_start", [(0.03, 0.0), (0.0, 0.03)])
+    def test_off_grid_window_start_rejected(self, t1_start, t2_start):
+        # a window starting at 0 lies on neither axis of a grid starting at 0.03
+        phi = JointAmplitudeGrid(t1_start, t2_start, 0.125, np.ones((8, 8)))
+        with pytest.raises(IncommensurateGrid, match="does not lie on the input grid"):
+            transform_output_on_window(phi, JunctionCoupling(0.5), T, 0.0, 16)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_full_transform_bitwise_equals_reference(self, rho):
+        rng = np.random.default_rng(11)
+        vals = rng.normal(size=(40, 27)) + 1j * rng.normal(size=(40, 27))
+        phi = JointAmplitudeGrid(-1.0, 0.375, T / 8, vals)
+        j = JunctionCoupling(rho)
+        out = transform_output(phi, j, T, eps=1e-10)
+        assert (out.t1_start, out.t2_start) == (-1.0, 0.375)
+        assert np.array_equal(out.values, reference_transform_output(phi, j, T, eps=1e-10))
 
     def test_rank_preserved_for_separable_input(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 8)
@@ -373,11 +403,12 @@ class TestSeparableOutput:
         phi = SampledSignal(t[0], T / 4, np.exp(-(t**2)))
         j = JunctionCoupling(0.6)
         a1, _ = separable_output(phi, phi, j, T)
-        # -rho phi + (tau^2/rho) sum rho^n phi(t - nT) on the kernel's support
+        # -rho phi + (tau^2/rho) sum rho^n phi(t - nT) on the kernel's span
         kern = kernel_ba(j, T)
-        reflective = DeltaTrain.from_weights(
+        reflective = DeltaTrain(
             T,
-            {n: -j.rho if n == 0 else (j.tau**2 / j.rho) * j.rho**n for n in kern.weights},
+            kern.k0,
+            [-j.rho if n == 0 else (j.tau**2 / j.rho) * j.rho**n for n in kern.offsets],
         )
         b1 = apply_train(reflective, phi)
         assert np.max(np.abs(a1.values - b1.values)) < 1e-14

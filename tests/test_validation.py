@@ -25,10 +25,10 @@ def _perturb_window_cell(monkeypatch, cell, delta):
     tiles = validation._transform_tiles
     hits = []
 
-    def perturbed(phi, j, T, t_out_start, plan, eps):
+    def perturbed(phi, j, T, t1_start, t2_start, plan, eps):
         n = max(rows.stop for rows, _ in plan)  # the last tile row is always compared
         i, k = (c % n for c in cell)
-        for rows, cols, tile in tiles(phi, j, T, t_out_start, plan, eps):
+        for rows, cols, tile in tiles(phi, j, T, t1_start, t2_start, plan, eps):
             if rows.start <= i < rows.stop and cols.start <= k < cols.stop:
                 tile[i - rows.start, k - cols.start] += delta
                 hits.append((rows, cols))
