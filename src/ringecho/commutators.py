@@ -163,8 +163,9 @@ def commutator_figure(
 ) -> CommutatorMap:
     """Render |commutator(z, t; z', t'=0)| over the loop cross-section.
 
-    Each delta becomes an area-normalized Gaussian of width ``broadening``
-    in t, producing the slanted-stripe picture: one stripe per lag k,
+    Each delta that ``spacetime_commutator_support`` lists and whose stripe
+    can enter the window becomes an area-normalized Gaussian of width
+    ``broadening`` in t, producing the slanted-stripe picture: one stripe per lag k,
     crossing t = 0 only at z = z'.
     """
     L = v * T
@@ -180,14 +181,11 @@ def commutator_figure(
     k_hi = math.ceil((-t_lo + 1.0 * T) / T) + 1
     norm = 1.0 / (broadening * math.sqrt(2.0 * math.pi))
     matrix = np.zeros((nt, nz))
+    ref, kmax = SpaceTimePoint(zprime, 0.0), max(-k_lo, k_hi)
     for ik, z in enumerate(z_vals):
-        base = (z - zprime) / v
-        for k in range(k_lo, k_hi + 1):
-            w = j.rho ** abs(k)
-            if w < 1e-300:
-                continue
-            t_hit = base - k * T
-            matrix[:, ik] += w * norm * np.exp(
-                -((t_vals - t_hit) ** 2) / (2.0 * broadening**2)
-            )
+        for k, w, t_hit in spacetime_commutator_support(j, SpaceTimePoint(z, 0.0), ref, v, T, kmax):
+            if k_lo <= k <= k_hi:
+                matrix[:, ik] += w * norm * np.exp(
+                    -((t_vals - t_hit) ** 2) / (2.0 * broadening**2)
+                )
     return CommutatorMap(z_vals, t_vals, matrix, broadening)

@@ -10,7 +10,8 @@ consequences fall out and are all implemented and cross-checked here:
   against matched echo pairs, an exact dispersion cancellation;
 - for pulsed-Gaussian pairs there is a closed-form output built from the
   partial-ladder sums ``F_m``, verified against the direct tensor transform
-  rather than assumed;
+  rather than assumed; its ``E(q)`` and ``F_m`` tables (``_ladder_table``,
+  which ``F_m`` also reads) hold only the echo orders that reach the window;
 - separability is invariant: a product-state input emerges as the product of
   the per-axis transformed factors.
 
@@ -304,6 +305,35 @@ def resummation_check(
     return float(np.max(np.abs(left - right)))
 
 
+def _ladder_table(
+    s: np.ndarray, g: TwoPhotonGaussian, j: JunctionCoupling, T: float, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Echo-order tables of the pulsed closed form on the 1-D sums ``s``.
+
+    Returns ``e_beta[q] = E(q) = exp(-(s - qT)^2 / 2 beta^2)`` for
+    q = 0 .. mmax + 2, ``coef[m] = tau^2 rho^m`` and the ladder sums
+    ``f[m] = F_m(s)`` for m = 0 .. mmax, each ``F_m`` the downward running
+    sum ``F_m = tau^2 rho^m E(m+2) + F_(m+2)`` of its parity. ``mmax`` is
+    the first of two orders: the eps order ``ceil(ln eps / ln rho)``, past
+    which ``rho^m <= eps``, and the last order whose Gaussian reaches the
+    sums, ``ceil((max s + 39 beta) / T)``. ``exp(-39^2 / 2)`` is 0.0 in
+    float64, so every row past that reach is an exact zero and leaving it
+    out changes no value. The eps order alone stands when the reach is not
+    finite.
+    """
+    rho, tau = j.rho, j.tau
+    mmax = 0 if rho == 0.0 else max(1, int(math.ceil(math.log(eps) / math.log(rho))))
+    reach = (s.max(initial=-math.inf) + 39.0 * g.beta) / T
+    if math.isfinite(reach):
+        mmax = min(mmax, max(0, math.ceil(reach)))
+    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / (2.0 * g.beta**2))
+    coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
+    f = coef * e_beta[2:]
+    for top in range(max(mmax - 1, 0), mmax + 1):
+        f[top::-2] = np.cumsum(f[top::-2], axis=0)
+    return e_beta, coef, f
+
+
 def F_m(
     m: int,
     s_sum,
@@ -317,22 +347,18 @@ def F_m(
     ``F_m(s) = tau^2 sum_j rho^(|m|+2j) exp(-(s - (|m|+2j+2) T)^2 / 2 beta^2)``
     for j >= 0: the ladder runs over transit totals of the same parity as
     |m|, which is the only reading consistent with the cw limit, where
-    F_m -> rho^|m| as the pulse envelope flattens.
+    F_m -> rho^|m| as the pulse envelope flattens. A row of the closed
+    form's ``_ladder_table``, truncated as it is: 0.0 past its last order.
+    ``m`` must be an integer and ``s_sum`` finite, else ``ValueError``.
     """
+    if not float(m).is_integer():
+        raise ValueError(f"m must be an integer, got {m}")
     s = np.asarray(s_sum, dtype=float)
-    rho, tau = j.rho, j.tau
+    if not np.all(np.isfinite(s)):
+        raise ValueError("s must be finite")
+    _, _, f = _ladder_table(s.ravel(), g, j, T, eps)
     mm = abs(int(m))
-    out = np.zeros_like(s)
-    jj = 0
-    while True:
-        coeff = rho ** (mm + 2 * jj) if (mm + 2 * jj) > 0 else 1.0
-        if coeff < eps and jj > 0:
-            break
-        out += coeff * np.exp(-((s - (mm + 2 * jj + 2) * T) ** 2) / (2.0 * g.beta**2))
-        if rho == 0.0:
-            break
-        jj += 1
-    out *= tau * tau
+    out = f[mm].reshape(s.shape) if mm < len(f) else np.zeros_like(s)
     return out if out.ndim else float(out)
 
 
@@ -353,8 +379,8 @@ def gaussian_output_closed_form(
     each ``B_m`` a pair of Gaussians in the difference coordinate. On the
     grid, ``s = t1 + t2`` and ``d = t1 - t2`` take only ``2n - 1`` values, so
     the factors are rows of two ``(mmax + 1, 2n - 1)`` arrays ``A`` and
-    ``B``; the ``F_m`` chains follow the downward recurrence
-    ``F_m = tau^2 rho^m E(m+2) + F_(m+2)`` on those rows. Then
+    ``B``, with ``E(q)`` and ``F_m`` taken from ``_ladder_table``, which
+    holds only the echo orders that reach the window. Then
     ``C = A.T @ B`` holds every pairing and
     ``out[i, j] = C[i + j, i - j + n - 1]``. Cost: O(mmax n) exponentials
     and memory, plus one O(mmax n^2) matrix product. Verified elsewhere
@@ -366,24 +392,12 @@ def gaussian_output_closed_form(
     # one (t1, t2) pair per value: s[i + j] = t1 + t2, d[i - j + n - 1] = t1 - t2
     s = np.concatenate((t[0] + t, t[-1] + t[1:]))
     d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
-    two_b2 = 2.0 * g.beta**2
     two_s2 = 2.0 * g.sigma**2
 
-    if rho == 0.0:
-        mmax = 0
-    else:
-        mmax = max(1, int(math.ceil(math.log(eps) / math.log(rho))))
-
-    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / two_b2)
-    coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
-    # F_m = tau^2 rho^m E(m+2) + F_(m+2): a reversed running sum per parity
-    f_chain = coef * e_beta[2:]
-    for top in range(max(mmax - 1, 0), mmax + 1):
-        f_chain[top::-2] = np.cumsum(f_chain[top::-2], axis=0)
-
-    a = tau * tau * f_chain - coef * e_beta[: mmax + 1]
+    e_beta, coef, f_chain = _ladder_table(s, g, j, T, eps)
+    a = tau * tau * f_chain - coef * e_beta[:-2]
     a[0] = tau * tau * f_chain[0] + rho * rho * e_beta[0]
-    m_t = (np.arange(1, mmax + 1) * T)[:, None]
+    m_t = (np.arange(1, len(a)) * T)[:, None]
     b = np.empty_like(a)
     b[0] = np.exp(-(d**2) / two_s2)
     b[1:] = np.exp(-((d + m_t) ** 2) / two_s2) + np.exp(-((d - m_t) ** 2) / two_s2)

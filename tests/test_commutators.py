@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +206,48 @@ class TestReindexingIdentity:
         assert lhs == rhs
 
 
+def reference_figure_matrix(
+    j, zprime, T, broadening, v=1.0, t_range=(-3.0, 3.0), nt=1201, nz=240
+):
+    """The map's stripes with weights, skip rule and hit times derived in place."""
+    t_lo, t_hi = t_range
+    t_vals = np.linspace(t_lo, t_hi, nt)
+    z_vals = (np.arange(nz) + 0.5) * (v * T / nz)
+    k_lo = math.floor((-t_hi - 1.0 * T) / T) - 1
+    k_hi = math.ceil((-t_lo + 1.0 * T) / T) + 1
+    norm = 1.0 / (broadening * math.sqrt(2.0 * math.pi))
+    matrix = np.zeros((nt, nz))
+    for ik, z in enumerate(z_vals):
+        base = (z - zprime) / v
+        for k in range(k_lo, k_hi + 1):
+            w = j.rho ** abs(k)
+            if w < 1e-300:
+                continue
+            t_hit = base - k * T
+            matrix[:, ik] += w * norm * np.exp(
+                -((t_vals - t_hit) ** 2) / (2.0 * broadening**2)
+            )
+    return matrix
+
+
 class TestCommutatorFigure:
+    @pytest.mark.parametrize(
+        "rho,zprime,T,t_range",
+        [
+            (np.sqrt(0.998), 0.0, 1.0, (-3.0, 3.0)),
+            (np.sqrt(0.998), 0.333, 1.0, (-3.0, 3.0)),
+            (np.sqrt(0.998), 0.666, 1.0, (-3.0, 3.0)),
+            (0.0, 0.333, 1.0, (-3.0, 3.0)),
+            (0.5, 0.333 * 1.7, 1.7, (-3.0, 3.0)),
+            (np.sqrt(0.998), 0.333, 1.0, (-3.0, 10.0)),
+        ],
+    )
+    def test_bitwise_equals_reference_loop(self, rho, zprime, T, t_range):
+        j = JunctionCoupling(rho)
+        cmap = commutator_figure(j, zprime, T, T / 100.0, t_range=t_range)
+        want = reference_figure_matrix(j, zprime, T, T / 100.0, t_range=t_range)
+        assert cmap.matrix.tobytes() == want.tobytes()
+
     def test_stripe_mass_conserved(self):
         """Area under each rendered stripe equals the underlying delta weight."""
         j = JunctionCoupling(np.sqrt(0.998))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ringecho import (
 )
 import ringecho.two_photon as two_photon
 from ringecho.echo_kernels import _lattice_apply, _lattice_stride
-from ringecho.two_photon import _transform_tiles
+from ringecho.two_photon import _transform_tiles, symmetric_axis
 
 T = 1.0
 
@@ -73,6 +74,66 @@ def reference_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
             np.exp(-((d + m * T) ** 2) / two_s2) + np.exp(-((d - m * T) ** 2) / two_s2)
         )
     return out
+
+
+def reference_eps_table_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
+    """The closed form with its tables sized by eps alone, ``ln eps / ln rho``
+    echo orders whatever the window."""
+    rho, tau = j.rho, j.tau
+    t = t_start + dt * np.arange(n)
+    s = np.concatenate((t[0] + t, t[-1] + t[1:]))
+    d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
+    two_b2 = 2.0 * g.beta**2
+    two_s2 = 2.0 * g.sigma**2
+    mmax = 0 if rho == 0.0 else max(1, int(math.ceil(math.log(eps) / math.log(rho))))
+    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / two_b2)
+    coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
+    f_chain = coef * e_beta[2:]
+    for top in range(max(mmax - 1, 0), mmax + 1):
+        f_chain[top::-2] = np.cumsum(f_chain[top::-2], axis=0)
+    a = tau * tau * f_chain - coef * e_beta[: mmax + 1]
+    a[0] = tau * tau * f_chain[0] + rho * rho * e_beta[0]
+    m_t = (np.arange(1, mmax + 1) * T)[:, None]
+    b = np.empty_like(a)
+    b[0] = np.exp(-(d**2) / two_s2)
+    b[1:] = np.exp(-((d + m_t) ** 2) / two_s2) + np.exp(-((d - m_t) ** 2) / two_s2)
+    c = a.T @ b
+    r = np.arange(n)
+    return c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)].astype(np.complex128)
+
+
+def reference_F_m_loop(m, s_sum, g, j, T, eps=1e-12):
+    """The ladder sum term by term: order |m| always, then every order of
+    its parity while ``rho^order >= eps``."""
+    s = np.asarray(s_sum, dtype=float)
+    rho, tau = j.rho, j.tau
+    mm = abs(int(m))
+    out = np.zeros_like(s)
+    jj = 0
+    while True:
+        coeff = rho ** (mm + 2 * jj) if (mm + 2 * jj) > 0 else 1.0
+        if coeff < eps and jj > 0:
+            break
+        out += coeff * np.exp(-((s - (mm + 2 * jj + 2) * T) ** 2) / (2.0 * g.beta**2))
+        if rho == 0.0:
+            break
+        jj += 1
+    out *= tau * tau
+    return out if out.ndim else float(out)
+
+
+def validate_window(rho):
+    """The closed-form window of ``run_suite``'s ``closed_form_match``."""
+    g = TwoPhotonGaussian(0.4 * T, 0.4 * T)
+    phi = gaussian_amplitude(g, dt=T / 8)
+    return g, JunctionCoupling(rho), T, phi.t1_start, phi.values.shape[0] + 6 * 8, T / 8
+
+
+def figure_window(sigma, beta, tau):
+    """The grid of ``figure fig5``/``fig6`` at one tau."""
+    g = TwoPhotonGaussian(sigma, beta)
+    t_start, n_in = symmetric_axis(g, T / 16)
+    return g, JunctionCoupling.from_tau(tau), T, t_start, n_in + 64, T / 16
 
 
 class TestGaussianAmplitude:
@@ -357,6 +418,77 @@ class TestClosedForm:
         got = gaussian_output_closed_form(g, j, T, t_start, n, dt)
         want = reference_closed_form(g, j, T, t_start, n, dt)
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "case,eps",
+        [(validate_window(rho), 1e-12) for rho in (0.0, 1e-3, 0.5, 0.9, 0.99, 0.999)]
+        + [
+            (figure_window(sigma, beta, tau), 1e-10)
+            for sigma, beta in ((0.3, 0.3), (0.2, 0.7))
+            for tau in (0.999, 0.95, 0.85, 0.60)
+        ]
+        # flat envelope: every order reaches the window, the eps order binds
+        + [((TwoPhotonGaussian(0.3, 1e6), JunctionCoupling(0.75), T, -2.0, 40, 0.25), 1e-12)]
+        # a window past the input's reach: every order is zero there
+        + [((TwoPhotonGaussian(0.3, 0.3), JunctionCoupling(0.9), T, -200.0, 40, 0.25), 1e-12)],
+    )
+    def test_bitwise_equals_eps_sized_table(self, case, eps):
+        got = gaussian_output_closed_form(*case, eps)
+        want = reference_eps_table_closed_form(*case, eps)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_traced_peak_bounded_at_high_q(self):
+        case = validate_window(0.9999)
+        tracemalloc.start()
+        try:
+            gaussian_output_closed_form(*case, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.75, 0.999])
+    @pytest.mark.parametrize("m", [0, 1, -1, 3, -3, 50, 5000])
+    @pytest.mark.parametrize("beta", [0.5, 1e6])
+    def test_ladder_sum_matches_term_by_term_loop(self, rho, m, beta):
+        g, j = TwoPhotonGaussian(0.3, beta), JunctionCoupling(rho)
+        mmax = 0 if rho == 0.0 else math.ceil(math.log(1e-12) / math.log(rho))
+        for s in (np.linspace(-3.0, 60.0, 50), 2.3):
+            got, want = F_m(m, s, g, j, T), reference_F_m_loop(m, s, g, j, T)
+            assert np.shape(got) == np.shape(want)
+            # the table keeps at most one more order, below tau^2 eps; beyond
+            # that, summation rounding of its mmax + 2 terms
+            tol = j.tau**2 * 1e-12 + 4 * (mmax + 2) * 2.0**-52 * np.max(np.abs(want))
+            assert np.max(np.abs(np.asarray(got) - want)) <= tol
+            assert np.array_equal(F_m(-m, s, g, j, T), got)
+
+    @pytest.mark.parametrize("m", [23, 24, 50, 5000])
+    def test_ladder_sum_zero_past_the_reach(self, m):
+        # (|m| + 2) T > max s + 39 beta = 24.5: every Gaussian is 0.0 in float64
+        s = np.linspace(-3.0, 5.0, 17)
+        g, j = TwoPhotonGaussian(0.3, 0.5), JunctionCoupling(0.75)
+        for mm in (m, -m):
+            assert not np.any(F_m(mm, s, g, j, T))
+            assert F_m(mm, 5.0, g, j, T) == 0.0
+
+    @pytest.mark.parametrize("beta,period", [(math.inf, T), (0.5, 1e-300)])
+    def test_ladder_sum_keeps_eps_order_when_reach_overflows(self, beta, period):
+        # (max s + 39 beta) / T is inf: the eps order alone bounds the table
+        g, j = TwoPhotonGaussian(0.3, beta), JunctionCoupling(0.75)
+        assert F_m(0, 0.0, g, j, period) == pytest.approx(1.0, rel=1e-9)
+        for m in (0, 3):
+            want = reference_F_m_loop(m, 0.0, g, j, period)
+            assert F_m(m, 0.0, g, j, period) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [2.5, -0.5, math.nan, math.inf])
+    def test_ladder_sum_rejects_non_integer_order(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            F_m(m, 0.0, TwoPhotonGaussian(0.3, 0.5), JunctionCoupling(0.5), T)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, [0.0, math.inf]])
+    def test_ladder_sum_rejects_non_finite_sum(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            F_m(1, s, TwoPhotonGaussian(0.3, 0.5), JunctionCoupling(0.5), T)
 
     def test_nearly_closed_junction_peak_moves_one_trip(self):
         g = TwoPhotonGaussian(0.3, 0.3)
