@@ -27,7 +27,6 @@ from .echo_kernels import (
     kernel_ab,
     kernel_ba,
     kernel_ca,
-    unit_train,
 )
 from .commutators import (
     CommutatorMap,
@@ -41,23 +40,18 @@ from .commutators import (
 from .highq import (
     QuasimodeParams,
     StepTooCoarse,
-    echo_sum_cavity_field,
     fig4_dataset,
-    g_ca_effective,
     kappa,
     peak_ratio,
     quasimode_commutator,
     quasimode_evolve,
     quasimode_field_error,
-    quasimode_output,
 )
 from .two_photon import (
     JointAmplitudeGrid,
     TwoPhotonGaussian,
     F_m,
-    correlation_function,
     cw_output,
-    cw_truncation_bound,
     gaussian_amplitude,
     gaussian_output_closed_form,
     outer_product_grid,
@@ -69,10 +63,7 @@ from .two_photon import (
     transform_output_on_window,
 )
 from .lossy_cavity import (
-    AbsorberParams,
     LossySpectrumResult,
-    fp_correlation,
-    fp_correlation_integral,
     lossy_output_spectrum,
     noise_power,
     noise_power_quadrature,

@@ -3,10 +3,11 @@
 Emits data files only (CSV by default, JSON on request); plotting is left to
 whatever the user prefers. Outputs are deterministic: identical configuration
 gives byte-identical files, floats are written at 17 significant digits, and
-no timestamps ever enter a data file.
+no timestamps ever enter a data file, nor does a NaN or an infinity.
 
-Exit codes: 0 success, 1 validation failure, 2 bad arguments or a request
-larger than the memory available.
+Exit codes: 0 success, 1 validation failure, 2 bad arguments, a request
+larger than the memory available, arithmetic outside the floating-point
+range, or a data file that would hold a non-finite value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core_response import (
     JunctionCoupling,
     density_of_states_profile,
 )
-from .highq import fig4_dataset, kappa
+from .highq import fig4_dataset
 from .lossy_cavity import lossy_output_spectrum
 from .two_photon import (
     TwoPhotonGaussian,
@@ -96,47 +97,49 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_rows(path: Path, rows, header: list[str] | None = None) -> Path:
-    """The one CSV writer: an optional header, then one line per row."""
+def _non_finite(path: Path) -> BadArguments:
+    return BadArguments(f"{path} would hold non-finite values; not written")
+
+
+def _write_rows(path: Path, matrix: np.ndarray, header: list[str] | None = None) -> Path:
+    """The one CSV writer: an optional header, then one line per matrix row."""
+    if not np.isfinite(matrix).all():
+        raise _non_finite(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
-        for row in rows:
+        for row in matrix:
             writer.writerow([_fmt(float(v)) for v in row])
     return path
 
 
-def write_table(path: Path, header: list[str], columns: list[np.ndarray], fmt: str) -> Path:
-    rows = list(zip(*columns))
-    if fmt == "csv":
-        path = _write_rows(path.with_suffix(".csv"), rows, header)
-    else:
-        path = path.with_suffix(".json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"columns": header, "data": [[float(v) for v in row] for row in rows]},
-                fh,
-            )
+def _write_json(path: Path, doc: dict, indent: int | None = None) -> Path:
+    """The one JSON writer; it refuses NaN and infinities before opening."""
+    try:
+        text = json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:
+        raise _non_finite(path) from None
+    path.write_text(text)
     return path
+
+
+def write_table(path: Path, header: list[str], columns: list[np.ndarray], fmt: str) -> Path:
+    table = np.column_stack(columns)
+    if fmt == "csv":
+        return _write_rows(path.with_suffix(".csv"), table, header)
+    return _write_json(path.with_suffix(".json"), {"columns": header, "data": table.tolist()})
 
 
 def write_matrix(
     path: Path, matrix: np.ndarray, meta: dict, fmt: str
 ) -> list[Path]:
-    written = []
     if fmt == "csv":
-        written.append(_write_rows(path.with_suffix(".csv"), matrix))
-        m = path.with_name(path.name + "_axes").with_suffix(".json")
-        with open(m, "w") as fh:
-            json.dump(meta, fh)
-        written.append(m)
-    else:
-        p = path.with_suffix(".json")
-        with open(p, "w") as fh:
-            json.dump({**meta, "values": matrix.tolist()}, fh)
-        written.append(p)
-    return written
+        return [
+            _write_rows(path.with_suffix(".csv"), matrix),
+            _write_json(path.with_name(path.name + "_axes").with_suffix(".json"), meta),
+        ]
+    return [_write_json(path.with_suffix(".json"), {**meta, "values": matrix.tolist()})]
 
 
 def cmd_figure(name: str, cfg: RunConfig) -> int:
@@ -175,7 +178,7 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
         j = cfg.junction(math.sqrt(0.998))
         broadening = T / 100.0
         for label, zp in (("a", 0.0), ("b", 0.333), ("c", 0.666)):
-            cmap = commutator_figure(j, zp * T, T, broadening)
+            cmap = commutator_figure(j, zp * T, T, broadening, t_range=(-3.0 * T, 3.0 * T))
             meta = {
                 "zprime": zp * T,
                 "broadening": broadening,
@@ -189,7 +192,7 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             z_at_peak = float(cmap.z_values[int(np.argmax(cmap.matrix[row0]))])
             print(
                 f"fig3{label}: zprime={zp:g}  t=0 crossing at z = {z_at_peak:.4f} "
-                f"(expected {zp:g})"
+                f"(expected {zp * T:g})"
             )
 
     elif name == "fig4":
@@ -198,8 +201,9 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             if cfg.coupling_given
             else [JunctionCoupling(0.97), JunctionCoupling(0.70)]
         )
+        trips = 10
         for j in couplings:
-            dt_sep, rendered, envelope = fig4_dataset(j, "linear", T / 100.0, T)
+            dt_sep, rendered, envelope = fig4_dataset(j, "linear", T / 100.0, T, trips * T)
             label = f"fig4_rho{j.rho:g}".replace(".", "p")
             written.append(
                 write_table(
@@ -209,9 +213,9 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
                     cfg.format,
                 )
             )
-            ks = np.arange(1, int(dt_sep[-1] / T) + 1)
-            q = kappa(j, T, "linear")
-            dev = float(np.max(np.abs(np.exp(-q.kappa * ks * T) - j.rho**ks)))
+            # the samples at dt = T, 2T, ..., trips T
+            lattice = np.arange(1, trips + 1) * ((len(dt_sep) - 1) // trips)
+            dev = float(np.max(np.abs(envelope[lattice] - rendered[lattice])))
             flag = "significant deviation" if dev > 0.02 else "envelope tracks train"
             print(f"fig4 rho={j.rho:g}: max lattice deviation = {dev:.4f} ({flag})")
 
@@ -245,9 +249,7 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             else:
                 doc = {**axes, **meta, "magnitude": mag.tolist(), "phase": phase.tolist()}
                 p = (out_dir / label).with_suffix(".json")
-            with open(p, "w") as fh:
-                json.dump(doc, fh)
-            written.append(p)
+            written.append(_write_json(p, doc))
             pk = peak_locate(grid)
             sv = separability_rank(grid)
             ratio = float(sv[1]) if len(sv) > 1 else 0.0
@@ -276,9 +278,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         "checks": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    report_path = out_dir / "validation_report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
+    report_path = _write_json(out_dir / "validation_report.json", report, indent=2)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         if r.skipped:
@@ -429,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: outside the floating-point range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -7,8 +7,11 @@ circulating-field commutator is ``correlate(kernel_ca, kernel_ca)`` (weights
 ``rho^|k|``), the circulating/input cross commutator is ``kernel_ca`` itself,
 and the output commutator is ``correlate(kernel_ba, kernel_ba)``. This module
 checks the output commutator against an independent path through the
-junction relation, built from ``kernel_ca``, locates where the two-position
-commutator fires, and renders its space-time structure as a 2-D map.
+junction relation, built from ``kernel_ca``, and locates where the
+two-position commutator fires (``spacetime_commutator_support``, the one
+place outside the checks that writes the weights ``rho^|k|``). One renderer,
+``_broadened``, draws that support's deltas as Gaussians, both for the 2-D
+space-time map here and for ``highq.fig4_dataset``'s 1-D train.
 """
 
 from __future__ import annotations
@@ -183,9 +186,22 @@ def commutator_figure(
     matrix = np.zeros((nt, nz))
     ref, kmax = SpaceTimePoint(zprime, 0.0), max(-k_lo, k_hi)
     for ik, z in enumerate(z_vals):
-        for k, w, t_hit in spacetime_commutator_support(j, SpaceTimePoint(z, 0.0), ref, v, T, kmax):
-            if k_lo <= k <= k_hi:
-                matrix[:, ik] += w * norm * np.exp(
-                    -((t_vals - t_hit) ** 2) / (2.0 * broadening**2)
-                )
+        support = spacetime_commutator_support(j, SpaceTimePoint(z, 0.0), ref, v, T, kmax)
+        lags = [lag for lag in support if k_lo <= lag[0] <= k_hi]
+        matrix[:, ik] = _broadened(t_vals, lags, broadening, norm)
     return CommutatorMap(z_vals, t_vals, matrix, broadening)
+
+
+def _broadened(
+    t: np.ndarray, lags: list[tuple[int, float, float]], broadening: float, scale: float
+) -> np.ndarray:
+    """Draw (lag, weight, hit time) deltas on ``t`` as Gaussians of width
+    ``broadening`` and height ``weight * scale``, added in the order given.
+
+    The renderer of both commutator figures: ``commutator_figure`` scales by
+    the area normalization, ``highq.fig4_dataset`` by 1 (peak = weight).
+    """
+    out = np.zeros_like(t)
+    for _, w, t_hit in lags:
+        out += w * scale * np.exp(-((t - t_hit) ** 2) / (2.0 * broadening**2))
+    return out

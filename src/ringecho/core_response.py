@@ -59,7 +59,7 @@ class JunctionCoupling:
 
 @dataclass(frozen=True)
 class RingGeometry:
-    """Loop length and group velocity; round trip and FSR are derived.
+    """Loop length and group velocity; the round trip is derived.
 
     Parameters
     ----------
@@ -84,11 +84,6 @@ class RingGeometry:
     def round_trip(self) -> float:
         """Round-trip time T = L / v."""
         return self.length / self.group_velocity
-
-    @property
-    def fsr(self) -> float:
-        """Free spectral range Omega = 2 pi / T (rad/time)."""
-        return TWO_PI / self.round_trip
 
 
 @dataclass(frozen=True)

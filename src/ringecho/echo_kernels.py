@@ -219,11 +219,6 @@ def kernel_ab(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     return DeltaTrain(T, -(f.k0 + len(f.c) - 1), f.c[::-1], eps, f.tail_bound)
 
 
-def unit_train(T: float) -> DeltaTrain:
-    """The identity element for convolution, a single unit delta at 0."""
-    return DeltaTrain(T, 0, [1.0])
-
-
 def _check_same_period(f: DeltaTrain, g: DeltaTrain) -> None:
     if not math.isclose(f.period, g.period, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError(

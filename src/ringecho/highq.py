@@ -1,17 +1,16 @@
 """Single-mode (quasimode) limit of the cavity and its validity diagnostics.
 
 For a nearly closed junction the circulating field behaves as one damped
-mode: a Lorentzian spectral response of width kappa and an exponential
-commutator envelope. This module provides that reduced model next to
-quantitative measures of when it breaks down, so the approximation is used
-with its error bars attached rather than on faith.
+mode with an exponential commutator envelope ``exp(-kappa |dt|)``. This
+module provides that reduced model next to quantitative measures of when it
+breaks down, so the approximation is used with its error bars attached
+rather than on faith.
 
-Three damping-rate conventions are supported and always carried with their
+Two damping-rate conventions are supported and always carried with their
 label:
 
-- ``exact``:        kappa = ln(1/rho) / T, so exp(-kappa T) = rho exactly.
-- ``linear``:       kappa = (1 - rho) / T.
-- ``transmissive``: kappa = tau^2 / (2 T).
+- ``exact``:  kappa = ln(1/rho) / T, so exp(-kappa T) = rho exactly.
+- ``linear``: kappa = (1 - rho) / T.
 
 They agree to first order in (1 - rho) and drift apart at moderate coupling.
 """
@@ -24,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_response import JunctionCoupling
-from .echo_kernels import SampledSignal
+from .commutators import SpaceTimePoint, _broadened, spacetime_commutator_support
+from .echo_kernels import SampledSignal, apply_train, kernel_ca
 
-KAPPA_FLAVORS = ("exact", "linear", "transmissive")
+KAPPA_FLAVORS = ("exact", "linear")
 
 
 class StepTooCoarse(ValueError):
@@ -63,23 +63,9 @@ def kappa(j: JunctionCoupling, T: float, flavor: str = "exact") -> QuasimodePara
         value = math.log(1.0 / j.rho) / T
     elif flavor == "linear":
         value = (1.0 - j.rho) / T
-    elif flavor == "transmissive":
-        value = j.tau * j.tau / (2.0 * T)
     else:
         raise ValueError(f"flavor must be one of {KAPPA_FLAVORS}, got {flavor!r}")
     return QuasimodeParams(value, flavor)
-
-
-def g_ca_effective(omega, j: JunctionCoupling, T: float):
-    """Lorentzian stand-in for the circulating-field response.
-
-    ``(tau/T) / (kappa - i omega)`` with the exact damping rate. Its peak is
-    tau / ln(1/rho) versus the true tau / (1 - rho); the ratio of the two,
-    (1 - rho)/ln(1/rho), is the cheapest single-number regime diagnostic.
-    """
-    q = kappa(j, T, "exact")
-    out = (j.tau / T) / (q.kappa - 1j * np.asarray(omega, dtype=float))
-    return out if out.ndim else complex(out)
 
 
 def peak_ratio(j: JunctionCoupling) -> float:
@@ -120,40 +106,13 @@ def quasimode_evolve(a: SampledSignal, q: QuasimodeParams) -> SampledSignal:
     return SampledSignal(a.t0, a.dt, out)
 
 
-def quasimode_output(
-    a: SampledSignal, c: SampledSignal, q: QuasimodeParams
-) -> SampledSignal:
-    """Output field of the reduced model, B = sqrt(2 kappa) C - A.
+def quasimode_commutator(dt_sep, q: QuasimodeParams):
+    """Commutator envelope exp(-kappa |dt|); equals 1 at zero separation.
 
-    The corresponding frequency response (kappa + i omega)/(kappa - i omega)
-    is unimodular, so the reduced model conserves energy exactly even though
-    it is an approximation.
+    Takes a scalar or an array of separations and returns the same shape.
     """
-    if len(a) != len(c) or abs(a.t0 - c.t0) > 1e-12 or abs(a.dt - c.dt) > 1e-15:
-        raise ValueError("input and mode signals must share the same grid")
-    return SampledSignal(
-        a.t0, a.dt, math.sqrt(2.0 * q.kappa) * c.values - a.values
-    )
-
-
-def quasimode_commutator(dt_sep: float, q: QuasimodeParams) -> float:
-    """Commutator envelope exp(-kappa |dt|); equals 1 at zero separation."""
-    return math.exp(-q.kappa * abs(dt_sep))
-
-
-def echo_sum_cavity_field(
-    a: SampledSignal, j: JunctionCoupling, T: float, eps: float = 1e-10
-) -> SampledSignal:
-    """Exact circulating field in quasimode normalization, sqrt(T) x echo sum.
-
-    This is the reference the reduced model is judged against: the full
-    delta-train response applied to the input and rescaled by sqrt(T) at the
-    comparison boundary.
-    """
-    from .echo_kernels import apply_train, kernel_ca
-
-    exact = apply_train(kernel_ca(j, T, eps), a)
-    return SampledSignal(exact.t0, exact.dt, math.sqrt(T) * exact.values)
+    out = np.exp(-q.kappa * np.abs(np.asarray(dt_sep, dtype=float)))
+    return out if out.ndim else float(out)
 
 
 def quasimode_field_error(
@@ -167,10 +126,11 @@ def quasimode_field_error(
     """
     q = kappa(j, T, "exact")
     approx = quasimode_evolve(a, q)
-    exact = echo_sum_cavity_field(a, j, T, eps)
+    # the exact field in quasimode normalization: sqrt(T) x the echo sum
     n = len(a)
-    diff = approx.values - exact.values[:n]
-    denom = np.linalg.norm(exact.values[:n])
+    exact = math.sqrt(T) * apply_train(kernel_ca(j, T, eps), a).values[:n]
+    diff = approx.values - exact
+    denom = np.linalg.norm(exact)
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(diff) / denom)
@@ -195,12 +155,10 @@ def fig4_dataset(
         raise ValueError("broadening must be positive")
     q = kappa(j, T, flavor)
     dt_sep = np.linspace(0.0, t_max, n_points)
-    rendered = np.zeros_like(dt_sep)
     kmax = int(math.floor(t_max / T)) + 1
-    for k in range(kmax + 1):
-        w = j.rho**k if k > 0 else 1.0
-        if w < 1e-300:
-            break
-        rendered += w * np.exp(-((dt_sep - k * T) ** 2) / (2.0 * broadening**2))
-    envelope = np.exp(-q.kappa * dt_sep)
-    return dt_sep, rendered, envelope
+    # the train at z = z': lags 0, -1, ..., -kmax hit at t = 0, T, 2T, ...
+    here = SpaceTimePoint(0.0, 0.0)
+    support = spacetime_commutator_support(j, here, here, 1.0, T, kmax)
+    lags = [lag for lag in reversed(support) if lag[0] <= 0]
+    rendered = _broadened(dt_sep, lags, broadening, 1.0)
+    return dt_sep, rendered, quasimode_commutator(dt_sep, q)

@@ -8,13 +8,12 @@ round-trip amplitude by ``exp(-Gamma T)``, shrinking the pole radius from
 rho to ``rho exp(-Gamma T)``.
 
 The output channel is then no longer unimodular; what the mean field loses,
-the fluctuations replace. This module holds that noise model: the absorber
-constants, the correlation of the eliminated fluctuations, the noise power
-``N(omega)`` and the filtered output spectrum. ``N`` is normalized by the
-only physically forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is
-the lossy generalization of the free-space output commutator. All
-bookkeeping here is deterministic second moments; no noise realizations are
-sampled.
+the fluctuations replace. This module holds that noise model: the noise
+power ``N(omega)``, its quadrature cross-check and the filtered output
+spectrum. ``N`` is normalized by the only physically forced condition, the
+sum rule ``|g_ba|^2 + N = 1``, which is the lossy generalization of the
+free-space output commutator. All bookkeeping here is deterministic second
+moments; no noise realizations are sampled.
 """
 
 from __future__ import annotations
@@ -25,61 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_response import JunctionCoupling, _pole_and_phase, g_ba, g_ca
-
-
-@dataclass(frozen=True)
-class AbsorberParams:
-    """Microscopic absorber constants; only the combination Gamma enters.
-
-    Parameters
-    ----------
-    gamma : float
-        Dipole damping rate of the medium (1/time), positive.
-    alpha_c, beta_c : float
-        Field-polarization and polarization-field couplings. Their absolute
-        normalization is not pinned down; only ``Gamma = alpha_c beta_c /
-        gamma`` is ever used downstream.
-    """
-
-    gamma: float
-    alpha_c: float
-    beta_c: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.alpha_c * self.beta_c < 0.0:
-            raise ValueError("couplings must give a non-negative attenuation rate")
-
-    @property
-    def Gamma(self) -> float:
-        """Field attenuation rate alpha_c * beta_c / gamma."""
-        return self.alpha_c * self.beta_c / self.gamma
-
-    def is_adiabatic(self, T: float, min_gamma_T: float = 20.0) -> bool:
-        """Whether the medium relaxes fast on the round-trip scale."""
-        return self.gamma * T > min_gamma_T
-
-
-def fp_correlation(dt_sep: float, gamma: float):
-    """Normalized correlation of the eliminated polarization fluctuations.
-
-    ``exp(-gamma |dt|)``; its integral over the separation is 2/gamma, so for
-    large gamma it acts on slow test functions as a delta of that weight.
-    (The proportionality constant of the underlying force is not fixed by
-    the model; the sum rule below is insensitive to it.)
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    out = np.exp(-gamma * np.abs(np.asarray(dt_sep, dtype=float)))
-    return out if out.ndim else float(out)
-
-
-def fp_correlation_integral(gamma: float) -> float:
-    """Closed form of the correlation's time integral, 2/gamma."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return 2.0 / gamma
 
 
 def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):

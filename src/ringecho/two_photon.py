@@ -262,18 +262,6 @@ def cw_output(
     return residual, SampledSignal(d.t0, d.dt, rec)
 
 
-def cw_truncation_bound(
-    j: JunctionCoupling, kmax: int, d_max: float = 1.0
-) -> float:
-    """Analytic bound on the cw residual from truncating all ladders at kmax."""
-    rho, tau = j.rho, j.tau
-    if rho == 0.0:
-        return 0.0
-    single = 2.0 * tau * tau * rho ** (kmax + 1) / (1.0 - rho)
-    double = tau**4 * rho**kmax * (kmax + 1.0 / (1.0 - rho)) / (1.0 - rho)
-    return (single + 2.0 * double) * d_max
-
-
 def resummation_check(
     rho: float, d: SampledSignal, T: float, nmax: int = 80
 ) -> float:
@@ -432,11 +420,6 @@ def outer_product_grid(
     return JointAmplitudeGrid(
         psi1.t0, psi2.t0, psi1.dt, np.outer(psi1.values, psi2.values)
     )
-
-
-def correlation_function(phi: JointAmplitudeGrid) -> np.ndarray:
-    """Coincidence-rate surface |Phi(t1, t2)|^2."""
-    return np.abs(phi.values) ** 2
 
 
 def peak_locate(phi: JointAmplitudeGrid) -> tuple[float, float]:

@@ -47,10 +47,12 @@ from . import (
     kernel_ab,
     kernel_ba,
     kernel_ca,
+    noise_power,
     noise_power_quadrature,
     outer_product_grid,
     output_commutator_check,
     peak_ratio,
+    quasimode_commutator,
     resummation_check,
     run,
     separable_output,
@@ -302,10 +304,8 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
 
     # -- quasimode ------------------------------------------------------------
     if j.rho > 0.0:
-        q = kappa(j, T, "exact")
-        err = max(
-            abs(math.exp(-q.kappa * k * T) - rho**k) for k in range(21)
-        )
+        env = quasimode_commutator(np.arange(21) * T, kappa(j, T, "exact"))
+        err = max(abs(float(env[k]) - rho**k) for k in range(21))
         check("envelope_interpolation", err < 1e-13, f"max |e^-k kT - rho^k| = {err:.3g}")
         pr = peak_ratio(j)
         check(
@@ -325,9 +325,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     check("lossy_sum_rule", worst < 1e-12, f"max residual = {worst:.3g}")
 
     nq = noise_power_quadrature(ws[:50], j, T, 0.2 / T)
-    from .lossy_cavity import noise_power as np_closed
-
-    err = float(np.max(np.abs(nq - np_closed(ws[:50], j, T, 0.2 / T))))
+    err = float(np.max(np.abs(nq - noise_power(ws[:50], j, T, 0.2 / T))))
     check("noise_quadrature_match", err < 1e-6, f"max quadrature deviation = {err:.3g}")
 
     # -- oracle ---------------------------------------------------------------

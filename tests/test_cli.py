@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +153,58 @@ class TestFigureCommand:
     def test_bad_round_trip_exits_2(self, tmp_path, capsys, T):
         assert main(["figure", "fig2", "--T", T, "--out", str(tmp_path)]) == 2
         assert "T must be finite and positive" in capsys.readouterr().err
+
+
+def assert_all_finite(out_dir):
+    """Every number in every file under ``out_dir`` is finite."""
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} written")
+
+    for path in out_dir.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=refuse)
+            continue
+        for line in text.splitlines():
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:  # a header
+                    continue
+                assert math.isfinite(value), f"{path.name}: {field}"
+
+
+class TestRoundTripRange:
+    """Figures at either end of --T: the right files, or exit 2 and no file of NaN."""
+
+    @pytest.mark.parametrize("T", ["1e-300", "1e-3", "2", "11", "1e160", "1e300"])
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6"])
+    def test_finite_files_or_exit_2(self, tmp_path, capsys, name, T):
+        rc = main(["figure", name, "--T", T, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert "Traceback" not in err
+            assert any(line.startswith("error: ") for line in err.splitlines())
+        assert_all_finite(tmp_path)
+
+    def test_fig3_cost_does_not_grow_as_T_shrinks(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["figure", "fig3", "--T", "1e-3", "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 10.0
+
+    def test_fig3_summary_scales_expected_crossing_with_T(self, tmp_path, capsys):
+        assert main(["figure", "fig3", "--T", "2", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "fig3b: zprime=0.333  t=0 crossing at z = 0.6625 (expected 0.666)" in out
+        assert "(expected 1.332)" in out
+
+    def test_fig4_spans_ten_round_trips(self, tmp_path):
+        assert main(["figure", "fig4", "--T", "11", "--rho", "0.5", "--out", str(tmp_path)]) == 0
+        _, data = read_csv(tmp_path / "fig4_rho0p5.csv")
+        assert data[-1, 0] == 110.0
+        assert data[1200, 0] == pytest.approx(33.0, rel=1e-15)  # 4001 samples over 10T
+        assert data[1200, 1] == pytest.approx(0.5**3, rel=1e-12)
 
 
 class TestValidateCommand:

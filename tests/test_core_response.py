@@ -48,7 +48,6 @@ class TestRingGeometry:
     def test_derived_quantities(self):
         geom = RingGeometry(length=3.0, group_velocity=1.5)
         assert geom.round_trip == 2.0
-        assert abs(geom.fsr - math.pi) < 1e-15
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from ringecho import (
     kernel_ab,
     kernel_ba,
     kernel_ca,
-    unit_train,
 )
 import ringecho.echo_kernels as echo_kernels
 from ringecho.echo_kernels import _lattice_apply
@@ -189,7 +188,7 @@ class TestKernelWeights:
 class TestTrainAlgebra:
     def test_convolution_identity_element(self):
         f = kernel_ca(J75, 1.0)
-        assert convolve(f, unit_train(1.0)).max_abs_diff(f) == 0.0
+        assert convolve(f, DeltaTrain(1.0, 0, [1.0])).max_abs_diff(f) == 0.0
 
     def test_convolution_commutes(self):
         f = kernel_ca(J75, 1.0, eps=1e-8)
@@ -238,7 +237,7 @@ class TestTrainAlgebra:
 class TestApply:
     def test_identity_train(self):
         s = SampledSignal(0.0, 0.25, np.arange(8, dtype=complex))
-        out = apply_train(unit_train(1.0), s)
+        out = apply_train(DeltaTrain(1.0, 0, [1.0]), s)
         assert out.t0 == s.t0
         assert np.array_equal(out.values, s.values)
 

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from ringecho import (
-    AbsorberParams,
     JunctionCoupling,
-    fp_correlation,
-    fp_correlation_integral,
     g_ba,
     g_ca,
     lossy_output_spectrum,
@@ -19,47 +16,6 @@ from ringecho import (
 
 J75 = JunctionCoupling(0.75)
 T = 1.0
-
-
-class TestAbsorberParams:
-    def test_attenuation_rate(self):
-        p = AbsorberParams(gamma=40.0, alpha_c=2.0, beta_c=3.0)
-        assert p.Gamma == pytest.approx(0.15)
-
-    def test_adiabatic_guard(self):
-        p = AbsorberParams(gamma=40.0, alpha_c=1.0, beta_c=1.0)
-        assert p.is_adiabatic(1.0)
-        assert not p.is_adiabatic(0.1)
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            AbsorberParams(gamma=0.0, alpha_c=1.0, beta_c=1.0)
-
-
-class TestPolarizationFluctuations:
-    def test_equal_time_value(self):
-        assert fp_correlation(0.0, 4.0) == 1.0
-
-    def test_time_integral_matches_closed_form(self):
-        # quadrature oracle for int exp(-gamma |t|) dt = 2/gamma,
-        # integrating the smooth half-line and doubling
-        gamma = 4.0
-        t = np.linspace(0.0, 20.0, 200001)
-        integral = 2.0 * float(np.trapezoid(fp_correlation(t, gamma), t))
-        assert integral == pytest.approx(2.0 / gamma, rel=1e-7)
-        assert fp_correlation_integral(gamma) == pytest.approx(0.5)
-
-    def test_acts_as_delta_for_fast_damping(self):
-        """Against slow test functions the correlation is (2/gamma) x delta."""
-        width = 1.0
-        t = np.linspace(-8.0, 8.0, 160001)
-        test_fn = np.exp(-(t**2) / (2.0 * width**2))
-        for gamma in (50.0, 200.0):
-            conv = float(np.trapezoid(fp_correlation(t, gamma) * test_fn, t))
-            assert conv == pytest.approx(
-                fp_correlation_integral(gamma) * test_fn[len(t) // 2],
-                rel=2.0 / (gamma * width) ** 2,
-            )
 
 
 class TestLossyTransferFunctions:

