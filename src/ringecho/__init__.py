@@ -8,10 +8,8 @@ brute-force lattice simulator that cross-validates all of it.
 """
 
 from .core_response import (
-    FrequencyGrid,
     JunctionCoupling,
     RingGeometry,
-    density_of_states_profile,
     fsr_integral,
     g_ab,
     g_ba,
@@ -63,8 +61,7 @@ from .two_photon import (
     transform_output_on_window,
 )
 from .lossy_cavity import (
-    LossySpectrumResult,
-    lossy_output_spectrum,
+    absorbed_fraction,
     noise_power,
     noise_power_quadrature,
     sum_rule_residual,

@@ -7,7 +7,8 @@ no timestamps ever enter a data file, nor does a NaN or an infinity.
 
 Exit codes: 0 success, 1 validation failure, 2 bad arguments, a request
 larger than the memory available, arithmetic outside the floating-point
-range, or a data file that would hold a non-finite value.
+range (a figure stops at its first overflow or NaN; the message names
+``--T``), or a data file that would hold a non-finite value.
 """
 
 from __future__ import annotations
@@ -23,13 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .commutators import commutator_figure
-from .core_response import (
-    FrequencyGrid,
-    JunctionCoupling,
-    density_of_states_profile,
-)
-from .highq import fig4_dataset
-from .lossy_cavity import lossy_output_spectrum
+from .core_response import JunctionCoupling, g_ca
+from .highq import FIG4_TRIPS, fig4_dataset
+from .lossy_cavity import absorbed_fraction
 from .two_photon import (
     TwoPhotonGaussian,
     gaussian_output_closed_form,
@@ -159,9 +156,9 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
     if name == "fig2":
         j = cfg.junction(0.75)
         fsr = 2.0 * math.pi / T
-        grid = FrequencyGrid(-1.5 * fsr, 3.0 * fsr / 1200, 1201)
-        omega, dos = density_of_states_profile(j, T, grid)
-        _, dos_flat = density_of_states_profile(JunctionCoupling(0.0), T, grid)
+        omega = -1.5 * fsr + (3.0 * fsr / 1200) * np.arange(1201)
+        dos = np.abs(g_ca(omega, j, T)) ** 2
+        dos_flat = np.abs(g_ca(omega, JunctionCoupling(0.0), T)) ** 2
         written.append(
             write_table(
                 out_dir / "fig2",
@@ -176,12 +173,11 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
 
     elif name == "fig3":
         j = cfg.junction(math.sqrt(0.998))
-        broadening = T / 100.0
         for label, zp in (("a", 0.0), ("b", 0.333), ("c", 0.666)):
-            cmap = commutator_figure(j, zp * T, T, broadening, t_range=(-3.0 * T, 3.0 * T))
+            cmap = commutator_figure(j, zp * T, T)
             meta = {
                 "zprime": zp * T,
-                "broadening": broadening,
+                "broadening": cmap.broadening,
                 "z_values": [float(z) for z in cmap.z_values],
                 "t_values": [float(t) for t in cmap.t_values],
             }
@@ -201,9 +197,8 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             if cfg.coupling_given
             else [JunctionCoupling(0.97), JunctionCoupling(0.70)]
         )
-        trips = 10
         for j in couplings:
-            dt_sep, rendered, envelope = fig4_dataset(j, "linear", T / 100.0, T, trips * T)
+            dt_sep, rendered, envelope = fig4_dataset(j, T)
             label = f"fig4_rho{j.rho:g}".replace(".", "p")
             written.append(
                 write_table(
@@ -213,8 +208,8 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
                     cfg.format,
                 )
             )
-            # the samples at dt = T, 2T, ..., trips T
-            lattice = np.arange(1, trips + 1) * ((len(dt_sep) - 1) // trips)
+            # the samples at dt = T, 2T, ..., FIG4_TRIPS T
+            lattice = np.arange(1, FIG4_TRIPS + 1) * ((len(dt_sep) - 1) // FIG4_TRIPS)
             dev = float(np.max(np.abs(envelope[lattice] - rendered[lattice])))
             flag = "significant deviation" if dev > 0.02 else "envelope tracks train"
             print(f"fig4 rho={j.rho:g}: max lattice deviation = {dev:.4f} ({flag})")
@@ -337,9 +332,7 @@ def cmd_sweep(
         fsr = 2.0 * math.pi / T
         omega = (np.arange(2048) + 0.5) * (fsr / 2048)
         a = np.ones(2048)
-        vals = np.array(
-            [lossy_output_spectrum(omega, a, j, T, gt / T).absorbed_fraction for gt in gts]
-        )
+        vals = np.array([absorbed_fraction(omega, a, j, T, gt / T) for gt in gts])
         path = write_table(out_dir / "sweep_absorbed_fraction",
                            ["GammaT", "absorbed_fraction"], [gts, vals], cfg.format)
 
@@ -417,7 +410,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         if args.command == "figure":
-            return cmd_figure(args.name, cfg)
+            # every figure scales with T: at its ends, stop at the first
+            # overflow or NaN rather than warn and write on
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return cmd_figure(args.name, cfg)
         if args.command == "validate":
             return cmd_validate(cfg)
         return cmd_sweep(args.metric, args.start, args.stop, args.count, cfg)
@@ -431,7 +427,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        print(f"error: outside the floating-point range: {exc}", file=sys.stderr)
+        print(f"error: outside the floating-point range at --T {cfg.T:g}: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -9,9 +9,11 @@ and the output commutator is ``correlate(kernel_ba, kernel_ba)``. This module
 checks the output commutator against an independent path through the
 junction relation, built from ``kernel_ca``, and locates where the
 two-position commutator fires (``spacetime_commutator_support``, the one
-place outside the checks that writes the weights ``rho^|k|``). One renderer,
-``_broadened``, draws that support's deltas as Gaussians, both for the 2-D
-space-time map here and for ``highq.fig4_dataset``'s 1-D train.
+place outside the checks that writes the weights ``rho^|k|``). Positions
+are in time units (group velocity 1), so the loop is 0 <= z < T. One
+renderer, ``_broadened``, draws that support's deltas as Gaussians of width
+T/100, both for the paper's 2-D space-time map here (window -3T <= t <= 3T)
+and for ``highq.fig4_dataset``'s 1-D train.
 """
 
 from __future__ import annotations
@@ -61,22 +63,20 @@ def spacetime_commutator_support(
     j: JunctionCoupling,
     p: SpaceTimePoint,
     p_ref: SpaceTimePoint,
-    v: float,
     T: float,
     kmax: int,
 ) -> list[tuple[int, float, float]]:
     """Where the two-position circulating-field commutator fires.
 
-    For each lag k in [-kmax, kmax] the delta at
-    ``t = t_ref + (z - z_ref)/v - k T`` carries weight ``rho^|k|``. Both
-    positions must lie inside the loop, 0 <= z < L = v T. At equal times
-    only z = z_ref (lag 0) can fire, which is the fundamental equal-time
-    relation; at fixed positions infinitely many times fire.
+    Positions are in time units (the group velocity is 1), so the loop is
+    0 <= z < T. For each lag k in [-kmax, kmax] the delta at
+    ``t = t_ref + (z - z_ref) - k T`` carries weight ``rho^|k|``. At equal
+    times only z = z_ref (lag 0) can fire, which is the fundamental
+    equal-time relation; at fixed positions infinitely many times fire.
     """
-    L = v * T
     for q in (p, p_ref):
-        if not 0.0 <= q.z < L:
-            raise ValueError(f"position {q.z} outside the loop [0, {L})")
+        if not 0.0 <= q.z < T:
+            raise ValueError(f"position {q.z} outside the loop [0, {T})")
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     out = []
@@ -84,7 +84,7 @@ def spacetime_commutator_support(
         w = j.rho ** abs(k) if k != 0 else 1.0
         if w == 0.0:
             continue
-        t_hit = p_ref.t + (p.z - p_ref.z) / v - k * T
+        t_hit = p_ref.t + (p.z - p_ref.z) - k * T
         out.append((k, w, t_hit))
     return out
 
@@ -138,7 +138,7 @@ def output_commutator_decomposition(
 
 
 def output_commutator_check(
-    j: JunctionCoupling, eps: float = 1e-12, T: float = 1.0
+    j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
 ) -> UnitTrainCheck:
     """Verify the output field keeps the free-space commutator.
 
@@ -155,39 +155,29 @@ def output_commutator_check(
 
 
 def commutator_figure(
-    j: JunctionCoupling,
-    zprime: float,
-    T: float,
-    broadening: float,
-    v: float = 1.0,
-    t_range: tuple[float, float] = (-3.0, 3.0),
-    nt: int = 1201,
-    nz: int = 240,
+    j: JunctionCoupling, zprime: float, T: float, nt: int = 1201, nz: int = 240
 ) -> CommutatorMap:
     """Render |commutator(z, t; z', t'=0)| over the loop cross-section.
 
-    Each delta that ``spacetime_commutator_support`` lists and whose stripe
-    can enter the window becomes an area-normalized Gaussian of width
-    ``broadening`` in t, producing the slanted-stripe picture: one stripe per lag k,
-    crossing t = 0 only at z = z'.
+    The window is -3T <= t <= 3T on ``nt`` samples, by ``nz`` positions
+    across the loop 0 <= z < T (in time units). Each delta that
+    ``spacetime_commutator_support`` lists and whose stripe can enter the
+    window becomes an area-normalized Gaussian of width T/100 in t,
+    producing the slanted-stripe picture: one stripe per lag k, crossing
+    t = 0 only at z = z'.
     """
-    L = v * T
-    if not 0.0 <= zprime < L:
-        raise ValueError(f"zprime {zprime} outside the loop [0, {L})")
-    if broadening <= 0.0:
-        raise ValueError("broadening must be positive")
-    t_lo, t_hi = t_range
-    t_vals = np.linspace(t_lo, t_hi, nt)
-    z_vals = (np.arange(nz) + 0.5) * (L / nz)
-    # lags whose stripes can enter the window (offset (z - z')/v is < T)
-    k_lo = math.floor((-t_hi - 1.0 * T) / T) - 1
-    k_hi = math.ceil((-t_lo + 1.0 * T) / T) + 1
+    if not 0.0 <= zprime < T:
+        raise ValueError(f"zprime {zprime} outside the loop [0, {T})")
+    broadening = T / 100.0
+    t_vals = np.linspace(-3.0 * T, 3.0 * T, nt)
+    z_vals = (np.arange(nz) + 0.5) * (T / nz)
     norm = 1.0 / (broadening * math.sqrt(2.0 * math.pi))
     matrix = np.zeros((nt, nz))
-    ref, kmax = SpaceTimePoint(zprime, 0.0), max(-k_lo, k_hi)
+    ref = SpaceTimePoint(zprime, 0.0)
     for ik, z in enumerate(z_vals):
-        support = spacetime_commutator_support(j, SpaceTimePoint(z, 0.0), ref, v, T, kmax)
-        lags = [lag for lag in support if k_lo <= lag[0] <= k_hi]
+        # stripe k sits at t = (z - z') - kT with |z - z'| < T: for |k| > 5
+        # it is over 200 widths outside the window, where the Gaussian is 0.0
+        lags = spacetime_commutator_support(j, SpaceTimePoint(z, 0.0), ref, T, 5)
         matrix[:, ik] = _broadened(t_vals, lags, broadening, norm)
     return CommutatorMap(z_vals, t_vals, matrix, broadening)
 

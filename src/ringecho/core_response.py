@@ -86,25 +86,6 @@ class RingGeometry:
         return self.length / self.group_velocity
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform grid of angular frequencies."""
-
-    start: float
-    step: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(self.count)
-
-
 def _pole_and_phase(omega, T: float, Gamma: float) -> tuple[float, np.ndarray]:
     """Round-trip amplitude ``exp(-Gamma T)`` and phase factor ``exp(i omega T)``."""
     if T <= 0.0:
@@ -167,58 +148,22 @@ def g_ab(omega, j: JunctionCoupling, T: float):
     return np.conj(g_ba(omega, j, T))
 
 
-def fsr_integral(
-    j: JunctionCoupling,
-    T: float,
-    n_periods: int = 1,
-    quadrature_points: int | None = None,
-) -> float:
-    """Average of |g_ca|^2 over an integer number of free spectral ranges.
+def fsr_integral(j: JunctionCoupling, T: float) -> float:
+    """Average of |g_ca|^2 over one free spectral range.
 
     The exact value is 1 for every coupling: the junction redistributes the
     density of states across each period without creating or destroying any.
-    Composite midpoint quadrature on ``quadrature_points`` points per period.
-    The integrand is periodic with Fourier coefficients ``rho^|k|``, so the
-    only quadrature error is aliasing, ``-2 rho^N / (1 + rho^N)`` for N
-    points. By default ``N = max(4096, ceil(ln(2e-14) / ln rho))``, which
-    keeps it below 4e-14; what remains is the rounding of
+    Composite midpoint quadrature on N points. The integrand is periodic
+    with Fourier coefficients ``rho^|k|``, so the only quadrature error is
+    aliasing, ``-2 rho^N / (1 + rho^N)``. ``N = max(4096, ceil(ln(2e-14) /
+    ln rho))`` keeps it below 4e-14; what remains is the rounding of
     ``tau^2 = 1 - rho^2``, a relative ``4 eps / (1 - rho^2)`` at most.
-
-    Raises
-    ------
-    ValueError
-        If either count is not a positive integer.
     """
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
-    if quadrature_points is None:
-        quadrature_points = 4096
-        if j.rho > 0.0:
-            aliasing_free = math.ceil(math.log(2e-14) / math.log(j.rho))
-            quadrature_points = max(quadrature_points, aliasing_free)
-    if quadrature_points < 1:
-        raise ValueError(
-            f"quadrature_points must be >= 1, got {quadrature_points}"
-        )
+    n = 4096
+    if j.rho > 0.0:
+        n = max(n, math.ceil(math.log(2e-14) / math.log(j.rho)))
     fsr = TWO_PI / T
-    n_total = n_periods * quadrature_points
-    d_omega = n_periods * fsr / n_total
-    omega = (np.arange(n_total) + 0.5) * d_omega
+    d_omega = fsr / n
+    omega = (np.arange(n) + 0.5) * d_omega
     dos = np.abs(g_ca(omega, j, T)) ** 2
-    return float(np.sum(dos) * d_omega / (n_periods * fsr))
-
-
-def density_of_states_profile(
-    j: JunctionCoupling, T: float, grid: FrequencyGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate |g_ca(omega)|^2 on a frequency grid.
-
-    Peaks of height (1 + rho)/(1 - rho) sit at multiples of the FSR; the
-    profile is even in omega and periodic with the FSR.
-
-    Returns
-    -------
-    (omega, dos) : pair of ndarray
-    """
-    omega = grid.values
-    return omega, np.abs(g_ca(omega, j, T)) ** 2
+    return float(np.sum(dos) * d_omega / fsr)

@@ -13,6 +13,8 @@ label:
 - ``linear``: kappa = (1 - rho) / T.
 
 They agree to first order in (1 - rho) and drift apart at moderate coupling.
+``quasimode_field_error`` and the validation suite use ``exact``;
+``fig4_dataset``, the paper's figure 4, uses ``linear``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .commutators import SpaceTimePoint, _broadened, spacetime_commutator_suppor
 from .echo_kernels import SampledSignal, apply_train, kernel_ca
 
 KAPPA_FLAVORS = ("exact", "linear")
+FIG4_TRIPS = 10  # round trips that fig4_dataset's window spans
 
 
 class StepTooCoarse(ValueError):
@@ -115,9 +118,7 @@ def quasimode_commutator(dt_sep, q: QuasimodeParams):
     return out if out.ndim else float(out)
 
 
-def quasimode_field_error(
-    a: SampledSignal, j: JunctionCoupling, T: float, eps: float = 1e-10
-) -> float:
+def quasimode_field_error(a: SampledSignal, j: JunctionCoupling, T: float) -> float:
     """Relative L2 distance between the reduced model and the exact field.
 
     Both fields are evaluated on the input window. Small (below a percent)
@@ -128,7 +129,7 @@ def quasimode_field_error(
     approx = quasimode_evolve(a, q)
     # the exact field in quasimode normalization: sqrt(T) x the echo sum
     n = len(a)
-    exact = math.sqrt(T) * apply_train(kernel_ca(j, T, eps), a).values[:n]
+    exact = math.sqrt(T) * apply_train(kernel_ca(j, T, 1e-10), a).values[:n]
     diff = approx.values - exact
     denom = np.linalg.norm(exact)
     if denom == 0.0:
@@ -137,28 +138,21 @@ def quasimode_field_error(
 
 
 def fig4_dataset(
-    j: JunctionCoupling,
-    flavor: str = "linear",
-    broadening: float = 0.01,
-    T: float = 1.0,
-    t_max: float = 10.0,
-    n_points: int = 4001,
+    j: JunctionCoupling, T: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact commutator train next to its single-mode envelope, for plotting.
 
-    Returns (dt_sep, exact_rendered, envelope). Deltas are drawn as narrow
-    Gaussians whose peak equals the delta weight, so with the exact damping
-    flavor the envelope passes through every peak; with the linear flavor it
-    visibly detaches at moderate coupling.
+    Returns (dt_sep, exact_rendered, envelope) on 4001 samples over
+    ``FIG4_TRIPS`` round trips. Deltas are drawn as Gaussians of width
+    T/100 whose peak equals the delta weight; the envelope uses the linear
+    damping flavor, so it visibly detaches from the peaks at moderate
+    coupling.
     """
-    if broadening <= 0.0:
-        raise ValueError("broadening must be positive")
-    q = kappa(j, T, flavor)
-    dt_sep = np.linspace(0.0, t_max, n_points)
-    kmax = int(math.floor(t_max / T)) + 1
-    # the train at z = z': lags 0, -1, ..., -kmax hit at t = 0, T, 2T, ...
+    q = kappa(j, T, "linear")
+    dt_sep = np.linspace(0.0, FIG4_TRIPS * T, 4001)
+    # the train at z = z': lags 0, -1, ..., -(FIG4_TRIPS + 1) hit at t = 0, T, 2T, ...
     here = SpaceTimePoint(0.0, 0.0)
-    support = spacetime_commutator_support(j, here, here, 1.0, T, kmax)
+    support = spacetime_commutator_support(j, here, here, T, FIG4_TRIPS + 1)
     lags = [lag for lag in reversed(support) if lag[0] <= 0]
-    rendered = _broadened(dt_sep, lags, broadening, 1.0)
+    rendered = _broadened(dt_sep, lags, T / 100.0, 1.0)
     return dt_sep, rendered, quasimode_commutator(dt_sep, q)

@@ -9,17 +9,16 @@ rho to ``rho exp(-Gamma T)``.
 
 The output channel is then no longer unimodular; what the mean field loses,
 the fluctuations replace. This module holds that noise model: the noise
-power ``N(omega)``, its quadrature cross-check and the filtered output
-spectrum. ``N`` is normalized by the only physically forced condition, the
-sum rule ``|g_ba|^2 + N = 1``, which is the lossy generalization of the
-free-space output commutator. All bookkeeping here is deterministic second
-moments; no noise realizations are sampled.
+power ``N(omega)``, its quadrature cross-check and the fraction of an input
+spectrum that the absorber takes. ``N`` is normalized by the only physically
+forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is the lossy
+generalization of the free-space output commutator. All bookkeeping here
+is deterministic second moments; no noise realizations are sampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +37,17 @@ def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     return out if np.ndim(out) else float(out)
 
 
-def noise_power_quadrature(
-    omega, j: JunctionCoupling, T: float, Gamma: float, n_points: int = 4096
-):
+def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
     """Independent evaluation of the noise power by spatial quadrature.
 
     Integrates the squared propagation factor of fluctuations injected along
     the loop, ``(2 Gamma) int_0^T |exp((i omega - Gamma)(T - s))|^2 ds``, by
-    the midpoint rule, then routes it through the junction the same way the
-    signal goes, ``|g_ca(omega, Gamma)|^2``. Used to cross-check the closed
+    the midpoint rule on 4096 points, then routes it through the junction
+    the same way the signal goes, ``|g_ca(omega, Gamma)|^2``. Used to cross-check the closed
     form in ``noise_power``.
     """
-    s = (np.arange(n_points) + 0.5) * (T / n_points)
-    spatial = 2.0 * Gamma * np.sum(np.exp(-2.0 * Gamma * (T - s))) * (T / n_points)
+    s = (np.arange(4096) + 0.5) * (T / 4096)
+    spatial = 2.0 * Gamma * np.sum(np.exp(-2.0 * Gamma * (T - s))) * (T / 4096)
     out = spatial * np.abs(g_ca(omega, j, T, Gamma)) ** 2
     return out if np.ndim(out) else float(out)
 
@@ -70,28 +67,15 @@ def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
     return gain_ba + (1.0 - math.exp(-2.0 * Gamma * T)) * gain_ca - 1.0
 
 
-@dataclass(frozen=True)
-class LossySpectrumResult:
-    """Filtered output spectrum and the energy fraction lost to the absorber."""
+def absorbed_fraction(
+    omega: np.ndarray, a: np.ndarray, j: JunctionCoupling, T: float, Gamma: float
+) -> float:
+    """Fraction of a sampled input spectrum ``a`` the attenuated cavity absorbs.
 
-    values: np.ndarray
-    absorbed_fraction: float
-
-
-def lossy_output_spectrum(
-    omega: np.ndarray,
-    a_values: np.ndarray,
-    j: JunctionCoupling,
-    T: float,
-    Gamma: float,
-) -> LossySpectrumResult:
-    """Filter a sampled input spectrum through the attenuated cavity.
-
-    Pointwise multiplication by ``g_ba``; the absorbed fraction is
-    ``1 - sum|b|^2 / sum|a|^2`` over the grid.
+    The output is ``g_ba a`` pointwise; the fraction is
+    ``1 - sum|g_ba a|^2 / sum|a|^2`` over the grid, 0 for an all-zero input.
     """
-    a = np.asarray(a_values, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
     b = g_ba(omega, j, T, Gamma) * a
     total = float(np.sum(np.abs(a) ** 2))
-    absorbed = 1.0 - float(np.sum(np.abs(b) ** 2)) / total if total > 0.0 else 0.0
-    return LossySpectrumResult(b, absorbed)
+    return 1.0 - float(np.sum(np.abs(b) ** 2)) / total if total > 0.0 else 0.0

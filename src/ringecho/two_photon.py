@@ -35,11 +35,13 @@ import numpy as np
 
 from .core_response import JunctionCoupling
 from .echo_kernels import (
+    DeltaTrain,
     IncommensurateGrid,
     SampledSignal,
     _lattice_apply,
     _lattice_stride,
     apply_train,
+    correlate,
     kernel_ba,
 )
 
@@ -91,45 +93,45 @@ class JointAmplitudeGrid:
             raise ValueError("exchange symmetry needs identical axes")
         return float(np.max(np.abs(self.values - self.values.T)))
 
-    def require_exchange_symmetry(self, tol: float = 1e-12) -> None:
-        err = self.exchange_symmetry_error()
-        if err > tol:
-            raise ValueError(f"exchange symmetry violated by {err:.3g}")
-
     def norm_sq(self) -> float:
         """Squared L2 norm, sum |Phi|^2 dt^2."""
         return float(np.sum(np.abs(self.values) ** 2) * self.dt**2)
 
 
 def symmetric_axis(g: TwoPhotonGaussian, dt: float) -> tuple[float, int]:
-    """Default input window [-4(sigma+beta), 4(sigma+beta)] snapped to the grid."""
+    """Input window [-4(sigma+beta), 4(sigma+beta)] snapped to the grid:
+    its start and sample count."""
     half = 4.0 * (g.sigma + g.beta)
     n_half = int(math.ceil(half / dt))
     return -n_half * dt, 2 * n_half + 1
 
 
-def gaussian_amplitude(
-    g: TwoPhotonGaussian,
-    t_start: float | None = None,
-    n: int | None = None,
-    dt: float = 1.0 / 16.0,
-) -> JointAmplitudeGrid:
+def _square(x: float) -> float:
+    """``x**2``, or inf where the float square overflows (x above ~1.34e154).
+
+    ``**`` is kept for finite squares: it can differ from ``x * x`` in the
+    last bit, and the figure files are pinned to it.
+    """
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def gaussian_amplitude(g: TwoPhotonGaussian, dt: float) -> JointAmplitudeGrid:
     """Sample the double-Gaussian pair amplitude on a square grid.
 
     ``exp(-(t1+t2)^2 / 2 beta^2) exp(-(t1-t2)^2 / 2 sigma^2)``, peak value 1
-    at the origin. Defaults to the symmetric window wide enough that edge
-    values are negligible. The result is exchange symmetric by construction
-    and checked to be.
+    at the origin, on the ``symmetric_axis`` window, wide enough that edge
+    values are negligible. The result is exchange symmetric bit for bit:
+    ``t_i + t_j`` and ``(t_i - t_j)^2`` are exact mirrors of each other.
     """
-    if t_start is None or n is None:
-        t_start, n = symmetric_axis(g, dt)
+    t_start, n = symmetric_axis(g, dt)
     t = t_start + dt * np.arange(n)
     s = t[:, None] + t[None, :]
     d = t[:, None] - t[None, :]
-    vals = np.exp(-(s**2) / (2.0 * g.beta**2) - (d**2) / (2.0 * g.sigma**2))
-    grid = JointAmplitudeGrid(t_start, t_start, dt, vals.astype(np.complex128))
-    grid.require_exchange_symmetry(1e-12)
-    return grid
+    vals = np.exp(-(s**2) / (2.0 * _square(g.beta)) - (d**2) / (2.0 * _square(g.sigma)))
+    return JointAmplitudeGrid(t_start, t_start, dt, vals.astype(np.complex128))
 
 
 def transform_output(
@@ -232,32 +234,22 @@ def cw_output(
 ) -> tuple[float, SampledSignal]:
     """Output correlation function of a cw-pumped pair, and its defect.
 
-    Evaluates the four-term echo expansion of the output amplitude for an
-    input depending only on the time difference, truncating every ladder at
-    ``kmax`` transits. Exact interference makes the result equal the input
-    correlation function again; the returned residual is the max-abs
-    deviation from that identity over the sampled window, which shrinks like
-    rho^kmax.
+    For an input depending only on the time difference, each photon's echo
+    ladder acts on it once from each side, so the output is the input
+    filtered by the autocorrelation of the output kernel, here cut at
+    ``kmax`` transits: ``-rho``, then ``tau^2 rho^(n-1)`` for n = 1 ..
+    kmax. Exact interference makes that autocorrelation the unit train, so
+    the result equals the input again; the returned residual is the max-abs
+    deviation from that identity over the sampled window, which shrinks
+    like rho^kmax.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    rho, tau = j.rho, j.tau
+    echoes = j.tau * j.tau * j.rho ** np.arange(kmax)
+    kernel = DeltaTrain(T, 0, np.concatenate([[-j.rho], echoes]))
+    pairs = correlate(kernel, kernel)
     stride = _lattice_stride(T, d.dt)
-
-    # c[kmax + k] multiplies D(x - kT), k = -kmax..kmax
-    c = np.zeros(2 * kmax + 1)
-    c[kmax] = rho * rho
-    m = np.arange(1, kmax + 1)
-    single = tau * tau * rho**m
-    c[kmax + m] -= single  # D(x - mT)
-    c[kmax - m] -= single  # D(x + mT)
-    # double ladder, grouped by transit difference k = n' - m': its kmax - |k|
-    # pairs sum to rho^|k| (1 + rho^2 + ... + rho^(2 (kmax - |k| - 1)))
-    k = np.arange(kmax)
-    double = tau**4 * rho**k * np.cumsum(rho ** (2 * k))[::-1]
-    c[kmax + k] += double
-    c[kmax - k[1:]] += double[1:]
-    rec = _lattice_apply(c, -kmax, stride, d.values, 0, 0, len(d))
+    rec = _lattice_apply(pairs.c, pairs.k0, stride, d.values, 0, 0, len(d))
     residual = float(np.max(np.abs(rec - d.values)))
     return residual, SampledSignal(d.t0, d.dt, rec)
 
@@ -314,7 +306,7 @@ def _ladder_table(
     reach = (s.max(initial=-math.inf) + 39.0 * g.beta) / T
     if math.isfinite(reach):
         mmax = min(mmax, max(0, math.ceil(reach)))
-    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / (2.0 * g.beta**2))
+    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / (2.0 * _square(g.beta)))
     coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
     f = coef * e_beta[2:]
     for top in range(max(mmax - 1, 0), mmax + 1):
@@ -380,7 +372,7 @@ def gaussian_output_closed_form(
     # one (t1, t2) pair per value: s[i + j] = t1 + t2, d[i - j + n - 1] = t1 - t2
     s = np.concatenate((t[0] + t, t[-1] + t[1:]))
     d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
-    two_s2 = 2.0 * g.sigma**2
+    two_s2 = 2.0 * _square(g.sigma)
 
     e_beta, coef, f_chain = _ladder_table(s, g, j, T, eps)
     a = tau * tau * f_chain - coef * e_beta[:-2]

@@ -264,12 +264,12 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     hits = 0
     for z in zs:
         pts = spacetime_commutator_support(
-            j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), 1.0, T, 8
+            j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), T, 8
         )
         hits += sum(1 for (_, _, t_hit) in pts if abs(t_hit) < 1e-12)
     check("equal_time_single_support", hits == 1, f"crossings at t=t' = {hits}")
 
-    occ = output_commutator_check(j, eps, T)
+    occ = output_commutator_check(j, T, eps)
     ok = (
         occ.weight_zero_error < 1e-10
         and occ.max_spurious < 1e-10

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -175,17 +176,22 @@ def assert_all_finite(out_dir):
 
 
 class TestRoundTripRange:
-    """Figures at either end of --T: the right files, or exit 2 and no file of NaN."""
+    """Figures at either end of --T: the right files, or exit 2 naming --T,
+    with no numpy warning first and no file of NaN."""
 
-    @pytest.mark.parametrize("T", ["1e-300", "1e-3", "2", "11", "1e160", "1e300"])
+    @pytest.mark.parametrize("T", ["1e-300", "1e-200", "1e-3", "2", "11", "1e160", "1e300"])
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6"])
     def test_finite_files_or_exit_2(self, tmp_path, capsys, name, T):
-        rc = main(["figure", name, "--T", T, "--out", str(tmp_path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["figure", name, "--T", T, "--out", str(tmp_path)])
         err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
         assert rc in (0, 2)
         if rc == 2:
             assert "Traceback" not in err
-            assert any(line.startswith("error: ") for line in err.splitlines())
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert errors and f"--T {float(T):g}" in errors[0]
         assert_all_finite(tmp_path)
 
     def test_fig3_cost_does_not_grow_as_T_shrinks(self, tmp_path, capsys):

@@ -86,7 +86,7 @@ class TestSpacetimeSupport:
     def test_same_position_reduces_to_lattice(self):
         j = JunctionCoupling(0.5)
         pts = spacetime_commutator_support(
-            j, SpaceTimePoint(0.25, 0.0), SpaceTimePoint(0.25, 0.0), 1.0, 1.0, 4
+            j, SpaceTimePoint(0.25, 0.0), SpaceTimePoint(0.25, 0.0), 1.0, 4
         )
         for k, w, t_hit in pts:
             assert t_hit == pytest.approx(-k * 1.0)
@@ -101,7 +101,7 @@ class TestSpacetimeSupport:
             z
             for z in zs
             for (k, w, t_hit) in spacetime_commutator_support(
-                j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), 1.0, 1.0, 6
+                j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), 1.0, 6
             )
             if abs(t_hit) < 1e-12
         ]
@@ -111,9 +111,7 @@ class TestSpacetimeSupport:
         j = JunctionCoupling(0.9)
         p = SpaceTimePoint(0.1, 0.0)
         for zp in (0.0, 0.333, 0.666):
-            pts = spacetime_commutator_support(
-                j, p, SpaceTimePoint(zp, 0.0), 1.0, 1.0, 3
-            )
+            pts = spacetime_commutator_support(j, p, SpaceTimePoint(zp, 0.0), 1.0, 3)
             for k, _, t_hit in pts:
                 assert t_hit == pytest.approx(0.1 - zp - k)
 
@@ -121,7 +119,7 @@ class TestSpacetimeSupport:
         j = JunctionCoupling(0.5)
         with pytest.raises(ValueError):
             spacetime_commutator_support(
-                j, SpaceTimePoint(1.5, 0.0), SpaceTimePoint(0.0, 0.0), 1.0, 1.0, 2
+                j, SpaceTimePoint(1.5, 0.0), SpaceTimePoint(0.0, 0.0), 1.0, 2
             )
 
 
@@ -146,10 +144,22 @@ class TestOutputCommutator:
     @pytest.mark.parametrize("rho", [0.3, 0.75, 0.97])
     def test_unit_train_both_paths(self, rho):
         j = JunctionCoupling(rho)
-        res = output_commutator_check(j, eps=1e-12)
+        res = output_commutator_check(j, 1.0, 1e-12)
         assert res.weight_zero_error < 1e-10
         assert res.max_spurious < 1e-10
         assert res.path_disagreement < 1e-12
+
+    def test_positional_order_is_T_then_eps(self):
+        # (j, T, eps) like output_commutator_decomposition and the kernels
+        j = JunctionCoupling(0.75)
+        pos = output_commutator_check(j, 0.7, 1e-10)
+        kw = output_commutator_check(j, eps=1e-10, T=0.7)
+        k = kernel_ba(j, 0.7, 1e-10)
+        for res in (pos, kw):
+            assert res.train.period == 0.7
+            assert weights(res.train) == weights(correlate(k, k))
+        assert (pos.weight_zero_error, pos.max_spurious, pos.path_disagreement) == (
+            kw.weight_zero_error, kw.max_spurious, kw.path_disagreement)
 
     def test_free_space_exact(self):
         res = output_commutator_check(JunctionCoupling(0.0))
@@ -231,6 +241,7 @@ def reference_figure_matrix(
 
 
 class TestCommutatorFigure:
+    # the map's window is always t_range = (-3T, 3T) and its width T/100
     @pytest.mark.parametrize(
         "rho,zprime,T,t_range",
         [
@@ -238,13 +249,12 @@ class TestCommutatorFigure:
             (np.sqrt(0.998), 0.333, 1.0, (-3.0, 3.0)),
             (np.sqrt(0.998), 0.666, 1.0, (-3.0, 3.0)),
             (0.0, 0.333, 1.0, (-3.0, 3.0)),
-            (0.5, 0.333 * 1.7, 1.7, (-3.0, 3.0)),
-            (np.sqrt(0.998), 0.333, 1.0, (-3.0, 10.0)),
+            (0.5, 0.333 * 1.7, 1.7, (-3.0 * 1.7, 3.0 * 1.7)),
         ],
     )
     def test_bitwise_equals_reference_loop(self, rho, zprime, T, t_range):
         j = JunctionCoupling(rho)
-        cmap = commutator_figure(j, zprime, T, T / 100.0, t_range=t_range)
+        cmap = commutator_figure(j, zprime, T)
         want = reference_figure_matrix(j, zprime, T, T / 100.0, t_range=t_range)
         assert cmap.matrix.tobytes() == want.tobytes()
 
@@ -252,9 +262,7 @@ class TestCommutatorFigure:
         """Area under each rendered stripe equals the underlying delta weight."""
         j = JunctionCoupling(np.sqrt(0.998))
         broadening = 0.01
-        cmap = commutator_figure(
-            j, 0.0, 1.0, broadening, nt=6001, t_range=(-3.0, 3.0)
-        )
+        cmap = commutator_figure(j, 0.0, 1.0, nt=6001)
         dt = cmap.t_values[1] - cmap.t_values[0]
         iz = 0  # z close to 0, stripes at t = -k
         col = cmap.matrix[:, iz]
@@ -268,7 +276,7 @@ class TestCommutatorFigure:
     def test_single_crossing_on_t0_row(self):
         j = JunctionCoupling(np.sqrt(0.998))
         zp = 0.333
-        cmap = commutator_figure(j, zp, 1.0, 0.01, nz=300)
+        cmap = commutator_figure(j, zp, 1.0, nz=300)
         row = cmap.matrix[int(np.argmin(np.abs(cmap.t_values)))]
         peak_z = cmap.z_values[int(np.argmax(row))]
         assert peak_z == pytest.approx(zp, abs=2.0 / 300)
@@ -277,12 +285,12 @@ class TestCommutatorFigure:
         assert np.max(row[far]) < 1e-6 * np.max(row)
 
     def test_map_is_nonnegative_and_shaped(self):
-        cmap = commutator_figure(JunctionCoupling(0.9), 0.5, 1.0, 0.02, nt=301, nz=50)
+        cmap = commutator_figure(JunctionCoupling(0.9), 0.5, 1.0, nt=301, nz=50)
         assert cmap.matrix.shape == (301, 50)
         assert np.all(cmap.matrix >= 0.0)
 
     def test_csv_export(self, tmp_path):
-        cmap = commutator_figure(JunctionCoupling(0.5), 0.0, 1.0, 0.05, nt=51, nz=10)
+        cmap = commutator_figure(JunctionCoupling(0.5), 0.0, 1.0, nt=51, nz=10)
         meta = {
             "z_values": [float(z) for z in cmap.z_values],
             "t_values": [float(t) for t in cmap.t_values],
@@ -295,8 +303,4 @@ class TestCommutatorFigure:
 
         meta = json.loads(meta_path.read_text())
         assert len(meta["z_values"]) == 10
-        assert meta["broadening"] == 0.05
-
-    def test_rejects_bad_broadening(self):
-        with pytest.raises(ValueError):
-            commutator_figure(JunctionCoupling(0.5), 0.0, 1.0, 0.0)
+        assert meta["broadening"] == 0.01

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringecho import (
-    FrequencyGrid,
     JunctionCoupling,
     RingGeometry,
-    density_of_states_profile,
     fsr_integral,
     g_ab,
     g_ba,
@@ -210,36 +208,26 @@ class TestFsrIntegral:
     def test_state_count_conserved(self, rho):
         assert abs(fsr_integral(JunctionCoupling(rho), 1.0) - 1.0) < 1e-6
 
-    def test_multiple_periods_high_coupling(self):
-        val = fsr_integral(JunctionCoupling(0.98), 1.0, n_periods=3,
-                           quadrature_points=8192)
-        assert abs(val - 1.0) < 1e-5
-
     @pytest.mark.parametrize("rho", [0.999, 0.9999])
     def test_default_quadrature_resolves_high_q(self, rho):
         # left over: the rounding of tau^2 = 1 - rho^2, relative 4 eps / tau^2
         tol = 4.0 * np.finfo(float).eps / (1.0 - rho * rho)
         assert abs(fsr_integral(JunctionCoupling(rho), 1.0) - 1.0) <= tol
 
-    def test_rejects_nonpositive_counts(self):
-        j = JunctionCoupling(0.5)
-        with pytest.raises(ValueError):
-            fsr_integral(j, 1.0, n_periods=0)
-        with pytest.raises(ValueError):
-            fsr_integral(j, 1.0, quadrature_points=0)
-
 
 class TestDensityOfStates:
+    """The profile |g_ca|^2 that fig2 tabulates."""
+
     def test_flat_profile_at_zero_coupling(self):
-        grid = FrequencyGrid(-10.0, 0.1, 201)
-        _, dos = density_of_states_profile(JunctionCoupling(0.0), 1.0, grid)
+        omega = -10.0 + 0.1 * np.arange(201)
+        dos = np.abs(g_ca(omega, JunctionCoupling(0.0), 1.0)) ** 2
         assert np.allclose(dos, 1.0, atol=1e-14)
 
     def test_peaks_at_fsr_multiples(self):
         T = 1.0
         fsr = 2.0 * math.pi / T
-        grid = FrequencyGrid(-2.0 * fsr, fsr / 64, 257)
-        omega, dos = density_of_states_profile(JunctionCoupling(0.75), T, grid)
+        omega = -2.0 * fsr + (fsr / 64) * np.arange(257)
+        dos = np.abs(g_ca(omega, JunctionCoupling(0.75), T)) ** 2
         for mult in (-2, -1, 0, 1, 2):
             idx = int(np.argmin(np.abs(omega - mult * fsr)))
             assert dos[idx] == pytest.approx(7.0, rel=1e-9)
@@ -249,15 +237,8 @@ class TestDensityOfStates:
         fsr = 2.0 * math.pi / T
         j = JunctionCoupling(0.6)
         w = np.linspace(0.0, fsr, 33)
-        _, dos_pos = density_of_states_profile(
-            j, T, FrequencyGrid(0.0, fsr / 32, 33))
+        dos_pos = np.abs(g_ca((fsr / 32) * np.arange(33), j, T)) ** 2
         dos_neg = np.abs(np.array([g_ca(-x, j, T) for x in w])) ** 2
         dos_shift = np.abs(np.array([g_ca(x + fsr, j, T) for x in w])) ** 2
         assert np.max(np.abs(dos_pos - dos_neg)) < 1e-12
         assert np.max(np.abs(dos_pos - dos_shift)) < 1e-11
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(0.0, -1.0, 10)
-        with pytest.raises(ValueError):
-            FrequencyGrid(0.0, 1.0, 0)

@@ -145,6 +145,12 @@ class TestGaussianAmplitude:
         grid = gaussian_amplitude(TwoPhotonGaussian(0.2, 0.7), dt=T / 16)
         assert grid.exchange_symmetry_error() < 1e-12
 
+    @pytest.mark.parametrize("sigma,beta,dt", [(0.2, 0.7, T / 16), (0.37, 0.11, 0.03)])
+    def test_exchange_symmetric_bit_for_bit(self, sigma, beta, dt):
+        # t_i + t_j and (t_i - t_j)^2 are exact mirrors, so no check is needed
+        grid = gaussian_amplitude(TwoPhotonGaussian(sigma, beta), dt=dt)
+        assert grid.exchange_symmetry_error() == 0.0
+
     def test_equal_widths_rank_one(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 16)
         sv = separability_rank(grid)
@@ -481,6 +487,23 @@ class TestClosedForm:
         for m in (0, 3):
             want = reference_F_m_loop(m, 0.0, g, j, period)
             assert F_m(m, 0.0, g, j, period) == pytest.approx(want, rel=1e-9)
+
+    def test_widths_past_the_float_square_act_as_infinite(self):
+        # beta or sigma above ~1.34e154 squares to inf rather than OverflowError
+        j = JunctionCoupling(0.5)
+        huge, flat = TwoPhotonGaussian(0.3, 1e300), TwoPhotonGaussian(0.3, math.inf)
+        assert F_m(3, 0.7, huge, j, T) == F_m(3, 0.7, flat, j, T) == pytest.approx(0.125)
+        s = np.linspace(-2.0, 4.0, 13)
+        assert np.array_equal(F_m(1, s, huge, j, T), F_m(1, s, flat, j, T))
+        for sigma, beta in ((0.3, 1e300), (1e300, 0.5), (1e300, 1e300)):
+            widths = [(x, math.inf if x == 1e300 else x) for x in (sigma, beta)]
+            got, want = (
+                gaussian_output_closed_form(
+                    TwoPhotonGaussian(*(w[i] for w in widths)), j, T, -2.0, 40, T / 8
+                )
+                for i in (0, 1)
+            )
+            assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("m", [2.5, -0.5, math.nan, math.inf])
     def test_ladder_sum_rejects_non_integer_order(self, m):
