@@ -27,8 +27,6 @@ from .echo_kernels import (
     kernel_ca,
 )
 from .commutators import (
-    CommutatorMap,
-    SpaceTimePoint,
     UnitTrainCheck,
     commutator_figure,
     output_commutator_check,
@@ -36,7 +34,6 @@ from .commutators import (
     spacetime_commutator_support,
 )
 from .highq import (
-    QuasimodeParams,
     StepTooCoarse,
     fig4_dataset,
     kappa,
@@ -52,11 +49,9 @@ from .two_photon import (
     cw_output,
     gaussian_amplitude,
     gaussian_output_closed_form,
-    outer_product_grid,
     peak_locate,
     resummation_check,
     separability_rank,
-    separable_output,
     transform_output,
     transform_output_on_window,
 )

@@ -174,18 +174,16 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
     elif name == "fig3":
         j = cfg.junction(math.sqrt(0.998))
         for label, zp in (("a", 0.0), ("b", 0.333), ("c", 0.666)):
-            cmap = commutator_figure(j, zp * T, T)
+            z_vals, t_vals, matrix = commutator_figure(j, zp * T, T)
             meta = {
                 "zprime": zp * T,
-                "broadening": cmap.broadening,
-                "z_values": [float(z) for z in cmap.z_values],
-                "t_values": [float(t) for t in cmap.t_values],
+                "broadening": T / 100.0,  # the stripe width commutator_figure draws
+                "z_values": [float(z) for z in z_vals],
+                "t_values": [float(t) for t in t_vals],
             }
-            written.extend(
-                write_matrix(out_dir / f"fig3{label}", cmap.matrix, meta, cfg.format)
-            )
-            row0 = np.argmin(np.abs(cmap.t_values))
-            z_at_peak = float(cmap.z_values[int(np.argmax(cmap.matrix[row0]))])
+            written.extend(write_matrix(out_dir / f"fig3{label}", matrix, meta, cfg.format))
+            row0 = np.argmin(np.abs(t_vals))
+            z_at_peak = float(z_vals[int(np.argmax(matrix[row0]))])
             print(
                 f"fig3{label}: zprime={zp:g}  t=0 crossing at z = {z_at_peak:.4f} "
                 f"(expected {zp * T:g})"
@@ -220,16 +218,17 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             if name == "fig5"
             else TwoPhotonGaussian(0.2 * T, 0.7 * T)
         )
-        taus = (
-            [cfg.junction(0.97).tau]
-            if cfg.coupling_given
-            else [0.999, 0.95, 0.85, 0.60]
-        )
+        # (tau label, coupling) per panel, each coupling built once from the
+        # value given, so a --tau panel is labelled with that value
+        if cfg.coupling_given:
+            j = cfg.junction(0.97)
+            panels = [(cfg.tau if cfg.tau is not None else j.tau, j)]
+        else:
+            panels = [(tau, JunctionCoupling.from_tau(tau)) for tau in (0.999, 0.95, 0.85, 0.60)]
         dt = cfg.dt if cfg.dt is not None else T / 16.0
         t_start, n_in = symmetric_axis(g, dt)
         n = n_in + int(round(4 * T / dt))
-        for tau in taus:
-            j = JunctionCoupling.from_tau(tau)
+        for tau, j in panels:
             eps = cfg.eps if cfg.eps is not None else FIGURE_EPS
             grid = gaussian_output_closed_form(g, j, T, t_start, n, dt, eps)
             label = f"{name}_tau{tau:g}".replace(".", "p")
@@ -329,10 +328,7 @@ def cmd_sweep(
         gts = np.linspace(start, stop, count)
         if np.any(gts < 0.0):
             raise BadArguments("absorbed_fraction sweep needs Gamma*T >= 0")
-        fsr = 2.0 * math.pi / T
-        omega = (np.arange(2048) + 0.5) * (fsr / 2048)
-        a = np.ones(2048)
-        vals = np.array([absorbed_fraction(omega, a, j, T, gt / T) for gt in gts])
+        vals = np.array([absorbed_fraction(j, T, gt / T) for gt in gts])
         path = write_table(out_dir / "sweep_absorbed_fraction",
                            ["GammaT", "absorbed_fraction"], [gts, vals], cfg.format)
 

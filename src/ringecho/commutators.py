@@ -27,56 +27,20 @@ from .core_response import JunctionCoupling
 from .echo_kernels import DeltaTrain, correlate, kernel_ba, kernel_ca
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A position inside the loop (0 <= z < L) at a given time."""
-
-    z: float
-    t: float
-
-
-@dataclass(frozen=True)
-class CommutatorMap:
-    """Rendered |commutator| over a (z, t) grid, deltas broadened for display.
-
-    ``matrix[i, k]`` is the value at time ``t_values[i]`` and position
-    ``z_values[k]``; entries are non-negative. The broadening Gaussians are
-    area-normalized, so the integral over t of each stripe recovers the
-    underlying delta weight.
-    """
-
-    z_values: np.ndarray
-    t_values: np.ndarray
-    matrix: np.ndarray
-    broadening: float
-
-    def __post_init__(self) -> None:
-        if self.broadening <= 0.0:
-            raise ValueError("broadening must be positive")
-        if self.matrix.shape != (len(self.t_values), len(self.z_values)):
-            raise ValueError("matrix shape must be (len(t), len(z))")
-        if np.any(self.matrix < 0.0):
-            raise ValueError("map entries must be non-negative")
-
-
 def spacetime_commutator_support(
-    j: JunctionCoupling,
-    p: SpaceTimePoint,
-    p_ref: SpaceTimePoint,
-    T: float,
-    kmax: int,
+    j: JunctionCoupling, z: float, z_ref: float, T: float, kmax: int
 ) -> list[tuple[int, float, float]]:
-    """Where the two-position circulating-field commutator fires.
+    """Where the circulating-field commutator of positions z and z_ref fires.
 
     Positions are in time units (the group velocity is 1), so the loop is
-    0 <= z < T. For each lag k in [-kmax, kmax] the delta at
-    ``t = t_ref + (z - z_ref) - k T`` carries weight ``rho^|k|``. At equal
+    0 <= z < T. For each lag k in [-kmax, kmax] the delta at time difference
+    ``t - t_ref = (z - z_ref) - k T`` carries weight ``rho^|k|``. At equal
     times only z = z_ref (lag 0) can fire, which is the fundamental
     equal-time relation; at fixed positions infinitely many times fire.
     """
-    for q in (p, p_ref):
-        if not 0.0 <= q.z < T:
-            raise ValueError(f"position {q.z} outside the loop [0, {T})")
+    for q in (z, z_ref):
+        if not 0.0 <= q < T:
+            raise ValueError(f"position {q} outside the loop [0, {T})")
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     out = []
@@ -84,7 +48,7 @@ def spacetime_commutator_support(
         w = j.rho ** abs(k) if k != 0 else 1.0
         if w == 0.0:
             continue
-        t_hit = p_ref.t + (p.z - p_ref.z) - k * T
+        t_hit = (z - z_ref) - k * T
         out.append((k, w, t_hit))
     return out
 
@@ -156,15 +120,18 @@ def output_commutator_check(
 
 def commutator_figure(
     j: JunctionCoupling, zprime: float, T: float, nt: int = 1201, nz: int = 240
-) -> CommutatorMap:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Render |commutator(z, t; z', t'=0)| over the loop cross-section.
 
-    The window is -3T <= t <= 3T on ``nt`` samples, by ``nz`` positions
-    across the loop 0 <= z < T (in time units). Each delta that
+    Returns ``(z_values, t_values, matrix)``, ``matrix[i, k]`` the value at
+    time ``t_values[i]`` and position ``z_values[k]``. The window is
+    -3T <= t <= 3T on ``nt`` samples, by ``nz`` positions across the loop
+    0 <= z < T (in time units). Each delta that
     ``spacetime_commutator_support`` lists and whose stripe can enter the
-    window becomes an area-normalized Gaussian of width T/100 in t,
-    producing the slanted-stripe picture: one stripe per lag k, crossing
-    t = 0 only at z = z'.
+    window becomes an area-normalized Gaussian of width T/100 in t (so each
+    stripe integrates over t to its delta weight), producing the
+    slanted-stripe picture: one stripe per lag k, crossing t = 0 only at
+    z = z'.
     """
     if not 0.0 <= zprime < T:
         raise ValueError(f"zprime {zprime} outside the loop [0, {T})")
@@ -173,13 +140,12 @@ def commutator_figure(
     z_vals = (np.arange(nz) + 0.5) * (T / nz)
     norm = 1.0 / (broadening * math.sqrt(2.0 * math.pi))
     matrix = np.zeros((nt, nz))
-    ref = SpaceTimePoint(zprime, 0.0)
     for ik, z in enumerate(z_vals):
         # stripe k sits at t = (z - z') - kT with |z - z'| < T: for |k| > 5
         # it is over 200 widths outside the window, where the Gaussian is 0.0
-        lags = spacetime_commutator_support(j, SpaceTimePoint(z, 0.0), ref, T, 5)
+        lags = spacetime_commutator_support(j, z, zprime, T, 5)
         matrix[:, ik] = _broadened(t_vals, lags, broadening, norm)
-    return CommutatorMap(z_vals, t_vals, matrix, broadening)
+    return z_vals, t_vals, matrix
 
 
 def _broadened(

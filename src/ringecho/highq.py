@@ -6,8 +6,8 @@ module provides that reduced model next to quantitative measures of when it
 breaks down, so the approximation is used with its error bars attached
 rather than on faith.
 
-Two damping-rate conventions are supported and always carried with their
-label:
+The rate ``kappa`` is one float, computed under one of two conventions
+named when it is computed:
 
 - ``exact``:  kappa = ln(1/rho) / T, so exp(-kappa T) = rho exactly.
 - ``linear``: kappa = (1 - rho) / T.
@@ -20,12 +20,11 @@ They agree to first order in (1 - rho) and drift apart at moderate coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core_response import JunctionCoupling
-from .commutators import SpaceTimePoint, _broadened, spacetime_commutator_support
+from .commutators import _broadened, spacetime_commutator_support
 from .echo_kernels import SampledSignal, apply_train, kernel_ca
 
 KAPPA_FLAVORS = ("exact", "linear")
@@ -36,27 +35,12 @@ class StepTooCoarse(ValueError):
     """Raised when the sample spacing cannot resolve the mode decay."""
 
 
-@dataclass(frozen=True)
-class QuasimodeParams:
-    """Damping rate of the reduced single-mode model, with its convention."""
-
-    kappa: float
-    flavor: str
-
-    def __post_init__(self) -> None:
-        if self.flavor not in KAPPA_FLAVORS:
-            raise ValueError(
-                f"flavor must be one of {KAPPA_FLAVORS}, got {self.flavor!r}"
-            )
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-
-
-def kappa(j: JunctionCoupling, T: float, flavor: str = "exact") -> QuasimodeParams:
+def kappa(j: JunctionCoupling, T: float, flavor: str = "exact") -> float:
     """Cavity damping rate under the chosen convention.
 
     The exact flavor requires rho > 0 (a fully open junction has no
-    round-trip memory to assign a decay rate to).
+    round-trip memory to assign a decay rate to). A rate that is not
+    positive (one that underflows to 0) is refused.
     """
     if T <= 0.0:
         raise ValueError(f"round-trip time must be positive, got {T}")
@@ -68,7 +52,9 @@ def kappa(j: JunctionCoupling, T: float, flavor: str = "exact") -> QuasimodePara
         value = (1.0 - j.rho) / T
     else:
         raise ValueError(f"flavor must be one of {KAPPA_FLAVORS}, got {flavor!r}")
-    return QuasimodeParams(value, flavor)
+    if value <= 0.0:
+        raise ValueError(f"kappa must be positive, got {value}")
+    return value
 
 
 def peak_ratio(j: JunctionCoupling) -> float:
@@ -78,8 +64,8 @@ def peak_ratio(j: JunctionCoupling) -> float:
     return (1.0 - j.rho) / math.log(1.0 / j.rho)
 
 
-def quasimode_evolve(a: SampledSignal, q: QuasimodeParams) -> SampledSignal:
-    """Drive the single-mode equation d/dt C = -kappa C + sqrt(2 kappa) A.
+def quasimode_evolve(a: SampledSignal, k: float) -> SampledSignal:
+    """Drive the single-mode equation d/dt C = -k C + sqrt(2 k) A, k = kappa.
 
     Integrates with the exact one-step exponential update, treating the
     input as piecewise linear between samples; for this linear system no
@@ -87,7 +73,6 @@ def quasimode_evolve(a: SampledSignal, q: QuasimodeParams) -> SampledSignal:
     the first sample. Requires kappa * dt < 0.05 so the sampled drive can
     resolve the decay.
     """
-    k = q.kappa
     h = a.dt
     if k * h >= 0.05:
         raise StepTooCoarse(
@@ -109,12 +94,12 @@ def quasimode_evolve(a: SampledSignal, q: QuasimodeParams) -> SampledSignal:
     return SampledSignal(a.t0, a.dt, out)
 
 
-def quasimode_commutator(dt_sep, q: QuasimodeParams):
-    """Commutator envelope exp(-kappa |dt|); equals 1 at zero separation.
+def quasimode_commutator(dt_sep, k: float):
+    """Commutator envelope exp(-k |dt|), k = kappa; equals 1 at zero separation.
 
     Takes a scalar or an array of separations and returns the same shape.
     """
-    out = np.exp(-q.kappa * np.abs(np.asarray(dt_sep, dtype=float)))
+    out = np.exp(-k * np.abs(np.asarray(dt_sep, dtype=float)))
     return out if out.ndim else float(out)
 
 
@@ -125,8 +110,7 @@ def quasimode_field_error(a: SampledSignal, j: JunctionCoupling, T: float) -> fl
     deep in the high-Q regime; grows to many percent at moderate coupling,
     which is the quantitative content of the regime conditions.
     """
-    q = kappa(j, T, "exact")
-    approx = quasimode_evolve(a, q)
+    approx = quasimode_evolve(a, kappa(j, T, "exact"))
     # the exact field in quasimode normalization: sqrt(T) x the echo sum
     n = len(a)
     exact = math.sqrt(T) * apply_train(kernel_ca(j, T, 1e-10), a).values[:n]
@@ -148,11 +132,10 @@ def fig4_dataset(
     damping flavor, so it visibly detaches from the peaks at moderate
     coupling.
     """
-    q = kappa(j, T, "linear")
+    k = kappa(j, T, "linear")
     dt_sep = np.linspace(0.0, FIG4_TRIPS * T, 4001)
     # the train at z = z': lags 0, -1, ..., -(FIG4_TRIPS + 1) hit at t = 0, T, 2T, ...
-    here = SpaceTimePoint(0.0, 0.0)
-    support = spacetime_commutator_support(j, here, here, T, FIG4_TRIPS + 1)
+    support = spacetime_commutator_support(j, 0.0, 0.0, T, FIG4_TRIPS + 1)
     lags = [lag for lag in reversed(support) if lag[0] <= 0]
     rendered = _broadened(dt_sep, lags, T / 100.0, 1.0)
-    return dt_sep, rendered, quasimode_commutator(dt_sep, q)
+    return dt_sep, rendered, quasimode_commutator(dt_sep, k)

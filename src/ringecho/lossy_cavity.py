@@ -9,11 +9,12 @@ rho to ``rho exp(-Gamma T)``.
 
 The output channel is then no longer unimodular; what the mean field loses,
 the fluctuations replace. This module holds that noise model: the noise
-power ``N(omega)``, its quadrature cross-check and the fraction of an input
-spectrum that the absorber takes. ``N`` is normalized by the only physically
-forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is the lossy
-generalization of the free-space output commutator. All bookkeeping here
-is deterministic second moments; no noise realizations are sampled.
+power ``N(omega)``, its quadrature cross-check and the fraction of a flat
+input spectrum that the absorber takes. ``N`` is normalized by the only
+physically forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is
+the lossy generalization of the free-space output commutator. All
+bookkeeping here is deterministic second moments; no noise realizations
+are sampled.
 """
 
 from __future__ import annotations
@@ -67,15 +68,12 @@ def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
     return gain_ba + (1.0 - math.exp(-2.0 * Gamma * T)) * gain_ca - 1.0
 
 
-def absorbed_fraction(
-    omega: np.ndarray, a: np.ndarray, j: JunctionCoupling, T: float, Gamma: float
-) -> float:
-    """Fraction of a sampled input spectrum ``a`` the attenuated cavity absorbs.
+def absorbed_fraction(j: JunctionCoupling, T: float, Gamma: float) -> float:
+    """Fraction of a flat input spectrum the attenuated cavity absorbs.
 
-    The output is ``g_ba a`` pointwise; the fraction is
-    ``1 - sum|g_ba a|^2 / sum|a|^2`` over the grid, 0 for an all-zero input.
+    The input is flat over one free spectral range, sampled at the 2048
+    midpoints ``(n + 1/2) FSR / 2048``; the output is ``g_ba`` there, so the
+    fraction is ``1 - sum |g_ba|^2 / 2048``.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = g_ba(omega, j, T, Gamma) * a
-    total = float(np.sum(np.abs(a) ** 2))
-    return 1.0 - float(np.sum(np.abs(b) ** 2)) / total if total > 0.0 else 0.0
+    omega = (np.arange(2048) + 0.5) * ((2.0 * math.pi / T) / 2048)
+    return 1.0 - float(np.sum(np.abs(g_ba(omega, j, T, Gamma)) ** 2)) / 2048.0

@@ -40,7 +40,6 @@ from .echo_kernels import (
     SampledSignal,
     _lattice_apply,
     _lattice_stride,
-    apply_train,
     correlate,
     kernel_ba,
 )
@@ -86,9 +85,13 @@ class JointAmplitudeGrid:
         return self.t2_start + self.dt * np.arange(self.values.shape[1])
 
     def exchange_symmetry_error(self) -> float:
-        """Max |Phi(t1,t2) - Phi(t2,t1)|; grid must be square on equal axes."""
+        """Max |Phi(t1,t2) - Phi(t2,t1)|; grid must be square on equal axes.
+
+        The axis starts must agree to within ``1e-12 dt``, so the check holds
+        at every sample spacing.
+        """
         if self.values.shape[0] != self.values.shape[1] or not math.isclose(
-            self.t1_start, self.t2_start, rel_tol=0.0, abs_tol=1e-12
+            self.t1_start, self.t2_start, rel_tol=0.0, abs_tol=1e-12 * self.dt
         ):
             raise ValueError("exchange symmetry needs identical axes")
         return float(np.max(np.abs(self.values - self.values.T)))
@@ -385,33 +388,6 @@ def gaussian_output_closed_form(
     r = np.arange(n)
     out = c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)]
     return JointAmplitudeGrid(t_start, t_start, dt, out.astype(np.complex128))
-
-
-def separable_output(
-    phi1: SampledSignal,
-    phi2: SampledSignal,
-    j: JunctionCoupling,
-    T: float,
-    eps: float = 1e-12,
-) -> tuple[SampledSignal, SampledSignal]:
-    """Per-axis transformed factors of a product-state pair.
-
-    The outer product of the results equals the full tensor transform of the
-    product state.
-    """
-    train = kernel_ba(j, T, eps)
-    return apply_train(train, phi1), apply_train(train, phi2)
-
-
-def outer_product_grid(
-    psi1: SampledSignal, psi2: SampledSignal
-) -> JointAmplitudeGrid:
-    """Joint grid phi1(t1) phi2(t2) from two sampled factors on equal spacing."""
-    if abs(psi1.dt - psi2.dt) > 1e-15:
-        raise ValueError("factors must share the sample spacing")
-    return JointAmplitudeGrid(
-        psi1.t0, psi2.t0, psi1.dt, np.outer(psi1.values, psi2.values)
-    )
 
 
 def peak_locate(phi: JointAmplitudeGrid) -> tuple[float, float]:

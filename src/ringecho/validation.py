@@ -28,10 +28,10 @@ import numpy as np
 
 from . import (
     DeltaTrain,
+    JointAmplitudeGrid,
     JunctionCoupling,
     RingGeometry,
     SampledSignal,
-    SpaceTimePoint,
     TwoPhotonGaussian,
     apply_train,
     convolve,
@@ -49,13 +49,11 @@ from . import (
     kernel_ca,
     noise_power,
     noise_power_quadrature,
-    outer_product_grid,
     output_commutator_check,
     peak_ratio,
     quasimode_commutator,
     resummation_check,
     run,
-    separable_output,
     spacetime_commutator_support,
     sum_rule_residual,
     transform_output_on_window,
@@ -184,7 +182,11 @@ def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[Che
 
 
 def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) -> None:
-    """Body of ``run_suite``: appends one result per name in ``CHECK_NAMES``."""
+    """Body of ``run_suite``: appends one result per name in ``CHECK_NAMES``.
+
+    Every frequency draw, grid, width and time threshold is in units of T
+    (or 1/T), so the suite checks the same thing at every round-trip time.
+    """
     j = JunctionCoupling(rho)
     rng = np.random.default_rng(20240901)
 
@@ -193,7 +195,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
 
     # -- spectral identities ------------------------------------------------
     rhos = rng.uniform(0.0, 0.999, 1000)
-    omegas = rng.uniform(-80.0, 80.0, 1000)
+    omegas = rng.uniform(-80.0, 80.0, 1000) / T
     worst = max(
         abs(abs(g_ba(w, JunctionCoupling(r), T)) - 1.0)
         for r, w in zip(rhos, omegas)
@@ -263,10 +265,8 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     zs = np.append(np.linspace(0.0, L, 97, endpoint=False), zp)
     hits = 0
     for z in zs:
-        pts = spacetime_commutator_support(
-            j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), T, 8
-        )
-        hits += sum(1 for (_, _, t_hit) in pts if abs(t_hit) < 1e-12)
+        pts = spacetime_commutator_support(j, z, zp, T, 8)
+        hits += sum(1 for (_, _, t_hit) in pts if abs(t_hit) < 1e-12 * T)
     check("equal_time_single_support", hits == 1, f"crossings at t=t' = {hits}")
 
     occ = output_commutator_check(j, T, eps)
@@ -318,7 +318,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
         check("peak_ratio_bounded", True, "skipped: rho = 0", skipped=True)
 
     # -- lossy cavity -----------------------------------------------------------
-    ws = rng.uniform(-40.0, 40.0, 200)
+    ws = rng.uniform(-40.0, 40.0, 200) / T
     worst = 0.0
     for gt in (0.0, 0.2, 2.0):
         worst = max(worst, float(np.max(np.abs(sum_rule_residual(ws, j, T, gt / T)))))
@@ -355,14 +355,14 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
 
     # -- two-photon -------------------------------------------------------------
     gspec = TwoPhotonGaussian(0.4 * T, 0.4 * T)
-    dgrid = np.arange(-40 * T, 40 * T + 1e-9, T / 8)
+    dgrid = np.arange(-40 * T, (40 + 1e-9) * T, T / 8)
     d = SampledSignal(dgrid[0], T / 8, np.exp(-(dgrid**2) / (2 * (0.4 * T) ** 2)))
     if j.rho > 0.0:
         kmax = max(10, int(math.ceil(math.log(1e-10) / math.log(rho))))
         residual, _ = cw_output(d, j, T, kmax)
         check("dispersion_cancellation", residual < 1e-9, f"residual = {residual:.3g}")
         kwin = 24
-        x = np.arange(-kwin * T, kwin * T + 1e-9, T / 8)
+        x = np.arange(-kwin * T, (kwin + 1e-9) * T, T / 8)
         d_narrow = SampledSignal(x[0], T / 8, np.exp(-(x**2) / (2 * (0.4 * T) ** 2)))
         # certified truncation deficit of the pair ladder at order nmax is
         # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within 1e-10
@@ -390,10 +390,10 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
     err = float(np.max(np.abs(direct.values - closed.values)))
     check("closed_form_match", err < 1e-8, f"max pointwise deviation = {err:.3g}")
 
-    t = np.arange(-3.0 * T, 3.0 * T + 1e-9, T / 8)
-    f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * 0.35**2)))
-    f2 = SampledSignal(t[0], T / 8, np.exp(-((t - 0.25) ** 2) / (2 * 0.5**2)))
-    p1, p2 = separable_output(f1, f2, j, T, eps)
+    t = np.arange(-3.0 * T, (3.0 + 1e-9) * T, T / 8)
+    f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * (0.35 * T) ** 2)))
+    f2 = SampledSignal(t[0], T / 8, np.exp(-((t - 0.25 * T) ** 2) / (2 * (0.5 * T) ** 2)))
+    p1, p2 = apply_train(kba, f1), apply_train(kba, f2)
     if j.rho > 0.0:
         # the algebraically equivalent -rho phi + (tau^2/rho) sum rho^n phi(t - nT),
         # on the kernel's span; it divides by rho
@@ -415,7 +415,7 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
             "skipped: rho = 0 (reflective factor form undefined, kernel form used)",
             skipped=True,
         )
-    prod_in = outer_product_grid(f1, f2)
+    prod_in = JointAmplitudeGrid(f1.t0, f2.t0, f1.dt, np.outer(f1.values, f2.values))
     n = len(p1)
     err, cells, n_tiles = 0.0, 0, 0
     tiles = _transform_tiles(prod_in, j, T, p1.t0, p2.t0, _separable_tiles(n, rng), eps)

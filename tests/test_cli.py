@@ -43,6 +43,7 @@ class TestFigureCommand:
             assert (tmp_path / f"fig3{label}.csv").exists()
             meta = json.loads((tmp_path / f"fig3{label}_axes.json").read_text())
             assert "z_values" in meta and "t_values" in meta
+            assert meta["broadening"] == 0.01  # the stripe width, T/100
         out = capsys.readouterr().out
         assert "fig3b" in out
 
@@ -69,6 +70,36 @@ class TestFigureCommand:
         main(["figure", "fig6", "--tau", "0.85", "--out", str(tmp_path)])
         ratio = float(capsys.readouterr().out.split("s2/s1 = ")[1].split()[0])
         assert ratio > 0.05
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_tau_flag_reproduces_default_panels(self, tmp_path, name):
+        # each --tau panel is the default run's panel for that tau, byte for byte,
+        # its axes file labelled with the value given
+        assert main(["figure", name, "--out", str(tmp_path / "default")]) == 0
+        for tau in ("0.999", "0.95", "0.85", "0.60"):
+            out = tmp_path / tau
+            assert main(["figure", name, "--tau", tau, "--out", str(out)]) == 0
+            paths = sorted(out.iterdir())
+            assert len(paths) == 3
+            for path in paths:
+                assert path.read_bytes() == (tmp_path / "default" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_rho_flag_reaches_closed_form_unchanged(self, tmp_path, monkeypatch, name):
+        import ringecho.cli as cli
+
+        seen = []
+        closed_form = cli.gaussian_output_closed_form
+
+        def spy(g, j, *args):
+            seen.append(j.rho)
+            return closed_form(g, j, *args)
+
+        monkeypatch.setattr(cli, "gaussian_output_closed_form", spy)
+        rhos = [0.5, 0.3, 0.97, 0.01]  # 0.5 once became 0.5000000000000001
+        for rho in rhos:
+            assert main(["figure", name, "--rho", str(rho), "--out", str(tmp_path)]) == 0
+        assert seen == rhos
 
     def test_unknown_figure_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -222,6 +253,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("T", ["1e-12", "1e-30", "1e6"])
+    @pytest.mark.parametrize("rho", ["0", "0.5", "0.99"])
+    def test_passes_away_from_unit_round_trip(self, tmp_path, capsys, rho, T):
+        # every grid, width, threshold and frequency draw of the suite scales with T
+        assert main(["validate", "--rho", rho, "--T", T, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "26/26 checks passed" in out
+
     def test_open_junction_edge_notes_skips(self, tmp_path, capsys):
         assert main(["validate", "--rho", "0", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "validation_report.json").read_text())
@@ -256,7 +295,7 @@ class TestValidateCommand:
                               "shape (18929, 18929) and data type complex128")
 
         # separable_factorization builds its input grid here, before the transform
-        monkeypatch.setattr(validation, "outer_product_grid", refuse)
+        monkeypatch.setattr(validation, "JointAmplitudeGrid", refuse)
         assert main(["validate", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "out of memory: check separable_factorization at rho = 0.75" in err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ringecho import (
     JunctionCoupling,
-    SpaceTimePoint,
     commutator_figure,
     correlate,
     kernel_ba,
@@ -85,9 +84,7 @@ class TestCavityCommutator:
 class TestSpacetimeSupport:
     def test_same_position_reduces_to_lattice(self):
         j = JunctionCoupling(0.5)
-        pts = spacetime_commutator_support(
-            j, SpaceTimePoint(0.25, 0.0), SpaceTimePoint(0.25, 0.0), 1.0, 4
-        )
+        pts = spacetime_commutator_support(j, 0.25, 0.25, 1.0, 4)
         for k, w, t_hit in pts:
             assert t_hit == pytest.approx(-k * 1.0)
             assert w == pytest.approx(0.5 ** abs(k))
@@ -100,27 +97,23 @@ class TestSpacetimeSupport:
         hits = [
             z
             for z in zs
-            for (k, w, t_hit) in spacetime_commutator_support(
-                j, SpaceTimePoint(z, 0.0), SpaceTimePoint(zp, 0.0), 1.0, 6
-            )
+            for (k, w, t_hit) in spacetime_commutator_support(j, z, zp, 1.0, 6)
             if abs(t_hit) < 1e-12
         ]
         assert hits == [zp]
 
     def test_crossings_shift_with_reference_position(self):
         j = JunctionCoupling(0.9)
-        p = SpaceTimePoint(0.1, 0.0)
         for zp in (0.0, 0.333, 0.666):
-            pts = spacetime_commutator_support(j, p, SpaceTimePoint(zp, 0.0), 1.0, 3)
+            pts = spacetime_commutator_support(j, 0.1, zp, 1.0, 3)
             for k, _, t_hit in pts:
                 assert t_hit == pytest.approx(0.1 - zp - k)
 
     def test_rejects_outside_loop(self):
         j = JunctionCoupling(0.5)
-        with pytest.raises(ValueError):
-            spacetime_commutator_support(
-                j, SpaceTimePoint(1.5, 0.0), SpaceTimePoint(0.0, 0.0), 1.0, 2
-            )
+        for z, z_ref in ((1.5, 0.0), (0.0, 1.0), (-0.1, 0.5)):
+            with pytest.raises(ValueError, match="outside the loop"):
+                spacetime_commutator_support(j, z, z_ref, 1.0, 2)
 
 
 class TestCrossCommutator:
@@ -254,53 +247,51 @@ class TestCommutatorFigure:
     )
     def test_bitwise_equals_reference_loop(self, rho, zprime, T, t_range):
         j = JunctionCoupling(rho)
-        cmap = commutator_figure(j, zprime, T)
+        _, _, matrix = commutator_figure(j, zprime, T)
         want = reference_figure_matrix(j, zprime, T, T / 100.0, t_range=t_range)
-        assert cmap.matrix.tobytes() == want.tobytes()
+        assert matrix.tobytes() == want.tobytes()
 
     def test_stripe_mass_conserved(self):
         """Area under each rendered stripe equals the underlying delta weight."""
         j = JunctionCoupling(np.sqrt(0.998))
         broadening = 0.01
-        cmap = commutator_figure(j, 0.0, 1.0, nt=6001)
-        dt = cmap.t_values[1] - cmap.t_values[0]
+        z_vals, t_vals, matrix = commutator_figure(j, 0.0, 1.0, nt=6001)
+        dt = t_vals[1] - t_vals[0]
         iz = 0  # z close to 0, stripes at t = -k
-        col = cmap.matrix[:, iz]
-        z0 = cmap.z_values[iz]
+        col = matrix[:, iz]
+        z0 = z_vals[iz]
         for k in (-2, -1, 0, 1, 2):
             t_hit = z0 - k
-            sel = np.abs(cmap.t_values - t_hit) < 6 * broadening
+            sel = np.abs(t_vals - t_hit) < 6 * broadening
             mass = float(np.sum(col[sel]) * dt)
             assert mass == pytest.approx(j.rho ** abs(k), rel=1e-4)
 
     def test_single_crossing_on_t0_row(self):
         j = JunctionCoupling(np.sqrt(0.998))
         zp = 0.333
-        cmap = commutator_figure(j, zp, 1.0, nz=300)
-        row = cmap.matrix[int(np.argmin(np.abs(cmap.t_values)))]
-        peak_z = cmap.z_values[int(np.argmax(row))]
+        z_vals, t_vals, matrix = commutator_figure(j, zp, 1.0, nz=300)
+        row = matrix[int(np.argmin(np.abs(t_vals)))]
+        peak_z = z_vals[int(np.argmax(row))]
         assert peak_z == pytest.approx(zp, abs=2.0 / 300)
         # a single stripe: values far from z' on this row are negligible
-        far = np.abs(cmap.z_values - zp) > 0.1
+        far = np.abs(z_vals - zp) > 0.1
         assert np.max(row[far]) < 1e-6 * np.max(row)
 
     def test_map_is_nonnegative_and_shaped(self):
-        cmap = commutator_figure(JunctionCoupling(0.9), 0.5, 1.0, nt=301, nz=50)
-        assert cmap.matrix.shape == (301, 50)
-        assert np.all(cmap.matrix >= 0.0)
+        z_vals, t_vals, matrix = commutator_figure(JunctionCoupling(0.9), 0.5, 1.0, nt=301, nz=50)
+        assert matrix.shape == (len(t_vals), len(z_vals)) == (301, 50)
+        assert np.all(matrix >= 0.0)
 
     def test_csv_export(self, tmp_path):
-        cmap = commutator_figure(JunctionCoupling(0.5), 0.0, 1.0, nt=51, nz=10)
+        z_vals, t_vals, matrix = commutator_figure(JunctionCoupling(0.5), 0.0, 1.0, nt=51, nz=10)
         meta = {
-            "z_values": [float(z) for z in cmap.z_values],
-            "t_values": [float(t) for t in cmap.t_values],
-            "broadening": cmap.broadening,
+            "z_values": [float(z) for z in z_vals],
+            "t_values": [float(t) for t in t_vals],
         }
-        csv_path, meta_path = write_matrix(tmp_path / "map", cmap.matrix, meta, "csv")
+        csv_path, meta_path = write_matrix(tmp_path / "map", matrix, meta, "csv")
         rows = csv_path.read_text().strip().splitlines()
         assert len(rows) == 51
         import json
 
         meta = json.loads(meta_path.read_text())
         assert len(meta["z_values"]) == 10
-        assert meta["broadening"] == 0.01

@@ -25,17 +25,17 @@ def gaussian_pulse(width, dt, t_lo, t_hi):
 
 class TestKappa:
     def test_exact_value_and_round_trip(self):
-        q = kappa(JunctionCoupling(0.97), 1.0, "exact")
-        assert q.kappa == pytest.approx(0.0304592, abs=1e-7)
-        assert math.exp(-q.kappa * 1.0) == pytest.approx(0.97, rel=1e-14)
+        rate = kappa(JunctionCoupling(0.97), 1.0, "exact")
+        assert rate == pytest.approx(0.0304592, abs=1e-7)
+        assert math.exp(-rate * 1.0) == pytest.approx(0.97, rel=1e-14)
 
     def test_linear_value(self):
-        q = kappa(JunctionCoupling(0.97), 1.0, "linear")
-        assert q.kappa == pytest.approx(0.03, rel=1e-14)
+        rate = kappa(JunctionCoupling(0.97), 1.0, "linear")
+        assert rate == pytest.approx(0.03, rel=1e-14)
 
     def test_flavors_agree_near_closed_junction(self):
         j = JunctionCoupling(0.9995)
-        rates = [kappa(j, 1.0, f).kappa for f in ("exact", "linear")]
+        rates = [kappa(j, 1.0, f) for f in ("exact", "linear")]
         base = 1.0 - j.rho
         for r in rates:
             assert abs(r - base) / base < 1e-3
@@ -47,6 +47,12 @@ class TestKappa:
     def test_unknown_flavorrejected(self):
         with pytest.raises(ValueError):
             kappa(JunctionCoupling(0.5), 1.0, "other")
+
+    @pytest.mark.parametrize("flavor", ["exact", "linear"])
+    def test_rate_underflowing_to_zero_rejected(self, flavor):
+        # 1 - rho and ln(1/rho) are about 1.1e-16; over 1e308 both round to 0.0
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            kappa(JunctionCoupling(0.9999999999999999), 1e308, flavor)
 
 
 class TestEffectiveResponse:
@@ -67,28 +73,28 @@ class TestEffectiveResponse:
 class TestQuasimodeEvolve:
     def test_zero_input_zero_output(self):
         a = SampledSignal(0.0, 0.01, np.zeros(100, dtype=complex))
-        q = kappa(JunctionCoupling(0.9), 1.0, "exact")
-        assert np.all(quasimode_evolve(a, q).values == 0.0)
+        rate = kappa(JunctionCoupling(0.9), 1.0, "exact")
+        assert np.all(quasimode_evolve(a, rate).values == 0.0)
 
     def test_constant_drive_steady_state(self):
         a0 = 0.7 - 0.2j
-        q = kappa(JunctionCoupling(0.75), 1.0, "exact")
+        rate = kappa(JunctionCoupling(0.75), 1.0, "exact")
         a = SampledSignal(0.0, 0.02, np.full(4000, a0))
-        c = quasimode_evolve(a, q)
-        assert c.values[-1] == pytest.approx(a0 * math.sqrt(2.0 / q.kappa), rel=1e-9)
+        c = quasimode_evolve(a, rate)
+        assert c.values[-1] == pytest.approx(a0 * math.sqrt(2.0 / rate), rel=1e-9)
 
     def test_step_guard(self):
-        q = kappa(JunctionCoupling(0.5), 1.0, "exact")  # kappa = 0.693
+        rate = kappa(JunctionCoupling(0.5), 1.0, "exact")  # kappa = 0.693
         a = SampledSignal(0.0, 0.1, np.ones(10, dtype=complex))
         with pytest.raises(StepTooCoarse):
-            quasimode_evolve(a, q)
+            quasimode_evolve(a, rate)
 
     def test_matches_exact_envelope_at_097(self):
         """Reduced model tracks the exact echo-sum peak within 2 percent."""
         j = JunctionCoupling(0.97)
         a = gaussian_pulse(8.0, 1.0 / 8, -32.0, 32.0 + 6.0 / 0.0305)
-        q = kappa(j, 1.0, "exact")
-        c_qm = quasimode_evolve(a, q)
+        rate = kappa(j, 1.0, "exact")
+        c_qm = quasimode_evolve(a, rate)
         c_ex = apply_train(kernel_ca(j, 1.0, 1e-10), a)
         pk_qm = np.max(np.abs(c_qm.values))
         pk_ex = np.max(np.abs(c_ex.values[: len(a)]))
@@ -108,45 +114,45 @@ class TestQuasimodeEvolve:
         under the piecewise-linear input reading) and the window covers the
         decay down to the tolerance.
         """
-        q = kappa(JunctionCoupling(0.97), 1.0, "exact")
+        rate = kappa(JunctionCoupling(0.97), 1.0, "exact")
         dt = 0.004
         n = int(520 / dt)
         i0 = 10
         vals = np.zeros(n, dtype=complex)
         vals[i0] = 1.0 / dt  # unit-area impulse
-        c = quasimode_evolve(SampledSignal(0.0, dt, vals), q)
+        c = quasimode_evolve(SampledSignal(0.0, dt, vals), rate)
         for w in np.linspace(-0.2, 0.2, 9):
             dft = np.sum(c.values * np.exp(1j * w * c.times)) * dt
             lorentzian = (
-                math.sqrt(2.0 * q.kappa) / (q.kappa - 1j * w)
+                math.sqrt(2.0 * rate) / (rate - 1j * w)
             ) * np.exp(1j * w * i0 * dt)
             assert abs(dft - lorentzian) / abs(lorentzian) < 1e-6
 
 
 class TestQuasimodeOutput:
     def test_transfer_is_unimodular(self):
-        q = kappa(JunctionCoupling(0.9), 1.0, "exact")
+        rate = kappa(JunctionCoupling(0.9), 1.0, "exact")
         for w in np.linspace(-3, 3, 13):
-            h = (q.kappa + 1j * w) / (q.kappa - 1j * w)
+            h = (rate + 1j * w) / (rate - 1j * w)
             assert abs(abs(h) - 1.0) < 1e-15
 
 
 class TestQuasimodeCommutator:
     def test_unity_at_equal_times(self):
-        q = kappa(JunctionCoupling(0.75), 1.0, "exact")
-        assert quasimode_commutator(0.0, q) == 1.0
+        rate = kappa(JunctionCoupling(0.75), 1.0, "exact")
+        assert quasimode_commutator(0.0, rate) == 1.0
 
     def test_exact_flavor_interpolates_lattice(self):
         j = JunctionCoupling(0.75)
-        q = kappa(j, 1.0, "exact")
+        rate = kappa(j, 1.0, "exact")
         for k in range(21):
-            assert quasimode_commutator(k * 1.0, q) == pytest.approx(
+            assert quasimode_commutator(k * 1.0, rate) == pytest.approx(
                 j.rho**k, abs=1e-14
             )
 
     def test_linear_flavor_detaches_at_moderate_coupling(self):
-        q = kappa(JunctionCoupling(0.70), 1.0, "linear")
-        approx = quasimode_commutator(3.0, q)
+        rate = kappa(JunctionCoupling(0.70), 1.0, "linear")
+        approx = quasimode_commutator(3.0, rate)
         assert approx == pytest.approx(math.exp(-0.9), rel=1e-14)
         assert approx == pytest.approx(0.40657, abs=1e-5)
         exact_env = 0.70**3
@@ -155,19 +161,19 @@ class TestQuasimodeCommutator:
 
     @pytest.mark.parametrize("flavor", ["exact", "linear"])
     def test_array_equals_scalars(self, flavor):
-        q = kappa(JunctionCoupling(0.7), 1.3, flavor)
+        rate = kappa(JunctionCoupling(0.7), 1.3, flavor)
         seps = np.array([-13.0, -1.3, -0.0, 0.0, 5e-324, 0.4, 1.3, 2.6, 13.0, 1e3, np.inf])
-        env = quasimode_commutator(seps, q)
+        env = quasimode_commutator(seps, rate)
         assert env.shape == seps.shape
-        assert [float(e) for e in env] == [quasimode_commutator(float(s), q) for s in seps]
-        grid = quasimode_commutator(seps.reshape(1, -1), q)
+        assert [float(e) for e in env] == [quasimode_commutator(float(s), rate) for s in seps]
+        grid = quasimode_commutator(seps.reshape(1, -1), rate)
         assert grid.shape == (1, len(seps)) and np.array_equal(grid[0], env)
 
 
 def reference_fig4(j, flavor, broadening, T, t_max):
     """The ``rho^k`` loop fig4_dataset rendered its train with before it drew
     ``spacetime_commutator_support``'s lags, kept as the bitwise reference."""
-    q = kappa(j, T, flavor)
+    rate = kappa(j, T, flavor)
     dt_sep = np.linspace(0.0, t_max, 4001)
     rendered = np.zeros_like(dt_sep)
     kmax = int(math.floor(t_max / T)) + 1
@@ -176,7 +182,7 @@ def reference_fig4(j, flavor, broadening, T, t_max):
         if w < 1e-300:
             break
         rendered += w * np.exp(-((dt_sep - k * T) ** 2) / (2.0 * broadening**2))
-    return dt_sep, rendered, np.exp(-q.kappa * dt_sep)
+    return dt_sep, rendered, np.exp(-rate * dt_sep)
 
 
 class TestFig4Dataset:

@@ -17,11 +17,9 @@ from ringecho import (
     gaussian_amplitude,
     gaussian_output_closed_form,
     kernel_ba,
-    outer_product_grid,
     peak_locate,
     resummation_check,
     separability_rank,
-    separable_output,
     transform_output,
     transform_output_on_window,
 )
@@ -150,6 +148,16 @@ class TestGaussianAmplitude:
         # t_i + t_j and (t_i - t_j)^2 are exact mirrors, so no check is needed
         grid = gaussian_amplitude(TwoPhotonGaussian(sigma, beta), dt=dt)
         assert grid.exchange_symmetry_error() == 0.0
+
+    def test_exchange_symmetry_refuses_shifted_axes(self):
+        # starts must agree to 1e-12 of the spacing: 100 samples apart is
+        # refused at any dt, a shift of 1e-13 dt is not
+        for dt in (1e-15, 1.0, 1e6):
+            shifted = JointAmplitudeGrid(0.0, 100 * dt, dt, np.zeros((3, 3)))
+            with pytest.raises(ValueError, match="identical axes"):
+                shifted.exchange_symmetry_error()
+            close = JointAmplitudeGrid(0.0, 1e-13 * dt, dt, np.zeros((3, 3)))
+            assert close.exchange_symmetry_error() == 0.0
 
     def test_equal_widths_rank_one(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=T / 16)
@@ -524,23 +532,27 @@ class TestClosedForm:
 
 
 class TestSeparableOutput:
+    """A product-state pair transforms factor by factor: each photon's factor
+    is ``apply_train(kernel_ba, phi)``."""
+
     def test_outer_product_equals_full_transform(self):
         t = np.arange(-2.4, 2.4 + 1e-12, T / 8)
         f = np.exp(-(t**2) / (2 * 0.3**2))
         phi1 = SampledSignal(t[0], T / 8, f)
         j = JunctionCoupling.from_tau(0.85)
+        kba = kernel_ba(j, T, 1e-12)
         # the same pulse with a phase, and a wider pulse off centre
         for f2 in (f * np.exp(0.2j), np.exp(-((t - 0.2) ** 2) / (2 * 0.45**2))):
             phi2 = SampledSignal(t[0], T / 8, f2)
-            p1, p2 = separable_output(phi1, phi2, j, T, eps=1e-12)
-            grid_in = outer_product_grid(phi1, phi2)
+            p1, p2 = apply_train(kba, phi1), apply_train(kba, phi2)
+            grid_in = JointAmplitudeGrid(phi1.t0, phi2.t0, T / 8, np.outer(phi1.values, phi2.values))
             full = transform_output(grid_in, j, T, eps=1e-12)
             assert np.max(np.abs(np.outer(p1.values, p2.values) - full.values)) < 1e-10
 
     def test_open_junction_is_pure_delay(self):
         t = np.arange(-1.0, 1.0 + 1e-12, T / 4)
         phi = SampledSignal(t[0], T / 4, np.exp(-(t**2)))
-        p1, _ = separable_output(phi, phi, JunctionCoupling(0.0), T)
+        p1 = apply_train(kernel_ba(JunctionCoupling(0.0), T), phi)
         assert p1.t0 == pytest.approx(phi.t0 + T)
         np.testing.assert_array_equal(p1.values, phi.values)
 
@@ -550,8 +562,8 @@ class TestSeparableOutput:
         vals[0] = 1.0
         phi = SampledSignal(0.0, T / stride, vals)
         j = JunctionCoupling(0.75)
-        p1, _ = separable_output(phi, phi, j, T)
         train = kernel_ba(j, T)
+        p1 = apply_train(train, phi)
         for n in range(3):
             assert p1.values[n * stride] == pytest.approx(train.weight(n), abs=1e-15)
 
@@ -559,9 +571,9 @@ class TestSeparableOutput:
         t = np.arange(-1.0, 1.0 + 1e-12, T / 4)
         phi = SampledSignal(t[0], T / 4, np.exp(-(t**2)))
         j = JunctionCoupling(0.6)
-        a1, _ = separable_output(phi, phi, j, T)
         # -rho phi + (tau^2/rho) sum rho^n phi(t - nT) on the kernel's span
         kern = kernel_ba(j, T)
+        a1 = apply_train(kern, phi)
         reflective = DeltaTrain(
             T,
             kern.k0,
