@@ -7,7 +7,7 @@ no timestamps ever enter a data file, nor does a NaN or an infinity.
 
 Exit codes: 0 success, 1 validation failure, 2 bad arguments, a request
 larger than the memory available, arithmetic outside the floating-point
-range (a figure stops at its first overflow or NaN; the message names
+range (every command stops at its first overflow or NaN; the message names
 ``--T``), or a data file that would hold a non-finite value.
 """
 
@@ -405,17 +405,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if args.command == "figure":
-            # every figure scales with T: at its ends, stop at the first
-            # overflow or NaN rather than warn and write on
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # every command scales with T: at its ends, stop at the first
+        # overflow or NaN rather than warn and go on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "figure":
                 return cmd_figure(args.name, cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        return cmd_sweep(args.metric, args.start, args.stop, args.count, cfg)
-    except BadArguments as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            if args.command == "validate":
+                return cmd_validate(cfg)
+            return cmd_sweep(args.metric, args.start, args.stop, args.count, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,16 +23,12 @@ round trip, so every sum here is a strided 1-D convolution. Trains are
 stored in the layout those sums take, ``k0`` plus an array ``c`` over the
 offset span, and the sums run on ``c`` itself in compiled numpy code.
 
-``convolve`` and ``correlate`` are one direct ``np.convolve`` call each,
-over the full span of lags the pairwise definitions reach.
-They stay direct: an FFT there would save about 3 ms per pass of the
-high-Q benchmark and would break exact symmetries of the weights, such as
-``correlate(h, h).weight(k) == weight(-k)``, which the direct sum keeps.
-
-Sampled signals (including both axes of the two-photon transforms) go
-through ``_lattice_apply``, which cuts the axis into blocks of one round
-trip and keeps only the kernel terms that reach the requested output
-window. It has three branches:
+Every lattice sum goes through ``_lattice_apply``: sampled signals
+(including both axes of the two-photon transforms), and ``convolve`` and
+``correlate``, which apply one train's weights to the other's at stride 1
+over the full span of lags the pairwise definitions reach. It cuts the axis
+into blocks of one round trip and keeps only the kernel terms that reach the
+requested output window. It has three branches:
 
 - wide inputs: a matrix product with the banded Toeplitz matrix of the
   kernel, from input blocks to output blocks (the all-pass section's
@@ -48,7 +44,12 @@ The direct branches agree with the pairwise definitions to rounding
 (relative 1e-13), and single-term trains give bitwise-identical output.
 FFT rounding is absolute instead: an output sample deviates from the exact
 sum by about ``eps log2(n) sum|c| max|x|``, with n the length of the full
-convolution in blocks, ``c`` the kernel weights and ``x`` the input.
+convolution in blocks, ``c`` the kernel weights and ``x`` the input. For
+trains (stride 1, one column) the FFT is taken only when both have at least
+``_MIN_FFT_WORK`` terms, and each weight of the result is then within
+``eps log2(n) sum|f| sum|g|`` of the pairwise sum. ``correlate(h, h)`` is
+symmetrised, so ``weight(k) == weight(-k)`` holds bit for bit on every
+branch.
 """
 
 from __future__ import annotations
@@ -227,28 +228,29 @@ def _check_same_period(f: DeltaTrain, g: DeltaTrain) -> None:
 
 
 def _lattice_sum(f: DeltaTrain, g: DeltaTrain, reverse_f: bool) -> DeltaTrain:
-    """Shared body of ``convolve`` and ``correlate`` (``f`` reversed)."""
+    """Shared body of ``convolve`` and ``correlate`` (``f`` reversed): the
+    weights of ``f`` as a stride-1 signal under the kernel ``g``."""
     _check_same_period(f, g)
     tail = f.tail_bound * (g.sum_abs() + g.tail_bound) + g.tail_bound * f.sum_abs()
     if not len(f.c) or not len(g.c):
         return DeltaTrain(f.period, 0, [], 0.0, tail)
     fk0, fc = (-(f.k0 + len(f.c) - 1), f.c[::-1]) if reverse_f else (f.k0, f.c)
-    return DeltaTrain(f.period, fk0 + g.k0, np.convolve(fc, g.c), 0.0, tail)
+    c = _lattice_apply(g.c, 0, 1, fc, 0, 0, len(fc) + len(g.c) - 1)
+    return DeltaTrain(f.period, fk0 + g.k0, c, 0.0, tail)
 
 
 def convolve(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     """Convolution ``(f * g)_k = sum_m f_m g_(k-m)``.
 
     Realizes kernel composition. Both trains are laid out as dense arrays
-    over their offset spans and combined by one direct ``np.convolve``
-    call, which costs O(n_f n_g) multiply-adds in compiled code (about
-    0.1 s for two 21,000-term kernels at rho = 0.999). It takes no FFT
-    branch: that would save little here and would lose exact symmetries of
-    the weights (see the module docstring). The result spans every lag
-    some pair of offsets reaches. No truncation is applied to it
-    (cancellations are kept so tests can inspect them); the tail bound of the inputs
-    propagates as ``tail_f (S_g + tail_g) + tail_g S_f`` with S the total
-    absolute weight.
+    over their offset spans and combined by ``_lattice_apply`` at stride 1:
+    a direct sum, bitwise ``np.convolve`` of the two arrays, unless both
+    have at least ``_MIN_FFT_WORK`` terms; then an FFT overlap-add, each
+    weight within ``eps log2(n) sum|f| sum|g|`` of the pairwise sum, n the
+    result's length. The result spans every lag some pair of offsets
+    reaches. No truncation is applied to it (cancellations are kept so
+    tests can inspect them); the tail bound of the inputs propagates as
+    ``tail_f (S_g + tail_g) + tail_g S_f`` with S the total absolute weight.
     """
     return _lattice_sum(f, g, reverse_f=False)
 
@@ -257,13 +259,17 @@ def correlate(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     """Correlation ``(f x g)_k = sum_n f_n g_(n+k)``.
 
     The autocorrelation of a kernel is its commutator train: the weight at
-    lag k of ``correlate(h, h)`` is exactly the equal-position field
-    commutator at time separation k periods, and ``weight(k) ==
-    weight(-k)`` holds bit for bit. Computed as ``convolve`` with ``f``
-    reversed in offset, directly, at the same cost and with the same span
-    and tail-bound rules.
+    lag k of ``correlate(h, h)`` is the equal-position field commutator at
+    time separation k periods. Computed as ``convolve`` with ``f`` reversed
+    in offset, with the same branches, rounding bound, span and tail-bound
+    rules. When ``f is g`` the weights are symmetrised, ``(c + c[::-1]) / 2``,
+    so ``weight(k) == weight(-k)`` holds bit for bit on the FFT branch too;
+    on the direct branch that changes no bit.
     """
-    return _lattice_sum(f, g, reverse_f=True)
+    h = _lattice_sum(f, g, reverse_f=True)
+    if f is not g:
+        return h
+    return DeltaTrain(h.period, h.k0, (h.c + h.c[::-1]) / 2, 0.0, h.tail_bound)
 
 
 def _lattice_stride(period: float, dt: float) -> int:
@@ -365,11 +371,12 @@ def _lattice_apply(
 ) -> np.ndarray:
     """Rows ``[start, start + n_out)`` of ``y[i] = sum_k c[k - k0] x[i - k stride]``.
 
-    ``x`` is complex and indexed from 0 along ``axis``; samples outside it
-    are zero. The axis is cut into blocks of ``stride`` samples, so every
-    term becomes a whole-block shift and the sum a 1-D convolution over the
-    block index, independent for each within-block position (a "column";
-    the real and imaginary parts and the other axes are columns too). Only
+    ``x`` is complex128 or float64, and the result has its dtype; it is
+    indexed from 0 along ``axis``, and samples outside it are zero. The axis
+    is cut into blocks of ``stride`` samples, so every term becomes a
+    whole-block shift and the sum a 1-D convolution over the block index,
+    independent for each within-block position (a "column"; the real and
+    imaginary parts and the other axes are columns too). Only
     the kernel terms whose shifted input meets the output window are kept.
     Three branches, tried in this order:
 
@@ -406,8 +413,8 @@ def _lattice_apply(
     c = c[lo : max(lo, min(len(c), e0 + qy - k0))]
     k0 += lo
     if not len(c):  # no kernel term reaches the output window
-        return np.moveaxis(np.zeros((n_out,) + rest, dtype=np.complex128), 0, axis)
-    xb = np.zeros((qx * stride,) + rest, dtype=np.complex128)
+        return np.moveaxis(np.zeros((n_out,) + rest, dtype=x.dtype), 0, axis)
+    xb = np.zeros((qx * stride,) + rest, dtype=x.dtype)
     xb[pad : pad + n] = x
     xb = xb.view(np.float64).reshape(qx, -1)
     n_c, cols = len(c), xb.shape[1]
@@ -430,7 +437,7 @@ def _lattice_apply(
         q_lo, q_hi = max(0, -shift), min(qy, qx + n_c - 1 - shift)
         for col in range(cols):
             y[q_lo:q_hi, col] = np.convolve(xb[col], c)[q_lo + shift : q_hi + shift]
-    y = y.view(np.complex128).reshape((qy * stride,) + rest)[:n_out]
+    y = y.view(x.dtype).reshape((qy * stride,) + rest)[:n_out]
     return np.moveaxis(y, 0, axis)
 
 

@@ -20,6 +20,7 @@ are sampled.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -73,7 +74,12 @@ def absorbed_fraction(j: JunctionCoupling, T: float, Gamma: float) -> float:
 
     The input is flat over one free spectral range, sampled at the 2048
     midpoints ``(n + 1/2) FSR / 2048``; the output is ``g_ba`` there, so the
-    fraction is ``1 - sum |g_ba|^2 / 2048``.
+    fraction is ``1 - sum |g_ba|^2 / 2048``. Raises ``ArithmeticError`` when
+    the frequency step ``FSR / 2048`` is not a normal float: it overflows for
+    T below about 3.5e-308 and loses digits as a subnormal above about 1.4e305.
     """
-    omega = (np.arange(2048) + 0.5) * ((2.0 * math.pi / T) / 2048)
+    step = (2.0 * math.pi / T) / 2048
+    if not sys.float_info.min <= step < math.inf:
+        raise ArithmeticError(f"the frequency step 2 pi / (2048 T) = {step:g} is not a normal float")
+    omega = (np.arange(2048) + 0.5) * step
     return 1.0 - float(np.sum(np.abs(g_ba(omega, j, T, Gamma)) ** 2)) / 2048.0

@@ -38,6 +38,7 @@ from .echo_kernels import (
     DeltaTrain,
     IncommensurateGrid,
     SampledSignal,
+    _ladder,
     _lattice_apply,
     _lattice_stride,
     correlate,
@@ -262,28 +263,23 @@ def resummation_check(
 ) -> float:
     """Brute-force double echo ladder against its geometric resummation.
 
-    Left side: ``sum_{n,m>=1} rho^(n+m) D(x + (n-m)T)`` summed pair by pair.
-    Right side: ``rho^2/(1-rho^2) sum_k rho^|k| D(x + kT)``. Returns the
-    maximum absolute deviation over the sampled window.
+    Left side: ``sum_{n,m>=1} rho^(n+m) D(x + (n-m)T)``, every pair summed,
+    its lag weights the autocorrelation of the train ``[rho, ..., rho^nmax]``
+    (``correlate``). Right side: ``rho^2/(1-rho^2) sum_k rho^|k| D(x + kT)``,
+    its weights down to 1e-18. Returns the maximum absolute deviation over
+    the sampled window.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     stride = _lattice_stride(T, d.dt)
 
-    # lag coefficients of D(x - kT): the pair (n, m), 1 <= n, m <= nmax, adds
-    # rho^(n+m) at k = m - n, index nmax - 1 + k; pairs are added one at a
-    # time, n outer, each row's powers sliced from one table g[i] = rho^(i+2)
-    lhs = np.zeros(2 * nmax - 1)
-    g = rho ** np.arange(2, 2 * nmax + 1)
-    for n in range(1, nmax + 1):
-        lhs[nmax - n : 2 * nmax - n] += g[n - 1 : n - 1 + nmax]
+    # the pair (n, m), 1 <= n, m <= nmax, adds rho^(n+m) at the lag k = m - n
+    ladder = DeltaTrain(T, 1, rho ** np.arange(1, nmax + 1))
+    pairs = correlate(ladder, ladder)
     pref = rho * rho / (1.0 - rho * rho)
-    # terms down to 1e-18, counted from logarithms with a guard of 2, then cut exactly
-    n_tail = min(100 * nmax, max(0, math.ceil(math.log(1e-18 / pref) / math.log(rho)) + 2))
-    tail = pref * rho ** np.arange(1, n_tail + 1)
-    tail = tail[tail >= 1e-18]
+    tail, _ = _ladder(pref * rho, rho, 1e-18)
     rhs = np.concatenate([tail[::-1], [pref], tail])
-    left = _lattice_apply(lhs, 1 - nmax, stride, d.values, 0, 0, len(d))
+    left = _lattice_apply(pairs.c, pairs.k0, stride, d.values, 0, 0, len(d))
     right = _lattice_apply(rhs, -len(tail), stride, d.values, 0, 0, len(d))
     return float(np.max(np.abs(left - right)))
 

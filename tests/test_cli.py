@@ -225,6 +225,25 @@ class TestRoundTripRange:
             assert errors and f"--T {float(T):g}" in errors[0]
         assert_all_finite(tmp_path)
 
+    @pytest.mark.parametrize("T", ["1e-310", "1e308"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["validate"],
+            ["sweep", "absorbed_fraction", "--start", "0", "--stop", "1", "--count", "2"],
+            ["sweep", "cw_residual", "--start", "1", "--stop", "3", "--count", "2"],
+        ],
+    )
+    def test_validate_and_sweeps_exit_2_naming_T(self, tmp_path, capsys, command, T):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(command + ["--T", T, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert rc == 2 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors and f"--T {float(T):g}" in errors[0]
+
     def test_fig3_cost_does_not_grow_as_T_shrinks(self, tmp_path, capsys):
         start = time.perf_counter()
         assert main(["figure", "fig3", "--T", "1e-3", "--out", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -79,6 +80,29 @@ def brute_lattice_apply(c, k0, stride, x, start, n_out):
             if 0 <= src < len(x):
                 y[r] += ck * x[src]
     return y
+
+
+@contextmanager
+def lattice_branches(lowered):
+    """Record the branches ``_lattice_apply`` takes, "gemm" per band matrix
+    and "fft" per overlap-add (neither: the direct sum). ``lowered`` drops
+    the FFT thresholds so that trains of two or more terms take the FFT."""
+    taken = []
+    band, overlap_add = echo_kernels._toeplitz_band, echo_kernels._overlap_add
+    with pytest.MonkeyPatch.context() as mp:
+        if lowered:
+            mp.setattr(echo_kernels, "_MIN_FFT", 2)
+            mp.setattr(echo_kernels, "_MIN_FFT_WORK", 2)
+        mp.setattr(echo_kernels, "_toeplitz_band", lambda *a: taken.append("gemm") or band(*a))
+        mp.setattr(echo_kernels, "_overlap_add", lambda *a: taken.append("fft") or overlap_add(*a))
+        yield taken
+
+
+def fft_bound(n, sum_c, max_x):
+    """The FFT branch's rounding bound, n the full convolution's length, plus
+    one smallest subnormal of underflow per operation of the transforms."""
+    log_n = np.log2(max(n, 2))
+    return np.finfo(float).eps * log_n * sum_c * max_x + n * log_n * np.finfo(float).smallest_subnormal
 
 
 @st.composite
@@ -369,21 +393,7 @@ class TestLatticeAgainstReference:
             ((400, 16), 1, 70, "fft"),  # input longer than the kernel: 3 input segments
         ],
     )
-    def test_both_paths_at_their_boundary(self, monkeypatch, shape, stride, n_c, path):
-        built, transformed = [], []
-
-        def spy(*args):
-            built.append(args)
-            return toeplitz_band(*args)
-
-        def fft_spy(*args):
-            transformed.append(args)
-            return overlap_add(*args)
-
-        toeplitz_band = echo_kernels._toeplitz_band
-        overlap_add = echo_kernels._overlap_add
-        monkeypatch.setattr(echo_kernels, "_toeplitz_band", spy)
-        monkeypatch.setattr(echo_kernels, "_overlap_add", fft_spy)
+    def test_both_paths_at_their_boundary(self, shape, stride, n_c, path):
         rng = np.random.default_rng(n_c)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         c, k0 = rng.normal(size=n_c), -2
@@ -391,20 +401,88 @@ class TestLatticeAgainstReference:
         # the whole output, then a window that starts and ends inside a
         # segment; cropping may move a narrow window to another path
         for w_start, w_out in ((start, n_out), (start + n_out // 3 + 1, n_out // 3)):
-            del built[:], transformed[:]
-            got = _lattice_apply(c, k0, stride, x, 0, w_start, w_out)
-            taken = "gemm" if built else "fft" if transformed else "column"
+            with lattice_branches(lowered=False) as branches:
+                got = _lattice_apply(c, k0, stride, x, 0, w_start, w_out)
+            taken = "gemm" if "gemm" in branches else "fft" if branches else "column"
             assert taken == path or (path != "fft" and w_out < n_out)
-            if taken == "fft":
-                # the FFT branch's rounding bound, n the full convolution's
-                # length in blocks
-                n_blocks = -(-shape[0] // stride) + n_c - 1
-                scale = np.finfo(float).eps * np.log2(n_blocks)
-            else:
-                scale = 1e-13
             want = brute_lattice_apply(c, k0, stride, x, w_start, w_out)
-            tol = scale * np.sum(np.abs(c)) * np.max(np.abs(x))
+            sum_c, max_x = np.sum(np.abs(c)), np.max(np.abs(x))
+            if taken == "fft":
+                tol = fft_bound(-(-shape[0] // stride) + n_c - 1, sum_c, max_x)
+            else:
+                tol = 1e-13 * sum_c * max_x
             assert np.max(np.abs(got - want)) <= tol
+
+
+class TestTrainSumsByFFT:
+    """``convolve`` and ``correlate`` on ``_lattice_apply``'s FFT branch."""
+
+    @given(f=trains(), g=trains())
+    @settings(max_examples=150, deadline=None)
+    def test_within_rounding_bound_of_pairwise_sums(self, f, g):
+        for fast, ref in ((convolve, reference_convolve), (correlate, reference_correlate)):
+            with lattice_branches(lowered=True) as taken:
+                got = fast(f, g)
+            want = ref(f, g)
+            assert ("fft" in taken) == (min(len(f.c), len(g.c)) >= 2)
+            assert set(got.offsets) == set(want)
+            tol = fft_bound(len(got.c), f.sum_abs(), g.sum_abs())
+            for k, w in want.items():
+                assert abs(got.weight(k) - w) <= tol
+
+    @given(h=trains())
+    @settings(max_examples=150, deadline=None)
+    def test_autocorrelation_exactly_symmetric_on_both_branches(self, h):
+        direct = correlate(h, h)
+        # symmetrising the direct sum changes no bit
+        assert np.array_equal(direct.c, echo_kernels._lattice_sum(h, h, reverse_f=True).c)
+        with lattice_branches(lowered=True) as taken:
+            by_fft = correlate(h, h)
+        assert ("fft" in taken) == (len(h.c) >= 2)
+        for train in (direct, by_fft):
+            assert np.array_equal(train.c, train.c[::-1])
+            assert train.k0 == -(len(train.c) // 2)
+
+    # the branch rule reads the column count, which a complex input doubles,
+    # and BLAS and FFT rounding depend on the batch width; only two direct
+    # sums are the same np.convolve per column
+    @given(f=trains(max_span=12), stride=st.integers(1, 6), n=st.integers(1, 12),
+           width=st.integers(0, 3), start=st.integers(-60, 60), n_out=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_real_input_gives_the_real_part(self, f, stride, n, width, start, n_out, seed):
+        if not len(f.c):
+            return
+        rng = np.random.default_rng(seed)
+        shape = (n, width) if width else (n,)  # width 0: a 1-D signal
+        x = rng.normal(size=shape)
+        z = x + 1j * rng.normal(size=shape)
+        want = brute_lattice_apply(f.c, f.k0, stride, x, start, n_out).real
+        n_blocks = -(-n // stride) + len(f.c) - 1
+        for lowered in (False, True):
+            with lattice_branches(lowered) as real_taken:
+                real = _lattice_apply(f.c, f.k0, stride, x, 0, start, n_out)
+            with lattice_branches(lowered) as full_taken:
+                full = _lattice_apply(f.c, f.k0, stride, z, 0, start, n_out)
+            assert real.dtype == np.float64 and real.shape == full.shape
+            if not real_taken and not full_taken:
+                assert np.array_equal(real, full.real)
+            sum_c, max_x = np.sum(np.abs(f.c)), np.max(np.abs(x))
+            tol = fft_bound(n_blocks, sum_c, max_x) if "fft" in real_taken else 1e-13 * sum_c * max_x
+            assert np.max(np.abs(real - want)) <= tol
+
+    def test_high_q_kernels_take_the_fft(self):
+        j = JunctionCoupling(0.9999)
+        kba, kab = kernel_ba(j, 1.0), kernel_ab(j, 1.0)
+        unit = DeltaTrain(1.0, 0, [1.0])
+        for sum_, f, g in ((correlate, kba, kba), (convolve, kab, kba)):
+            with lattice_branches(lowered=False) as taken:
+                train = sum_(f, g)
+            assert taken == ["fft"]
+            # the unit train, up to the truncated tails and the FFT's rounding
+            assert train.weight(0) == pytest.approx(1.0)
+            tol = train.tail_bound + fft_bound(len(train.c), f.sum_abs(), g.sum_abs())
+            assert train.max_abs_diff(unit) <= tol
 
 
 class TestLatticeApplyMemory:
@@ -439,29 +517,24 @@ class TestLatticeApplyMemory:
     @pytest.mark.parametrize(
         "n,stride,n_c", [(1 << 20, 1, 20_000), (12_954, 2, 19_909), (1 << 16, 1, 200_000)]
     )
-    def test_fft_peak_within_four_outputs(self, monkeypatch, n, stride, n_c):
+    def test_fft_peak_within_four_outputs(self, n, stride, n_c):
         """Overlap-add keeps three FFT-length arrays beside the blocked copy
         and the output; one transform of the whole output would hold more."""
-        transformed = []
-        overlap_add = echo_kernels._overlap_add
-        monkeypatch.setattr(
-            echo_kernels, "_overlap_add", lambda *a: transformed.append(a) or overlap_add(*a)
-        )
         rng = np.random.default_rng(n_c)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         c = rng.normal(size=n_c)
         n_out = n + (n_c - 1) * stride
-        tracemalloc.start()
-        try:
-            out = _lattice_apply(c, 0, stride, x, 0, 0, n_out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert transformed
+        with lattice_branches(lowered=False) as taken:
+            tracemalloc.start()
+            try:
+                out = _lattice_apply(c, 0, stride, x, 0, 0, n_out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert taken == ["fft"]
         assert peak <= 4 * n_out * 16
         # spot rows against the direct sum, within the FFT rounding bound
-        n_blocks = -(-n // stride) + n_c - 1
-        tol = np.finfo(float).eps * np.log2(n_blocks) * np.sum(np.abs(c)) * np.max(np.abs(x))
+        tol = fft_bound(-(-n // stride) + n_c - 1, np.sum(np.abs(c)), np.max(np.abs(x)))
         for r in rng.integers(0, n_out, 8):
             k = np.arange(n_c)
             src = r - k * stride

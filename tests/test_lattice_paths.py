@@ -1,0 +1,96 @@
+"""One lattice-sum path: numpy's convolution and FFT calls in the package sit
+inside ``echo_kernels._lattice_apply`` and its FFT branch ``_overlap_add``.
+
+Every time-domain quantity is a sum on the round-trip lattice, and
+``_lattice_apply`` is the one place that chooses how to add it up (direct
+sum, banded matrix product or FFT overlap-add). A numpy convolution or FFT
+anywhere else would be a second path with its own branch rule and rounding.
+"""
+
+import ast
+from pathlib import Path
+
+import ringecho
+
+PACKAGE = Path(ringecho.__file__).parent
+SUMS = {"convolve", "correlate", "fft", "ifft", "rfft", "irfft"}
+ALLOWED = {("echo_kernels.py", "_lattice_apply"), ("echo_kernels.py", "_overlap_add")}
+
+
+def numpy_sum_calls(tree: ast.AST) -> list[tuple[str | None, str]]:
+    """(enclosing function, callee) for each call of a numpy sum in ``SUMS``:
+    an attribute reached from the numpy module (``np.convolve``,
+    ``np.fft.rfft``) or a name imported from numpy, under any alias."""
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # "import numpy.fft" binds "numpy"
+            modules.update(
+                a.asname or a.name.split(".")[0] for a in node.names if a.name.startswith("numpy")
+            )
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names.update({a.asname or a.name: a.name for a in node.names})
+    found = []
+
+    def visit(node: ast.AST, where: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func, callee = node.func, None
+            if isinstance(func, ast.Name):
+                callee = names.get(func.id)
+            elif isinstance(func, ast.Attribute):
+                root = func.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and (root.id in modules or root.id in names):
+                    callee = func.attr
+            if callee in SUMS:
+                found.append((where, callee))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_numpy_sums_only_inside_lattice_apply():
+    stray = [
+        (path.name, where, callee)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, callee in numpy_sum_calls(ast.parse(path.read_text()))
+        if (path.name, where) not in ALLOWED
+    ]
+    assert stray == []
+
+
+def test_np_convolve_has_one_call_site():
+    tree = ast.parse((PACKAGE / "echo_kernels.py").read_text())
+    assert [c for c in numpy_sum_calls(tree) if c[1] == "convolve"] == [
+        ("_lattice_apply", "convolve")
+    ]
+
+
+def test_detector_sees_every_spelling():
+    src = """
+import numpy as np
+import numpy.fft
+from numpy import convolve as conv
+from numpy.fft import irfft
+
+def _lattice_sum(f, g):
+    return np.convolve(f, g)
+
+def spectrum(x):
+    return numpy.fft.rfft(x), irfft(x), conv(x, x), np.fft.fft(x)
+
+def allowed(f, g):
+    return correlate(f, g), convolve(f, g), f.convolve(g)
+"""
+    assert numpy_sum_calls(ast.parse(src)) == [
+        ("_lattice_sum", "convolve"),
+        ("spectrum", "rfft"),
+        ("spectrum", "irfft"),
+        ("spectrum", "convolve"),
+        ("spectrum", "fft"),
+    ]

@@ -134,3 +134,13 @@ class TestLossySpectrumFilter:
         w = (np.arange(4096) + 0.5) * (fsr / 4096)
         mean_noise = float(np.mean(noise_power(w, J75, T, 0.2)))
         assert absorbed_fraction(J75, T, 0.2) == pytest.approx(mean_noise, rel=1e-12)
+
+    @pytest.mark.parametrize("T_edge", [3.4e-308, 1e-310, 1.4e305, 1e308])
+    def test_refuses_a_frequency_step_outside_the_normal_floats(self, T_edge):
+        # 2 pi / T overflows below, 2 pi / (2048 T) is subnormal above
+        with pytest.raises(ArithmeticError, match="not a normal float"):
+            absorbed_fraction(J75, T_edge, 0.0)
+
+    @pytest.mark.parametrize("T_edge", [3.5e-308, 1.3e305])
+    def test_answers_just_inside_the_normal_floats(self, T_edge):
+        assert absorbed_fraction(J75, T_edge, 0.0) == pytest.approx(0.0, abs=1e-14)
