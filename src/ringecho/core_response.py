@@ -15,6 +15,16 @@ distributed intracavity absorber, which scales the round-trip amplitude by
 
 All functions accept scalar or ndarray frequencies and are pure; frequencies
 are angular (rad per unit time) measured relative to the optical carrier.
+
+An array of frequencies is evaluated in place, in a fixed set of buffers of
+its length: ``g_ca`` holds only the complex phase ``exp(i omega T)``, which
+becomes its result (16 bytes per frequency beside the input); ``g_ba`` and
+``g_ab`` hold the phase and two more complex arrays while the all-pass factor
+is formed (48 bytes per frequency). Every step is an elementwise numpy loop
+into an explicit buffer, so no value depends on the array's length:
+``g_ba(w)[k]`` equals ``g_ba(w[i:j])[k - i]`` bit for bit. A scalar takes the
+same expressions in numpy scalar arithmetic, whose last bit can differ from
+the array loops'.
 """
 
 from __future__ import annotations
@@ -87,7 +97,8 @@ class RingGeometry:
 
 
 def _pole_and_phase(omega, T: float, Gamma: float) -> tuple[float, np.ndarray]:
-    """Round-trip amplitude ``exp(-Gamma T)`` and phase factor ``exp(i omega T)``."""
+    """Round-trip amplitude ``exp(-Gamma T)`` and phase factor ``exp(i omega T)``,
+    an array of phases formed and exponentiated in one new complex buffer."""
     if T <= 0.0:
         raise ValueError(f"round-trip time must be positive, got {T}")
     if not 0.0 <= Gamma < math.inf:
@@ -96,9 +107,52 @@ def _pole_and_phase(omega, T: float, Gamma: float) -> tuple[float, np.ndarray]:
     # math.isfinite keeps the check cheap for the many scalar calls
     if not (math.isfinite(w) if w.ndim == 0 else np.isfinite(w).all()):
         raise ValueError("omega must be finite")
+    a = math.exp(-Gamma * T)
     # np.exp reduces omega T mod 2 pi exactly; subtracting multiples of the
     # float 2 pi first would add its rounding error once per period removed
-    return math.exp(-Gamma * T), np.exp(1j * (w * T))
+    if w.ndim == 0:
+        # a numpy scalar, which the helpers below tell from an array by type
+        # and evaluate with the scalar expressions, at no cost per call
+        return a, np.exp(1j * (w * T))
+    # the complex product w (i T) rounds each part as i (w T) does
+    z = np.multiply(w, 1j * T)
+    return a, np.exp(z, out=z)
+
+
+def _resonance(z, c: float, out=None):
+    """The resonant denominator ``1 - c z``, an array formed in ``out``
+    (which may be ``z`` itself; a new buffer when None)."""
+    if not isinstance(z, np.ndarray):
+        return 1.0 - c * z
+    den = np.multiply(c, z, out=out)
+    return np.subtract(1.0, den, out=den)
+
+
+def _circulating(tau: float, den):
+    """``tau / den``, an array in place in ``den``."""
+    return np.divide(tau, den, out=den) if isinstance(den, np.ndarray) else tau / den
+
+
+def _all_pass(z, a: float, rho: float, den):
+    """``z (a - rho conj z) / den``, an array in place in ``z``; holds one
+    more complex array while it runs."""
+    if not isinstance(z, np.ndarray):
+        return z * (a - rho * np.conj(z)) / den
+    num = np.conjugate(z)
+    np.multiply(rho, num, out=num)
+    np.subtract(a, num, out=num)
+    # a product of two size-1 arrays written over one of them takes numpy's
+    # reduction loop, whose last bit can differ from the array loop's
+    z = np.multiply(z, num, out=z if z.size > 1 else None)
+    return np.divide(z, den, out=z)
+
+
+def _abs_sq(g):
+    """``|g|^2``; for an array, one new float buffer squared in place."""
+    if not isinstance(g, np.ndarray):
+        return np.abs(g) ** 2
+    out = np.abs(g)
+    return np.square(out, out=out)
 
 
 def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
@@ -121,7 +175,7 @@ def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
         lossless cavity.
     """
     a, z = _pole_and_phase(omega, T, Gamma)
-    out = j.tau / (1.0 - (j.rho * a) * z)
+    out = _circulating(j.tau, _resonance(z, j.rho * a, out=z))
     return out if out.ndim else complex(out)
 
 
@@ -135,7 +189,7 @@ def g_ba(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     power lost is returned as noise (``lossy_cavity.noise_power``).
     """
     a, z = _pole_and_phase(omega, T, Gamma)
-    out = z * (a - j.rho * np.conj(z)) / (1.0 - (j.rho * a) * z)
+    out = _all_pass(z, a, j.rho, _resonance(z, j.rho * a))
     return out if out.ndim else complex(out)
 
 
@@ -145,7 +199,8 @@ def g_ab(omega, j: JunctionCoupling, T: float):
     Equals the complex conjugate of ``g_ba`` (equivalently ``g_ba`` with the
     round trip reversed in sign), so ``g_ab * g_ba == 1``.
     """
-    return np.conj(g_ba(omega, j, T))
+    out = g_ba(omega, j, T)
+    return np.conjugate(out, out=out) if isinstance(out, np.ndarray) else np.conj(out)
 
 
 def fsr_integral(j: JunctionCoupling, T: float) -> float:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_response import JunctionCoupling
+from .core_response import JunctionCoupling, _abs_sq
 
 
 # _lattice_apply's matrix products: fewest output blocks, and fewest outputs, per product
@@ -71,6 +71,9 @@ _MIN_PRODUCT = 16
 # per segment cost more than the direct sum's multiply-adds
 _MIN_FFT = 64
 _MIN_FFT_WORK = 2048
+# elements per strip of the whole-array reductions (_sum_abs_sq and
+# JointAmplitudeGrid.exchange_symmetry_error): 1 MiB of complex128
+_STRIP = 1 << 16
 
 
 class IncommensurateGrid(ValueError):
@@ -113,8 +116,30 @@ class SampledSignal:
         return self.t0 + self.dt * np.arange(len(self.values))
 
     def energy(self) -> float:
-        """Discrete energy, sum |v|^2 dt."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.dt)
+        """Discrete energy, sum |v|^2 dt, summed strip by strip (``_sum_abs_sq``)."""
+        return float(_sum_abs_sq(self.values) * self.dt)
+
+
+def _sum_abs_sq(values: np.ndarray):
+    """``np.sum(np.abs(values) ** 2)``, bit for bit, holding one strip at a time.
+
+    numpy sums a contiguous float array pairwise: it splits n elements at
+    n/2 rounded down to a multiple of 8 and adds the sums of the two parts.
+    ``_pairwise_abs_sq`` makes the same splits, in memory order, down to
+    parts of at most ``_STRIP`` elements, and squares and sums one part at a
+    time; the working set is one strip, not the array. A C- or
+    Fortran-ordered array is read in place.
+    """
+    flat = np.ravel(values, order="K")
+    return _pairwise_abs_sq(flat, 0, flat.size)
+
+
+def _pairwise_abs_sq(flat: np.ndarray, lo: int, n: int):
+    """``sum |flat[lo : lo + n]|^2`` by numpy's pairwise splits."""
+    if n <= _STRIP:
+        return np.sum(_abs_sq(flat[lo : lo + n]))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_abs_sq(flat, lo, half) + _pairwise_abs_sq(flat, lo + half, n - half)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,12 @@ physically forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is
 the lossy generalization of the free-space output commutator. All
 bookkeeping here is deterministic second moments; no noise realizations
 are sampled.
+
+Arrays are evaluated in place through ``core_response``'s helpers, so no
+value depends on the array's length. ``noise_power`` holds the complex
+``g_ca`` array and its float square (24 bytes per frequency beside the
+input); ``sum_rule_residual`` holds what ``g_ba`` does, the phase and two
+more complex arrays (48 bytes per frequency).
 """
 
 from __future__ import annotations
@@ -24,7 +30,22 @@ import sys
 
 import numpy as np
 
-from .core_response import JunctionCoupling, _pole_and_phase, g_ba, g_ca
+from .core_response import (
+    JunctionCoupling,
+    _abs_sq,
+    _all_pass,
+    _circulating,
+    _pole_and_phase,
+    _resonance,
+    g_ba,
+    g_ca,
+)
+
+
+def _noise(Gamma: float, T: float, gain):
+    """``(1 - exp(-2 Gamma T)) gain``, an array in place in ``gain``."""
+    k = 1.0 - math.exp(-2.0 * Gamma * T)
+    return np.multiply(k, gain, out=gain) if isinstance(gain, np.ndarray) else float(k * gain)
 
 
 def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
@@ -34,9 +55,7 @@ def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     ``|g_ba|^2 + N = 1`` identically: every bit of absorbed signal power
     returns as fluctuation power, keeping the output commutator free-space.
     """
-    gain = np.abs(g_ca(omega, j, T, Gamma)) ** 2
-    out = (1.0 - math.exp(-2.0 * Gamma * T)) * gain
-    return out if np.ndim(out) else float(out)
+    return _noise(Gamma, T, _abs_sq(g_ca(omega, j, T, Gamma)))
 
 
 def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
@@ -58,15 +77,19 @@ def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
     """|g_ba|^2 + N(omega) - 1, which should vanish identically.
 
     Evaluates the phase ``exp(i omega T)`` and the resonant denominator once
-    for both terms, with the same out-of-place expressions as ``g_ba``,
-    ``g_ca`` and ``noise_power``, so the result is bitwise that of composing
-    them, in half the transcendental work.
+    for both terms, through the same helpers as ``g_ba``, ``g_ca`` and
+    ``noise_power``, so the result is bitwise that of composing them, in
+    half the transcendental work and no more memory than ``g_ba`` alone.
     """
     a, z = _pole_and_phase(omega, T, Gamma)
-    den = 1.0 - (j.rho * a) * z
-    gain_ba = np.abs(z * (a - j.rho * np.conj(z)) / den) ** 2
-    gain_ca = np.abs(j.tau / den) ** 2
-    return gain_ba + (1.0 - math.exp(-2.0 * Gamma * T)) * gain_ca - 1.0
+    den = _resonance(z, j.rho * a)
+    gain_ba = _abs_sq(_all_pass(z, a, j.rho, den))
+    del z  # the all-pass values, now squared in gain_ba
+    noise = _noise(Gamma, T, _abs_sq(_circulating(j.tau, den)))
+    if not isinstance(gain_ba, np.ndarray):
+        return gain_ba + noise - 1.0
+    np.add(gain_ba, noise, out=gain_ba)
+    return np.subtract(gain_ba, 1.0, out=gain_ba)
 
 
 def absorbed_fraction(j: JunctionCoupling, T: float, Gamma: float) -> float:

@@ -38,9 +38,11 @@ from .echo_kernels import (
     DeltaTrain,
     IncommensurateGrid,
     SampledSignal,
+    _STRIP,
     _ladder,
     _lattice_apply,
     _lattice_stride,
+    _sum_abs_sq,
     correlate,
     kernel_ba,
 )
@@ -60,7 +62,13 @@ class TwoPhotonGaussian:
 
 @dataclass(frozen=True)
 class JointAmplitudeGrid:
-    """Complex joint amplitude sampled on a uniform (t1, t2) grid."""
+    """Complex joint amplitude sampled on a uniform (t1, t2) grid.
+
+    ``norm_sq`` and ``exchange_symmetry_error`` walk the grid in strips of
+    at most ``echo_kernels._STRIP`` cells, so besides the grid they hold one
+    strip (about 1.5 MiB) whatever the grid's size. Both return the values
+    of the whole-array expressions bit for bit.
+    """
 
     t1_start: float
     t2_start: float
@@ -95,11 +103,17 @@ class JointAmplitudeGrid:
             self.t1_start, self.t2_start, rel_tol=0.0, abs_tol=1e-12 * self.dt
         ):
             raise ValueError("exchange symmetry needs identical axes")
-        return float(np.max(np.abs(self.values - self.values.T)))
+        v = self.values
+        rows = max(1, _STRIP // max(1, len(v)))  # at most _STRIP cells per strip
+        # the max over the same differences as |v - v.T|, strip by strip
+        return max(
+            float(np.max(np.abs(v[i : i + rows] - v[:, i : i + rows].T)))
+            for i in range(0, len(v), rows)
+        )
 
     def norm_sq(self) -> float:
         """Squared L2 norm, sum |Phi|^2 dt^2."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.dt**2)
+        return float(_sum_abs_sq(self.values) * self.dt**2)
 
 
 def symmetric_axis(g: TwoPhotonGaussian, dt: float) -> tuple[float, int]:

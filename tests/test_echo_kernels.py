@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -126,6 +128,26 @@ class TestSampledSignal:
         s = SampledSignal(-1.0, 0.5, np.array([1.0, 2.0, 2.0j]))
         assert np.allclose(s.times, [-1.0, -0.5, 0.0])
         assert s.energy() == pytest.approx(4.5)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1 << 16, (1 << 16) + 1, 5 * (1 << 16) + 13])
+    def test_energy_is_the_whole_array_sum(self, n):
+        # strip by strip, yet bitwise the pairwise np.sum over the whole array
+        rng = np.random.default_rng(n)
+        s = SampledSignal(0.0, 0.3, rng.normal(size=n) + 1j * rng.normal(size=n))
+        assert s.energy() == float(np.sum(np.abs(s.values) ** 2) * 0.3)
+
+    def test_energy_holds_no_reference_to_the_samples(self):
+        # a reference cycle would keep the samples alive until the next
+        # garbage collection, which long runs see as growing memory
+        s = SampledSignal(0.0, 1.0, np.ones(3 << 16))
+        samples = weakref.ref(s.values)
+        gc.disable()
+        try:
+            s.energy()
+            del s
+            assert samples() is None
+        finally:
+            gc.enable()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

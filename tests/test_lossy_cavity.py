@@ -7,6 +7,7 @@ import pytest
 from ringecho import (
     JunctionCoupling,
     absorbed_fraction,
+    g_ab,
     g_ba,
     g_ca,
     noise_power,
@@ -113,6 +114,46 @@ class TestNoisePower:
         quad = noise_power_quadrature(w, J75, T, 0.2)
         total = np.abs(g_ba(w, J75, T, Gamma=0.2)) ** 2 + quad
         assert np.max(np.abs(total - 1.0)) < 1e-8
+
+
+class TestLargeArrays:
+    """The spectral functions on 2^20 frequencies: values that do not depend
+    on the array's length, and a working set of a few arrays."""
+
+    SPECTRAL = {
+        "g_ca": lambda w, j: g_ca(w, j, T, 0.2),
+        "g_ba": lambda w, j: g_ba(w, j, T, 0.2),
+        "g_ab": lambda w, j: g_ab(w, j, T),
+        "noise_power": lambda w, j: noise_power(w, j, T, 0.2),
+        "sum_rule_residual": lambda w, j: sum_rule_residual(w, j, T, 0.2),
+    }
+    W = np.random.default_rng(7).uniform(-40.0, 40.0, 1 << 20) * (2.0 * math.pi)
+
+    @pytest.mark.parametrize("name", SPECTRAL)
+    def test_values_do_not_depend_on_length(self, name):
+        f, j = self.SPECTRAL[name], JunctionCoupling(0.999)
+        full = f(self.W, j)
+        parts = np.concatenate([f(self.W[i : i + 1000], j) for i in range(0, len(self.W), 1000)])
+        assert np.array_equal(full, parts)
+        singles = np.concatenate([f(self.W[i : i + 1], j) for i in range(64)])
+        assert np.array_equal(full[:64], singles)
+
+    # the phase is 16 MiB; g_ca and noise_power hold at most one array more,
+    # g_ba, g_ab and sum_rule_residual at most two; interpreter objects add
+    # about 1 KiB
+    @pytest.mark.parametrize(
+        "name,mib",
+        [("g_ca", 32), ("noise_power", 32), ("g_ba", 48), ("g_ab", 48), ("sum_rule_residual", 48)],
+    )
+    def test_peak_memory(self, name, mib):
+        f, j = self.SPECTRAL[name], JunctionCoupling(0.999)
+        tracemalloc.start()
+        try:
+            f(self.W, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (mib << 20) + (64 << 10)
 
 
 class TestLossySpectrumFilter:

@@ -216,6 +216,27 @@ class TestTransformOutput:
         out = transform_output(grid, JunctionCoupling.from_tau(0.85), T, eps=1e-10)
         assert out.exchange_symmetry_error() < 1e-12
 
+    def test_grid_reductions_hold_one_strip(self):
+        """On the 2029^2 output at rho = 0.9 (63 MiB), norm_sq and the
+        symmetry error hold one strip beside the grid, and return the
+        whole-array expressions' values bit for bit."""
+        grid = gaussian_amplitude(TwoPhotonGaussian(0.4, 0.4), dt=T / 8)
+        out = transform_output(grid, JunctionCoupling(0.9), T)
+        v = out.values
+        assert v.shape == (2029, 2029)
+        for name, want in (
+            ("norm_sq", lambda: float(np.sum(np.abs(v) ** 2) * out.dt**2)),
+            ("exchange_symmetry_error", lambda: float(np.max(np.abs(v - v.T)))),
+        ):
+            tracemalloc.start()
+            try:
+                got = getattr(out, name)()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 << 20
+            assert got == want()
+
     def test_symmetrizing_commutes_with_transform(self):
         """Transforming the symmetrized amplitude equals symmetrizing the transform."""
         rng = np.random.default_rng(8)
