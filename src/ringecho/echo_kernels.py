@@ -14,7 +14,9 @@ Kernels
 - ``kernel_ab``: output -> input, the time-reversed (anticausal) mirror.
 
 ``convolve`` composes kernels, ``correlate`` builds commutator trains, and
-``apply_train`` runs a kernel over a uniformly sampled complex envelope.
+``apply_train`` runs a kernel over a uniformly sampled envelope. Amplitudes
+are stored as float64 for real values and complex128 otherwise: the weights
+are real, so a real envelope stays real through every sum.
 
 Lattice algebra
 ---------------
@@ -72,7 +74,8 @@ _MIN_PRODUCT = 16
 _MIN_FFT = 64
 _MIN_FFT_WORK = 2048
 # elements per strip of the whole-array reductions (_sum_abs_sq and
-# JointAmplitudeGrid.exchange_symmetry_error): 1 MiB of complex128
+# JointAmplitudeGrid.exchange_symmetry_error): 1 MiB of complex128, 512 KiB
+# of float64
 _STRIP = 1 << 16
 
 
@@ -82,7 +85,7 @@ class IncommensurateGrid(ValueError):
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled complex envelope.
+    """Uniformly sampled envelope.
 
     Parameters
     ----------
@@ -91,7 +94,8 @@ class SampledSignal:
     dt : float
         Sample spacing, positive.
     values : ndarray
-        Complex amplitudes; stored as complex128, must be finite.
+        Amplitudes, finite; stored as float64 for real values (integers
+        included) and complex128 otherwise (``_amplitudes``).
     """
 
     t0: float
@@ -101,7 +105,7 @@ class SampledSignal:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = _amplitudes(self.values)
         if v.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if not np.all(np.isfinite(v)):
@@ -111,13 +115,16 @@ class SampledSignal:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
-
     def energy(self) -> float:
         """Discrete energy, sum |v|^2 dt, summed strip by strip (``_sum_abs_sq``)."""
         return float(_sum_abs_sq(self.values) * self.dt)
+
+
+def _amplitudes(values) -> np.ndarray:
+    """``values`` as float64 if real (integers and booleans included), else
+    as complex128; an array of that dtype is not copied."""
+    v = np.asarray(values)
+    return v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
 
 
 def _sum_abs_sq(values: np.ndarray):
@@ -396,14 +403,17 @@ def _lattice_apply(
 ) -> np.ndarray:
     """Rows ``[start, start + n_out)`` of ``y[i] = sum_k c[k - k0] x[i - k stride]``.
 
-    ``x`` is complex128 or float64, and the result has its dtype; it is
-    indexed from 0 along ``axis``, and samples outside it are zero. The axis
-    is cut into blocks of ``stride`` samples, so every term becomes a
-    whole-block shift and the sum a 1-D convolution over the block index,
-    independent for each within-block position (a "column"; the real and
-    imaginary parts and the other axes are columns too). Only
-    the kernel terms whose shifted input meets the output window are kept.
-    Three branches, tried in this order:
+    ``x`` is float64 (real values) or complex128, and the result has its
+    dtype, so a real input stays real; it is indexed from 0 along ``axis``,
+    and samples outside it are zero. The axis is cut into blocks of
+    ``stride`` samples, so every term becomes a whole-block shift and the
+    sum a 1-D convolution over the block index, independent for each
+    within-block position (a "column"; the real and imaginary parts and the
+    other axes are columns too). Only the kernel terms whose shifted input
+    meets the output window are kept. The branch rule below counts float
+    columns, so a complex input has twice the columns of its real part and
+    can take another branch than a real one of the same shape. Three
+    branches, tried in this order:
 
     - Wide inputs are matrix products from input blocks to output blocks,
       ``y[q] = sum_p K[q, p] x[p]`` with the banded Toeplitz matrix
@@ -488,7 +498,7 @@ def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:
     """
     stride = _lattice_stride(f.period, s.dt)
     if not len(f.c):
-        return SampledSignal(s.t0, s.dt, np.zeros(len(s), dtype=np.complex128))
+        return SampledSignal(s.t0, s.dt, np.zeros_like(s.values))
     n_out = len(s) + (len(f.c) - 1) * stride
     out = _lattice_apply(f.c, f.k0, stride, s.values, 0, f.k0 * stride, n_out)
     return SampledSignal(s.t0 + f.k0 * f.period, s.dt, out)

@@ -86,7 +86,7 @@ def quasimode_evolve(a: SampledSignal, k: float) -> SampledSignal:
     drive = math.sqrt(2.0 * k)
     vals = a.values
     out = np.empty_like(vals)
-    c = 0.0 + 0.0j
+    c = vals.dtype.type(0)  # a real drive keeps a real mode
     out[0] = c
     for n in range(len(vals) - 1):
         c = decay * c + drive * (w_old * vals[n] + w_new * vals[n + 1])

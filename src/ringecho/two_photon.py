@@ -39,6 +39,7 @@ from .echo_kernels import (
     IncommensurateGrid,
     SampledSignal,
     _STRIP,
+    _amplitudes,
     _ladder,
     _lattice_apply,
     _lattice_stride,
@@ -62,12 +63,14 @@ class TwoPhotonGaussian:
 
 @dataclass(frozen=True)
 class JointAmplitudeGrid:
-    """Complex joint amplitude sampled on a uniform (t1, t2) grid.
+    """Joint amplitude sampled on a uniform (t1, t2) grid.
 
-    ``norm_sq`` and ``exchange_symmetry_error`` walk the grid in strips of
-    at most ``echo_kernels._STRIP`` cells, so besides the grid they hold one
-    strip (about 1.5 MiB) whatever the grid's size. Both return the values
-    of the whole-array expressions bit for bit.
+    The values are stored as float64 for real input (integers included) and
+    complex128 otherwise; the transforms keep that dtype. ``norm_sq`` and
+    ``exchange_symmetry_error`` walk the grid in strips of at most
+    ``echo_kernels._STRIP`` cells, so besides the grid they hold one strip
+    (about 1.5 MiB of complex128, 1 MiB of float64) whatever the grid's
+    size. Both return the values of the whole-array expressions bit for bit.
     """
 
     t1_start: float
@@ -78,7 +81,7 @@ class JointAmplitudeGrid:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = _amplitudes(self.values)
         if v.ndim != 2:
             raise ValueError("values must be a 2-D array")
         if not np.all(np.isfinite(v)):
@@ -149,7 +152,7 @@ def gaussian_amplitude(g: TwoPhotonGaussian, dt: float) -> JointAmplitudeGrid:
     s = t[:, None] + t[None, :]
     d = t[:, None] - t[None, :]
     vals = np.exp(-(s**2) / (2.0 * _square(g.beta)) - (d**2) / (2.0 * _square(g.sigma)))
-    return JointAmplitudeGrid(t_start, t_start, dt, vals.astype(np.complex128))
+    return JointAmplitudeGrid(t_start, t_start, dt, vals)
 
 
 def transform_output(
@@ -397,7 +400,7 @@ def gaussian_output_closed_form(
     c = a.T @ b
     r = np.arange(n)
     out = c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)]
-    return JointAmplitudeGrid(t_start, t_start, dt, out.astype(np.complex128))
+    return JointAmplitudeGrid(t_start, t_start, dt, out)
 
 
 def peak_locate(phi: JointAmplitudeGrid) -> tuple[float, float]:

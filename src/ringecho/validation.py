@@ -17,6 +17,12 @@ cell by cell. Larger ones are compared on a fixed tile set of at most about
 first and last tile rows and columns, and seeded interior tiles. The detail
 line names the mode ("every cell" or "sampled tiles"), the cells compared
 out of the total, and the tile count.
+
+Signals and grids are stored as float64 for real values and complex128
+otherwise. The impulses, Gaussian pulses and two-photon grids of the suite
+are real, and the kernels' weights are real, so their sums run on one float
+column per sample instead of two; only ``apply_round_trip``'s random signal
+and the oracle's drive tone are complex.
 """
 
 from __future__ import annotations
@@ -117,7 +123,7 @@ class CheckResult:
 
 
 def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
-    vals = np.zeros(stride * n_trips, dtype=np.complex128)
+    vals = np.zeros(stride * n_trips)
     vals[0] = 1.0
     return SampledSignal(0.0, T / stride, vals)
 

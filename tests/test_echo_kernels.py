@@ -124,9 +124,8 @@ def impulse(T, stride, n_trips):
 
 
 class TestSampledSignal:
-    def test_times_and_energy(self):
+    def test_energy(self):
         s = SampledSignal(-1.0, 0.5, np.array([1.0, 2.0, 2.0j]))
-        assert np.allclose(s.times, [-1.0, -0.5, 0.0])
         assert s.energy() == pytest.approx(4.5)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 1 << 16, (1 << 16) + 1, 5 * (1 << 16) + 13])
@@ -321,8 +320,9 @@ class TestApply:
         T = 1.0
         out = apply_train(kernel_ba(J75, T), impulse(T, 8, 2))
         ws = np.linspace(-8.0, 8.0, 61)
+        times = out.t0 + out.dt * np.arange(len(out))
         for w in ws:
-            dft = np.sum(out.values * np.exp(1j * w * out.times))
+            dft = np.sum(out.values * np.exp(1j * w * times))
             assert abs(dft - g_ba(w, J75, T)) < 1e-8
 
 
@@ -562,3 +562,84 @@ class TestLatticeApplyMemory:
             src = r - k * stride
             ok = (src >= 0) & (src < n)
             assert abs(out[r] - np.dot(c[ok], x[src[ok]])) <= tol
+
+
+class TestRealAmplitudes:
+    """Real amplitudes are stored and summed as float64, complex ones as
+    complex128. A real input gives the real part of its complex twin, the
+    same call on ``x.astype(complex)``: an imaginary part of exactly 0, and
+    real parts within ``eps log2(n) sum|c| max|x|``. Not bit for bit: the
+    branch rule counts float columns, which the complex twin has twice of,
+    so the two can take different branches."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, -2.0], np.arange(3), np.array([True, False]), np.ones(2, np.float32)],
+        ids=["list", "int", "bool", "float32"],
+    )
+    def test_real_input_is_stored_as_float64(self, values):
+        assert SampledSignal(0.0, 1.0, values).values.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0 + 0j, 2.0], np.arange(3) + 0j, np.ones(2, np.complex64)],
+        ids=["list", "zero-imaginary", "complex64"],
+    )
+    def test_complex_input_is_stored_as_complex128(self, values):
+        assert SampledSignal(0.0, 1.0, values).values.dtype == np.complex128
+
+    def test_float64_and_complex128_values_are_not_copied(self):
+        for v in (np.ones(4), np.ones(4, complex)):
+            assert SampledSignal(0.0, 1.0, v).values is v
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 0.999])
+    def test_apply_train_keeps_the_dtype(self, rho):
+        # 256 blocks of 8 samples: the FFT branch at rho 0.97 and 0.999; at
+        # rho 0 the real input takes the direct sum and its twin a matrix product
+        k = kernel_ba(JunctionCoupling(rho), 1.0)
+        x = np.random.default_rng(7).normal(size=2048)
+        real = apply_train(k, SampledSignal(0.0, 0.125, x))
+        twin = apply_train(k, SampledSignal(0.0, 0.125, x.astype(complex)))
+        assert real.values.dtype == np.float64 and twin.values.dtype == np.complex128
+        assert (real.t0, len(real)) == (twin.t0, len(twin))
+        assert not np.any(twin.values.imag)
+        n_blocks = 256 + len(k.c) - 1
+        tol = fft_bound(n_blocks, k.sum_abs(), np.max(np.abs(x)))
+        assert np.max(np.abs(real.values - twin.values.real)) <= tol
+
+    def test_empty_kernel_keeps_the_dtype(self):
+        empty = DeltaTrain(1.0, 0, [])
+        for v in (np.ones(4), np.ones(4, complex)):
+            out = apply_train(empty, SampledSignal(0.0, 0.5, v))
+            assert out.values.dtype == v.dtype and not np.any(out.values)
+
+    def test_lattice_apply_on_every_branch(self):
+        """Random shapes, strides, axes and windows reach all three branches
+        on both dtypes."""
+        rng = np.random.default_rng(20240916)
+        seen = {np.float64: set(), np.complex128: set()}
+        for _ in range(300):
+            stride = int(rng.integers(1, 40))
+            c = rng.normal(size=int(rng.choice([1, 2, 5, 30, 80, 200])))
+            k0 = int(rng.integers(-5, 5))
+            if rng.random() < 0.5:
+                n, axis = int(rng.integers(1, 3000)), 0
+                shape = (n,)
+            else:
+                n, width, axis = int(rng.integers(1, 300)), int(rng.integers(1, 8)), int(rng.integers(2))
+                shape = (n, width) if axis == 0 else (width, n)
+            start = int(rng.integers(-50, 50))
+            n_out = int(rng.integers(1, n + len(c) * stride + 10))
+            x = rng.normal(size=shape)
+            out = {}
+            for dtype in seen:
+                with lattice_branches(lowered=False) as taken:
+                    out[dtype] = _lattice_apply(c, k0, stride, x.astype(dtype), axis, start, n_out)
+                seen[dtype].update(taken or ["direct"])
+                assert out[dtype].dtype == dtype
+            real, twin = out[np.float64], out[np.complex128]
+            assert not np.any(twin.imag)
+            n_blocks = -(-n // stride) + len(c)
+            tol = fft_bound(n_blocks, np.sum(np.abs(c)), np.max(np.abs(x)))
+            assert np.max(np.abs(real - twin.real)) <= tol
+        assert seen[np.float64] == seen[np.complex128] == {"gemm", "fft", "direct"}

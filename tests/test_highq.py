@@ -121,12 +121,31 @@ class TestQuasimodeEvolve:
         vals = np.zeros(n, dtype=complex)
         vals[i0] = 1.0 / dt  # unit-area impulse
         c = quasimode_evolve(SampledSignal(0.0, dt, vals), rate)
+        times = c.t0 + c.dt * np.arange(len(c))
         for w in np.linspace(-0.2, 0.2, 9):
-            dft = np.sum(c.values * np.exp(1j * w * c.times)) * dt
+            dft = np.sum(c.values * np.exp(1j * w * times)) * dt
             lorentzian = (
                 math.sqrt(2.0 * rate) / (rate - 1j * w)
             ) * np.exp(1j * w * i0 * dt)
             assert abs(dft - lorentzian) / abs(lorentzian) < 1e-6
+
+    def test_real_drive_keeps_a_real_mode(self):
+        # the real part is bitwise its complex twin's: every imaginary part is 0
+        rate = kappa(JunctionCoupling(0.97), 1.0, "exact")
+        pulse = gaussian_pulse(8.0, 1.0 / 8, -32.0, 64.0)
+        real = quasimode_evolve(SampledSignal(pulse.t0, pulse.dt, pulse.values.real), rate)
+        twin = quasimode_evolve(pulse, rate)
+        assert real.values.dtype == np.float64 and twin.values.dtype == np.complex128
+        assert np.array_equal(real.values, twin.values.real) and not np.any(twin.values.imag)
+
+    def test_field_error_of_a_real_pulse_is_its_complex_twins(self):
+        j = JunctionCoupling(0.99)
+        twin = gaussian_pulse(20.0, 1.0 / 8, -80.0, 80.0 + 6.0 / math.log(1 / 0.99))
+        real = SampledSignal(twin.t0, twin.dt, twin.values.real)
+        # the two exact fields differ only in the rounding of their lattice sums
+        assert quasimode_field_error(real, j, 1.0) == pytest.approx(
+            quasimode_field_error(twin, j, 1.0), rel=1e-12
+        )
 
 
 class TestQuasimodeOutput:

@@ -13,6 +13,7 @@ from ringecho import (
     TwoPhotonGaussian,
     F_m,
     apply_train,
+    correlate,
     cw_output,
     gaussian_amplitude,
     gaussian_output_closed_form,
@@ -95,7 +96,7 @@ def reference_eps_table_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
     b[1:] = np.exp(-((d + m_t) ** 2) / two_s2) + np.exp(-((d - m_t) ** 2) / two_s2)
     c = a.T @ b
     r = np.arange(n)
-    return c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)].astype(np.complex128)
+    return c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)]
 
 
 def reference_F_m_loop(m, s_sum, g, j, T, eps=1e-12):
@@ -665,3 +666,74 @@ class TestDiagnostics:
         for suffix, want in (("magnitude", np.abs), ("phase", np.angle)):
             got = np.loadtxt(tmp_path / f"fig5_tau0p85_{suffix}.csv", delimiter=",")
             np.testing.assert_array_equal(got, want(grid.values))
+
+
+def twin_bound(n_blocks, sum_c, max_x):
+    """How far a real lattice sum may lie from the real part of its complex
+    twin: ``eps log2(n) sum|c| max|x|``, n the full convolution's length in
+    blocks."""
+    return np.finfo(float).eps * math.log2(max(n_blocks, 2)) * sum_c * max_x
+
+
+def assert_real_twin(real, twin, tol):
+    assert real.dtype == np.float64 and twin.dtype == np.complex128
+    assert real.shape == twin.shape
+    assert not np.any(twin.imag)
+    assert np.max(np.abs(real - twin.real)) <= tol
+
+
+class TestRealAmplitudes:
+    """Real joint amplitudes are stored and transformed as float64, complex
+    ones as complex128; a real input gives the real part of its complex twin
+    to rounding (see ``test_echo_kernels.TestRealAmplitudes``)."""
+
+    def test_grid_dtype_follows_the_input(self):
+        assert JointAmplitudeGrid(0.0, 0.0, 1.0, np.ones((2, 2), int)).values.dtype == np.float64
+        zero_imag = np.ones((2, 2)) + 0j
+        assert JointAmplitudeGrid(0.0, 0.0, 1.0, zero_imag).values.dtype == np.complex128
+        assert gaussian_amplitude(TwoPhotonGaussian(0.4, 0.4), T / 8).values.dtype == np.float64
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+    def test_closed_form_is_real(self, rho):
+        closed = gaussian_output_closed_form(*validate_window(rho))
+        assert closed.values.dtype == np.float64
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.97])
+    def test_transforms_keep_a_real_grid_real(self, rho):
+        rng = np.random.default_rng(5)
+        j = JunctionCoupling(rho)
+        k = kernel_ba(j, T)
+        phi = JointAmplitudeGrid(-1.0, 0.375, T / 8, rng.normal(size=(40, 27)))
+        twin = JointAmplitudeGrid(-1.0, 0.375, T / 8, phi.values.astype(complex))
+        # two passes: each adds the one-pass bound, the second on an input of
+        # at most sum|c| max|x|, and carries the first's deviation times sum|c|
+        n_blocks = 40 // 8 + len(k.c)
+        tol = twin_bound(n_blocks, 2.0 * k.sum_abs() ** 2, np.max(np.abs(phi.values)))
+        assert_real_twin(
+            transform_output_on_window(phi, j, T, -1.0, 64).values,
+            transform_output_on_window(twin, j, T, -1.0, 64).values,
+            tol,
+        )
+        tiles = [(slice(0, 24), [slice(0, 16), slice(16, 40)]), (slice(24, 64), [slice(8, 64)])]
+        for (*_, r), (*_, z) in zip(
+            _transform_tiles(phi, j, T, -1.0, 0.375, tiles),
+            _transform_tiles(twin, j, T, -1.0, 0.375, tiles),
+        ):
+            assert_real_twin(r, z, tol)
+        if rho <= 0.5:  # the full extension: 360 x 347 samples at rho 0.5
+            assert_real_twin(
+                transform_output(phi, j, T).values, transform_output(twin, j, T).values, tol
+            )
+
+    @pytest.mark.parametrize("rho", [0.0, 0.75, 0.9])
+    def test_cw_output_keeps_a_real_input_real(self, rho):
+        j = JunctionCoupling(rho)
+        d = gaussian_d(0.4, T / 8, 40)
+        twin = SampledSignal(d.t0, d.dt, d.values.astype(complex))
+        kmax = 60
+        (res_r, rec_r), (res_z, rec_z) = cw_output(d, j, T, kmax), cw_output(twin, j, T, kmax)
+        kernel = DeltaTrain(T, 0, np.concatenate([[-rho], j.tau**2 * rho ** np.arange(kmax)]))
+        pairs = correlate(kernel, kernel)
+        tol = twin_bound(len(d) // 8 + len(pairs.c), pairs.sum_abs(), np.max(np.abs(d.values)))
+        assert_real_twin(rec_r.values, rec_z.values, tol)
+        assert abs(res_r - res_z) <= tol
