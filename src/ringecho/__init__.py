@@ -27,9 +27,7 @@ from .echo_kernels import (
     kernel_ca,
 )
 from .commutators import (
-    UnitTrainCheck,
     commutator_figure,
-    output_commutator_check,
     output_commutator_decomposition,
     spacetime_commutator_support,
 )

@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +269,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "config": {"rho": j.rho, "T": cfg.T, "eps": eps},
-        "checks": [r.to_dict() for r in results],
+        "checks": [asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     report_path = _write_json(out_dir / "validation_report.json", report, indent=2)

@@ -6,25 +6,25 @@ lattice, equal to a correlation of the generating echo kernels: the
 circulating-field commutator is ``correlate(kernel_ca, kernel_ca)`` (weights
 ``rho^|k|``), the circulating/input cross commutator is ``kernel_ca`` itself,
 and the output commutator is ``correlate(kernel_ba, kernel_ba)``. This module
-checks the output commutator against an independent path through the
-junction relation, built from ``kernel_ca``, and locates where the
-two-position commutator fires (``spacetime_commutator_support``, the one
-place outside the checks that writes the weights ``rho^|k|``). Positions
-are in time units (group velocity 1), so the loop is 0 <= z < T. One
-renderer, ``_broadened``, draws that support's deltas as Gaussians of width
-T/100, both for the paper's 2-D space-time map here (window -3T <= t <= 3T)
-and for ``highq.fig4_dataset``'s 1-D train.
+builds the output commutator along an independent path through the junction
+relation, from ``kernel_ca`` (``validate``'s ``output_commutator`` check
+compares the two), and locates where the two-position commutator fires
+(``spacetime_commutator_support``, the one place outside the checks that
+writes the weights ``rho^|k|``). Positions are in time units (group
+velocity 1), so the loop is 0 <= z < T. One renderer, ``_broadened``, draws
+that support's deltas as Gaussians of width T/100, both for the paper's 2-D
+space-time map here (window -3T <= t <= 3T) and for ``highq.fig4_dataset``'s
+1-D train.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core_response import JunctionCoupling
-from .echo_kernels import DeltaTrain, correlate, kernel_ba, kernel_ca
+from .echo_kernels import DeltaTrain, correlate, kernel_ca
 
 
 def spacetime_commutator_support(
@@ -62,16 +62,6 @@ def _unit_deviation(train: DeltaTrain) -> tuple[float, float]:
     return abs(train.weight(0) - 1.0), float(off.max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class UnitTrainCheck:
-    """Result of verifying that a computed commutator is the unit train."""
-
-    train: DeltaTrain
-    weight_zero_error: float
-    max_spurious: float
-    path_disagreement: float
-
-
 def output_commutator_decomposition(
     j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
 ) -> DeltaTrain:
@@ -99,23 +89,6 @@ def output_commutator_decomposition(
     w[n] += rho * rho
     tail = tau * tau * circ.tail_bound + 2.0 * rho * tau * kca.tail_bound
     return DeltaTrain(T, -n, w, 0.0, tail)
-
-
-def output_commutator_check(
-    j: JunctionCoupling, T: float = 1.0, eps: float = 1e-12
-) -> UnitTrainCheck:
-    """Verify the output field keeps the free-space commutator.
-
-    Computes the correlate path (the autocorrelation of the output kernel)
-    and the junction path (``output_commutator_decomposition``), and
-    reports the deviation of the first from the unit train plus the
-    maximum term-by-term disagreement between the two.
-    """
-    kba = kernel_ba(j, T, eps)
-    train = correlate(kba, kba)
-    zero_err, spurious = _unit_deviation(train)
-    other = output_commutator_decomposition(j, T, eps)
-    return UnitTrainCheck(train, zero_err, spurious, train.max_abs_diff(other))
 
 
 def commutator_figure(

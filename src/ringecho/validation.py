@@ -5,6 +5,24 @@ that serializes cleanly. The suite also contains one negative control: a
 deliberately sign-flipped kernel must make the unitarity check fail, which
 guards against the suite itself going soft.
 
+The suite is a table. Each check is one private function ``_<name>(suite)``
+that returns ``(passed, detail)``; ``_CHECKS`` lists them in the order they
+run, and ``CHECK_NAMES`` is read off the function names. ``run_suite`` loops
+over the table: it builds each ``CheckResult``, reports the checks whose
+formulas divide by rho or take ln(1/rho) as skipped at rho = 0, and names
+the check (or the setup) in ``CheckOutOfMemory``. A check's arrays are freed
+when its function returns, so no check's memory adds to a later one's peak.
+
+What the checks share is built once per run, in a ``_Suite``: the coupling,
+T, eps, the kernels ``kernel_ca``, ``kernel_ba`` and ``kernel_ab``, and
+every random draw of the seeded generator, made up front in a fixed order.
+``separable_factorization`` draws its interior tiles from the same generator
+after them. A new draw therefore goes after the existing ones; drawn
+anywhere earlier, it would shift every later draw and so every later detail.
+Checks that use the same derived array, such as the 128-sample signal or
+the two pulses of the factor-form and separable checks, each build it from
+the suite.
+
 Memory stays bounded as rho -> 1. ``separable_factorization`` compares the
 2-D transform of a product input with ``p2 (x) p1`` on a square window whose
 side grows as 1/(1 - rho), 6569 samples at rho = 0.97 and about 171k at
@@ -28,7 +46,7 @@ and the oracle's drive tone are complex.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +73,7 @@ from . import (
     kernel_ca,
     noise_power,
     noise_power_quadrature,
-    output_commutator_check,
+    output_commutator_decomposition,
     peak_ratio,
     quasimode_commutator,
     resummation_check,
@@ -118,9 +136,6 @@ class CheckResult:
     detail: str
     skipped: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
     vals = np.zeros(stride * n_trips)
@@ -156,99 +171,98 @@ def oracle_transfer_deviation(
     return abs(ratio - g_ba(w_drive, j, T)), tol, n_trips
 
 
-# every check of the suite, in the order it runs at every rho
-CHECK_NAMES = (
-    "unimodularity", "inverse_identity", "periodicity", "fsr_state_count",
-    "kernel_unitarity", "kernel_inverse", "apply_round_trip", "apply_parseval",
-    "kernel_spectrum_match", "cavity_commutator", "causality",
-    "equal_time_single_support", "output_commutator", "reindexing_identity",
-    "envelope_interpolation", "peak_ratio_bounded", "lossy_sum_rule",
-    "noise_quadrature_match", "oracle_impulse_match", "oracle_transfer_match",
-    "dispersion_cancellation", "ladder_resummation", "closed_form_match",
-    "factor_form_equivalence", "separable_factorization", "negative_control",
-)
+class _Suite:
+    """What the checks of one run share, built once: the coupling, T, eps,
+    the three kernels and every random draw, in the order drawn.
 
-
-class CheckOutOfMemory(MemoryError):
-    """A check of the suite asked for more memory than it could get."""
-
-
-def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[CheckResult]:
-    """Run the full invariant suite at one coupling value.
-
-    Raises
-    ------
-    CheckOutOfMemory
-        If a check fails to allocate; the message names the check and
-        repeats the allocation error, which states the size requested.
+    Every frequency draw, grid, width and time threshold of the suite is in
+    units of T (or 1/T), so the suite checks the same thing at every
+    round-trip time.
     """
-    results: list[CheckResult] = []
-    try:
-        _run_checks(rho, T, eps, results)
-    except MemoryError as exc:
-        name = CHECK_NAMES[len(results)]
-        raise CheckOutOfMemory(f"check {name} at rho = {rho:g}: {exc}") from exc
-    return results
+
+    def __init__(self, rho: float, T: float, eps: float) -> None:
+        self.j, self.T, self.eps = JunctionCoupling(rho), T, eps
+        self.kca = kernel_ca(self.j, T, eps)
+        self.kba = kernel_ba(self.j, T, eps)
+        self.kab = kernel_ab(self.j, T, eps)
+        # separable_factorization draws its interior tiles from rng after all
+        # the draws below: a new draw goes after them, or every later detail moves
+        self.rng = np.random.default_rng(20240901)
+        # unimodularity; inverse_identity and periodicity read the first 200 omegas
+        self.rhos = self.rng.uniform(0.0, 0.999, 1000)
+        self.omegas = self.rng.uniform(-80.0, 80.0, 1000) / T
+        # the complex signal of apply_round_trip and apply_parseval
+        self.noise = self.rng.normal(size=128) + 1j * self.rng.normal(size=128)
+        # reindexing_identity: integer values keep every float sum exact
+        self.f = self.rng.integers(-9, 10, size=51).astype(float)
+        self.g = self.rng.integers(-9, 10, size=51).astype(float)
+        # lossy_sum_rule; noise_quadrature_match reads the first 50
+        self.ws = self.rng.uniform(-40.0, 40.0, 200) / T
 
 
-def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) -> None:
-    """Body of ``run_suite``: appends one result per name in ``CHECK_NAMES``.
-
-    Every frequency draw, grid, width and time threshold is in units of T
-    (or 1/T), so the suite checks the same thing at every round-trip time.
-    """
-    j = JunctionCoupling(rho)
-    rng = np.random.default_rng(20240901)
-
-    def check(name: str, passed: bool, detail: str, skipped: bool = False) -> None:
-        results.append(CheckResult(name, bool(passed), detail, skipped))
-
-    # -- spectral identities ------------------------------------------------
-    rhos = rng.uniform(0.0, 0.999, 1000)
-    omegas = rng.uniform(-80.0, 80.0, 1000) / T
+# -- spectral identities ------------------------------------------------------
+def _unimodularity(suite: _Suite) -> tuple[bool, str]:
     worst = max(
-        abs(abs(g_ba(w, JunctionCoupling(r), T)) - 1.0)
-        for r, w in zip(rhos, omegas)
+        abs(abs(g_ba(w, JunctionCoupling(r), suite.T)) - 1.0)
+        for r, w in zip(suite.rhos, suite.omegas)
     )
-    check("unimodularity", worst < 1e-12, f"max | |g_ba| - 1 | = {worst:.3g}")
+    return worst < 1e-12, f"max | |g_ba| - 1 | = {worst:.3g}"
 
-    w200 = omegas[:200]
+
+def _inverse_identity(suite: _Suite) -> tuple[bool, str]:
+    w200, j, T = suite.omegas[:200], suite.j, suite.T
     worst = float(np.max(np.abs(g_ab(w200, j, T) * g_ba(w200, j, T) - 1.0)))
-    check("inverse_identity", worst < 1e-14, f"max |g_ab*g_ba - 1| = {worst:.3g}")
+    return worst < 1e-14, f"max |g_ab*g_ba - 1| = {worst:.3g}"
 
+
+def _periodicity(suite: _Suite) -> tuple[bool, str]:
+    w200, j, T = suite.omegas[:200], suite.j, suite.T
     fsr = 2.0 * math.pi / T
     worst = float(np.max(np.abs(g_ca(w200 + fsr, j, T) - g_ca(w200, j, T))))
-    check("periodicity", worst < 1e-10, f"max |g_ca(w+FSR) - g_ca(w)| = {worst:.3g}")
+    return worst < 1e-10, f"max |g_ca(w+FSR) - g_ca(w)| = {worst:.3g}"
 
-    vals = [abs(fsr_integral(JunctionCoupling(r), T) - 1.0) for r in (0.0, 0.5, rho, 0.98)]
-    check("fsr_state_count", max(vals) < 1e-6, f"max |integral - 1| = {max(vals):.3g}")
 
-    # -- kernel algebra -----------------------------------------------------
-    kca = kernel_ca(j, T, eps)
-    kba = kernel_ba(j, T, eps)
-    kab = kernel_ab(j, T, eps)
-    u1 = abs(kca.sum_sq() - 1.0)
-    u2 = abs(kba.sum_sq() - 1.0)
-    check("kernel_unitarity", max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}")
+def _fsr_state_count(suite: _Suite) -> tuple[bool, str]:
+    rhos = (0.0, 0.5, suite.j.rho, 0.98)
+    vals = [abs(fsr_integral(JunctionCoupling(r), suite.T) - 1.0) for r in rhos]
+    return max(vals) < 1e-6, f"max |integral - 1| = {max(vals):.3g}"
 
-    zero_err, spurious = _unit_deviation(convolve(kab, kba))
+
+# -- kernel algebra -------------------------------------------------------------
+def _kernel_unitarity(suite: _Suite) -> tuple[bool, str]:
+    u1 = abs(suite.kca.sum_sq() - 1.0)
+    u2 = abs(suite.kba.sum_sq() - 1.0)
+    return max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}"
+
+
+def _kernel_inverse(suite: _Suite) -> tuple[bool, str]:
+    zero_err, spurious = _unit_deviation(convolve(suite.kab, suite.kba))
     ok = zero_err < 1e-10 and spurious < 1e-10
-    check("kernel_inverse", ok, f"c0 err {zero_err:.3g}, max off {spurious:.3g}")
+    return ok, f"c0 err {zero_err:.3g}, max off {spurious:.3g}"
 
-    stride = 16
-    sig = SampledSignal(
-        0.0, T / stride, rng.normal(size=8 * stride) + 1j * rng.normal(size=8 * stride)
-    )
-    round_trip = apply_train(kab, apply_train(kba, sig))
+
+def _signal(suite: _Suite) -> SampledSignal:
+    """The random signal of the apply checks: 8 round trips at stride 16."""
+    return SampledSignal(0.0, suite.T / 16, suite.noise)
+
+
+def _apply_round_trip(suite: _Suite) -> tuple[bool, str]:
+    sig = _signal(suite)
+    round_trip = apply_train(suite.kab, apply_train(suite.kba, sig))
     i0 = round(((sig.t0 - round_trip.t0) / sig.dt))
     err = float(np.max(np.abs(round_trip.values[i0 : i0 + len(sig)] - sig.values)))
-    check("apply_round_trip", err < 1e-9, f"max reconstruction error = {err:.3g}")
+    return err < 1e-9, f"max reconstruction error = {err:.3g}"
 
-    parseval = abs(apply_train(kba, sig).energy() - sig.energy()) / sig.energy()
-    check("apply_parseval", parseval < 1e-10, f"relative energy change = {parseval:.3g}")
 
-    imp = _impulse(T, stride, 2)
-    train_sig = apply_train(kba, imp)
+def _apply_parseval(suite: _Suite) -> tuple[bool, str]:
+    sig = _signal(suite)
+    parseval = abs(apply_train(suite.kba, sig).energy() - sig.energy()) / sig.energy()
+    return parseval < 1e-10, f"relative energy change = {parseval:.3g}"
+
+
+def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
+    train_sig = apply_train(suite.kba, _impulse(suite.T, 16, 2))
+    fsr = 2.0 * math.pi / suite.T
     ws = np.linspace(-2.5 * fsr, 2.5 * fsr, 101)
     nz = np.flatnonzero(train_sig.values)  # the lattice samples, and any stray one
     dft = np.zeros(len(ws), dtype=complex)
@@ -256,47 +270,48 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
         blk = nz[i : i + _DFT_BLOCK]
         times = train_sig.t0 + train_sig.dt * blk
         dft += np.exp(1j * np.multiply.outer(ws, times)) @ train_sig.values[blk]
-    err = float(np.max(np.abs(dft - g_ba(ws, j, T))))
-    check("kernel_spectrum_match", err < 1e-8, f"max DFT deviation = {err:.3g}")
+    err = float(np.max(np.abs(dft - g_ba(ws, suite.j, suite.T))))
+    return err < 1e-8, f"max DFT deviation = {err:.3g}"
 
-    # -- commutators ----------------------------------------------------------
+
+# -- commutators ------------------------------------------------------------------
+def _cavity_commutator(suite: _Suite) -> tuple[bool, str]:
+    kca = suite.kca
     train = correlate(kca, kca)
-    err = max(abs(train.weight(k) - rho ** abs(k)) for k in range(-10, 11))
+    err = max(abs(train.weight(k) - suite.j.rho ** abs(k)) for k in range(-10, 11))
     # certified truncation tail plus the rounding of the lattice sum
     rounding = len(kca.c) * np.finfo(float).eps * (kca.sum_abs() + kca.tail_bound) ** 2
     tol = train.tail_bound + rounding
-    check(
-        "cavity_commutator",
-        err <= tol,
-        f"max |c_k - rho^|k|| = {err:.3g} (tol {tol:.3g})",
-    )
+    return err <= tol, f"max |c_k - rho^|k|| = {err:.3g} (tol {tol:.3g})"
 
-    causal = kca.k0 >= 0
-    check("causality", causal, "no support at negative lags")
 
-    L = T
-    zp = 0.333 * L
-    zs = np.append(np.linspace(0.0, L, 97, endpoint=False), zp)
+def _causality(suite: _Suite) -> tuple[bool, str]:
+    return suite.kca.k0 >= 0, "no support at negative lags"
+
+
+def _equal_time_single_support(suite: _Suite) -> tuple[bool, str]:
+    T = suite.T  # positions are in time units, so the loop is T long
+    zp = 0.333 * T
+    zs = np.append(np.linspace(0.0, T, 97, endpoint=False), zp)
     hits = 0
     for z in zs:
-        pts = spacetime_commutator_support(j, z, zp, T, 8)
+        pts = spacetime_commutator_support(suite.j, z, zp, T, 8)
         hits += sum(1 for (_, _, t_hit) in pts if abs(t_hit) < 1e-12 * T)
-    check("equal_time_single_support", hits == 1, f"crossings at t=t' = {hits}")
+    return hits == 1, f"crossings at t=t' = {hits}"
 
-    occ = output_commutator_check(j, T, eps)
-    ok = (
-        occ.weight_zero_error < 1e-10
-        and occ.max_spurious < 1e-10
-        and occ.path_disagreement < 1e-12
-    )
-    detail = (
-        f"c0 err {occ.weight_zero_error:.3g}, spurious {occ.max_spurious:.3g}, "
-        f"paths differ by {occ.path_disagreement:.3g}"
-    )
-    check("output_commutator", ok, detail)
 
-    f = rng.integers(-9, 10, size=51).astype(float)
-    g = rng.integers(-9, 10, size=51).astype(float)
+def _output_commutator(suite: _Suite) -> tuple[bool, str]:
+    # the output kernel's autocorrelation is the unit train, and it agrees
+    # term by term with the path through the junction relation
+    train = correlate(suite.kba, suite.kba)
+    zero_err, spurious = _unit_deviation(train)
+    paths = train.max_abs_diff(output_commutator_decomposition(suite.j, suite.T, suite.eps))
+    ok = zero_err < 1e-10 and spurious < 1e-10 and paths < 1e-12
+    return ok, f"c0 err {zero_err:.3g}, spurious {spurious:.3g}, paths differ by {paths:.3g}"
+
+
+def _reindexing_identity(suite: _Suite) -> tuple[bool, str]:
+    f, g = suite.f, suite.g
 
     def side_a() -> float:
         tot = 0.0
@@ -314,126 +329,135 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
                     tot += f[k + 2 * s] * g[k]
         return tot
 
-    check("reindexing_identity", side_a() == side_b(), "double-sum reindexing exact")
+    return side_a() == side_b(), "double-sum reindexing exact"
 
-    # -- quasimode ------------------------------------------------------------
-    if j.rho > 0.0:
-        env = quasimode_commutator(np.arange(21) * T, kappa(j, T, "exact"))
-        err = max(abs(float(env[k]) - rho**k) for k in range(21))
-        check("envelope_interpolation", err < 1e-13, f"max |e^-k kT - rho^k| = {err:.3g}")
-        pr = peak_ratio(j)
-        check(
-            "peak_ratio_bounded",
-            0.0 < pr <= 1.0,
-            f"(1-rho)/ln(1/rho) = {pr:.6f}",
-        )
-    else:
-        check("envelope_interpolation", True, "skipped: rho = 0", skipped=True)
-        check("peak_ratio_bounded", True, "skipped: rho = 0", skipped=True)
 
-    # -- lossy cavity -----------------------------------------------------------
-    ws = rng.uniform(-40.0, 40.0, 200) / T
+# -- quasimode --------------------------------------------------------------------
+def _envelope_interpolation(suite: _Suite) -> tuple[bool, str]:
+    env = quasimode_commutator(np.arange(21) * suite.T, kappa(suite.j, suite.T, "exact"))
+    err = max(abs(float(env[k]) - suite.j.rho**k) for k in range(21))
+    return err < 1e-13, f"max |e^-k kT - rho^k| = {err:.3g}"
+
+
+def _peak_ratio_bounded(suite: _Suite) -> tuple[bool, str]:
+    pr = peak_ratio(suite.j)
+    return 0.0 < pr <= 1.0, f"(1-rho)/ln(1/rho) = {pr:.6f}"
+
+
+# -- lossy cavity -----------------------------------------------------------------
+def _lossy_sum_rule(suite: _Suite) -> tuple[bool, str]:
+    ws, j, T = suite.ws, suite.j, suite.T
     worst = 0.0
     for gt in (0.0, 0.2, 2.0):
         worst = max(worst, float(np.max(np.abs(sum_rule_residual(ws, j, T, gt / T)))))
-    check("lossy_sum_rule", worst < 1e-12, f"max residual = {worst:.3g}")
+    return worst < 1e-12, f"max residual = {worst:.3g}"
 
+
+def _noise_quadrature_match(suite: _Suite) -> tuple[bool, str]:
+    ws, j, T = suite.ws, suite.j, suite.T
     nq = noise_power_quadrature(ws[:50], j, T, 0.2 / T)
     err = float(np.max(np.abs(nq - noise_power(ws[:50], j, T, 0.2 / T))))
-    check("noise_quadrature_match", err < 1e-6, f"max quadrature deviation = {err:.3g}")
+    return err < 1e-6, f"max quadrature deviation = {err:.3g}"
 
-    # -- oracle ---------------------------------------------------------------
-    geom = RingGeometry(T, 1.0)
-    M = 16
-    imp = _impulse(T, M, 6)
-    out, _ = run(imp, j, geom, M)
+
+# -- oracle -----------------------------------------------------------------------
+def _oracle_impulse_match(suite: _Suite) -> tuple[bool, str]:
+    kba, M = suite.kba, 16
+    out, _ = run(_impulse(suite.T, M, 6), suite.j, RingGeometry(suite.T, 1.0), M)
     errs = [abs(out.values[n * M].real - kba.weight(n)) for n in range(6)]
     # offsets outside the kernel's span were cut off: allow its tail bound there
     ok = all(
         err < 1e-14 + (0.0 if kba.k0 <= n < kba.k0 + len(kba.c) else kba.tail_bound)
         for n, err in enumerate(errs)
     )
-    check(
-        "oracle_impulse_match",
-        ok,
+    return ok, (
         f"lattice weight error = {max(errs):.3g} "
-        f"(tol 1e-14, plus tail bound {kba.tail_bound:.3g} on dropped offsets)",
+        f"(tol 1e-14, plus tail bound {kba.tail_bound:.3g} on dropped offsets)"
     )
 
-    err, tol, n_trips = oracle_transfer_deviation(j, T, M)
-    check(
-        "oracle_transfer_match",
-        err < tol,
-        f"steady-state deviation = {err:.3g} (tol {tol:.3g}, {n_trips} round trips)",
-    )
 
-    # -- two-photon -------------------------------------------------------------
-    gspec = TwoPhotonGaussian(0.4 * T, 0.4 * T)
+def _oracle_transfer_match(suite: _Suite) -> tuple[bool, str]:
+    err, tol, n_trips = oracle_transfer_deviation(suite.j, suite.T, 16)
+    detail = f"steady-state deviation = {err:.3g} (tol {tol:.3g}, {n_trips} round trips)"
+    return err < tol, detail
+
+
+# -- two-photon -------------------------------------------------------------------
+def _dispersion_cancellation(suite: _Suite) -> tuple[bool, str]:
+    rho, T = suite.j.rho, suite.T
     dgrid = np.arange(-40 * T, (40 + 1e-9) * T, T / 8)
     d = SampledSignal(dgrid[0], T / 8, np.exp(-(dgrid**2) / (2 * (0.4 * T) ** 2)))
-    if j.rho > 0.0:
+    if rho > 0.0:
         kmax = max(10, int(math.ceil(math.log(1e-10) / math.log(rho))))
-        residual, _ = cw_output(d, j, T, kmax)
-        check("dispersion_cancellation", residual < 1e-9, f"residual = {residual:.3g}")
-        kwin = 24
-        x = np.arange(-kwin * T, (kwin + 1e-9) * T, T / 8)
-        d_narrow = SampledSignal(x[0], T / 8, np.exp(-(x**2) / (2 * (0.4 * T) ** 2)))
-        # certified truncation deficit of the pair ladder at order nmax is
-        # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within 1e-10
-        pref = rho**2 / (1.0 - rho**2)
-        nmax = max(1, math.ceil((kwin + math.log(1e-10 / (3.0 * pref)) / math.log(rho)) / 2))
-        bound = pref * rho ** (2 * nmax - kwin)
-        tol = max(1e-10, 3.0 * bound)
-        err = resummation_check(rho, d_narrow, T, nmax=nmax)
-        check(
-            "ladder_resummation",
-            err < tol,
-            f"max deviation = {err:.3g} (tol {tol:.3g}, nmax {nmax})",
-        )
-    else:
-        residual, _ = cw_output(d, j, T, 10)
-        check("dispersion_cancellation", residual < 1e-12, f"residual = {residual:.3g}")
-        check("ladder_resummation", True, "skipped: rho = 0", skipped=True)
+        residual, _ = cw_output(d, suite.j, T, kmax)
+        return residual < 1e-9, f"residual = {residual:.3g}"
+    residual, _ = cw_output(d, suite.j, T, 10)
+    return residual < 1e-12, f"residual = {residual:.3g}"
 
+
+def _ladder_resummation(suite: _Suite) -> tuple[bool, str]:
+    rho, T = suite.j.rho, suite.T
+    kwin = 24
+    x = np.arange(-kwin * T, (kwin + 1e-9) * T, T / 8)
+    d_narrow = SampledSignal(x[0], T / 8, np.exp(-(x**2) / (2 * (0.4 * T) ** 2)))
+    # certified truncation deficit of the pair ladder at order nmax is
+    # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within 1e-10
+    pref = rho**2 / (1.0 - rho**2)
+    nmax = max(1, math.ceil((kwin + math.log(1e-10 / (3.0 * pref)) / math.log(rho)) / 2))
+    bound = pref * rho ** (2 * nmax - kwin)
+    tol = max(1e-10, 3.0 * bound)
+    err = resummation_check(rho, d_narrow, T, nmax=nmax)
+    return err < tol, f"max deviation = {err:.3g} (tol {tol:.3g}, nmax {nmax})"
+
+
+def _closed_form_match(suite: _Suite) -> tuple[bool, str]:
+    j, T, eps = suite.j, suite.T, suite.eps
+    gspec = TwoPhotonGaussian(0.4 * T, 0.4 * T)
     phi = gaussian_amplitude(gspec, dt=T / 8)
     n_out = phi.values.shape[0] + 6 * 8
     direct = transform_output_on_window(phi, j, T, phi.t1_start, n_out, eps)
-    closed = gaussian_output_closed_form(
-        gspec, j, T, phi.t1_start, n_out, T / 8, eps
-    )
+    closed = gaussian_output_closed_form(gspec, j, T, phi.t1_start, n_out, T / 8, eps)
     err = float(np.max(np.abs(direct.values - closed.values)))
-    check("closed_form_match", err < 1e-8, f"max pointwise deviation = {err:.3g}")
+    return err < 1e-8, f"max pointwise deviation = {err:.3g}"
 
+
+def _pulses(suite: _Suite) -> tuple[SampledSignal, SampledSignal, SampledSignal, SampledSignal]:
+    """The two Gaussian pulses of the factor-form and separable checks, then
+    each after the output kernel: ``(f1, f2, p1, p2)``."""
+    T = suite.T
     t = np.arange(-3.0 * T, (3.0 + 1e-9) * T, T / 8)
     f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * (0.35 * T) ** 2)))
     f2 = SampledSignal(t[0], T / 8, np.exp(-((t - 0.25 * T) ** 2) / (2 * (0.5 * T) ** 2)))
-    p1, p2 = apply_train(kba, f1), apply_train(kba, f2)
-    if j.rho > 0.0:
-        # the algebraically equivalent -rho phi + (tau^2/rho) sum rho^n phi(t - nT),
-        # on the kernel's span; it divides by rho
-        ks = np.arange(kba.k0, kba.k0 + len(kba.c))
-        w = np.where(ks == 0, -rho, (j.tau * j.tau / rho) * rho**ks)
-        reflective = DeltaTrain(T, kba.k0, w, eps, kba.tail_bound)
-        q1, q2 = apply_train(reflective, f1), apply_train(reflective, f2)
-        err = float(
-            max(
-                np.max(np.abs(p1.values - q1.values)),
-                np.max(np.abs(p2.values - q2.values)),
-            )
+    return f1, f2, apply_train(suite.kba, f1), apply_train(suite.kba, f2)
+
+
+def _factor_form_equivalence(suite: _Suite) -> tuple[bool, str]:
+    rho, tau, kba = suite.j.rho, suite.j.tau, suite.kba
+    f1, f2, p1, p2 = _pulses(suite)
+    # the algebraically equivalent -rho phi + (tau^2/rho) sum rho^n phi(t - nT),
+    # on the kernel's span; it divides by rho
+    ks = np.arange(kba.k0, kba.k0 + len(kba.c))
+    w = np.where(ks == 0, -rho, (tau * tau / rho) * rho**ks)
+    reflective = DeltaTrain(suite.T, kba.k0, w, suite.eps, kba.tail_bound)
+    q1, q2 = apply_train(reflective, f1), apply_train(reflective, f2)
+    err = float(
+        max(
+            np.max(np.abs(p1.values - q1.values)),
+            np.max(np.abs(p2.values - q2.values)),
         )
-        check("factor_form_equivalence", err < 1e-12, f"kernel vs reflective form: {err:.3g}")
-    else:
-        check(
-            "factor_form_equivalence",
-            True,
-            "skipped: rho = 0 (reflective factor form undefined, kernel form used)",
-            skipped=True,
-        )
+    )
+    return err < 1e-12, f"kernel vs reflective form: {err:.3g}"
+
+
+def _separable_factorization(suite: _Suite) -> tuple[bool, str]:
+    f1, f2, p1, p2 = _pulses(suite)
     prod_in = JointAmplitudeGrid(f1.t0, f2.t0, f1.dt, np.outer(f1.values, f2.values))
     n = len(p1)
     err, cells, n_tiles = 0.0, 0, 0
-    tiles = _transform_tiles(prod_in, j, T, p1.t0, p2.t0, _separable_tiles(n, rng), eps)
-    for rows, cols, tile in tiles:
+    plan = _separable_tiles(n, suite.rng)
+    for rows, cols, tile in _transform_tiles(
+        prod_in, suite.j, suite.T, p1.t0, p2.t0, plan, suite.eps
+    ):
         # tile.T is C-contiguous (the t2 pass is outermost): compare in that layout
         block = np.multiply.outer(p2.values[cols], p1.values[rows])
         block -= tile.T
@@ -441,22 +465,74 @@ def _run_checks(rho: float, T: float, eps: float, results: list[CheckResult]) ->
         cells += block.size
         n_tiles += 1
     scope = "every cell" if cells == n * n else "sampled tiles"
-    check(
-        "separable_factorization",
-        err < 1e-10,
+    return err < 1e-10, (
         f"outer-product deviation = {err:.3g} "
-        f"({scope}: {cells} of {n * n} cells, {n_tiles} tiles)",
+        f"({scope}: {cells} of {n * n} cells, {n_tiles} tiles)"
     )
 
-    # -- negative control -------------------------------------------------------
+
+# -- negative control -------------------------------------------------------------
+def _negative_control(suite: _Suite) -> tuple[bool, str]:
+    kba = suite.kba
     # wrong junction sign; below eps the kernel has no offset 0, so 0.5 goes there
     bad_c = np.concatenate([np.zeros(kba.k0), kba.c])  # offsets 0 .. (kba.k0 is 0 or 1)
     bad_c[0] = -bad_c[0] if kba.k0 == 0 else 0.5
-    bad = DeltaTrain(T, 0, bad_c, kba.eps, kba.tail_bound)
+    bad = DeltaTrain(suite.T, 0, bad_c, kba.eps, kba.tail_bound)
     zero_err, spurious = _unit_deviation(correlate(bad, bad))
-    detects = zero_err > 1e-6 or (j.rho > 0.0 and spurious > 1e-6)
-    check(
-        "negative_control",
-        detects,
-        f"sign-flipped kernel breaks unitarity by {spurious:.3g} (detected)",
-    )
+    detects = zero_err > 1e-6 or (suite.j.rho > 0.0 and spurious > 1e-6)
+    return detects, f"sign-flipped kernel breaks unitarity by {spurious:.3g} (detected)"
+
+
+# every check of the suite, in the order it runs at every rho
+_CHECKS = (
+    _unimodularity, _inverse_identity, _periodicity, _fsr_state_count,
+    _kernel_unitarity, _kernel_inverse, _apply_round_trip, _apply_parseval,
+    _kernel_spectrum_match, _cavity_commutator, _causality,
+    _equal_time_single_support, _output_commutator, _reindexing_identity,
+    _envelope_interpolation, _peak_ratio_bounded, _lossy_sum_rule,
+    _noise_quadrature_match, _oracle_impulse_match, _oracle_transfer_match,
+    _dispersion_cancellation, _ladder_resummation, _closed_form_match,
+    _factor_form_equivalence, _separable_factorization, _negative_control,
+)
+CHECK_NAMES = tuple(check.__name__[1:] for check in _CHECKS)
+
+# checks that take ln(1/rho) or divide by rho: at rho = 0 the report marks
+# them skipped, their detail "skipped: rho = 0" and then this note
+_UNDEFINED_AT_RHO_0 = {
+    _envelope_interpolation: "",
+    _peak_ratio_bounded: "",
+    _ladder_resummation: "",
+    _factor_form_equivalence: " (reflective factor form undefined, kernel form used)",
+}
+
+
+class CheckOutOfMemory(MemoryError):
+    """A check of the suite asked for more memory than it could get."""
+
+
+def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[CheckResult]:
+    """Run the full invariant suite at one coupling value: one result per
+    entry of ``_CHECKS``, in its order.
+
+    Raises
+    ------
+    CheckOutOfMemory
+        If the setup or a check fails to allocate; the message names which
+        and repeats the allocation error, which states the size requested.
+    """
+    results = []
+    step = "suite setup"
+    try:
+        suite = _Suite(rho, T, eps)
+        for check in _CHECKS:
+            name = check.__name__[1:]
+            if suite.j.rho == 0.0 and check in _UNDEFINED_AT_RHO_0:
+                detail = "skipped: rho = 0" + _UNDEFINED_AT_RHO_0[check]
+                results.append(CheckResult(name, True, detail, skipped=True))
+                continue
+            step = f"check {name}"
+            passed, detail = check(suite)
+            results.append(CheckResult(name, bool(passed), detail))
+    except MemoryError as exc:
+        raise CheckOutOfMemory(f"{step} at rho = {rho:g}: {exc}") from exc
+    return results

@@ -35,8 +35,8 @@ def _suite(rho: float) -> dict:
     return {r.name: r for r in run_suite(rho)}
 
 
-# every rho reports these, in this order; run_suite names a check that runs
-# out of memory by its place in this list
+# every rho reports these, in this order: the names of validation's check
+# table, which run_suite also gives a check that runs out of memory
 CHECKS = CHECK_NAMES
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ringecho.cli import main
+from ringecho.validation import CHECK_NAMES, CheckOutOfMemory, run_suite
 
 
 def read_csv(path):
@@ -319,6 +320,37 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "out of memory: check separable_factorization at rho = 0.75" in err
         assert "Unable to allocate 5.34 GiB" in err
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_out_of_memory_in_any_check_names_it(self, tmp_path, capsys, monkeypatch, name):
+        import ringecho.validation as validation
+
+        def refuse(suite):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        refuse.__name__ = f"_{name}"
+        table = [refuse if c.__name__ == refuse.__name__ else c for c in validation._CHECKS]
+        monkeypatch.setattr(validation, "_CHECKS", tuple(table))
+        with pytest.raises(CheckOutOfMemory, match=f"^check {name} at rho = 0.75: Unable"):
+            run_suite(0.75)
+        assert main(["validate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"out of memory: check {name} at rho = 0.75: Unable to allocate 1.00 TiB" in err
+        assert not (tmp_path / "validation_report.json").exists()
+
+    def test_out_of_memory_in_the_setup_names_it(self, tmp_path, capsys, monkeypatch):
+        import ringecho.validation as validation
+
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        # the suite builds its kernels once, before the first check
+        monkeypatch.setattr(validation, "kernel_ab", refuse)
+        with pytest.raises(CheckOutOfMemory, match="^suite setup at rho = 0.75: Unable"):
+            run_suite(0.75)
+        assert main(["validate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "out of memory: suite setup at rho = 0.75: Unable to allocate 1.00 TiB" in err
 
     def test_memory_error_from_the_suite_exits_2(self, tmp_path, capsys, monkeypatch):
         import ringecho.cli as cli

@@ -11,11 +11,11 @@ from ringecho import (
     correlate,
     kernel_ba,
     kernel_ca,
-    output_commutator_check,
     output_commutator_decomposition,
     spacetime_commutator_support,
 )
 from ringecho.cli import write_matrix
+from ringecho.commutators import _unit_deviation
 from trainview import weights
 
 
@@ -137,27 +137,20 @@ class TestOutputCommutator:
     @pytest.mark.parametrize("rho", [0.3, 0.75, 0.97])
     def test_unit_train_both_paths(self, rho):
         j = JunctionCoupling(rho)
-        res = output_commutator_check(j, 1.0, 1e-12)
-        assert res.weight_zero_error < 1e-10
-        assert res.max_spurious < 1e-10
-        assert res.path_disagreement < 1e-12
-
-    def test_positional_order_is_T_then_eps(self):
-        # (j, T, eps) like output_commutator_decomposition and the kernels
-        j = JunctionCoupling(0.75)
-        pos = output_commutator_check(j, 0.7, 1e-10)
-        kw = output_commutator_check(j, eps=1e-10, T=0.7)
-        k = kernel_ba(j, 0.7, 1e-10)
-        for res in (pos, kw):
-            assert res.train.period == 0.7
-            assert weights(res.train) == weights(correlate(k, k))
-        assert (pos.weight_zero_error, pos.max_spurious, pos.path_disagreement) == (
-            kw.weight_zero_error, kw.max_spurious, kw.path_disagreement)
+        k = kernel_ba(j, 1.0, 1e-12)
+        train = correlate(k, k)
+        zero_err, spurious = _unit_deviation(train)
+        assert zero_err < 1e-10
+        assert spurious < 1e-10
+        assert train.max_abs_diff(output_commutator_decomposition(j, 1.0, 1e-12)) < 1e-12
 
     def test_free_space_exact(self):
-        res = output_commutator_check(JunctionCoupling(0.0))
-        assert weights(res.train) == {0: 1.0}
-        assert res.path_disagreement == 0.0
+        j = JunctionCoupling(0.0)
+        k = kernel_ba(j, 1.0, 1e-12)
+        train = correlate(k, k)
+        assert weights(train) == {0: 1.0}
+        assert _unit_deviation(train) == (0.0, 0.0)
+        assert train.max_abs_diff(output_commutator_decomposition(j, 1.0, 1e-12)) == 0.0
 
     def test_paths_agree_term_by_term(self):
         j = JunctionCoupling(0.75)
@@ -178,8 +171,10 @@ class TestOutputCommutator:
     def test_junction_path_well_conditioned_at_small_rho(self, rho):
         # nothing is divided by rho, so the paths agree to rounding of O(1)
         # weights where a 1/rho form cancels terms of size 1/rho^2
-        res = output_commutator_check(JunctionCoupling(rho))
-        assert res.path_disagreement <= 4 * np.finfo(float).eps
+        j = JunctionCoupling(rho)
+        k = kernel_ba(j, 1.0, 1e-12)
+        other = output_commutator_decomposition(j, 1.0, 1e-12)
+        assert correlate(k, k).max_abs_diff(other) <= 4 * np.finfo(float).eps
 
 
 class TestReindexingIdentity:

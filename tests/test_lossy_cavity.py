@@ -97,7 +97,7 @@ class TestNoisePower:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # both peak at four complex arrays (64 MiB); one more array would add
+        # both peak at three complex arrays (48 MiB); one more array would add
         # 8 or 16 MiB, interpreter objects a few hundred bytes
         assert peaks[0] <= peaks[1] + (64 << 10)
 

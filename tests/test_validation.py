@@ -1,6 +1,7 @@
 """Checks of the ``validate`` suite itself: a check fails where it should,
-``ladder_resummation`` runs at the order its truncation bound asks for, and
-``separable_factorization`` walks its window tile by tile in bounded memory."""
+``ladder_resummation`` runs at the order its truncation bound asks for,
+``separable_factorization`` walks its window tile by tile in bounded memory,
+and no check's arrays outlive it."""
 
 import tracemalloc
 
@@ -119,6 +120,29 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
     assert applies.count(1) == n_tiles
     assert 0 < applies.count(0) < n_tiles
     assert len(chunks) == len(applies) and min(chunks) > 0
+
+
+def test_checks_free_their_arrays(monkeypatch):
+    # traced memory still held as each result is recorded, after its check
+    # returned and before the next starts: the suite's kernels (0.5 MiB at
+    # rho = 0.999) and draws, plus the first-use caches of the libraries,
+    # not the arrays of any check that ran before (21.7 MiB in one body)
+    record = validation.CheckResult
+    held = []
+
+    def recording(name, *args, **kwargs):
+        held.append((tracemalloc.get_traced_memory()[0], name))
+        return record(name, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "CheckResult", recording)
+    tracemalloc.start()
+    try:
+        run_suite(0.999)
+    finally:
+        tracemalloc.stop()
+    assert [name for _, name in held] == list(validation.CHECK_NAMES)
+    most, name = max(held)
+    assert most < 4 * 2**20, f"{most / 2**20:.1f} MiB held after {name}"
 
 
 def test_run_suite_097_peak_memory():
