@@ -22,9 +22,9 @@ becomes its result (16 bytes per frequency beside the input); ``g_ba`` and
 ``g_ab`` hold the phase and two more complex arrays while the all-pass factor
 is formed (48 bytes per frequency). Every step is an elementwise numpy loop
 into an explicit buffer, so no value depends on the array's length:
-``g_ba(w)[k]`` equals ``g_ba(w[i:j])[k - i]`` bit for bit. A scalar takes the
-same expressions in numpy scalar arithmetic, whose last bit can differ from
-the array loops'.
+``g_ba(w)[k]`` equals ``g_ba(w[i:j])[k - i]`` bit for bit. A scalar runs as a
+one-element array through the same loops, so ``g_ba(w)`` equals
+``g_ba([w])[0]`` bit for bit, returned as a Python ``complex``.
 """
 
 from __future__ import annotations
@@ -98,46 +98,38 @@ class RingGeometry:
 
 def _pole_and_phase(omega, T: float, Gamma: float) -> tuple[float, np.ndarray]:
     """Round-trip amplitude ``exp(-Gamma T)`` and phase factor ``exp(i omega T)``,
-    an array of phases formed and exponentiated in one new complex buffer."""
+    formed and exponentiated in one new complex buffer; a scalar omega becomes
+    a one-element array."""
     if T <= 0.0:
         raise ValueError(f"round-trip time must be positive, got {T}")
     if not 0.0 <= Gamma < math.inf:
         raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
-    w = np.asarray(omega, dtype=float)
-    # math.isfinite keeps the check cheap for the many scalar calls
-    if not (math.isfinite(w) if w.ndim == 0 else np.isfinite(w).all()):
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not np.isfinite(w).all():
         raise ValueError("omega must be finite")
     a = math.exp(-Gamma * T)
     # np.exp reduces omega T mod 2 pi exactly; subtracting multiples of the
-    # float 2 pi first would add its rounding error once per period removed
-    if w.ndim == 0:
-        # a numpy scalar, which the helpers below tell from an array by type
-        # and evaluate with the scalar expressions, at no cost per call
-        return a, np.exp(1j * (w * T))
-    # the complex product w (i T) rounds each part as i (w T) does
+    # float 2 pi first would add its rounding error once per period removed.
+    # The complex product w (i T) rounds each part as i (w T) does
     z = np.multiply(w, 1j * T)
     return a, np.exp(z, out=z)
 
 
-def _resonance(z, c: float, out=None):
-    """The resonant denominator ``1 - c z``, an array formed in ``out``
-    (which may be ``z`` itself; a new buffer when None)."""
-    if not isinstance(z, np.ndarray):
-        return 1.0 - c * z
+def _resonance(z: np.ndarray, c: float, out=None) -> np.ndarray:
+    """The resonant denominator ``1 - c z``, formed in ``out`` (which may be
+    ``z`` itself; a new buffer when None)."""
     den = np.multiply(c, z, out=out)
     return np.subtract(1.0, den, out=den)
 
 
-def _circulating(tau: float, den):
-    """``tau / den``, an array in place in ``den``."""
-    return np.divide(tau, den, out=den) if isinstance(den, np.ndarray) else tau / den
+def _circulating(tau: float, den: np.ndarray) -> np.ndarray:
+    """``tau / den``, in place in ``den``."""
+    return np.divide(tau, den, out=den)
 
 
-def _all_pass(z, a: float, rho: float, den):
-    """``z (a - rho conj z) / den``, an array in place in ``z``; holds one
-    more complex array while it runs."""
-    if not isinstance(z, np.ndarray):
-        return z * (a - rho * np.conj(z)) / den
+def _all_pass(z: np.ndarray, a: float, rho: float, den: np.ndarray) -> np.ndarray:
+    """``z (a - rho conj z) / den``, in place in ``z``; holds one more complex
+    array while it runs."""
     num = np.conjugate(z)
     np.multiply(rho, num, out=num)
     np.subtract(a, num, out=num)
@@ -147,10 +139,8 @@ def _all_pass(z, a: float, rho: float, den):
     return np.divide(z, den, out=z)
 
 
-def _abs_sq(g):
-    """``|g|^2``; for an array, one new float buffer squared in place."""
-    if not isinstance(g, np.ndarray):
-        return np.abs(g) ** 2
+def _abs_sq(g: np.ndarray) -> np.ndarray:
+    """``|g|^2``, one new float buffer squared in place."""
     out = np.abs(g)
     return np.square(out, out=out)
 
@@ -176,7 +166,7 @@ def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     """
     a, z = _pole_and_phase(omega, T, Gamma)
     out = _circulating(j.tau, _resonance(z, j.rho * a, out=z))
-    return out if out.ndim else complex(out)
+    return out if np.ndim(omega) else complex(out[0])
 
 
 def g_ba(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
@@ -190,17 +180,19 @@ def g_ba(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     """
     a, z = _pole_and_phase(omega, T, Gamma)
     out = _all_pass(z, a, j.rho, _resonance(z, j.rho * a))
-    return out if out.ndim else complex(out)
+    return out if np.ndim(omega) else complex(out[0])
 
 
 def g_ab(omega, j: JunctionCoupling, T: float):
     """Inverse transfer function, output channel back to input.
 
     Equals the complex conjugate of ``g_ba`` (equivalently ``g_ba`` with the
-    round trip reversed in sign), so ``g_ab * g_ba == 1``.
+    round trip reversed in sign), so ``g_ab * g_ba == 1``. A scalar omega
+    gives a ``numpy.complex128``.
     """
-    out = g_ba(omega, j, T)
-    return np.conjugate(out, out=out) if isinstance(out, np.ndarray) else np.conj(out)
+    out = g_ba(np.atleast_1d(omega), j, T)
+    out = np.conjugate(out, out=out)
+    return out if np.ndim(omega) else out[0]
 
 
 def fsr_integral(j: JunctionCoupling, T: float) -> float:

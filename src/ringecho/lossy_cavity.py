@@ -20,7 +20,9 @@ Arrays are evaluated in place through ``core_response``'s helpers, so no
 value depends on the array's length. ``noise_power`` holds the complex
 ``g_ca`` array and its float square (24 bytes per frequency beside the
 input); ``sum_rule_residual`` holds what ``g_ba`` does, the phase and two
-more complex arrays (48 bytes per frequency).
+more complex arrays (48 bytes per frequency). A scalar runs as a one-element
+array through the same loops, so ``noise_power(w)`` equals
+``noise_power([w])[0]`` bit for bit, and likewise ``sum_rule_residual``.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ from .core_response import (
 )
 
 
-def _noise(Gamma: float, T: float, gain):
-    """``(1 - exp(-2 Gamma T)) gain``, an array in place in ``gain``."""
-    k = 1.0 - math.exp(-2.0 * Gamma * T)
-    return np.multiply(k, gain, out=gain) if isinstance(gain, np.ndarray) else float(k * gain)
+def _noise(Gamma: float, T: float, gain: np.ndarray) -> np.ndarray:
+    """``(1 - exp(-2 Gamma T)) gain``, in place in ``gain``."""
+    return np.multiply(1.0 - math.exp(-2.0 * Gamma * T), gain, out=gain)
 
 
 def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
@@ -54,8 +55,10 @@ def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     ``N = (1 - exp(-2 Gamma T)) |g_ca(omega, Gamma)|^2``, normalized so that
     ``|g_ba|^2 + N = 1`` identically: every bit of absorbed signal power
     returns as fluctuation power, keeping the output commutator free-space.
+    A scalar omega gives a Python ``float``.
     """
-    return _noise(Gamma, T, _abs_sq(g_ca(omega, j, T, Gamma)))
+    out = _noise(Gamma, T, _abs_sq(g_ca(np.atleast_1d(omega), j, T, Gamma)))
+    return out if np.ndim(omega) else float(out[0])
 
 
 def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
@@ -69,8 +72,8 @@ def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
     """
     s = (np.arange(4096) + 0.5) * (T / 4096)
     spatial = 2.0 * Gamma * np.sum(np.exp(-2.0 * Gamma * (T - s))) * (T / 4096)
-    out = spatial * np.abs(g_ca(omega, j, T, Gamma)) ** 2
-    return out if np.ndim(out) else float(out)
+    out = spatial * _abs_sq(g_ca(np.atleast_1d(omega), j, T, Gamma))
+    return out if np.ndim(omega) else float(out[0])
 
 
 def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
@@ -79,17 +82,17 @@ def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
     Evaluates the phase ``exp(i omega T)`` and the resonant denominator once
     for both terms, through the same helpers as ``g_ba``, ``g_ca`` and
     ``noise_power``, so the result is bitwise that of composing them, in
-    half the transcendental work and no more memory than ``g_ba`` alone.
+    half the transcendental work and no more memory than ``g_ba`` alone. A
+    scalar omega gives a ``numpy.float64``.
     """
     a, z = _pole_and_phase(omega, T, Gamma)
     den = _resonance(z, j.rho * a)
     gain_ba = _abs_sq(_all_pass(z, a, j.rho, den))
     del z  # the all-pass values, now squared in gain_ba
     noise = _noise(Gamma, T, _abs_sq(_circulating(j.tau, den)))
-    if not isinstance(gain_ba, np.ndarray):
-        return gain_ba + noise - 1.0
     np.add(gain_ba, noise, out=gain_ba)
-    return np.subtract(gain_ba, 1.0, out=gain_ba)
+    out = np.subtract(gain_ba, 1.0, out=gain_ba)
+    return out if np.ndim(omega) else out[0]
 
 
 def absorbed_fraction(j: JunctionCoupling, T: float, Gamma: float) -> float:

@@ -26,7 +26,7 @@ from ringecho.validation import CHECK_NAMES, run_suite
 
 T = 1.0
 
-RHOS = (0.0, 1e-6, 1e-3, 0.3, 0.5, 0.75, 0.9, 0.97, 0.99, 0.999)
+RHOS = (0.0, 1e-6, 1e-3, 0.3, 0.5, 0.75, 0.9, 0.97, 0.99, 0.999, 0.9999)
 
 
 @functools.cache

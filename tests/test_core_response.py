@@ -12,6 +12,8 @@ from ringecho import (
     g_ab,
     g_ba,
     g_ca,
+    noise_power,
+    sum_rule_residual,
 )
 
 
@@ -176,8 +178,9 @@ class TestAbsorptionRate:
             want = lossless(w, j, 1.3)
             assert np.array_equal(fn(w, j, 1.3, Gamma=0.0), want)
             assert np.array_equal(fn(w, j, 1.3), want)
+            # a scalar is the one-element array's entry
             w0 = float(w[0])
-            assert fn(w0, j, 1.3, Gamma=0.0) == fn(w0, j, 1.3) == lossless(w0, j, 1.3)
+            assert fn(w0, j, 1.3, Gamma=0.0) == fn(w0, j, 1.3) == want[0]
 
     @pytest.mark.parametrize("fn", [g_ca, g_ba])
     @pytest.mark.parametrize("Gamma", [0.0, 0.2])
@@ -198,6 +201,33 @@ class TestAbsorptionRate:
     def test_rejects_bad_rate(self, fn, Gamma):
         with pytest.raises(ValueError):
             fn(0.5, JunctionCoupling(0.5), 1.0, Gamma=Gamma)
+
+
+class TestScalarIsArrayElement:
+    # the type a scalar frequency returns
+    KINDS = {
+        g_ca: complex,
+        g_ba: complex,
+        g_ab: np.complex128,
+        noise_power: float,
+        sum_rule_residual: np.float64,
+    }
+
+    @pytest.mark.parametrize("T_rt", [1.0, 1.3, 1e-6])
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.2])
+    def test_scalar_equals_array_element_bitwise(self, T_rt, gamma_t):
+        rng = np.random.default_rng(11)
+        G = gamma_t / T_rt
+        for _ in range(300):
+            j = JunctionCoupling(rng.uniform(0.0, 0.9999))
+            w = rng.uniform(-200.0, 200.0, 3) / T_rt
+            for fn, kind in self.KINDS.items():
+                args = (j, T_rt) if fn is g_ab else (j, T_rt, G)
+                arr = fn(w, *args)
+                for k in range(len(w)):
+                    got = fn(float(w[k]), *args)
+                    assert type(got) is kind
+                    assert np.asarray(got).tobytes() == arr[k : k + 1].tobytes(), (fn, j, w[k])
 
 
 class TestFsrIntegral:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ringecho.validation as validation
 from ringecho import (
     IncommensurateGrid,
     JunctionCoupling,
@@ -177,10 +178,26 @@ class TestRoundTripUpdate:
         assert np.array_equal(out.values, [b for b, _ in steps])
         assert np.array_equal(probe.values, [c for _, c in steps])
 
-    def test_transfer_match_at_0999_checks_to_1e9(self):
-        # the drive is long enough at rho = 0.999 for its transient to decay
-        # below 1e-10, so the check's tolerance is 1e-9, not 10 rho^3000 = 0.5
-        err, tol, n_trips = oracle_transfer_deviation(JunctionCoupling(0.999))
-        assert n_trips == 23_015
-        assert tol == 1e-9
-        assert err < tol
+    def test_transfer_match_at_0999_checks_to_1e9(self, monkeypatch):
+        # the reference is the exact response to the finite drive, so 60
+        # round trips check to 1e-9 although the transient rho^60 is 0.94
+        lengths = []
+
+        def spy(drive, *args):
+            lengths.append(len(drive))
+            return run(drive, *args)
+
+        monkeypatch.setattr(validation, "run", spy)
+        assert oracle_transfer_deviation(JunctionCoupling(0.999)) < 1e-9
+        assert lengths == [60 * 16]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.99, 0.9999, 0.99999])
+    def test_finite_drive_reference_at_every_rho(self, rho):
+        assert oracle_transfer_deviation(JunctionCoupling(rho)) < 1e-13
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9999])
+    def test_transfer_match_sees_g_ba_off_by_1e6(self, monkeypatch, rho):
+        g_ba_exact = validation.g_ba
+        monkeypatch.setattr(validation, "g_ba", lambda *args: g_ba_exact(*args) * (1.0 + 1e-6))
+        passed, detail = validation._oracle_transfer_match(validation._Suite(rho, 1.0, 1e-12))
+        assert not passed, detail

@@ -77,11 +77,12 @@ class TestNoisePower:
         j = JunctionCoupling(0.999)
         w = np.random.default_rng(5).uniform(-40.0, 40.0, 40_000) * (2.0 * math.pi / T_rt)
         G = gamma_t / T_rt
-        for omega in (w, 0.37):
+        for omega in (w, np.array([0.37])):
             got = sum_rule_residual(omega, j, T_rt, G)
             want = np.abs(g_ba(omega, j, T_rt, G)) ** 2 + noise_power(omega, j, T_rt, G) - 1.0
-            assert type(got) is type(want)
             assert np.array_equal(got, want)
+        # a scalar is the one-element array's entry
+        assert sum_rule_residual(0.37, j, T_rt, G) == want[0]
 
     def test_sum_rule_peak_memory_within_composed_form(self):
         j = JunctionCoupling(0.999)

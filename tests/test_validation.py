@@ -1,5 +1,7 @@
 """Checks of the ``validate`` suite itself: a check fails where it should,
-``ladder_resummation`` runs at the order its truncation bound asks for,
+``unimodularity`` reads the coupling under test, ``negative_control``
+reports a miss as one, ``ladder_resummation`` runs at the order its
+truncation bound asks for and its rounding term still sees a wrong weight,
 ``separable_factorization`` walks its window tile by tile in bounded memory,
 and no check's arrays outlive it."""
 
@@ -163,3 +165,38 @@ def test_ladder_resummation_order_meets_1e_10(rho, nmax):
     r = _result(run_suite(rho), "ladder_resummation")
     assert r.passed, r.detail
     assert f"(tol 1e-10, nmax {nmax})" in r.detail
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.99])
+def test_unimodularity_reads_the_coupling_under_test(monkeypatch, rho):
+    g_ba = validation.g_ba
+
+    def skewed(omega, j, T, Gamma=0.0):
+        out = g_ba(omega, j, T, Gamma)
+        return out * (1.0 + 1e-9) if j.rho == rho else out
+
+    monkeypatch.setattr(validation, "g_ba", skewed)
+    r = _result(run_suite(rho), "unimodularity")
+    assert not r.passed, r.detail
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+def test_ladder_resummation_sees_resummed_weights_off_by_1e6(monkeypatch, rho):
+    # resummation_check applies the pair ladder, then the resummed weights
+    apply, calls = two_photon._lattice_apply, []
+
+    def skewed(c, *args):
+        calls.append(c)
+        return apply(c * (1.0 + 1e-6) if len(calls) == 2 else c, *args)
+
+    monkeypatch.setattr(two_photon, "_lattice_apply", skewed)
+    passed, detail = validation._ladder_resummation(validation._Suite(rho, 1.0, 1e-12))
+    assert len(calls) == 2
+    assert not passed, detail
+
+
+def test_negative_control_reports_a_miss(monkeypatch):
+    monkeypatch.setattr(validation, "_unit_deviation", lambda train: (0.0, 0.0))
+    r = _result(run_suite(0.75), "negative_control")
+    assert not r.passed
+    assert r.detail == "sign-flipped kernel breaks unitarity by 0 (not detected)"
