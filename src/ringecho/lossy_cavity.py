@@ -16,13 +16,15 @@ the lossy generalization of the free-space output commutator. All
 bookkeeping here is deterministic second moments; no noise realizations
 are sampled.
 
-Arrays are evaluated in place through ``core_response``'s helpers, so no
-value depends on the array's length. ``noise_power`` holds the complex
-``g_ca`` array and its float square (24 bytes per frequency beside the
-input); ``sum_rule_residual`` holds what ``g_ba`` does, the phase and two
-more complex arrays (48 bytes per frequency). A scalar runs as a one-element
-array through the same loops, so ``noise_power(w)`` equals
-``noise_power([w])[0]`` bit for bit, and likewise ``sum_rule_residual``.
+Arrays are evaluated through ``core_response``'s half-angle form, so no
+value depends on the array's length. ``noise_power`` holds what ``g_ca``
+does, one float buffer beside the complex result, and then that result and
+its float square (24 bytes per frequency beside the input);
+``sum_rule_residual`` is the literal composition ``|g_ba|^2 + N - 1`` and
+holds the squared ``g_ba`` beside what ``noise_power`` holds (32 bytes per
+frequency). A scalar runs as a one-element array through the same loops, so
+``noise_power(w)`` equals ``noise_power([w])[0]`` bit for bit, and likewise
+``sum_rule_residual``.
 """
 
 from __future__ import annotations
@@ -32,16 +34,7 @@ import sys
 
 import numpy as np
 
-from .core_response import (
-    JunctionCoupling,
-    _abs_sq,
-    _all_pass,
-    _circulating,
-    _pole_and_phase,
-    _resonance,
-    g_ba,
-    g_ca,
-)
+from .core_response import JunctionCoupling, _abs_sq, g_ba, g_ca
 
 
 def _noise(Gamma: float, T: float, gain: np.ndarray) -> np.ndarray:
@@ -79,19 +72,14 @@ def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
 def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
     """|g_ba|^2 + N(omega) - 1, which should vanish identically.
 
-    Evaluates the phase ``exp(i omega T)`` and the resonant denominator once
-    for both terms, through the same helpers as ``g_ba``, ``g_ca`` and
-    ``noise_power``, so the result is bitwise that of composing them, in
-    half the transcendental work and no more memory than ``g_ba`` alone. A
-    scalar omega gives a ``numpy.float64``.
+    The literal composition of ``g_ba`` and ``noise_power``, summed in the
+    squared ``g_ba`` buffer, so it holds no more than ``noise_power`` does
+    beside one float array. A scalar omega gives a ``numpy.float64``.
     """
-    a, z = _pole_and_phase(omega, T, Gamma)
-    den = _resonance(z, j.rho * a)
-    gain_ba = _abs_sq(_all_pass(z, a, j.rho, den))
-    del z  # the all-pass values, now squared in gain_ba
-    noise = _noise(Gamma, T, _abs_sq(_circulating(j.tau, den)))
-    np.add(gain_ba, noise, out=gain_ba)
-    out = np.subtract(gain_ba, 1.0, out=gain_ba)
+    w = np.atleast_1d(omega)
+    out = _abs_sq(g_ba(w, j, T, Gamma))
+    np.add(out, noise_power(w, j, T, Gamma), out=out)
+    out = np.subtract(out, 1.0, out=out)
     return out if np.ndim(omega) else out[0]
 
 

@@ -84,7 +84,7 @@ from . import (
     transform_output_on_window,
 )
 from .commutators import _unit_deviation
-from .echo_kernels import _lattice_apply
+from .echo_kernels import _MIN_FFT_WORK, _lattice_apply
 from .two_photon import _transform_tiles
 
 
@@ -143,6 +143,18 @@ def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
     vals = np.zeros(stride * n_trips)
     vals[0] = 1.0
     return SampledSignal(0.0, T / stride, vals)
+
+
+def _lattice_rounding(f: DeltaTrain, g: DeltaTrain) -> float:
+    """Bound on the rounding of each weight of ``correlate(f, g)``: the FFT
+    branch's ``eps log2(n) sum|f| sum|g|``, n the result's length, when both
+    trains have ``_MIN_FFT_WORK`` terms or more; otherwise the direct sum's
+    ``gamma_m sum|f| sum|g|`` over the m products that meet at a lag (Higham,
+    ch. 3 and section 24.1)."""
+    m, n = min(len(f.c), len(g.c)), len(f.c) + len(g.c) - 1
+    eps = np.finfo(float).eps
+    scale = eps * math.log2(n) if m >= _MIN_FFT_WORK else m * eps / (2.0 - m * eps)
+    return scale * f.sum_abs() * g.sum_abs()
 
 
 # round trips of oracle_transfer_match's drive, at every rho
@@ -259,17 +271,25 @@ def _apply_parseval(suite: _Suite) -> tuple[bool, str]:
 
 
 def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
+    # two independent evaluations: the output kernel's lattice samples summed
+    # against complex exponentials, and g_ba's closed form in tan(omega T / 2)
     train_sig = apply_train(suite.kba, _impulse(suite.T, 16, 2))
     fsr = 2.0 * math.pi / suite.T
     ws = np.linspace(-2.5 * fsr, 2.5 * fsr, 101)
     nz = np.flatnonzero(train_sig.values)  # the lattice samples, and any stray one
+    times, vals = train_sig.t0 + train_sig.dt * nz, train_sig.values[nz]
     dft = np.zeros(len(ws), dtype=complex)
     for i in range(0, len(nz), _DFT_BLOCK):
-        blk = nz[i : i + _DFT_BLOCK]
-        times = train_sig.t0 + train_sig.dt * blk
-        dft += np.exp(1j * np.multiply.outer(ws, times)) @ train_sig.values[blk]
+        blk = slice(i, i + _DFT_BLOCK)
+        dft += np.exp(1j * np.multiply.outer(ws, times[blk])) @ vals[blk]
     err = float(np.max(np.abs(dft - g_ba(ws, suite.j, suite.T))))
-    return err < 1e-8, f"max DFT deviation = {err:.3g}"
+    # the dropped tail, plus the DFT's rounding to first order (Higham ch. 3):
+    # each phase fl(w t) within eps |w t|, each exponential within eps, the
+    # n-term sum within sqrt(2) gamma_n sum|c| < n eps sum|c|; and g_ba's 4 eps
+    mags, eps = np.abs(vals), np.finfo(float).eps
+    phase = float(np.max(np.abs(ws))) * float(mags @ np.abs(times))
+    tol = suite.kba.tail_bound + eps * ((len(nz) + 1) * float(mags.sum()) + phase + 4.0)
+    return err <= tol, f"max DFT deviation = {err:.3g} (tol {tol:.3g})"
 
 
 # -- commutators ------------------------------------------------------------------
@@ -301,11 +321,22 @@ def _equal_time_single_support(suite: _Suite) -> tuple[bool, str]:
 def _output_commutator(suite: _Suite) -> tuple[bool, str]:
     # the output kernel's autocorrelation is the unit train, and it agrees
     # term by term with the path through the junction relation
-    train = correlate(suite.kba, suite.kba)
+    kba, kca = suite.kba, suite.kca
+    train = correlate(kba, kba)
     zero_err, spurious = _unit_deviation(train)
-    paths = train.max_abs_diff(output_commutator_decomposition(suite.j, suite.T, suite.eps))
-    ok = zero_err < 1e-10 and spurious < 1e-10 and paths < 1e-12
-    return ok, f"c0 err {zero_err:.3g}, spurious {spurious:.3g}, paths differ by {paths:.3g}"
+    other = output_commutator_decomposition(suite.j, suite.T, suite.eps)
+    paths = train.max_abs_diff(other)
+    # each path is within its tail bound and its lattice sum's rounding of
+    # the exact train; the junction path's sum is tau^2 correlate(kca, kca)
+    tol = (
+        train.tail_bound + other.tail_bound
+        + _lattice_rounding(kba, kba) + suite.j.tau**2 * _lattice_rounding(kca, kca)
+    )
+    ok = zero_err < 1e-10 and spurious < 1e-10 and paths <= tol
+    return ok, (
+        f"c0 err {zero_err:.3g}, spurious {spurious:.3g}, "
+        f"paths differ by {paths:.3g} (tol {tol:.3g})"
+    )
 
 
 def _reindexing_identity(suite: _Suite) -> tuple[bool, str]:
@@ -486,13 +517,15 @@ def _separable_factorization(suite: _Suite) -> tuple[bool, str]:
     n = len(p1)
     err, cells, n_tiles = 0.0, 0, 0
     plan = _separable_tiles(n, suite.rng)
+    buf = np.empty(_COMPARE_CELLS)  # every tile's deviation, in turn
     for rows, cols, tile in _transform_tiles(
         prod_in, suite.j, suite.T, p1.t0, p2.t0, plan, suite.eps
     ):
         # tile.T is C-contiguous (the t2 pass is outermost): compare in that layout
-        block = np.multiply.outer(p2.values[cols], p1.values[rows])
-        block -= tile.T
-        err = float(np.maximum(err, np.max(np.abs(block))))  # keeps a NaN
+        block = buf[: tile.size].reshape(tile.T.shape)
+        np.multiply(p2.values[cols, None], p1.values[rows], out=block)
+        np.subtract(block, tile.T, out=block)
+        err = float(np.maximum(err, np.max(np.abs(block, out=block))))  # keeps a NaN
         cells += block.size
         n_tiles += 1
     scope = "every cell" if cells == n * n else "sampled tiles"

@@ -287,7 +287,7 @@ class TestValidateCommand:
         skipped = [c["name"] for c in report["checks"] if c.get("skipped")]
         assert "factor_form_equivalence" in skipped
         # the output commutator's junction path holds at rho = 0 too
-        assert "c0 err 0, spurious 0, paths differ by 0\n" in capsys.readouterr().out
+        assert "c0 err 0, spurious 0, paths differ by 0 (tol " in capsys.readouterr().out
 
     def test_report_records_eps_used(self, tmp_path, capsys):
         assert main(["validate", "--eps", "1e-13", "--out", str(tmp_path)]) == 0

@@ -164,23 +164,57 @@ class TestGab:
 class TestAbsorptionRate:
     @pytest.mark.parametrize("fn", [g_ca, g_ba])
     def test_zero_rate_is_bitwise_lossless(self, fn):
-        def lossless(w, j, T):
-            # the lossless expressions, their phase factor reduced by np.exp
-            z = np.exp(1j * np.asarray(w) * T)
-            if fn is g_ca:
-                return j.tau / (1.0 - j.rho * z)
-            return z * (1.0 - j.rho * np.conj(z)) / (1.0 - j.rho * z)
-
+        # Gamma = 0 is the default, lossless call, bit for bit
         rng = np.random.default_rng(5)
         for rho in (0.0, 0.5, 0.97, 0.999):
             j = JunctionCoupling(rho)
             w = rng.uniform(-1e4, 1e4, 1000)
-            want = lossless(w, j, 1.3)
+            want = fn(w, j, 1.3)
             assert np.array_equal(fn(w, j, 1.3, Gamma=0.0), want)
-            assert np.array_equal(fn(w, j, 1.3), want)
-            # a scalar is the one-element array's entry
             w0 = float(w[0])
             assert fn(w0, j, 1.3, Gamma=0.0) == fn(w0, j, 1.3) == want[0]
+
+    @pytest.mark.parametrize("fn", [g_ca, g_ba])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97, 0.999, 0.9999])
+    @pytest.mark.parametrize("T_rt", [1e-6, 1.3, 1e6])
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.2])
+    def test_within_4_eps_of_longdouble_reference(self, fn, rho, T_rt, gamma_t):
+        ld = np.longdouble
+        if np.finfo(ld).eps >= np.finfo(float).eps:
+            pytest.skip("longdouble is double here")
+        j = JunctionCoupling(rho)
+        # within two linewidths of resonances 0, 1, -7 and 1000, plus random phases
+        near = (1.0 - rho) * np.linspace(-2.0, 2.0, 41)
+        theta = np.concatenate(
+            [2.0 * math.pi * k + near for k in (0, 1, -7, 1000)]
+            + [np.random.default_rng(9).uniform(-100.0, 100.0, 200)]
+        )
+        w, G = theta / T_rt, gamma_t / T_rt
+        got = fn(w, j, T_rt, G)
+        # independent reference at the same float phase fl(omega T), with
+        # 1 - r cos(theta) = (1 - r) + 2 r sin^2(theta / 2)
+        th = np.multiply(w, T_rt).astype(ld)
+        a = np.exp(-(ld(G) * ld(T_rt)))
+        r = ld(j.rho) * a
+        s2 = np.sin(th / 2) ** 2
+        x, y = (1 - r) + 2 * r * s2, r * np.sin(th)  # 1 - r e^{i theta} = x - i y
+        if fn is g_ca:
+            nr, ni = ld(j.tau), ld(0.0)
+        else:  # a e^{i theta} - rho
+            nr, ni = (a - ld(j.rho)) - 2 * a * s2, a * np.sin(th)
+        den = x * x + y * y
+        want_re, want_im = (nr * x - ni * y) / den, (nr * y + ni * x) / den
+        err = np.hypot(got.real - want_re, got.imag - want_im) / np.hypot(want_re, want_im)
+        assert float(np.max(err)) <= 4.0 * np.finfo(float).eps
+
+    def test_zero_coupling_gives_exactly_one(self):
+        # no junction reflection: g_ca is 1.0 exactly, so a flat |g_ca|^2 is flat
+        j = JunctionCoupling(0.0)
+        rng = np.random.default_rng(8)
+        for T_rt in (1e-6, 1.3, 1e6):
+            w = rng.uniform(-1e4, 1e4, 1000) / T_rt
+            assert np.all(g_ca(w, j, T_rt) == 1.0)
+            assert g_ca(float(w[0]), j, T_rt) == 1.0
 
     @pytest.mark.parametrize("fn", [g_ca, g_ba])
     @pytest.mark.parametrize("Gamma", [0.0, 0.2])
