@@ -32,9 +32,13 @@ over the full span of lags the pairwise definitions reach. It cuts the axis
 into blocks of one round trip and keeps only the kernel terms that reach the
 requested output window. It has three branches:
 
-- wide inputs: a matrix product with the banded Toeplitz matrix of the
-  kernel, from input blocks to output blocks (the all-pass section's
-  impulse response as a block-Toeplitz operator);
+- wide inputs, and output windows of no more blocks than there are
+  columns: a matrix product with the banded Toeplitz matrix of the kernel,
+  from input blocks to output blocks (the all-pass section's impulse
+  response as a block-Toeplitz operator). Each band matrix holds no more
+  entries than the output it produces or, for such a window, than the
+  input slice it reads, so a narrow window of a long kernel costs its
+  window's multiply-adds and not the whole convolution's;
 - long kernels on long inputs (both at least ``_MIN_FFT`` blocks, and the
   shorter times the column count at least ``_MIN_FFT_WORK``): FFT
   convolution by overlap-add (Cooley & Tukey, Math. Comp. 19, 297 (1965);
@@ -60,7 +64,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_response import JunctionCoupling, _abs_sq
 
@@ -329,8 +332,9 @@ def _toeplitz_band(c: np.ndarray, d0: int, n_rows: int, n_cols: int) -> np.ndarr
     a, b = max(lo, 0), min(lo + len(seg), len(c))
     if a < b:
         seg[a - lo : b - lo] = c[a:b]
-    # window r of seg holds c[lo + r], ..., c[lo + r + n_cols - 1]: K's row r reversed
-    return np.ascontiguousarray(sliding_window_view(seg, n_cols)[:, ::-1])
+    # K[r, s] = seg[n_cols - 1 + r - s]: a strided view of seg, copied C-contiguous
+    step = seg.itemsize
+    return np.ndarray((n_rows, n_cols), seg.dtype, seg, (n_cols - 1) * step, (step, -step)).copy()
 
 
 def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
@@ -343,12 +347,16 @@ def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
     ``_MIN_CHUNK`` times for a one-term kernel. When the input has more
     blocks than there are columns, the chunk is cut so that its band,
     ``chunk + n_c - 1`` input blocks wide, has no more entries than the
-    ``chunk x cols`` output it produces. Products smaller than
-    ``_MIN_PRODUCT`` outputs, or more products than there are columns, cost
-    more in calls than one ``np.convolve`` per column does.
+    ``chunk x cols`` output it produces. No chunk meets that when the kernel
+    is longer than the columns; if the whole output then has no more blocks
+    than there are columns (a narrow window), it is one product, whose band
+    holds no more entries than the ``band x cols`` input slice it reads.
+    Products smaller than ``_MIN_PRODUCT`` outputs, or more products than
+    there are columns, cost more in calls than one ``np.convolve`` per
+    column does.
     """
     chunk = min(qy, max(n_c, _MIN_CHUNK))
-    if qx > cols:
+    if qx > cols and (n_c <= cols or qy > cols):
         chunk = min(chunk, cols - n_c + 1)
     if chunk < 1 or chunk * cols < _MIN_PRODUCT or -(-qy // chunk) > cols:
         return 0
@@ -419,8 +427,11 @@ def _lattice_apply(
       ``y[q] = sum_p K[q, p] x[p]`` with the banded Toeplitz matrix
       ``K[q, p] = c[q + e0 - p - k0]``. The output blocks are cut into
       chunks (``_gemm_chunk``), one product each; each ``K`` covers only the
-      input blocks its chunk reaches and never holds more entries than the
-      output it produces.
+      input blocks its chunk reaches and holds no more entries than the
+      output it produces, except on a window of no more blocks than there
+      are columns, which is one product whose ``K`` holds no more entries
+      than the input slice it reads. The branch rule counts the output: a
+      narrow window of a long kernel is a product, never the FFT.
     - When the cropped kernel and the input both have at least ``_MIN_FFT``
       blocks, and the shorter of them times the column count is at least
       ``_MIN_FFT_WORK`` (on 1-D signals the FFT measured faster from
@@ -438,7 +449,7 @@ def _lattice_apply(
     takes the FFT branch, gives bitwise-exact output. The result is a view
     with ``axis`` outermost in memory.
     """
-    x = np.moveaxis(x, axis, 0)
+    x = x.swapaxes(axis, 0)  # the other axes are columns, whatever their order
     n, rest = x.shape[0], x.shape[1:]
     pad = (-start) % stride  # puts output row `start` on a block boundary
     qx = -(-(pad + n) // stride)
@@ -448,7 +459,7 @@ def _lattice_apply(
     c = c[lo : max(lo, min(len(c), e0 + qy - k0))]
     k0 += lo
     if not len(c):  # no kernel term reaches the output window
-        return np.moveaxis(np.zeros((n_out,) + rest, dtype=x.dtype), 0, axis)
+        return np.zeros((n_out,) + rest, dtype=x.dtype).swapaxes(0, axis)
     xb = np.zeros((qx * stride,) + rest, dtype=x.dtype)
     xb[pad : pad + n] = x
     xb = xb.view(np.float64).reshape(qx, -1)
@@ -456,13 +467,15 @@ def _lattice_apply(
     shift = e0 - k0  # output block q reads input blocks q + shift - n_c + 1 .. q + shift
     chunk = _gemm_chunk(n_c, qx, qy, cols)
     if chunk:
-        y = np.zeros((qy, cols))
+        y = np.empty((qy, cols))  # each chunk writes all of its rows
         for qa in range(0, qy, chunk):
             qb = min(qy, qa + chunk)
             pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
             if pa < pb:
                 K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)
                 np.matmul(K, xb[pa:pb], out=y[qa:qb])
+            else:  # no input block reaches the chunk
+                y[qa:qb] = 0.0
     elif min(n_c, qx) >= _MIN_FFT and min(n_c, qx) * cols >= _MIN_FFT_WORK:
         y = _overlap_add(xb, c, shift, qy)
     else:
@@ -473,7 +486,7 @@ def _lattice_apply(
         for col in range(cols):
             y[q_lo:q_hi, col] = np.convolve(xb[col], c)[q_lo + shift : q_hi + shift]
     y = y.view(x.dtype).reshape((qy * stride,) + rest)[:n_out]
-    return np.moveaxis(y, 0, axis)
+    return y.swapaxes(0, axis)
 
 
 def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:

@@ -38,8 +38,10 @@ from .core_response import JunctionCoupling, _abs_sq, g_ba, g_ca
 
 
 def _noise(Gamma: float, T: float, gain: np.ndarray) -> np.ndarray:
-    """``(1 - exp(-2 Gamma T)) gain``, in place in ``gain``."""
-    return np.multiply(1.0 - math.exp(-2.0 * Gamma * T), gain, out=gain)
+    """``(1 - exp(-2 Gamma T)) gain``, in place in ``gain``. The prefactor is
+    ``-expm1(-2 Gamma T)``, within about an ulp for every Gamma T; ``1 - exp``
+    would cancel to a relative error of about eps / (2 Gamma T)."""
+    return np.multiply(-math.expm1(-2.0 * Gamma * T), gain, out=gain)
 
 
 def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):

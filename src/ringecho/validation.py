@@ -23,14 +23,20 @@ Checks that use the same derived array, such as the 128-sample signal or
 the two pulses of the factor-form and separable checks, each build it from
 the suite.
 
-Memory stays bounded as rho -> 1. ``separable_factorization`` compares the
-2-D transform of a product input with ``p2 (x) p1`` on a square window whose
-side grows as 1/(1 - rho), 6569 samples at rho = 0.97 and about 171k at
-0.999. It never stores the window: it computes it one square tile of
-``_COMPARE_CELLS`` cells at a time (``two_photon._transform_tiles``) and
-compares each tile while it is in cache. Windows of up to
-``_EVERY_CELL_BUDGET`` cells, which covers every rho <= 0.97, are compared
-cell by cell. Larger ones are compared on a fixed tile set of at most about
+Memory stays bounded as rho -> 1. ``apply_round_trip`` reads only its
+window: it applies the output kernel to its 128-sample signal, then
+evaluates the inverse kernel's output at those 128 sample times alone
+(``_lattice_apply`` asked for that window, one banded product), not over
+the whole round trip of about 6 million samples at rho = 0.9999.
+``separable_factorization`` compares the 2-D transform of a product input
+with ``p2 (x) p1`` on a square window whose side grows as 1/(1 - rho), 6569
+samples at rho = 0.97 and about 171k at 0.999. It never stores the window:
+it computes it one square tile of ``_COMPARE_CELLS`` cells at a time
+(``two_photon._transform_tiles``) and compares each tile while it is in
+cache, reading the largest deviation off the tile's max and min. Windows of
+up to ``_EVERY_CELL_BUDGET`` cells, which covers every rho <= 0.97, are
+compared cell by cell. Larger ones are compared on a fixed tile set of at
+most about
 ``_SAMPLED_CELLS`` cells: the four corners, evenly spaced tiles along the
 first and last tile rows and columns, and seeded interior tiles. The detail
 line names the mode ("every cell" or "sampled tiles"), the cells compared
@@ -84,7 +90,7 @@ from . import (
     transform_output_on_window,
 )
 from .commutators import _unit_deviation
-from .echo_kernels import _MIN_FFT_WORK, _lattice_apply
+from .echo_kernels import _MIN_FFT_WORK, _lattice_apply, _lattice_stride
 from .two_photon import _transform_tiles
 
 
@@ -257,10 +263,13 @@ def _signal(suite: _Suite) -> SampledSignal:
 
 
 def _apply_round_trip(suite: _Suite) -> tuple[bool, str]:
+    # the inverse kernel's output, only at the signal's own sample times
     sig = _signal(suite)
-    round_trip = apply_train(suite.kab, apply_train(suite.kba, sig))
-    i0 = round(((sig.t0 - round_trip.t0) / sig.dt))
-    err = float(np.max(np.abs(round_trip.values[i0 : i0 + len(sig)] - sig.values)))
+    mid = apply_train(suite.kba, sig)
+    kab, i0 = suite.kab, round((sig.t0 - mid.t0) / sig.dt)
+    stride = _lattice_stride(kab.period, sig.dt)
+    back = _lattice_apply(kab.c, kab.k0, stride, mid.values, 0, i0, len(sig))
+    err = float(np.max(np.abs(back - sig.values)))
     return err < 1e-9, f"max reconstruction error = {err:.3g}"
 
 
@@ -523,9 +532,11 @@ def _separable_factorization(suite: _Suite) -> tuple[bool, str]:
     ):
         # tile.T is C-contiguous (the t2 pass is outermost): compare in that layout
         block = buf[: tile.size].reshape(tile.T.shape)
-        np.multiply(p2.values[cols, None], p1.values[rows], out=block)
+        np.einsum("i,j->ij", p2.values[cols], p1.values[rows], out=block)
         np.subtract(block, tile.T, out=block)
-        err = float(np.maximum(err, np.max(np.abs(block, out=block))))  # keeps a NaN
+        # max |d| as max(max d, 0 - min d), keeping a NaN; 0 - min, not -min,
+        # so that an exact tile reads 0 and not -0
+        err = np.maximum(err, np.maximum(block.max(), 0.0 - block.min()))
         cells += block.size
         n_tiles += 1
     scope = "every cell" if cells == n * n else "sampled tiles"

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ringecho
 from ringecho.cli import main
 from ringecho.validation import CHECK_NAMES, CheckOutOfMemory, run_suite
 
@@ -288,6 +293,26 @@ class TestValidateCommand:
         assert "factor_form_equivalence" in skipped
         # the output commutator's junction path holds at rho = 0 too
         assert "c0 err 0, spurious 0, paths differ by 0 (tol " in capsys.readouterr().out
+
+    def test_high_q_runs_under_a_400_mib_address_space(self, tmp_path):
+        # `ringecho validate --rho 0.9999` in a child process whose address
+        # space, and only its, is capped at 400 MiB: between the about 270 MiB
+        # it takes and the about 610 MiB that evaluating apply_round_trip's
+        # inverse kernel over the whole round trip, not its window, would take
+        resource = pytest.importorskip("resource")
+        cap = 400 << 20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(ringecho.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        argv = [sys.executable, "-m", "ringecho.cli", "validate", "--rho", "0.9999",
+                "--out", str(tmp_path)]
+        run = subprocess.run(argv, env=env, preexec_fn=limit, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "26/26 checks passed" in run.stdout
 
     def test_report_records_eps_used(self, tmp_path, capsys):
         assert main(["validate", "--eps", "1e-13", "--out", str(tmp_path)]) == 0

@@ -5,7 +5,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from numpy.lib.stride_tricks import sliding_window_view
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringecho import (
@@ -436,6 +437,110 @@ class TestLatticeAgainstReference:
             assert np.max(np.abs(got - want)) <= tol
 
 
+def band_cut_chunk(n_c, qx, qy, cols):
+    """``_gemm_chunk`` of an output with more blocks than there are columns:
+    chunks of at least the kernel length and 16 blocks, cut, when the input
+    has more blocks than columns, to a band no wider than the columns."""
+    chunk = min(qy, max(n_c, 16))
+    if qx > cols:
+        chunk = min(chunk, cols - n_c + 1)
+    if chunk < 1 or chunk * cols < 16 or -(-qy // chunk) > cols:
+        return 0
+    return chunk
+
+
+class TestOutputWindow:
+    """The branch rule counts the output: a window of no more blocks than
+    there are columns is one banded product whatever the kernel's length,
+    and that band holds no more entries than the input slice it reads."""
+
+    # (kernel terms, input blocks, output blocks, columns) of validate's calls
+    @pytest.mark.parametrize(
+        "args,chunk",
+        [
+            ((2361, 2368, 4728, 32), 0),  # the round trip's inverse apply at rho = 0.99, whole
+            ((2361, 2369, 4730, 32), 0),
+            ((41, 48, 88, 32), 0),  # ... at rho = 0.5
+            ((2361, 8, 2368, 32), 2361),  # its forward apply: fewer input blocks than columns
+            ((38, 7, 32, 2048), 32),  # a t2 pass of separable_factorization's tiles
+            ((1, 8, 8, 32), 8),  # rho = 0: one term
+        ],
+    )
+    def test_whole_outputs_keep_their_chunk(self, args, chunk):
+        assert echo_kernels._gemm_chunk(*args) == chunk == band_cut_chunk(*args)
+
+    @given(n_c=st.integers(1, 300), qx=st.integers(1, 300), qy=st.integers(1, 600),
+           cols=st.integers(1, 64))
+    @settings(max_examples=500, deadline=None)
+    def test_band_cut_unless_no_band_meets_it(self, n_c, qx, qy, cols):
+        chunk = echo_kernels._gemm_chunk(n_c, qx, qy, cols)
+        if qx > cols and n_c > cols >= qy:
+            # no band fits the columns, but the whole output does: one product
+            assert chunk == (qy if qy * cols >= 16 else 0)
+        else:
+            assert chunk == band_cut_chunk(n_c, qx, qy, cols)
+
+    @pytest.mark.parametrize("n_c", [41, 2361, 191130])
+    def test_narrow_windows_take_one_band_product(self, n_c):
+        # 128 complex samples at stride 16: 8 output blocks, 32 columns
+        assert echo_kernels._gemm_chunk(n_c, n_c + 7, 8, 32) == 8
+
+    @given(n_c=st.integers(1, 400), qx=st.integers(1, 400), qy=st.integers(1, 400),
+           cols=st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_band_never_outweighs_both_output_and_input(self, n_c, qx, qy, cols):
+        chunk = echo_kernels._gemm_chunk(n_c, qx, qy, cols)
+        if not chunk:
+            return
+        assert chunk * cols >= 16 and -(-qy // chunk) <= cols
+        band = min(qx, chunk + n_c - 1)  # input blocks one product reads
+        if qx > cols:
+            # K is chunk x band: no larger than the chunk x cols output, or
+            # one product over the whole output and no larger than the
+            # band x cols input slice it reads
+            assert band <= cols or chunk == qy <= cols
+
+    @pytest.mark.parametrize("n_c", [41, 2361])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("offset", [0, 5, 16 * 30 + 9], ids=["aligned", "off_block", "inside"])
+    def test_narrow_window_matches_the_whole_apply(self, n_c, dtype, offset):
+        stride, n_win, k0 = 16, 128, -n_c + 1  # anticausal, as kernel_ab
+        rng = np.random.default_rng(n_c + offset)
+        c = rng.normal(size=n_c)
+        n = (n_c + 7) * stride  # more input blocks than columns
+        x = rng.normal(size=n)
+        if dtype is np.complex128:
+            x = x + 1j * rng.normal(size=n)
+        n_full = n + (n_c - 1) * stride
+        whole = _lattice_apply(c, k0, stride, x, 0, k0 * stride, n_full)
+        start = offset  # the window inside the whole output, off a block boundary or not
+        with lattice_branches(lowered=False) as taken:
+            window = _lattice_apply(c, k0, stride, x, 0, start, n_win)
+        assert taken == ["gemm"]
+        assert window.dtype == dtype and window.shape == (n_win,)
+        want = whole[start - k0 * stride : start - k0 * stride + n_win]
+        # the window's direct sum within n_c eps sum|c| max|x| of the exact
+        # one, the whole apply within that or the FFT's bound
+        sum_c, max_x = np.sum(np.abs(c)), np.max(np.abs(x))
+        tol = n_c * np.finfo(float).eps * sum_c * max_x + fft_bound(n_full // stride, sum_c, max_x)
+        assert np.max(np.abs(window - want)) <= tol
+
+    @given(n_c=st.integers(0, 12), d0=st.integers(-25, 35), n_rows=st.integers(1, 12),
+           n_cols=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @example(n_c=10, d0=-6, n_rows=4, n_cols=2, seed=0)  # the band ends before c
+    @example(n_c=10, d0=14, n_rows=4, n_cols=5, seed=0)  # ... starts after it
+    @settings(max_examples=300, deadline=None)
+    def test_toeplitz_band_is_the_reversed_sliding_window(self, n_c, d0, n_rows, n_cols, seed):
+        c = np.random.default_rng(seed).normal(size=n_c)
+        # row r of K is c[d0 + r - n_cols + 1 .. d0 + r] reversed, zero outside c
+        lo = d0 - n_cols + 1
+        seg = np.array([c[i] if 0 <= i < n_c else 0.0 for i in range(lo, lo + n_rows + n_cols - 1)])
+        want = sliding_window_view(seg, n_cols)[:, ::-1]
+        got = echo_kernels._toeplitz_band(c, d0, n_rows, n_cols)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestTrainSumsByFFT:
     """``convolve`` and ``correlate`` on ``_lattice_apply``'s FFT branch."""
 
@@ -508,8 +613,9 @@ class TestTrainSumsByFFT:
 
 
 class TestLatticeApplyMemory:
-    """``_lattice_apply`` holds at most three outputs' worth of memory: the
-    blocked input copy, the output, and a band matrix no larger than it."""
+    """On a whole output, ``_lattice_apply`` holds at most three outputs'
+    worth of memory: the blocked input copy, the output, and a band matrix
+    no larger than it."""
 
     @pytest.mark.parametrize(
         "shape,stride",

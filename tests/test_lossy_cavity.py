@@ -102,6 +102,21 @@ class TestNoisePower:
         # 8 or 16 MiB, interpreter objects a few hundred bytes
         assert peaks[0] <= peaks[1] + (64 << 10)
 
+    @pytest.mark.parametrize("gamma_t", [1e-13, 1e-10, 1e-6])
+    def test_small_loss_against_mpmath(self, gamma_t):
+        # the prefactor 1 - exp(-2 Gamma T) is taken as -expm1(-2 Gamma T),
+        # relative to eps however small Gamma T; 1 - exp would cancel to a
+        # relative eps / (2 Gamma T), 2.4e-4 at Gamma T = 1e-13
+        mpmath = pytest.importorskip("mpmath")
+        w = 0.3
+        with mpmath.workdps(40):
+            g = mpmath.mpf(gamma_t)  # Gamma with T = 1
+            den = 1 - J75.rho * mpmath.exp(-g) * mpmath.expj(w)
+            want = float(-mpmath.expm1(-2 * g) * J75.tau**2 / abs(den) ** 2)
+        # |g_ca|^2 within twice g_ca's 2 eps plus the modulus and the square,
+        # the prefactor and the product within an ulp each
+        assert abs(noise_power(w, J75, T, gamma_t) - want) <= 8 * np.finfo(float).eps * want
+
     def test_matches_spatial_quadrature_oracle(self):
         """Closed form agrees with the independently integrated noise transport."""
         rng = np.random.default_rng(23)

@@ -54,6 +54,15 @@ def test_separable_factorization_sees_every_cell(monkeypatch, cell, delta):
     assert f"deviation = {delta:.3g} (every cell: 136161 of 136161 cells, 4 tiles)" in r.detail
 
 
+def test_separable_factorization_exact_window_reads_0():
+    # at rho = 0 the transform only delays the product input by a round
+    # trip, so every cell's deviation is 0: max |d|, taken as max(max d,
+    # -min d), reads "0" and not "-0"
+    passed, detail = validation._separable_factorization(validation._Suite(0.0, 1.0, 1e-12))
+    assert passed
+    assert detail.startswith("outer-product deviation = 0 (every cell: 2401 of 2401 cells, 1 tiles)")
+
+
 def test_separable_factorization_sampled_tiles_see_the_corners(monkeypatch):
     # rho = 0.99: 18929^2 cells, over the every-cell budget
     hits = _perturb_window_cell(monkeypatch, (0, -1), 1e-9)
@@ -157,6 +166,21 @@ def test_run_suite_097_peak_memory():
         tracemalloc.stop()
     assert all(r.passed for r in results)
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_apply_round_trip_reads_only_its_window():
+    # at rho = 0.9999 the whole round trip would be 6.1 million complex
+    # samples; the inverse kernel is applied on the signal's 128 alone, so
+    # the forward apply's 3.1 million samples and their blocked copy weigh most
+    suite = validation._Suite(0.9999, 1.0, 1e-12)
+    tracemalloc.start()
+    try:
+        passed, detail = validation._apply_round_trip(suite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed, detail
+    assert peak < 160 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("rho,nmax", [(0.5, 29), (0.9, 134)])
