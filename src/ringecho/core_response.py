@@ -31,11 +31,15 @@ function at the same float ``omega T``, near resonance too; ``g_ba`` with
 An array of frequencies is evaluated in place, in one float buffer of its
 length (``omega T``, then t, then ``t^2``, then ``|D|^2``) beside the complex
 result: 24 bytes per frequency beside the input, for ``g_ca``, ``g_ba`` and
-``g_ab`` alike. Every step is an elementwise numpy loop into an explicit
-buffer, so no value depends on the array's length: ``g_ba(w)[k]`` equals
-``g_ba(w[i:j])[k - i]`` bit for bit. A scalar runs as a one-element array
-through the same loops, so ``g_ba(w)`` equals ``g_ba([w])[0]`` bit for bit,
-returned as a Python ``complex``.
+``g_ab`` alike. ``|g_ca|^2``, which ``fsr_integral`` and
+``lossy_cavity.noise_power`` sum or scale, is the real ratio
+``tau^2 (1 + t^2) / |D|^2`` from the same t and ``|D|^2`` (``_gain``): no
+complex value is formed, and it holds that buffer beside the float result,
+16 bytes per frequency. Every step is an elementwise numpy loop into an
+explicit buffer, so no value depends on the array's length: ``g_ba(w)[k]``
+equals ``g_ba(w[i:j])[k - i]`` bit for bit. A scalar runs as a one-element
+array through the same loops, so ``g_ba(w)`` equals ``g_ba([w])[0]`` bit for
+bit, returned as a Python ``complex``.
 """
 
 from __future__ import annotations
@@ -107,6 +111,28 @@ class RingGeometry:
         return self.length / self.group_velocity
 
 
+def _tan_half(omega, j: JunctionCoupling, T: float, Gamma: float):
+    """Validated ``t = tan(omega T / 2)`` as a new float array (a scalar
+    omega becomes a one-element array), with ``a = exp(-Gamma T)``,
+    ``1 - a`` and the half-angle coefficients ``p = 1 - rho a`` and
+    ``q = 1 + rho a`` that ``_half_angle`` and ``_gain`` share."""
+    if T <= 0.0:
+        raise ValueError(f"round-trip time must be positive, got {T}")
+    if not 0.0 <= Gamma < math.inf:
+        raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not np.isfinite(w).all():
+        raise ValueError("omega must be finite")
+    rho, a, loss = j.rho, math.exp(-Gamma * T), -math.expm1(-Gamma * T)
+    p, q = (1.0 - rho) + rho * loss, 1.0 + rho * a  # 1 - rho a without cancellation
+    # theta = fl(omega T), halved exactly; omega (T / 2) would round a
+    # subnormal T / 2. np.tan reduces theta / 2 mod pi exactly
+    t = np.multiply(w, T)
+    np.multiply(t, 0.5, out=t)
+    np.tan(t, out=t)
+    return t, a, loss, p, q
+
+
 def _half_angle(omega, j: JunctionCoupling, T: float, Gamma: float, output: bool) -> np.ndarray:
     """``g_ba`` (``output``) or ``g_ca`` at omega, as a new complex array; a
     scalar omega becomes a one-element array.
@@ -120,26 +146,14 @@ def _half_angle(omega, j: JunctionCoupling, T: float, Gamma: float, output: bool
     numerator and of the denominator is positive, so nothing cancels near
     resonance, where ``1 - r exp(i omega T)`` does.
     """
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
-    if not 0.0 <= Gamma < math.inf:
-        raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if not np.isfinite(w).all():
-        raise ValueError("omega must be finite")
-    rho, a, loss = j.rho, math.exp(-Gamma * T), -math.expm1(-Gamma * T)
-    p, q = (1.0 - rho) + rho * loss, 1.0 + rho * a  # 1 - rho a without cancellation
+    t, a, loss, p, q = _tan_half(omega, j, T, Gamma)
+    rho = j.rho
     if output:
         # at Gamma = 0, a - rho is p and a + rho is q: the numerator is conj(D)^2
         lo, hi = (1.0 - rho) - loss, a + rho
         c0, c1, c2 = lo * p, lo * q + hi * p, -(hi * q)
     else:
         c0, c1, c2 = j.tau * p, 2.0 * rho * a * j.tau, j.tau * q
-    # theta = fl(omega T), halved exactly; omega (T / 2) would round a
-    # subnormal T / 2. np.tan reduces theta / 2 mod pi exactly
-    t = np.multiply(w, T)
-    np.multiply(t, 0.5, out=t)
-    np.tan(t, out=t)
     g = np.empty(t.shape, dtype=complex)
     re, im = g.real, g.imag
     np.multiply(c1, t, out=im)
@@ -151,6 +165,24 @@ def _half_angle(omega, j: JunctionCoupling, T: float, Gamma: float, output: bool
     np.divide(re, t, out=re)
     np.divide(im, t, out=im)
     return g
+
+
+def _gain(omega, j: JunctionCoupling, T: float, Gamma: float) -> np.ndarray:
+    """``|g_ca|^2`` at omega in real arithmetic, as a new float array.
+
+    ``|tau (1 - i t) / D|^2 = tau^2 (1 + t^2) / (p^2 + q^2 t^2)`` in
+    ``_half_angle``'s terms, with the same ``t`` and the same denominator
+    bit for bit; every term is positive, so each value is within a few eps
+    (relative) of the exact one at the same float ``omega T``, near
+    resonance too.
+    """
+    t, _, _, p, q = _tan_half(omega, j, T, Gamma)
+    np.square(t, out=t)
+    num = np.add(t, 1.0)
+    np.multiply(num, j.tau * j.tau, out=num)
+    np.multiply(q * q, t, out=t)
+    np.add(t, p * p, out=t)
+    return np.divide(num, t, out=num)
 
 
 def _abs_sq(g: np.ndarray) -> np.ndarray:
@@ -215,11 +247,11 @@ def fsr_integral(j: JunctionCoupling, T: float) -> float:
     Composite midpoint quadrature on N points. The integrand is periodic
     with Fourier coefficients ``rho^|k|``, so the only quadrature error is
     aliasing, ``-2 rho^N / (1 + rho^N)``. ``N = max(4096, ceil(ln(2e-14) /
-    ln rho))`` keeps it below 4e-14. In half-angle form the integrand is
-    ``tau^2 (1 + t^2) / ((1 - rho)^2 + (1 + rho)^2 t^2)``, whose terms are all
-    positive, so each point is within a few eps (relative) even at resonance;
-    what remains is the rounding of ``tau^2 = 1 - rho^2``, a relative
-    ``4 eps / (1 - rho^2)`` at most.
+    ln rho))`` keeps it below 4e-14. The integrand is evaluated in real
+    half-angle form, ``tau^2 (1 + t^2) / ((1 - rho)^2 + (1 + rho)^2 t^2)``
+    (``_gain``), whose terms are all positive, so each point is within a few
+    eps (relative) even at resonance; what remains is the rounding of
+    ``tau^2 = 1 - rho^2``, a relative ``4 eps / (1 - rho^2)`` at most.
     """
     n = 4096
     if j.rho > 0.0:
@@ -227,5 +259,4 @@ def fsr_integral(j: JunctionCoupling, T: float) -> float:
     fsr = TWO_PI / T
     d_omega = fsr / n
     omega = (np.arange(n) + 0.5) * d_omega
-    dos = np.abs(g_ca(omega, j, T)) ** 2
-    return float(np.sum(dos) * d_omega / fsr)
+    return float(np.sum(_gain(omega, j, T, 0.0)) * d_omega / fsr)

@@ -460,9 +460,12 @@ def _lattice_apply(
     k0 += lo
     if not len(c):  # no kernel term reaches the output window
         return np.zeros((n_out,) + rest, dtype=x.dtype).swapaxes(0, axis)
-    xb = np.zeros((qx * stride,) + rest, dtype=x.dtype)
-    xb[pad : pad + n] = x
-    xb = xb.view(np.float64).reshape(qx, -1)
+    if pad == 0 and n == qx * stride and x.flags.c_contiguous:
+        xb = x.view(np.float64).reshape(qx, -1)  # already blocked: read in place
+    else:
+        xb = np.zeros((qx * stride,) + rest, dtype=x.dtype)
+        xb[pad : pad + n] = x
+        xb = xb.view(np.float64).reshape(qx, -1)
     n_c, cols = len(c), xb.shape[1]
     shift = e0 - k0  # output block q reads input blocks q + shift - n_c + 1 .. q + shift
     chunk = _gemm_chunk(n_c, qx, qy, cols)
@@ -479,7 +482,7 @@ def _lattice_apply(
     elif min(n_c, qx) >= _MIN_FFT and min(n_c, qx) * cols >= _MIN_FFT_WORK:
         y = _overlap_add(xb, c, shift, qy)
     else:
-        xb = np.ascontiguousarray(xb.T)  # one column per row; frees the blocked copy
+        xb = np.ascontiguousarray(xb.T)  # one column per row; frees any blocked copy
         y = np.zeros((qy, cols))
         # output block q is entry q + shift of the full convolution
         q_lo, q_hi = max(0, -shift), min(qy, qx + n_c - 1 - shift)

@@ -14,7 +14,10 @@ followed by the one-cell shift and a uniform amplitude factor
 ``RingState.step`` advances one sample. ``run`` advances one round trip of
 M samples per step: in one trip every cell meets the junction exactly once,
 in order, so the update above acts on M-vectors at once, with the same
-arithmetic per sample as ``step``.
+arithmetic per sample as ``step``. Its trip loop updates only the state,
+``c_first`` (two in-place array operations per trip without loss); no later
+trip reads ``b``, so the whole output is formed from the stored states in
+one vectorized pass after the loop.
 
 Nothing here shares code with the analytic kernels; that is the point.
 """
@@ -108,8 +111,9 @@ def run(
 
     on M-vectors. With loss, the probe is the new cell after one factor
     ``exp(-Gamma dt)``, and every cell takes M factors, one per sample and
-    in that order, before it meets the junction again. A last partial trip
-    uses the first samples only.
+    in that order, before it meets the junction again. The input is padded
+    with zeros to whole trips, and the padded samples are dropped from both
+    results.
 
     Returns
     -------
@@ -127,22 +131,28 @@ def run(
         raise ValueError(f"Gamma must be non-negative, got {Gamma}")
     state = RingState.empty(M, j, float(np.exp(-Gamma * dt)))
     rho, tau, loss = j.rho, j.tau, state.loss_per_step
-    cells = state.cells[::-1]  # cells[s] meets the junction at sample s of a trip
     n = len(signal)
-    rho_a, tau_a = rho * signal.values, tau * signal.values
-    b_vals = np.empty(n, dtype=np.complex128)
-    c_vals = np.empty(n, dtype=np.complex128)
-    for i in range(0, n, M):
-        c = cells[: n - i]
-        b_vals[i : i + M] = tau * c - rho_a[i : i + M]
-        cells = rho * c + tau_a[i : i + M]
+    trips = -(-n // M)
+    # whole trips: the zeros padding the last one feed no sample that is kept
+    a = np.zeros((trips, M), dtype=np.complex128)
+    a.reshape(-1)[:n] = signal.values
+    # s[k] is the cells meeting the junction in trip k, in the order they meet it
+    s = np.empty((trips + 1, M), dtype=np.complex128)
+    s[0] = state.cells[::-1]
+    probe = s[1:] if loss == 1.0 else np.empty((trips, M), dtype=np.complex128)
+    # rho as complex, as numpy converts the float for every product anyway
+    rho_c = np.full(M, rho, dtype=np.complex128)
+    for k, (prev, c, tau_a) in enumerate(zip(s, s[1:], tau * a)):
+        np.multiply(rho_c, prev, out=c)
+        np.add(c, tau_a, out=c)
         if loss != 1.0:
-            cells = cells * loss
-            c_vals[i : i + M] = cells
+            c *= loss
+            probe[k] = c
             for _ in range(M - 1):
-                cells = cells * loss
-        else:
-            c_vals[i : i + M] = cells
+                c *= loss
+    b = np.multiply(tau, s[:-1])
+    np.subtract(b, rho * a, out=b)
+    b_vals, c_vals = b.reshape(-1)[:n], probe.reshape(-1)[:n]
     return (
         SampledSignal(signal.t0, dt, b_vals),
         SampledSignal(signal.t0, dt, c_vals),

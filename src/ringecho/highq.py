@@ -25,7 +25,7 @@ import numpy as np
 
 from .core_response import JunctionCoupling
 from .commutators import _broadened, spacetime_commutator_support
-from .echo_kernels import SampledSignal, apply_train, kernel_ca
+from .echo_kernels import SampledSignal, _lattice_apply, _lattice_stride, kernel_ca
 
 KAPPA_FLAVORS = ("exact", "linear")
 FIG4_TRIPS = 10  # round trips that fig4_dataset's window spans
@@ -84,14 +84,15 @@ def quasimode_evolve(a: SampledSignal, k: float) -> SampledSignal:
     w_old = i1 / h
     w_new = i0 - i1 / h
     drive = math.sqrt(2.0 * k)
-    vals = a.values
-    out = np.empty_like(vals)
-    c = vals.dtype.type(0)  # a real drive keeps a real mode
-    out[0] = c
-    for n in range(len(vals) - 1):
-        c = decay * c + drive * (w_old * vals[n] + w_new * vals[n + 1])
-        out[n + 1] = c
-    return SampledSignal(a.t0, a.dt, out)
+    # Python floats (or complexes) in the loop: the same IEEE operations as
+    # numpy scalars, without a numpy scalar per sample
+    x = a.values.tolist()
+    c = 0j if np.iscomplexobj(a.values) else 0.0  # a real drive keeps a real mode
+    out = [c] if x else []  # the mode starts empty at the first sample
+    for x0, x1 in zip(x, x[1:]):
+        c = decay * c + drive * (w_old * x0 + w_new * x1)
+        out.append(c)
+    return SampledSignal(a.t0, a.dt, np.array(out, dtype=a.values.dtype))
 
 
 def quasimode_commutator(dt_sep, k: float):
@@ -111,9 +112,11 @@ def quasimode_field_error(a: SampledSignal, j: JunctionCoupling, T: float) -> fl
     which is the quantitative content of the regime conditions.
     """
     approx = quasimode_evolve(a, kappa(j, T, "exact"))
-    # the exact field in quasimode normalization: sqrt(T) x the echo sum
-    n = len(a)
-    exact = math.sqrt(T) * apply_train(kernel_ca(j, T, 1e-10), a).values[:n]
+    # the exact field in quasimode normalization, sqrt(T) x the echo sum,
+    # only over the input window
+    k = kernel_ca(j, T, 1e-10)
+    stride = _lattice_stride(k.period, a.dt)
+    exact = math.sqrt(T) * _lattice_apply(k.c, k.k0, stride, a.values, 0, k.k0 * stride, len(a))
     diff = approx.values - exact
     denom = np.linalg.norm(exact)
     if denom == 0.0:

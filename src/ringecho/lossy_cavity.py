@@ -17,14 +17,16 @@ bookkeeping here is deterministic second moments; no noise realizations
 are sampled.
 
 Arrays are evaluated through ``core_response``'s half-angle form, so no
-value depends on the array's length. ``noise_power`` holds what ``g_ca``
-does, one float buffer beside the complex result, and then that result and
-its float square (24 bytes per frequency beside the input);
-``sum_rule_residual`` is the literal composition ``|g_ba|^2 + N - 1`` and
-holds the squared ``g_ba`` beside what ``noise_power`` holds (32 bytes per
-frequency). A scalar runs as a one-element array through the same loops, so
-``noise_power(w)`` equals ``noise_power([w])[0]`` bit for bit, and likewise
-``sum_rule_residual``.
+value depends on the array's length. ``noise_power`` takes ``|g_ca|^2`` in
+real arithmetic and holds no complex buffer: two float buffers, 16 bytes per
+frequency beside the input. ``noise_power_quadrature`` squares the modulus of
+the complex ``g_ca`` instead, so the two are separate evaluations that agree
+to a few eps. ``sum_rule_residual`` is the literal composition
+``|g_ba|^2 + N - 1`` of the complex ``g_ba`` and ``noise_power``; it holds
+``g_ba``'s 24 bytes per frequency, then its float square beside what
+``noise_power`` holds (24 bytes per frequency). A scalar runs as a
+one-element array through the same loops, so ``noise_power(w)`` equals
+``noise_power([w])[0]`` bit for bit, and likewise ``sum_rule_residual``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .core_response import JunctionCoupling, _abs_sq, g_ba, g_ca
+from .core_response import JunctionCoupling, _abs_sq, _gain, g_ba, g_ca
 
 
 def _noise(Gamma: float, T: float, gain: np.ndarray) -> np.ndarray:
@@ -52,7 +54,7 @@ def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     returns as fluctuation power, keeping the output commutator free-space.
     A scalar omega gives a Python ``float``.
     """
-    out = _noise(Gamma, T, _abs_sq(g_ca(np.atleast_1d(omega), j, T, Gamma)))
+    out = _noise(Gamma, T, _gain(omega, j, T, Gamma))
     return out if np.ndim(omega) else float(out[0])
 
 

@@ -614,8 +614,8 @@ class TestTrainSumsByFFT:
 
 class TestLatticeApplyMemory:
     """On a whole output, ``_lattice_apply`` holds at most three outputs'
-    worth of memory: the blocked input copy, the output, and a band matrix
-    no larger than it."""
+    worth of memory: the blocked input copy (none for a block-aligned
+    input), the output, and a band matrix no larger than it."""
 
     @pytest.mark.parametrize(
         "shape,stride",
@@ -623,7 +623,7 @@ class TestLatticeApplyMemory:
     )
     def test_peak_within_three_outputs(self, shape, stride):
         # rho = 0 gives a one-term kernel, whose output is no larger than its
-        # input: the blocked copy and the band matrix weigh the most there
+        # input: a copy of the input and the band matrix weigh the most there
         f = kernel_ba(JunctionCoupling(0.0), 1.0)
         k0, c = f.k0, f.c
         assert len(c) == 1
@@ -640,14 +640,45 @@ class TestLatticeApplyMemory:
         assert np.array_equal(out, c[0] * x)
         assert peak <= 3 * out_bytes
 
+    # (shape, stride, kernel terms, branches): band products, the direct sum, the FFT
+    @pytest.mark.parametrize(
+        "shape,stride,n_c,branches",
+        [((1024, 64), 8, 3, {"gemm"}), ((1 << 14,), 2, 3, set()), ((1 << 14,), 1, 3000, {"fft"})],
+    )
+    def test_block_aligned_input_read_in_place(self, shape, stride, n_c, branches):
+        # a C-contiguous input that starts and ends on block boundaries is
+        # blocked by a reshape, not copied; every output byte stays the one a
+        # copied (here: strided) input of the same values gives
+        rng = np.random.default_rng(n_c)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        strided = np.repeat(x, 2, axis=0)[::2]
+        assert not strided.flags.c_contiguous and np.array_equal(strided, x)
+        c = rng.normal(size=n_c)
+        n_out = shape[0] + (n_c - 1) * stride
+        with lattice_branches(lowered=False) as taken:
+            tracemalloc.start()
+            try:
+                out = _lattice_apply(c, 0, stride, x, 0, 0, n_out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert set(taken) == branches
+        assert np.array_equal(out, _lattice_apply(c, 0, stride, strided, 0, 0, n_out))
+        if branches == {"gemm"}:
+            # the output and one band matrix no larger than the chunk it
+            # produces; a blocked copy would add a whole input
+            out_bytes = out.size * 16
+            assert peak <= out_bytes + out_bytes // 4
+
     # (samples, stride, kernel terms): a long signal, the quasimode job's
     # shape at rho = 0.999, and a kernel three times longer than its signal
     @pytest.mark.parametrize(
         "n,stride,n_c", [(1 << 20, 1, 20_000), (12_954, 2, 19_909), (1 << 16, 1, 200_000)]
     )
     def test_fft_peak_within_four_outputs(self, n, stride, n_c):
-        """Overlap-add keeps three FFT-length arrays beside the blocked copy
-        and the output; one transform of the whole output would hold more."""
+        """Overlap-add keeps three FFT-length arrays beside the output (and
+        the blocked copy of an input that is not block-aligned); one
+        transform of the whole output would hold more."""
         rng = np.random.default_rng(n_c)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         c = rng.normal(size=n_c)

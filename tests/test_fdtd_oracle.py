@@ -165,18 +165,43 @@ class TestRoundTripUpdate:
     """``run`` advances a whole round trip per loop step; it must reproduce
     the per-sample ``RingState.step`` loop bit for bit."""
 
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
-    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
-    def test_bitwise_equal_to_step_loop(self, rho, Gamma):
-        j, M = JunctionCoupling(rho), 7
-        n = 40 * M + 3  # ends in a partial round trip
-        rng = np.random.default_rng(17)
-        sig = SampledSignal(0.0, 1.0 / M, rng.normal(size=n) + 1j * rng.normal(size=n))
+    @staticmethod
+    def assert_equals_step_loop(sig, j, M, Gamma):
         state = RingState.empty(M, j, float(np.exp(-Gamma * (GEOM.round_trip / M))))
         steps = [state.step(a) for a in sig.values]
         out, probe = run(sig, j, GEOM, M, Gamma)
         assert np.array_equal(out.values, [b for b, _ in steps])
         assert np.array_equal(probe.values, [c for _, c in steps])
+
+    @staticmethod
+    def random_signal(M, n):
+        rng = np.random.default_rng(17)
+        return SampledSignal(0.0, 1.0 / M, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
+    def test_bitwise_equal_to_step_loop(self, rho, Gamma):
+        sig = self.random_signal(7, 40 * 7 + 3)  # ends in a partial round trip
+        self.assert_equals_step_loop(sig, JunctionCoupling(rho), 7, Gamma)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.97])
+    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("M,n", [(2, 41), (7, 3)])  # the fewest cells; less than one trip
+    def test_bitwise_equal_to_step_loop_at_the_edges(self, rho, Gamma, M, n):
+        self.assert_equals_step_loop(self.random_signal(M, n), JunctionCoupling(rho), M, Gamma)
+
+    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
+    def test_bitwise_equal_to_step_loop_on_the_benchmark_impulse(self, Gamma):
+        # 8 cells and an 8000-trip impulse at rho^2 = 0.998, as perfbench's oracle job
+        self.assert_equals_step_loop(impulse(8, 8000), JunctionCoupling(np.sqrt(0.998)), 8, Gamma)
+
+    def test_one_cell_refused_by_both(self):
+        # the loop needs two cells; one is refused before any step, per sample or per trip
+        j = JunctionCoupling(0.5)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            RingState.empty(1, j)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            run(impulse(1, 5), j, GEOM, 1)
 
     def test_transfer_match_at_0999_checks_to_1e9(self, monkeypatch):
         # the reference is the exact response to the finite drive, so 60

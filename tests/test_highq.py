@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ringecho.highq as highq
 from ringecho import (
     JunctionCoupling,
     SampledSignal,
@@ -137,6 +138,57 @@ class TestQuasimodeEvolve:
         twin = quasimode_evolve(pulse, rate)
         assert real.values.dtype == np.float64 and twin.values.dtype == np.complex128
         assert np.array_equal(real.values, twin.values.real) and not np.any(twin.values.imag)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_bitwise_equals_numpy_scalar_loop(self, dtype):
+        # quasimode_evolve loops over Python numbers; the reference is the
+        # same update on numpy scalars, element by element
+        rate = kappa(JunctionCoupling(0.97), 1.0, "exact")
+        rng = np.random.default_rng(11)
+        vals = rng.normal(size=600).astype(dtype)
+        if dtype is np.complex128:
+            vals += 1j * rng.normal(size=600)
+        a = SampledSignal(-3.0, 1.0 / 8, vals)
+        h = a.dt
+        decay = math.exp(-rate * h)
+        i0 = (1.0 - decay) / rate
+        i1 = (1.0 - (1.0 + rate * h) * decay) / rate**2
+        w_old, w_new, drive = i1 / h, i0 - i1 / h, math.sqrt(2.0 * rate)
+        want = np.empty_like(vals)
+        c = vals.dtype.type(0)
+        want[0] = c
+        for n in range(len(vals) - 1):
+            c = decay * c + drive * (w_old * vals[n] + w_new * vals[n + 1])
+            want[n + 1] = c
+        got = quasimode_evolve(a, rate)
+        assert got.values.dtype == want.dtype and np.array_equal(got.values, want)
+        assert (got.t0, got.dt) == (a.t0, a.dt)
+
+    def test_empty_drive_gives_an_empty_mode(self):
+        rate = kappa(JunctionCoupling(0.97), 1.0, "exact")
+        for dtype in (np.float64, np.complex128):
+            out = quasimode_evolve(SampledSignal(0.0, 1.0 / 8, np.zeros(0, dtype)), rate)
+            assert len(out) == 0 and out.values.dtype == dtype
+
+    def test_field_error_reads_only_the_input_window(self, monkeypatch):
+        # the exact field is asked for on the input's own samples only, and
+        # agrees with the whole echo sum cut to them up to FFT rounding
+        j = JunctionCoupling(0.99)
+        a = gaussian_pulse(20.0, 1.0 / 8, -80.0, 80.0 + 6.0 / math.log(1 / 0.99))
+        asked = []
+        lattice_apply = highq._lattice_apply
+
+        def spy(c, k0, stride, x, axis, start, n_out):
+            asked.append((start, n_out))
+            return lattice_apply(c, k0, stride, x, axis, start, n_out)
+
+        monkeypatch.setattr(highq, "_lattice_apply", spy)
+        got = quasimode_field_error(a, j, 1.0)
+        assert asked == [(0, len(a))]
+        exact = apply_train(kernel_ca(j, 1.0, 1e-10), a).values[: len(a)]
+        approx = quasimode_evolve(a, kappa(j, 1.0, "exact")).values
+        want = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_field_error_of_a_real_pulse_is_its_complex_twins(self):
         j = JunctionCoupling(0.99)

@@ -98,8 +98,9 @@ class TestNoisePower:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # both peak at three complex arrays (48 MiB); one more array would add
-        # 8 or 16 MiB, interpreter objects a few hundred bytes
+        # both peak at g_ba's complex result beside one float array (24 MiB);
+        # one more array would add 8 or 16 MiB, interpreter objects a few
+        # hundred bytes
         assert peaks[0] <= peaks[1] + (64 << 10)
 
     @pytest.mark.parametrize("gamma_t", [1e-13, 1e-10, 1e-6])
@@ -113,9 +114,32 @@ class TestNoisePower:
             g = mpmath.mpf(gamma_t)  # Gamma with T = 1
             den = 1 - J75.rho * mpmath.exp(-g) * mpmath.expj(w)
             want = float(-mpmath.expm1(-2 * g) * J75.tau**2 / abs(den) ** 2)
-        # |g_ca|^2 within twice g_ca's 2 eps plus the modulus and the square,
-        # the prefactor and the product within an ulp each
+        # the real |g_ca|^2 within a few eps (positive terms only, t's
+        # rounding included), the prefactor and the product within an ulp each
         assert abs(noise_power(w, J75, T, gamma_t) - want) <= 8 * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("rho", [0.0, 0.75, 0.999])
+    @pytest.mark.parametrize("gamma_t", [1e-13, 0.2, 2.0])
+    def test_real_form_within_rounding_of_the_complex_modulus(self, rho, gamma_t):
+        # noise_power takes |g_ca|^2 = tau^2 (1 + t^2) / (p^2 + q^2 t^2) in real
+        # arithmetic, from the same t and denominator as g_ca. In units of
+        # u = eps / 2, all terms positive: the real form rounds 5 times (1 + t^2,
+        # tau^2, their product, the quotient, the prefactor); g_ca's real part
+        # 5 times and its imaginary part 4, so their squared sum 10u, then |g|
+        # within an ulp (2u, squared 4u), its square and the prefactor 1u each;
+        # and g_ca's 2 rho a tau stands for tau (q - p), both rounded to 2u,
+        # at most 8u of the whole. 29u in all
+        j = JunctionCoupling(rho)
+        G = gamma_t / T
+        w = np.concatenate([[0.0, 6.0 * math.pi], np.random.default_rng(8).uniform(-40.0, 40.0, 4096)])
+        want = -math.expm1(-2.0 * gamma_t) * np.abs(g_ca(w, j, T, G)) ** 2
+        got = noise_power(w, j, T, G)
+        assert np.all(np.abs(got - want) <= 29 * (np.finfo(float).eps / 2) * want)
+        # a scalar is the one-element array's entry, at resonance too
+        for omega in w[:3]:
+            scalar = noise_power(omega, j, T, G)
+            assert type(scalar) is float
+            assert scalar == noise_power(np.array([omega]), j, T, G)[0]
 
     def test_matches_spatial_quadrature_oracle(self):
         """Closed form agrees with the independently integrated noise transport."""
@@ -154,12 +178,13 @@ class TestLargeArrays:
         singles = np.concatenate([f(self.W[i : i + 1], j) for i in range(64)])
         assert np.array_equal(full[:64], singles)
 
-    # the phase is 16 MiB; g_ca and noise_power hold at most one array more,
-    # g_ba, g_ab and sum_rule_residual at most two; interpreter objects add
-    # about 1 KiB
+    # 8 MiB per float array of 2^20 frequencies: noise_power holds two float
+    # arrays and no complex one, sum_rule_residual a float array beside what
+    # g_ba or noise_power holds (24 MiB); g_ca, g_ba and g_ab at most 32 and
+    # 48 MiB; interpreter objects add about 1 KiB
     @pytest.mark.parametrize(
         "name,mib",
-        [("g_ca", 32), ("noise_power", 32), ("g_ba", 48), ("g_ab", 48), ("sum_rule_residual", 48)],
+        [("g_ca", 32), ("noise_power", 16), ("g_ba", 48), ("g_ab", 48), ("sum_rule_residual", 24)],
     )
     def test_peak_memory(self, name, mib):
         f, j = self.SPECTRAL[name], JunctionCoupling(0.999)
