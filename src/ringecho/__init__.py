@@ -48,7 +48,6 @@ from .two_photon import (
     gaussian_amplitude,
     gaussian_output_closed_form,
     peak_locate,
-    resummation_check,
     separability_rank,
     transform_output,
     transform_output_on_window,

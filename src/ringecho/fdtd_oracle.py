@@ -50,8 +50,8 @@ class RingState:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cells, dtype=np.complex128)
-        if c.ndim != 1 or len(c) < 2:
-            raise ValueError("cells must be a 1-D array with at least 2 cells")
+        if c.ndim != 1 or len(c) < 1:
+            raise ValueError("cells must be a 1-D array with at least 1 cell")
         if not 0.0 < self.loss_per_step <= 1.0:
             raise ValueError(
                 f"loss_per_step must lie in (0, 1], got {self.loss_per_step}"
@@ -101,7 +101,8 @@ def run(
 ) -> tuple[SampledSignal, SampledSignal]:
     """Drive the discretized cavity with a sampled input.
 
-    The input spacing must equal T/M (the caller resamples if needed).
+    The input spacing must equal T/M (the caller resamples if needed);
+    one cell per round trip, M = 1, samples the lattice exactly.
     Advances one round trip per loop step, bitwise equal to calling
     ``RingState.step`` once per sample. Trip by trip: the cell reaching
     the junction at sample s of the trip is the one injected at sample s of
@@ -121,6 +122,8 @@ def run(
         The output channel and the intracavity field recorded just past the
         junction, both on the input grid.
     """
+    if M < 1:
+        raise ValueError(f"M must be at least 1 cell, got {M}")
     T = geometry.round_trip
     dt = T / M
     if abs(signal.dt - dt) > 1e-9 * dt:

@@ -40,7 +40,6 @@ from .echo_kernels import (
     SampledSignal,
     _STRIP,
     _amplitudes,
-    _ladder,
     _lattice_apply,
     _lattice_stride,
     _sum_abs_sq,
@@ -273,32 +272,6 @@ def cw_output(
     rec = _lattice_apply(pairs.c, pairs.k0, stride, d.values, 0, 0, len(d))
     residual = float(np.max(np.abs(rec - d.values)))
     return residual, SampledSignal(d.t0, d.dt, rec)
-
-
-def resummation_check(
-    rho: float, d: SampledSignal, T: float, nmax: int = 80
-) -> float:
-    """Brute-force double echo ladder against its geometric resummation.
-
-    Left side: ``sum_{n,m>=1} rho^(n+m) D(x + (n-m)T)``, every pair summed,
-    its lag weights the autocorrelation of the train ``[rho, ..., rho^nmax]``
-    (``correlate``). Right side: ``rho^2/(1-rho^2) sum_k rho^|k| D(x + kT)``,
-    its weights down to 1e-18. Returns the maximum absolute deviation over
-    the sampled window.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    stride = _lattice_stride(T, d.dt)
-
-    # the pair (n, m), 1 <= n, m <= nmax, adds rho^(n+m) at the lag k = m - n
-    ladder = DeltaTrain(T, 1, rho ** np.arange(1, nmax + 1))
-    pairs = correlate(ladder, ladder)
-    pref = rho * rho / (1.0 - rho * rho)
-    tail, _ = _ladder(pref * rho, rho, 1e-18)
-    rhs = np.concatenate([tail[::-1], [pref], tail])
-    left = _lattice_apply(pairs.c, pairs.k0, stride, d.values, 0, 0, len(d))
-    right = _lattice_apply(rhs, -len(tail), stride, d.values, 0, 0, len(d))
-    return float(np.max(np.abs(left - right)))
 
 
 def _ladder_table(

@@ -19,9 +19,15 @@ every random draw of the seeded generator, made up front in a fixed order.
 ``separable_factorization`` draws its interior tiles from the same generator
 after them. A new draw therefore goes after the existing ones; drawn
 anywhere earlier, it would shift every later draw and so every later detail.
-Checks that use the same derived array, such as the 128-sample signal or
-the two pulses of the factor-form and separable checks, each build it from
-the suite.
+Checks that use the same derived array, such as the 128-sample signal of
+the apply checks, each build it from the suite.
+
+Identities between lattice weights are checked on the weights, since an
+apply to a signal would add only rounding and work: ``kernel_spectrum_match``,
+``factor_form_equivalence``, ``ladder_resummation``, ``reindexing_identity``.
+Signals are read by the checks of the apply layer and what is built on it:
+``apply_round_trip``, ``apply_parseval``, ``dispersion_cancellation``,
+``closed_form_match``, ``separable_factorization`` and the two oracle checks.
 
 Memory stays bounded as rho -> 1. ``apply_round_trip`` reads only its
 window: it applies the output kernel to its 128-sample signal, then
@@ -83,14 +89,13 @@ from . import (
     output_commutator_decomposition,
     peak_ratio,
     quasimode_commutator,
-    resummation_check,
     run,
     spacetime_commutator_support,
     sum_rule_residual,
     transform_output_on_window,
 )
 from .commutators import _unit_deviation
-from .echo_kernels import _MIN_FFT_WORK, _lattice_apply, _lattice_stride
+from .echo_kernels import _MIN_FFT_WORK, _ladder, _lattice_apply, _lattice_stride
 from .two_photon import _transform_tiles
 
 
@@ -101,9 +106,9 @@ _COMPARE_CELLS = 1 << 16
 _EVERY_CELL_BUDGET = 1 << 26
 _SAMPLED_CELLS = 1 << 24
 _INTERIOR_TILES = 8
-# sample times per block of kernel_spectrum_match's DFT matrix (6.6 MB with
-# its 101 frequencies); one block holds the 2361 lattice samples at rho = 0.99
-# and eps 1e-12, 191,130 at rho = 0.9999 take 47
+# kernel weights per block of kernel_spectrum_match's DFT, whose exp(i w j T)
+# table is 6.6 MB at this size with its 101 frequencies (smaller for a shorter
+# kernel): 2361 weights at rho = 0.99 and eps 1e-12 fit one, 191,130 at 0.9999 47
 _DFT_BLOCK = 4096
 
 
@@ -280,24 +285,34 @@ def _apply_parseval(suite: _Suite) -> tuple[bool, str]:
 
 
 def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
-    # two independent evaluations: the output kernel's lattice samples summed
-    # against complex exponentials, and g_ba's closed form in tan(omega T / 2)
-    train_sig = apply_train(suite.kba, _impulse(suite.T, 16, 2))
-    fsr = 2.0 * math.pi / suite.T
+    # two independent evaluations: the output kernel's weights summed against
+    # complex exponentials, and g_ba's closed form in tan(omega T / 2)
+    kba, T = suite.kba, suite.T
+    fsr = 2.0 * math.pi / T
     ws = np.linspace(-2.5 * fsr, 2.5 * fsr, 101)
-    nz = np.flatnonzero(train_sig.values)  # the lattice samples, and any stray one
-    times, vals = train_sig.t0 + train_sig.dt * nz, train_sig.values[nz]
+    # exp(i w k T) as one phase exp(i w (k0 + b) T) per block of weights,
+    # times a table exp(i w j T) for the offsets j in a block
+    n = len(kba.c)
+    table = np.multiply.outer(1j * ws, np.arange(min(_DFT_BLOCK, n)) * T)
+    np.exp(table, out=table)
     dft = np.zeros(len(ws), dtype=complex)
-    for i in range(0, len(nz), _DFT_BLOCK):
-        blk = slice(i, i + _DFT_BLOCK)
-        dft += np.exp(1j * np.multiply.outer(ws, times[blk])) @ vals[blk]
-    err = float(np.max(np.abs(dft - g_ba(ws, suite.j, suite.T))))
-    # the dropped tail, plus the DFT's rounding to first order (Higham ch. 3):
-    # each phase fl(w t) within eps |w t|, each exponential within eps, the
-    # n-term sum within sqrt(2) gamma_n sum|c| < n eps sum|c|; and g_ba's 4 eps
-    mags, eps = np.abs(vals), np.finfo(float).eps
-    phase = float(np.max(np.abs(ws))) * float(mags @ np.abs(times))
-    tol = suite.kba.tail_bound + eps * ((len(nz) + 1) * float(mags.sum()) + phase + 4.0)
+    for b in range(0, n, _DFT_BLOCK):
+        blk = kba.c[b : b + _DFT_BLOCK]
+        dft += np.exp(1j * ws * ((kba.k0 + b) * T)) * (table[:, : len(blk)] @ blk)
+    # the truncated kernel's spectrum is g_ba less the echoes it dropped,
+    # sum_{k>=N} tau^2 rho^(k-1) exp(i w k T) = tau rho^(N-1) exp(i w N T) g_ca(w)
+    j, N = suite.j, kba.k0 + n
+    dropped = j.tau * j.rho ** (N - 1) * np.exp(1j * ws * (N * T)) * g_ca(ws, j, T)
+    err = float(np.max(np.abs(dft - (g_ba(ws, j, T) - dropped))))
+    # the DFT's rounding to first order (Higham ch. 3): each phase fl(w t)
+    # within eps |w t|, each of the two exponentials and their product within
+    # eps, the n-term sum within sqrt(2) gamma_n sum|c| < n eps sum|c|; g_ba's
+    # 4 eps; and the dropped echoes' phase and 8 eps of their sum, at most
+    # the kernel's tail bound
+    mags, eps, wmax = np.abs(kba.c), np.finfo(float).eps, float(np.max(np.abs(ws)))
+    phase = wmax * float(mags @ np.abs((kba.k0 + np.arange(n)) * T))
+    tail = kba.tail_bound * (wmax * N * T + 8.0)
+    tol = eps * ((n + 3) * float(mags.sum()) + phase + 4.0 + tail)
     return err <= tol, f"max DFT deviation = {err:.3g} (tol {tol:.3g})"
 
 
@@ -349,25 +364,14 @@ def _output_commutator(suite: _Suite) -> tuple[bool, str]:
 
 
 def _reindexing_identity(suite: _Suite) -> tuple[bool, str]:
+    # correlate's weights against the diagonal sums sum_n f_n g_(n+k) of the
+    # outer product; integer weights keep both sides exact
     f, g = suite.f, suite.g
-
-    def side_a() -> float:
-        tot = 0.0
-        for n in range(51):
-            for m in range(n + 1):
-                if n + m < 51:
-                    tot += f[n + m] * g[n - m]
-        return tot
-
-    def side_b() -> float:
-        tot = 0.0
-        for k in range(51):
-            for s in range(51):
-                if k + 2 * s < 51:
-                    tot += f[k + 2 * s] * g[k]
-        return tot
-
-    return side_a() == side_b(), "double-sum reindexing exact"
+    train = correlate(DeltaTrain(suite.T, 0, f), DeltaTrain(suite.T, 0, g))
+    outer = np.multiply.outer(f, g)
+    diagonals = [np.trace(outer, k) for k in range(train.k0, train.k0 + len(train.c))]
+    err = float(np.max(np.abs(train.c - diagonals)))
+    return err == 0.0, f"max |correlate - diagonal sums| = {err:.3g} (exact)"
 
 
 # -- quasimode --------------------------------------------------------------------
@@ -432,50 +436,35 @@ def _dispersion_cancellation(suite: _Suite) -> tuple[bool, str]:
     return residual < 1e-12, f"residual = {residual:.3g}"
 
 
-def _ladder_rounding(rho: float, pref: float, nmax: int, d: SampledSignal, stride: int) -> float:
-    """Bound on the rounding error of ``resummation_check(rho, d, T, nmax)``
-    at any sample of its window, ``stride`` samples per round trip.
-
-    Per lag k, to first order in eps (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3-4 and section 24.1), with both sides'
-    weights at most ``pref rho^|k|``, ``pref = rho^2 / (1 - rho^2)``, and
-    ``S = sum_{n=1}^{nmax} rho^n``:
-
-    - the pair ladder's weights, from ``correlate``, are within
-      ``(2 nmax + 6) eps pref rho^|k| + eps log2(2 nmax - 1) S^2``;
-    - the resummed weights, running products after ``pref``, are within a
-      relative ``(pref + |k| + 4) eps``;
-    - each side's apply is a direct sum (the window is shorter than the FFT
-      threshold) over the m lags that reach a sample, within ``m eps`` of
-      its sum of ``|weight| |D|``.
-
-    Each lag's error is summed against ``|D|`` over the lags that reach each
-    output sample; returns the largest sum.
-    """
-    reach = (len(d) - 1) // stride  # the widest lag that keeps a sample in the window
-    k = np.abs(np.arange(-reach, reach + 1))
-    s_total = rho * (1.0 - rho**nmax) / (1.0 - rho)
-    per_lag = np.finfo(float).eps * (
-        pref * rho**k * ((2 * nmax + 6) + (pref + k + 4) + 2 * len(k))
-        + math.log2(2 * nmax - 1) * s_total**2
-    )
-    at_sample = _lattice_apply(per_lag, -reach, stride, np.abs(d.values), 0, 0, len(d))
-    return float(np.max(at_sample))
-
-
 def _ladder_resummation(suite: _Suite) -> tuple[bool, str]:
+    # the pair ladder sum_{n,m=1}^{nmax} rho^(n+m) at lag k = m - n, the
+    # autocorrelation of [rho, ..., rho^nmax], against its resummation
+    # pref rho^|k|, pref = rho^2 / (1 - rho^2), at lags |k| <= kwin
     rho, T = suite.j.rho, suite.T
     kwin = 24
-    x = np.arange(-kwin * T, (kwin + 1e-9) * T, T / 8)
-    d_narrow = SampledSignal(x[0], T / 8, np.exp(-(x**2) / (2 * (0.4 * T) ** 2)))
     # certified truncation deficit of the pair ladder at order nmax is
     # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within 1e-10
     pref = rho**2 / (1.0 - rho**2)
     nmax = max(1, math.ceil((kwin + math.log(1e-10 / (3.0 * pref)) / math.log(rho)) / 2))
     bound = pref * rho ** (2 * nmax - kwin)
     tol = max(1e-10, 3.0 * bound)
-    rounding = _ladder_rounding(rho, pref, nmax, d_narrow, 8)
-    err = resummation_check(rho, d_narrow, T, nmax=nmax)
+    ladder = DeltaTrain(T, 1, rho ** np.arange(1, nmax + 1))
+    pairs = correlate(ladder, ladder)
+    # the resummed weights at lags 0 .. kwin, down to 1e-18
+    tail, _ = _ladder(pref * rho, rho, 1e-18)
+    resummed = DeltaTrain(T, 0, np.concatenate([[pref], tail[:kwin]]))
+    err = max(abs(pairs.weight(k) - resummed.weight(abs(k))) for k in range(-kwin, kwin + 1))
+    # rounding per lag, to first order in eps (Higham, ch. 3-4 and section
+    # 24.1), with S = sum_{n=1}^{nmax} rho^n: correlate's pair-ladder weights
+    # within (2 nmax + 6) eps pref rho^|k| + eps log2(2 nmax - 1) S^2, the
+    # resummed weights, running products after pref, within a relative
+    # (pref + |k| + 4) eps; the largest over the lags compared
+    k = np.arange(kwin + 1)
+    s_total = rho * (1.0 - rho**nmax) / (1.0 - rho)
+    rounding = float(np.max(np.finfo(float).eps * (
+        pref * rho**k * ((2 * nmax + 6) + (pref + k + 4))
+        + math.log2(2 * nmax - 1) * s_total**2
+    )))
     return err < tol + rounding, (
         f"max deviation = {err:.3g} (tol {tol:.3g}, nmax {nmax}) plus rounding {rounding:.3g}"
     )
@@ -493,8 +482,8 @@ def _closed_form_match(suite: _Suite) -> tuple[bool, str]:
 
 
 def _pulses(suite: _Suite) -> tuple[SampledSignal, SampledSignal, SampledSignal, SampledSignal]:
-    """The two Gaussian pulses of the factor-form and separable checks, then
-    each after the output kernel: ``(f1, f2, p1, p2)``."""
+    """The two Gaussian pulses of the separable check, then each after the
+    output kernel: ``(f1, f2, p1, p2)``."""
     T = suite.T
     t = np.arange(-3.0 * T, (3.0 + 1e-9) * T, T / 8)
     f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * (0.35 * T) ** 2)))
@@ -503,20 +492,12 @@ def _pulses(suite: _Suite) -> tuple[SampledSignal, SampledSignal, SampledSignal,
 
 
 def _factor_form_equivalence(suite: _Suite) -> tuple[bool, str]:
+    # the algebraically equivalent -rho delta(t) + (tau^2/rho) sum rho^n
+    # delta(t - nT), on the kernel's span; it divides by rho
     rho, tau, kba = suite.j.rho, suite.j.tau, suite.kba
-    f1, f2, p1, p2 = _pulses(suite)
-    # the algebraically equivalent -rho phi + (tau^2/rho) sum rho^n phi(t - nT),
-    # on the kernel's span; it divides by rho
     ks = np.arange(kba.k0, kba.k0 + len(kba.c))
-    w = np.where(ks == 0, -rho, (tau * tau / rho) * rho**ks)
-    reflective = DeltaTrain(suite.T, kba.k0, w, suite.eps, kba.tail_bound)
-    q1, q2 = apply_train(reflective, f1), apply_train(reflective, f2)
-    err = float(
-        max(
-            np.max(np.abs(p1.values - q1.values)),
-            np.max(np.abs(p2.values - q2.values)),
-        )
-    )
+    reflective = np.where(ks == 0, -rho, (tau * tau / rho) * rho**ks)
+    err = float(np.max(np.abs(kba.c - reflective)))
     return err < 1e-12, f"kernel vs reflective form: {err:.3g}"
 
 

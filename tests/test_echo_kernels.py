@@ -279,6 +279,27 @@ class TestTrainAlgebra:
         for k in lhs.offsets:
             assert lhs.weight(k) == pytest.approx(scale * rhs.weight(k), abs=1e-12)
 
+    @pytest.mark.parametrize("rho,nmax", [(0.5, 80), (0.99, 1407), (0.999, 4000)])
+    def test_pair_ladder_within_rounding_of_pairwise_rows(self, rho, nmax):
+        # the pair ladder sum_{n,m} rho^(n+m) at lag m - n, as the
+        # autocorrelation of [rho, ..., rho^nmax]; reference: every pair
+        # added row by row, rho ** (n + m) per pair
+        m = np.arange(1, nmax + 1)
+        ref = np.zeros(2 * nmax - 1)
+        for n in range(1, nmax + 1):
+            ref[nmax - n : 2 * nmax - n] += rho ** (n + m)
+        ladder = DeltaTrain(1.0, 1, rho**m)
+        got = correlate(ladder, ladder)
+        assert got.k0 == 1 - nmax and np.array_equal(got.c, got.c[::-1])
+        # each side sums at most nmax positive terms, each a power or a
+        # product of two, so in order it is within (nmax + 3) eps of the
+        # lag's own sum; an FFT sum adds eps log2(n) S^2, S = sum rho^n the
+        # ladder's total weight and n = 2 nmax - 1 the lag count
+        eps = np.finfo(float).eps
+        s_total = rho * (1.0 - rho**nmax) / (1.0 - rho)
+        tol = (2 * nmax + 6) * eps * ref + eps * np.log2(2 * nmax - 1) * s_total**2
+        assert got.c.shape == ref.shape and np.all(np.abs(got.c - ref) <= tol)
+
 
 class TestApply:
     def test_identity_train(self):

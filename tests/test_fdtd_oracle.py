@@ -73,7 +73,7 @@ class TestStep:
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            RingState.empty(1, JunctionCoupling(0.5))
+            RingState.empty(0, JunctionCoupling(0.5))
         with pytest.raises(ValueError):
             RingState.empty(4, JunctionCoupling(0.5), loss_per_step=1.5)
 
@@ -195,13 +195,23 @@ class TestRoundTripUpdate:
         # 8 cells and an 8000-trip impulse at rho^2 = 0.998, as perfbench's oracle job
         self.assert_equals_step_loop(impulse(8, 8000), JunctionCoupling(np.sqrt(0.998)), 8, Gamma)
 
-    def test_one_cell_refused_by_both(self):
-        # the loop needs two cells; one is refused before any step, per sample or per trip
+    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
+    def test_one_cell_equals_step_loop(self, Gamma):
+        # one cell per round trip samples the lattice exactly: each trip is one sample
+        self.assert_equals_step_loop(self.random_signal(1, 41), JunctionCoupling(0.5), 1, Gamma)
+
+    def test_one_cell_impulse_gives_the_output_kernel(self):
+        j = JunctionCoupling(0.75)
+        out, _ = run(impulse(1, 40), j, GEOM, 1)
+        train = kernel_ba(j, 1.0)
+        assert np.max(np.abs(out.values.real - [train.weight(n) for n in range(40)])) < 1e-16
+
+    def test_no_cells_refused_by_both(self):
         j = JunctionCoupling(0.5)
-        with pytest.raises(ValueError, match="at least 2 cells"):
-            RingState.empty(1, j)
-        with pytest.raises(ValueError, match="at least 2 cells"):
-            run(impulse(1, 5), j, GEOM, 1)
+        with pytest.raises(ValueError, match="at least 1 cell"):
+            RingState(np.zeros(0), j)
+        with pytest.raises(ValueError, match="at least 1 cell"):
+            run(SampledSignal(0.0, 1.0, np.ones(3)), j, GEOM, 0)
 
     def test_transfer_match_at_0999_checks_to_1e9(self, monkeypatch):
         # the reference is the exact response to the finite drive, so 60

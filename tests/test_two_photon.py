@@ -19,12 +19,10 @@ from ringecho import (
     gaussian_output_closed_form,
     kernel_ba,
     peak_locate,
-    resummation_check,
     separability_rank,
     transform_output,
     transform_output_on_window,
 )
-import ringecho.two_photon as two_photon
 from ringecho.echo_kernels import _lattice_apply, _lattice_stride
 from ringecho.two_photon import _transform_tiles, symmetric_axis
 
@@ -357,57 +355,6 @@ class TestCwDispersionCancellation:
         residuals = np.array([cw_output(d, j, T, int(k))[0] for k in kmaxes])
         slope = np.polyfit(kmaxes, np.log(residuals), 1)[0]
         assert abs(slope - math.log(0.75)) / abs(math.log(0.75)) < 0.02
-
-
-class TestResummation:
-    def test_brute_force_agrees(self):
-        d = gaussian_d(0.4, T / 8, 30)
-        assert resummation_check(0.5, d, T, nmax=80) < 1e-10
-
-    def test_constant_d_closed_form(self):
-        # flat D: both sides sum to rho^2/(1-rho)^2 everywhere inside
-        rho = 0.5
-        n = 81
-        d = SampledSignal(0.0, T, np.ones(n))
-        err = resummation_check(rho, d, T, nmax=600)
-        lhs_center = rho**2 / (1 - rho) ** 2
-        assert err < 1e-9 * lhs_center or err < 1e-9
-
-    def test_vanishes_as_rho_goes_to_zero(self):
-        d = gaussian_d(0.4, T / 8, 20)
-        assert resummation_check(1e-8, d, T, nmax=10) < 1e-15
-
-    def test_rejects_bad_rho(self):
-        d = gaussian_d(0.4, T / 8, 5)
-        with pytest.raises(ValueError):
-            resummation_check(0.0, d, T)
-
-    @pytest.mark.parametrize("rho,nmax", [(0.5, 80), (0.99, 1407), (0.999, 4000)])
-    def test_pair_ladder_within_rounding_of_pairwise_rows(self, monkeypatch, rho, nmax):
-        # reference: every pair added row by row, rho ** (n + m) per pair
-        m = np.arange(1, nmax + 1)
-        ref = np.zeros(2 * nmax - 1)
-        for n in range(1, nmax + 1):
-            ref[nmax - n : 2 * nmax - n] += rho ** (n + m)
-        ladders = []
-        apply = two_photon._lattice_apply
-
-        def spy(c, *args):
-            ladders.append(c)
-            return apply(c, *args)
-
-        monkeypatch.setattr(two_photon, "_lattice_apply", spy)
-        resummation_check(rho, gaussian_d(0.4, T / 8, 5), T, nmax=nmax)
-        got = ladders[0]
-        assert got.shape == ref.shape and np.array_equal(got, got[::-1])
-        # each side sums at most nmax positive terms, each a power or a
-        # product of two, so in order it is within (nmax + 3) eps of the
-        # lag's own sum; an FFT sum adds eps log2(n) S^2, S = sum rho^n the
-        # ladder's total weight and n = 2 nmax - 1 the lag count
-        eps = np.finfo(float).eps
-        s_total = rho * (1.0 - rho**nmax) / (1.0 - rho)
-        tol = (2 * nmax + 6) * eps * ref + eps * np.log2(2 * nmax - 1) * s_total**2
-        assert np.all(np.abs(got - ref) <= tol)
 
 
 class TestClosedForm:

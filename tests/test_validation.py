@@ -2,8 +2,9 @@
 ``unimodularity`` reads the coupling under test, ``negative_control``
 reports a miss as one, ``ladder_resummation`` runs at the order its
 truncation bound asks for and its rounding term still sees a wrong weight,
-``separable_factorization`` walks its window tile by tile in bounded memory,
-and no check's arrays outlive it."""
+the weight checks see a 1e-8 fault in the weights they read and stay small
+at rho = 0.9999, ``separable_factorization`` walks its window tile by tile
+in bounded memory, and no check's arrays outlive it."""
 
 import tracemalloc
 
@@ -13,6 +14,7 @@ import pytest
 import ringecho.echo_kernels as echo_kernels
 import ringecho.two_photon as two_photon
 import ringecho.validation as validation
+from ringecho import DeltaTrain
 from ringecho.validation import run_suite
 
 
@@ -207,17 +209,56 @@ def test_unimodularity_reads_the_coupling_under_test(monkeypatch, rho):
 
 @pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
 def test_ladder_resummation_sees_resummed_weights_off_by_1e6(monkeypatch, rho):
-    # resummation_check applies the pair ladder, then the resummed weights
-    apply, calls = two_photon._lattice_apply, []
+    ladder, calls = validation._ladder, []
 
-    def skewed(c, *args):
-        calls.append(c)
-        return apply(c * (1.0 + 1e-6) if len(calls) == 2 else c, *args)
+    def skewed(first, r, eps):
+        calls.append(first)
+        c, tail = ladder(first, r, eps)
+        return c * (1.0 + 1e-6), tail
 
-    monkeypatch.setattr(two_photon, "_lattice_apply", skewed)
+    monkeypatch.setattr(validation, "_ladder", skewed)
     passed, detail = validation._ladder_resummation(validation._Suite(rho, 1.0, 1e-12))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert not passed, detail
+
+
+def _faulted(train, seed=5):
+    """``train`` with each weight off by a random-sign relative 1e-8."""
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], len(train.c))
+    return DeltaTrain(train.period, train.k0, train.c * (1.0 + 1e-8 * signs), train.eps, train.tail_bound)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+@pytest.mark.parametrize("check", ["kernel_spectrum_match", "factor_form_equivalence"])
+def test_weight_checks_see_a_kernel_fault(monkeypatch, rho, check):
+    kernel_ba = validation.kernel_ba
+    monkeypatch.setattr(validation, "kernel_ba", lambda *args: _faulted(kernel_ba(*args)))
+    passed, detail = getattr(validation, f"_{check}")(validation._Suite(rho, 1.0, 1e-12))
+    assert not passed, detail
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+@pytest.mark.parametrize("check", ["ladder_resummation", "reindexing_identity"])
+def test_weight_checks_see_a_correlate_fault(monkeypatch, rho, check):
+    correlate = validation.correlate
+    monkeypatch.setattr(validation, "correlate", lambda f, g: _faulted(correlate(f, g)))
+    passed, detail = getattr(validation, f"_{check}")(validation._Suite(rho, 1.0, 1e-12))
+    assert not passed, detail
+
+
+@pytest.mark.parametrize("check", ["kernel_spectrum_match", "factor_form_equivalence"])
+def test_weight_checks_build_no_signal(check):
+    # at rho = 0.9999 the output kernel has 191,130 weights (1.5 MiB); an
+    # apply to a signal would build outputs of about 3 million samples
+    suite = validation._Suite(0.9999, 1.0, 1e-12)
+    tracemalloc.start()
+    try:
+        passed, detail = getattr(validation, f"_{check}")(suite)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed, detail
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_negative_control_reports_a_miss(monkeypatch):
