@@ -28,18 +28,22 @@ a sum of positive terms, so it does not cancel near resonance the way
 function at the same float ``omega T``, near resonance too; ``g_ba`` with
 ``Gamma > 0`` only away from the zero it has when ``exp(-Gamma T) = rho``.
 
-An array of frequencies is evaluated in place, in one float buffer of its
-length (``omega T``, then t, then ``t^2``, then ``|D|^2``) beside the complex
-result: 24 bytes per frequency beside the input, for ``g_ca``, ``g_ba`` and
-``g_ab`` alike. ``|g_ca|^2``, which ``fsr_integral`` and
-``lossy_cavity.noise_power`` sum or scale, is the real ratio
-``tau^2 (1 + t^2) / |D|^2`` from the same t and ``|D|^2`` (``_gain``): no
-complex value is formed, and it holds that buffer beside the float result,
-16 bytes per frequency. Every step is an elementwise numpy loop into an
-explicit buffer, so no value depends on the array's length: ``g_ba(w)[k]``
-equals ``g_ba(w[i:j])[k - i]`` bit for bit. A scalar runs as a one-element
-array through the same loops, so ``g_ba(w)`` equals ``g_ba([w])[0]`` bit for
-bit, returned as a Python ``complex``.
+An array of frequencies is evaluated in blocks of ``_BLOCK`` (2^14)
+frequencies of its flattened form: per block, t goes into one float scratch
+row, the numerator's real and imaginary parts into two more, and the two
+final divisions write straight into the result. ``g_ab`` is ``g_ba`` with the
+sign of its imaginary numerator flipped, so it takes the same single pass.
+``|g_ca|^2``, which ``fsr_integral`` and ``lossy_cavity.noise_power`` sum or
+scale, is the real ratio ``tau^2 (1 + t^2) / |D|^2`` from the same t and
+``|D|^2`` (``_gain``): no complex value is formed, and its numerator goes
+straight into the result. Each function holds its result and one block of
+scratch (at most 24 bytes per frequency of the block), beside a flattened
+copy of omega if omega is not contiguous; the finiteness check of omega,
+one byte per frequency, is released before the result is made. Every step
+is elementwise, so each value is bit for bit independent of the array's
+length and of the blocking: ``g_ba(w)[k]`` equals ``g_ba(w[i:j])[k - i]``.
+A scalar runs as a one-element array through the same loop, so ``g_ba(w)``
+equals ``g_ba([w])[0]`` bit for bit, returned as a Python ``complex``.
 """
 
 from __future__ import annotations
@@ -111,59 +115,98 @@ class RingGeometry:
         return self.length / self.group_velocity
 
 
-def _tan_half(omega, j: JunctionCoupling, T: float, Gamma: float):
-    """Validated ``t = tan(omega T / 2)`` as a new float array (a scalar
-    omega becomes a one-element array), with ``a = exp(-Gamma T)``,
-    ``1 - a`` and the half-angle coefficients ``p = 1 - rho a`` and
-    ``q = 1 + rho a`` that ``_half_angle`` and ``_gain`` share."""
+# frequencies per block: an array is evaluated in runs of this many, so a
+# run's scratch rows (128 KiB each) stay in L2 from one step to the next
+_BLOCK = 1 << 14
+
+
+def _terms(j: JunctionCoupling, T: float, Gamma: float, output: bool):
+    """Validated half-angle coefficients ``(c0, c1, c2, p^2, q^2)`` of
+    ``g_ba`` (``output``) or ``g_ca``; see ``_half_angle``."""
     if T <= 0.0:
         raise ValueError(f"round-trip time must be positive, got {T}")
     if not 0.0 <= Gamma < math.inf:
         raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if not np.isfinite(w).all():
-        raise ValueError("omega must be finite")
     rho, a, loss = j.rho, math.exp(-Gamma * T), -math.expm1(-Gamma * T)
     p, q = (1.0 - rho) + rho * loss, 1.0 + rho * a  # 1 - rho a without cancellation
-    # theta = fl(omega T), halved exactly; omega (T / 2) would round a
-    # subnormal T / 2. np.tan reduces theta / 2 mod pi exactly
-    t = np.multiply(w, T)
-    np.multiply(t, 0.5, out=t)
-    np.tan(t, out=t)
-    return t, a, loss, p, q
-
-
-def _half_angle(omega, j: JunctionCoupling, T: float, Gamma: float, output: bool) -> np.ndarray:
-    """``g_ba`` (``output``) or ``g_ca`` at omega, as a new complex array; a
-    scalar omega becomes a one-element array.
-
-    With ``t = tan(omega T / 2)``, ``exp(i omega T) = (1 + i t) / (1 - i t)``
-    and ``1 - r exp(i omega T) = D / (1 - i t)`` with ``D = p - i q t``,
-    ``p = 1 - r``, ``q = 1 + r`` and ``r = rho a``. Both transfer functions are
-    then ``(c0 + c2 t^2 + i c1 t) / (p^2 + q^2 t^2)``: ``g_ca`` is
-    ``tau (1 - i t) conj(D) / |D|^2`` and ``g_ba`` is
-    ``((a - rho) + i (a + rho) t) conj(D) / |D|^2``. Every term of ``g_ca``'s
-    numerator and of the denominator is positive, so nothing cancels near
-    resonance, where ``1 - r exp(i omega T)`` does.
-    """
-    t, a, loss, p, q = _tan_half(omega, j, T, Gamma)
-    rho = j.rho
     if output:
         # at Gamma = 0, a - rho is p and a + rho is q: the numerator is conj(D)^2
         lo, hi = (1.0 - rho) - loss, a + rho
         c0, c1, c2 = lo * p, lo * q + hi * p, -(hi * q)
     else:
         c0, c1, c2 = j.tau * p, 2.0 * rho * a * j.tau, j.tau * q
-    g = np.empty(t.shape, dtype=complex)
-    re, im = g.real, g.imag
+    return c0, c1, c2, p * p, q * q
+
+
+def _tan_blocks(omega, T: float, dtype, rows: int = 0):
+    """A new ``dtype`` array in omega's shape (at least 1-D), and the blocks
+    that fill it: per run of at most ``_BLOCK`` entries of the flattened
+    omega, ``(t, *scratch, out)`` with ``t = tan(omega T / 2)`` there,
+    ``rows`` float scratch rows of its length and the matching run of the
+    result. ``t`` and the scratch are reused from run to run. Raises
+    ``ValueError`` unless omega is finite."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not np.isfinite(w).all():
+        raise ValueError("omega must be finite")
+    result = np.empty(w.shape, dtype)
+    scratch = np.empty((1 + rows, min(w.size, _BLOCK)))
+
+    def blocks():
+        flat_w, flat_out = w.reshape(-1), result.reshape(-1)
+        for lo in range(0, flat_w.size, _BLOCK):
+            w_run = flat_w[lo : lo + _BLOCK]
+            t, *rest = scratch[:, : w_run.size]
+            # theta = fl(omega T), halved exactly; omega (T / 2) would round a
+            # subnormal T / 2. np.tan reduces theta / 2 mod pi exactly
+            np.multiply(w_run, T, out=t)
+            np.multiply(t, 0.5, out=t)
+            np.tan(t, out=t)
+            yield t, *rest, flat_out[lo : lo + w_run.size]
+
+    return result, blocks()
+
+
+def _ratio_block(t, re, im, out, c0, c1, c2, pp, qq) -> None:
+    """``(c0 + c2 t^2 + i c1 t) / (pp + qq t^2)`` into the complex ``out``,
+    the numerator's parts in the float scratch ``re`` and ``im``; leaves the
+    denominator in t."""
     np.multiply(c1, t, out=im)
     np.square(t, out=t)
     np.multiply(c2, t, out=re)
     np.add(re, c0, out=re)
-    np.multiply(q * q, t, out=t)  # the denominator p^2 + q^2 t^2, over t^2
-    np.add(t, p * p, out=t)
-    np.divide(re, t, out=re)
-    np.divide(im, t, out=im)
+    np.multiply(qq, t, out=t)  # the denominator p^2 + q^2 t^2, over t^2
+    np.add(t, pp, out=t)
+    np.divide(re, t, out=out.real)
+    np.divide(im, t, out=out.imag)
+
+
+def _gain_block(t, out, tau2, pp, qq) -> None:
+    """``tau2 (1 + t^2) / (pp + qq t^2)`` into the float ``out``; leaves the
+    denominator in t."""
+    np.square(t, out=t)
+    np.add(t, 1.0, out=out)
+    np.multiply(out, tau2, out=out)
+    np.multiply(qq, t, out=t)
+    np.add(t, pp, out=t)
+    np.divide(out, t, out=out)
+
+
+def _half_angle(omega, T: float, terms) -> np.ndarray:
+    """``(c0 + c2 t^2 + i c1 t) / (p^2 + q^2 t^2)`` at omega for the ``terms``
+    of ``_terms``, as a new complex array; a scalar omega becomes a
+    one-element array.
+
+    With ``t = tan(omega T / 2)``, ``exp(i omega T) = (1 + i t) / (1 - i t)``
+    and ``1 - r exp(i omega T) = D / (1 - i t)`` with ``D = p - i q t``,
+    ``p = 1 - r``, ``q = 1 + r`` and ``r = rho a``. Both transfer functions are
+    then of this form: ``g_ca`` is ``tau (1 - i t) conj(D) / |D|^2`` and
+    ``g_ba`` is ``((a - rho) + i (a + rho) t) conj(D) / |D|^2``. Every term of
+    ``g_ca``'s numerator and of the denominator is positive, so nothing
+    cancels near resonance, where ``1 - r exp(i omega T)`` does.
+    """
+    g, blocks = _tan_blocks(omega, T, complex, rows=2)
+    for t, re, im, out in blocks:
+        _ratio_block(t, re, im, out, *terms)
     return g
 
 
@@ -176,13 +219,11 @@ def _gain(omega, j: JunctionCoupling, T: float, Gamma: float) -> np.ndarray:
     (relative) of the exact one at the same float ``omega T``, near
     resonance too.
     """
-    t, _, _, p, q = _tan_half(omega, j, T, Gamma)
-    np.square(t, out=t)
-    num = np.add(t, 1.0)
-    np.multiply(num, j.tau * j.tau, out=num)
-    np.multiply(q * q, t, out=t)
-    np.add(t, p * p, out=t)
-    return np.divide(num, t, out=num)
+    *_, pp, qq = _terms(j, T, Gamma, output=False)
+    gain, blocks = _tan_blocks(omega, T, float)
+    for t, out in blocks:
+        _gain_block(t, out, j.tau * j.tau, pp, qq)
+    return gain
 
 
 def _abs_sq(g: np.ndarray) -> np.ndarray:
@@ -210,7 +251,7 @@ def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
         Field attenuation rate (1/time), finite and non-negative; 0 is the
         lossless cavity.
     """
-    out = _half_angle(omega, j, T, Gamma, output=False)
+    out = _half_angle(omega, T, _terms(j, T, Gamma, output=False))
     return out if np.ndim(omega) else complex(out[0])
 
 
@@ -223,7 +264,7 @@ def g_ba(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     cannot absorb. With ``Gamma > 0`` the modulus drops below 1 and the
     power lost is returned as noise (``lossy_cavity.noise_power``).
     """
-    out = _half_angle(omega, j, T, Gamma, output=True)
+    out = _half_angle(omega, T, _terms(j, T, Gamma, output=True))
     return out if np.ndim(omega) else complex(out[0])
 
 
@@ -234,8 +275,10 @@ def g_ab(omega, j: JunctionCoupling, T: float):
     round trip reversed in sign), so ``g_ab * g_ba == 1``. A scalar omega
     gives a ``numpy.complex128``.
     """
-    out = g_ba(np.atleast_1d(omega), j, T)
-    out = np.conjugate(out, out=out)
+    # conj(g_ba) is g_ba with c1 negated: negation is exact and commutes
+    # with rounding, so each value equals np.conjugate(g_ba) bit for bit
+    c0, c1, c2, pp, qq = _terms(j, T, 0.0, output=True)
+    out = _half_angle(omega, T, (c0, -c1, c2, pp, qq))
     return out if np.ndim(omega) else out[0]
 
 

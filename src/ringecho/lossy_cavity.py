@@ -16,16 +16,16 @@ the lossy generalization of the free-space output commutator. All
 bookkeeping here is deterministic second moments; no noise realizations
 are sampled.
 
-Arrays are evaluated through ``core_response``'s half-angle form, so no
-value depends on the array's length. ``noise_power`` takes ``|g_ca|^2`` in
-real arithmetic and holds no complex buffer: two float buffers, 16 bytes per
-frequency beside the input. ``noise_power_quadrature`` squares the modulus of
-the complex ``g_ca`` instead, so the two are separate evaluations that agree
-to a few eps. ``sum_rule_residual`` is the literal composition
-``|g_ba|^2 + N - 1`` of the complex ``g_ba`` and ``noise_power``; it holds
-``g_ba``'s 24 bytes per frequency, then its float square beside what
-``noise_power`` holds (24 bytes per frequency). A scalar runs as a
-one-element array through the same loops, so ``noise_power(w)`` equals
+Arrays are evaluated through ``core_response``'s half-angle form, block by
+block, so no value depends on the array's length or on the blocking.
+``noise_power`` and ``sum_rule_residual`` hold their float result and one
+block of scratch, as ``core_response`` describes. ``noise_power`` takes
+``|g_ca|^2`` in real arithmetic and forms no complex value.
+``noise_power_quadrature`` squares the modulus of the complex ``g_ca``
+instead, so the two are separate evaluations that agree to a few eps.
+``sum_rule_residual`` is the literal composition ``|g_ba|^2 + N - 1`` of the
+complex ``g_ba`` and ``noise_power``, one block at a time. A scalar runs as
+a one-element array through the same loops, so ``noise_power(w)`` equals
 ``noise_power([w])[0]`` bit for bit, and likewise ``sum_rule_residual``.
 """
 
@@ -36,14 +36,24 @@ import sys
 
 import numpy as np
 
-from .core_response import JunctionCoupling, _abs_sq, _gain, g_ba, g_ca
+from .core_response import (
+    _BLOCK,
+    JunctionCoupling,
+    _abs_sq,
+    _gain_block,
+    _ratio_block,
+    _tan_blocks,
+    _terms,
+    g_ba,
+    g_ca,
+)
 
 
-def _noise(Gamma: float, T: float, gain: np.ndarray) -> np.ndarray:
-    """``(1 - exp(-2 Gamma T)) gain``, in place in ``gain``. The prefactor is
-    ``-expm1(-2 Gamma T)``, within about an ulp for every Gamma T; ``1 - exp``
-    would cancel to a relative error of about eps / (2 Gamma T)."""
-    return np.multiply(-math.expm1(-2.0 * Gamma * T), gain, out=gain)
+def _noise_scale(Gamma: float, T: float) -> float:
+    """``1 - exp(-2 Gamma T)`` as ``-expm1(-2 Gamma T)``, within about an ulp
+    for every Gamma T; ``1 - exp`` would cancel to a relative error of about
+    eps / (2 Gamma T)."""
+    return -math.expm1(-2.0 * Gamma * T)
 
 
 def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
@@ -54,7 +64,12 @@ def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     returns as fluctuation power, keeping the output commutator free-space.
     A scalar omega gives a Python ``float``.
     """
-    out = _noise(Gamma, T, _gain(omega, j, T, Gamma))
+    *_, pp, qq = _terms(j, T, Gamma, output=False)
+    scale = _noise_scale(Gamma, T)
+    out, blocks = _tan_blocks(omega, T, float)
+    for t, dst in blocks:
+        _gain_block(t, dst, j.tau * j.tau, pp, qq)
+        np.multiply(scale, dst, out=dst)
     return out if np.ndim(omega) else float(out[0])
 
 
@@ -76,14 +91,29 @@ def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
 def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
     """|g_ba|^2 + N(omega) - 1, which should vanish identically.
 
-    The literal composition of ``g_ba`` and ``noise_power``, summed in the
-    squared ``g_ba`` buffer, so it holds no more than ``noise_power`` does
-    beside one float array. A scalar omega gives a ``numpy.float64``.
+    The literal composition of ``g_ba`` and ``noise_power``, block by block:
+    each block's ``g_ba`` goes into one complex scratch block, its squared
+    modulus into the result, where that block's ``N`` is added and 1
+    subtracted. It holds the result and one block of scratch (48 bytes per
+    frequency of the block); each value equals the whole-array composition
+    bit for bit. A scalar omega gives a ``numpy.float64``.
     """
-    w = np.atleast_1d(omega)
-    out = _abs_sq(g_ba(w, j, T, Gamma))
-    np.add(out, noise_power(w, j, T, Gamma), out=out)
-    out = np.subtract(out, 1.0, out=out)
+    terms = _terms(j, T, Gamma, output=True)
+    *_, pp, qq = terms
+    scale = _noise_scale(Gamma, T)
+    out, blocks = _tan_blocks(omega, T, float, rows=3)
+    g = np.empty(min(out.size, _BLOCK), complex)
+    for t, t_copy, re, im, dst in blocks:
+        # |g_ba|^2, then N from the same t
+        np.copyto(t_copy, t)
+        g_run = g[: t.size]
+        _ratio_block(t, re, im, g_run, *terms)
+        np.abs(g_run, out=dst)
+        np.square(dst, out=dst)
+        _gain_block(t_copy, re, j.tau * j.tau, pp, qq)
+        np.multiply(scale, re, out=re)
+        np.add(dst, re, out=dst)
+        np.subtract(dst, 1.0, out=dst)
     return out if np.ndim(omega) else out[0]
 
 

@@ -450,8 +450,10 @@ def _ladder_resummation(suite: _Suite) -> tuple[bool, str]:
     tol = max(1e-10, 3.0 * bound)
     ladder = DeltaTrain(T, 1, rho ** np.arange(1, nmax + 1))
     pairs = correlate(ladder, ladder)
-    # the resummed weights at lags 0 .. kwin, down to 1e-18
-    tail, _ = _ladder(pref * rho, rho, 1e-18)
+    # the resummed weights at lags 0 .. kwin, down to 1e-18: running products,
+    # so the first kwin do not depend on how many follow; the floor
+    # pref rho^(kwin + 2) stops them a product or two past lag kwin
+    tail, _ = _ladder(pref * rho, rho, max(1e-18, pref * rho ** (kwin + 2)))
     resummed = DeltaTrain(T, 0, np.concatenate([[pref], tail[:kwin]]))
     err = max(abs(pairs.weight(k) - resummed.weight(abs(k))) for k in range(-kwin, kwin + 1))
     # rounding per lag, to first order in eps (Higham, ch. 3-4 and section

@@ -14,6 +14,7 @@ from ringecho import (
     noise_power_quadrature,
     sum_rule_residual,
 )
+from ringecho.core_response import _BLOCK, _gain
 
 J75 = JunctionCoupling(0.75)
 T = 1.0
@@ -98,9 +99,10 @@ class TestNoisePower:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # both peak at g_ba's complex result beside one float array (24 MiB);
-        # one more array would add 8 or 16 MiB, interpreter objects a few
-        # hundred bytes
+        # the whole-array form peaks at g_ba's complex result beside one float
+        # array (24 MiB), sum_rule_residual at its float result and one block
+        # of scratch (TestLargeArrays.test_peak_memory); interpreter objects
+        # add a few hundred bytes
         assert peaks[0] <= peaks[1] + (64 << 10)
 
     @pytest.mark.parametrize("gamma_t", [1e-13, 1e-10, 1e-6])
@@ -178,15 +180,22 @@ class TestLargeArrays:
         singles = np.concatenate([f(self.W[i : i + 1], j) for i in range(64)])
         assert np.array_equal(full[:64], singles)
 
-    # 8 MiB per float array of 2^20 frequencies: noise_power holds two float
-    # arrays and no complex one, sum_rule_residual a float array beside what
-    # g_ba or noise_power holds (24 MiB); g_ca, g_ba and g_ab at most 32 and
-    # 48 MiB; interpreter objects add about 1 KiB
+    # the result (16 MiB complex or 8 MiB float for 2^20 frequencies) plus one
+    # block of scratch: t and the two numerator rows for g_ca, g_ba and g_ab
+    # (24 bytes per block frequency), t for noise_power (8), and for
+    # sum_rule_residual t, its copy, two numerator rows and g_ba's complex
+    # block (48); interpreter objects add about 1 KiB
     @pytest.mark.parametrize(
-        "name,mib",
-        [("g_ca", 32), ("noise_power", 16), ("g_ba", 48), ("g_ab", 48), ("sum_rule_residual", 24)],
+        "name,mib,block_bytes",
+        [
+            ("g_ca", 16, 24),
+            ("noise_power", 8, 8),
+            ("g_ba", 16, 24),
+            ("g_ab", 16, 24),
+            ("sum_rule_residual", 8, 48),
+        ],
     )
-    def test_peak_memory(self, name, mib):
+    def test_peak_memory(self, name, mib, block_bytes):
         f, j = self.SPECTRAL[name], JunctionCoupling(0.999)
         tracemalloc.start()
         try:
@@ -194,7 +203,46 @@ class TestLargeArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (mib << 20) + (64 << 10)
+        assert peak <= (mib << 20) + block_bytes * _BLOCK + (64 << 10)
+
+
+class TestBlockEdges:
+    """Arrays are evaluated in runs of ``_BLOCK`` frequencies: at lengths
+    around a block edge, and for a 2-D omega across one, every entry equals
+    its one-element call bit for bit."""
+
+    SPECTRAL = {**TestLargeArrays.SPECTRAL, "_gain": lambda w, j: _gain(w, j, T, 0.2)}
+    # entries drawn from a pool of frequencies, so each one-element call is
+    # made once: exact resonances, zero, and random points out to 40 FSRs
+    POOL = np.concatenate([
+        [0.0, -0.0, math.pi, 2.0 * math.pi, -6.0 * math.pi, 1e-300],
+        np.random.default_rng(11).uniform(-40.0, 40.0, 250) * (2.0 * math.pi),
+    ])
+
+    def _check(self, name, idx):
+        f, j = self.SPECTRAL[name], JunctionCoupling(0.999)
+        singles = np.concatenate([f(self.POOL[i : i + 1], j) for i in range(self.POOL.size)])
+        full = f(self.POOL[idx], j)
+        assert full.shape == idx.shape
+        assert full.tobytes() == singles[idx].tobytes()
+
+    @pytest.mark.parametrize("name", SPECTRAL)
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_entries_equal_one_element_calls(self, name, n):
+        self._check(name, np.random.default_rng(n).integers(0, self.POOL.size, n))
+
+    @pytest.mark.parametrize("name", SPECTRAL)
+    def test_2d_omega_across_a_block_edge(self, name):
+        # 3 rows of _BLOCK / 2 + 3: the first block ends inside the third row
+        self._check(name, np.random.default_rng(5).integers(0, self.POOL.size, (3, _BLOCK // 2 + 3)))
+
+    @pytest.mark.parametrize("name", SPECTRAL)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_the_last_block_refused(self, name, bad):
+        w = np.random.default_rng(3).uniform(-40.0, 40.0, 3 * _BLOCK + 5)
+        w[-2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self.SPECTRAL[name](w, JunctionCoupling(0.999))
 
 
 class TestLossySpectrumFilter:
