@@ -35,12 +35,14 @@ final divisions write straight into the result. ``g_ab`` is ``g_ba`` with the
 sign of its imaginary numerator flipped, so it takes the same single pass.
 ``|g_ca|^2``, which ``fsr_integral`` and ``lossy_cavity.noise_power`` sum or
 scale, is the real ratio ``tau^2 (1 + t^2) / |D|^2`` from the same t and
-``|D|^2`` (``_gain``): no complex value is formed, and its numerator goes
-straight into the result. Each function holds its result and one block of
-scratch (at most 24 bytes per frequency of the block), beside a flattened
-copy of omega if omega is not contiguous; the finiteness check of omega,
-one byte per frequency, is released before the result is made. Every step
-is elementwise, so each value is bit for bit independent of the array's
+``|D|^2`` (``_gain_block``): no complex value is formed, and its numerator
+goes straight into the result. Each function holds its result and one block
+of scratch (at most 24 bytes per frequency of the block), beside a flattened
+copy of omega if omega is not contiguous. Each block checks that
+``fl(omega T)`` is finite before its ``tan``, so a NaN or infinite omega, or
+an ``omega T`` that overflows, raises ``ValueError`` before any numpy
+warning, and no temporary spans the whole array. Every step is
+elementwise, so each value is bit for bit independent of the array's
 length and of the blocking: ``g_ba(w)[k]`` equals ``g_ba(w[i:j])[k - i]``.
 A scalar runs as a one-element array through the same loop, so ``g_ba(w)``
 equals ``g_ba([w])[0]`` bit for bit, returned as a Python ``complex``.
@@ -52,8 +54,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,9 @@ def _tan_blocks(omega, T: float, dtype, rows: int = 0):
     omega, ``(t, *scratch, out)`` with ``t = tan(omega T / 2)`` there,
     ``rows`` float scratch rows of its length and the matching run of the
     result. ``t`` and the scratch are reused from run to run. Raises
-    ``ValueError`` unless omega is finite."""
+    ``ValueError`` at the first run where ``omega T`` is not finite: omega
+    NaN or infinite, or ``omega T`` overflowing."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if not np.isfinite(w).all():
-        raise ValueError("omega must be finite")
     result = np.empty(w.shape, dtype)
     scratch = np.empty((1 + rows, min(w.size, _BLOCK)))
 
@@ -158,7 +157,10 @@ def _tan_blocks(omega, T: float, dtype, rows: int = 0):
             t, *rest = scratch[:, : w_run.size]
             # theta = fl(omega T), halved exactly; omega (T / 2) would round a
             # subnormal T / 2. np.tan reduces theta / 2 mod pi exactly
-            np.multiply(w_run, T, out=t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(w_run, T, out=t)
+            if not np.isfinite(t).all():
+                raise ValueError(f"omega * T must be finite, got {t[~np.isfinite(t)][0]}")
             np.multiply(t, 0.5, out=t)
             np.tan(t, out=t)
             yield t, *rest, flat_out[lo : lo + w_run.size]
@@ -210,22 +212,6 @@ def _half_angle(omega, T: float, terms) -> np.ndarray:
     return g
 
 
-def _gain(omega, j: JunctionCoupling, T: float, Gamma: float) -> np.ndarray:
-    """``|g_ca|^2`` at omega in real arithmetic, as a new float array.
-
-    ``|tau (1 - i t) / D|^2 = tau^2 (1 + t^2) / (p^2 + q^2 t^2)`` in
-    ``_half_angle``'s terms, with the same ``t`` and the same denominator
-    bit for bit; every term is positive, so each value is within a few eps
-    (relative) of the exact one at the same float ``omega T``, near
-    resonance too.
-    """
-    *_, pp, qq = _terms(j, T, Gamma, output=False)
-    gain, blocks = _tan_blocks(omega, T, float)
-    for t, out in blocks:
-        _gain_block(t, out, j.tau * j.tau, pp, qq)
-    return gain
-
-
 def _abs_sq(g: np.ndarray) -> np.ndarray:
     """``|g|^2``, one new float buffer squared in place."""
     out = np.abs(g)
@@ -243,7 +229,7 @@ def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
     Parameters
     ----------
     omega : float or ndarray
-        Angular frequency (rad/time), finite.
+        Angular frequency (rad/time), with ``omega T`` finite.
     j : JunctionCoupling
     T : float
         Round-trip time, must be positive.
@@ -287,19 +273,27 @@ def fsr_integral(j: JunctionCoupling, T: float) -> float:
 
     The exact value is 1 for every coupling: the junction redistributes the
     density of states across each period without creating or destroying any.
-    Composite midpoint quadrature on N points. The integrand is periodic
+    Composite midpoint quadrature on ``N' = 2 ceil(N / 2)`` points with
+    ``N = max(4096, ceil(ln(2e-14) / ln rho))``. The integrand is periodic
     with Fourier coefficients ``rho^|k|``, so the only quadrature error is
-    aliasing, ``-2 rho^N / (1 + rho^N)``. ``N = max(4096, ceil(ln(2e-14) /
-    ln rho))`` keeps it below 4e-14. The integrand is evaluated in real
-    half-angle form, ``tau^2 (1 + t^2) / ((1 - rho)^2 + (1 + rho)^2 t^2)``
-    (``_gain``), whose terms are all positive, so each point is within a few
-    eps (relative) even at resonance; what remains is the rounding of
-    ``tau^2 = 1 - rho^2``, a relative ``4 eps / (1 - rho^2)`` at most.
+    aliasing, ``-2 rho^N' / (1 + rho^N')``, below 4e-14. It is also even, so
+    the midpoints of ``(0, pi / T)`` alone give the same mean; there each
+    resonant point sits at small ``omega T``, where rounding is relative.
+    The integrand is evaluated in real half-angle form,
+    ``p q (1 + t^2) / (p^2 + q^2 t^2)`` with ``p = 1 - rho`` and
+    ``q = 1 + rho`` (so ``tau^2 = p q``), whose terms are all positive, so
+    each point is within a few eps (relative) even at resonance. Its exact
+    mean is 1 for the floating-point p and q, so what remains past the
+    aliasing is that per-point rounding and the pairwise sum's, a few eps
+    and ``eps log2 N'`` at most.
     """
     n = 4096
     if j.rho > 0.0:
         n = max(n, math.ceil(math.log(2e-14) / math.log(j.rho)))
-    fsr = TWO_PI / T
-    d_omega = fsr / n
-    omega = (np.arange(n) + 0.5) * d_omega
-    return float(np.sum(_gain(omega, j, T, 0.0)) * d_omega / fsr)
+    half = -(-n // 2)
+    *_, pp, qq = _terms(j, T, 0.0, output=False)
+    pq = (1.0 - j.rho) * (1.0 + j.rho)  # _terms' p and q at Gamma = 0
+    gain, blocks = _tan_blocks((np.arange(half) + 0.5) * (math.pi / T / half), T, float)
+    for t, out in blocks:
+        _gain_block(t, out, pq, pp, qq)
+    return float(np.sum(gain) / half)

@@ -108,6 +108,15 @@ class TestGca:
         with pytest.raises(ValueError):
             fn(omega, JunctionCoupling(0.5), 1.0)
 
+    @pytest.mark.parametrize("fn", [g_ca, g_ba, g_ab, noise_power, sum_rule_residual])
+    @pytest.mark.parametrize("omega", [1e308, -1e308, np.array([1.0, 1e308])])
+    def test_rejects_overflowing_phase(self, fn, omega):
+        # omega is finite, but omega T at T = 10 overflows: ValueError, before
+        # any numpy warning (the suite turns warnings into errors)
+        gamma = (0.1,) if fn in (noise_power, sum_rule_residual) else ()
+        with pytest.raises(ValueError, match=r"omega \* T must be finite"):
+            fn(omega, JunctionCoupling(0.5), 10.0, *gamma)
+
     def test_vectorized(self):
         j = JunctionCoupling(0.5)
         w = np.linspace(-5, 5, 11)
@@ -272,11 +281,17 @@ class TestFsrIntegral:
     def test_state_count_conserved(self, rho):
         assert abs(fsr_integral(JunctionCoupling(rho), 1.0) - 1.0) < 1e-6
 
-    @pytest.mark.parametrize("rho", [0.999, 0.9999])
+    @pytest.mark.parametrize("rho", [0.999, 0.9999, 0.99999])
     def test_default_quadrature_resolves_high_q(self, rho):
-        # left over: the rounding of tau^2 = 1 - rho^2, relative 4 eps / tau^2
-        tol = 4.0 * np.finfo(float).eps / (1.0 - rho * rho)
-        assert abs(fsr_integral(JunctionCoupling(rho), 1.0) - 1.0) <= tol
+        # the aliasing of the midpoint rule on N' points, plus rounding in
+        # units u = eps/2: about 20 u per point (the grid, fl(omega T), tan,
+        # six operations and the three constants) and at most
+        # 128/8 + log2(N'/256) u from numpy's pairwise sum of the N'/2 points
+        n = max(4096, math.ceil(math.log(2e-14) / math.log(rho)))
+        n2 = 2 * math.ceil(n / 2)
+        aliasing = 2.0 * rho**n2 / (1.0 + rho**n2)
+        rounding = (20.0 + 16.0 + math.log2(n2 / 256)) * np.finfo(float).eps / 2
+        assert abs(fsr_integral(JunctionCoupling(rho), 1.0) - 1.0) <= aliasing + rounding
 
 
 class TestDensityOfStates:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ringecho.fdtd_oracle as fdtd_oracle
 import ringecho.validation as validation
 from ringecho import (
     IncommensurateGrid,
@@ -167,11 +170,13 @@ class TestRoundTripUpdate:
 
     @staticmethod
     def assert_equals_step_loop(sig, j, M, Gamma):
+        # equal values, and equal signs of every zero
         state = RingState.empty(M, j, float(np.exp(-Gamma * (GEOM.round_trip / M))))
-        steps = [state.step(a) for a in sig.values]
-        out, probe = run(sig, j, GEOM, M, Gamma)
-        assert np.array_equal(out.values, [b for b, _ in steps])
-        assert np.array_equal(probe.values, [c for _, c in steps])
+        steps = np.array([state.step(a) for a in sig.values]).reshape(-1, 2).T
+        for got, want in zip(run(sig, j, GEOM, M, Gamma), steps):
+            assert np.array_equal(got.values, want)
+            assert np.array_equal(np.signbit(got.values.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.values.imag), np.signbit(want.imag))
 
     @staticmethod
     def random_signal(M, n):
@@ -236,3 +241,72 @@ class TestRoundTripUpdate:
         monkeypatch.setattr(validation, "g_ba", lambda *args: g_ba_exact(*args) * (1.0 + 1e-6))
         passed, detail = validation._oracle_transfer_match(validation._Suite(rho, 1.0, 1e-12))
         assert not passed, detail
+
+
+class TestRingdown:
+    """After its last trip holding input, ``run`` rings down without the trip
+    loop; it must still equal the per-sample ``RingState.step`` loop bit for
+    bit, the sign of every zero included."""
+
+    @staticmethod
+    def drive(case, M):
+        rng = np.random.default_rng(M)
+
+        def noise(n):
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        vals = np.zeros(M * 30, dtype=complex)
+        if case == "pulse_then_silence":
+            vals[: 3 * M] = noise(3 * M)
+        elif case == "ends_in_a_partial_trip":
+            vals = np.zeros(M * 30 + 3, dtype=complex)
+            vals[: 4 * M + 2] = noise(4 * M + 2)
+        elif case == "input_in_the_last_trip_only":
+            vals[-M:] = noise(M)
+        elif case == "trailing_negative_zero":
+            # the last trip's only sample is -0.0, which is input: tau * -0.0
+            # adds -0 to the real part where a free trip adds +0, and at rho = 0
+            # the cell it meets is rho (-tau + i tau), whose real part is -0
+            vals[: 2 * M] = noise(2 * M)
+            vals[-1 - M] = -1.0 + 1.0j
+            vals[-1] = -0.0
+        return SampledSignal(0.0, 1.0 / M, vals)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["pulse_then_silence", "ends_in_a_partial_trip", "all_zero",
+         "input_in_the_last_trip_only", "trailing_negative_zero"],
+    )
+    @pytest.mark.parametrize("M", [1, 2, 7, 8])
+    @pytest.mark.parametrize("Gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("rho", [0.0, 0.97])
+    def test_equals_step_loop(self, case, M, Gamma, rho):
+        TestRoundTripUpdate.assert_equals_step_loop(self.drive(case, M), JunctionCoupling(rho), M, Gamma)
+
+    def test_impulse_loops_over_one_trip(self, monkeypatch):
+        # the benchmark's 8000-trip impulse: the trip loop adds once per trip
+        calls = []
+        add = np.add
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return add(*args, **kwargs)
+
+        monkeypatch.setattr(np, "add", spy)
+        run(impulse(8, 8000), JunctionCoupling(np.sqrt(0.998)), GEOM, 8)
+        assert len(calls) < 10
+
+    def test_lossy_ringdown_holds_one_state_array(self):
+        # 8000 trips of 8 cells: the buffer takes 888 trips of 9 rows a chunk
+        M, trips = 8, 8000
+        s = np.zeros((trips + 1, M), dtype=complex)
+        s[0] = 1.0
+        probe = np.empty((trips, M), dtype=complex)
+        rho_c = np.full(M, 0.999, dtype=complex)
+        tracemalloc.start()
+        try:
+            fdtd_oracle._free_lossy(s, probe, rho_c, float(np.exp(-0.3 / M)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.nbytes + (64 << 10)

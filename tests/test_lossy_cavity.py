@@ -14,7 +14,7 @@ from ringecho import (
     noise_power_quadrature,
     sum_rule_residual,
 )
-from ringecho.core_response import _BLOCK, _gain
+from ringecho.core_response import _BLOCK
 
 J75 = JunctionCoupling(0.75)
 T = 1.0
@@ -211,7 +211,7 @@ class TestBlockEdges:
     around a block edge, and for a 2-D omega across one, every entry equals
     its one-element call bit for bit."""
 
-    SPECTRAL = {**TestLargeArrays.SPECTRAL, "_gain": lambda w, j: _gain(w, j, T, 0.2)}
+    SPECTRAL = TestLargeArrays.SPECTRAL
     # entries drawn from a pool of frequencies, so each one-element call is
     # made once: exact resonances, zero, and random points out to 40 FSRs
     POOL = np.concatenate([

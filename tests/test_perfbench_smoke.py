@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's job definitions: ten high-Q layer jobs run
+"""Smoke test of the benchmark's job definitions: fourteen high-Q layer jobs run
 through ``perfbench/jobs.py`` and pass that file's own checks, and the
 validation suite still reports every check the benchmark's reference
 names."""
@@ -34,6 +34,11 @@ sys.dont_write_bytecode = _write_bytecode
         "oracle_impulse_sqrt0.998",  # the per-round-trip oracle
         "apply_parseval_0.999",  # FFT overlap-add in kernel segments
         "bulk_spectral_2^20",  # the one-phase sum-rule residual
+        # |integral - 1| <= 1e-13: the half-period quadrature with tau^2 = p q
+        "fsr_integral_0.97",
+        "fsr_integral_0.99",
+        "fsr_integral_0.999",
+        "fsr_integral_0.9999",
     ],
 )
 def test_highq_job_passes_its_check(name):
