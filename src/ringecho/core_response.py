@@ -123,8 +123,8 @@ _BLOCK = 1 << 14
 def _terms(j: JunctionCoupling, T: float, Gamma: float, output: bool):
     """Validated half-angle coefficients ``(c0, c1, c2, p^2, q^2)`` of
     ``g_ba`` (``output``) or ``g_ca``; see ``_half_angle``."""
-    if T <= 0.0:
-        raise ValueError(f"round-trip time must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"round-trip time must be finite and positive, got {T}")
     if not 0.0 <= Gamma < math.inf:
         raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
     rho, a, loss = j.rho, math.exp(-Gamma * T), -math.expm1(-Gamma * T)
@@ -232,7 +232,7 @@ def g_ca(omega, j: JunctionCoupling, T: float, Gamma: float = 0.0):
         Angular frequency (rad/time), with ``omega T`` finite.
     j : JunctionCoupling
     T : float
-        Round-trip time, must be positive.
+        Round-trip time, must be finite and positive.
     Gamma : float
         Field attenuation rate (1/time), finite and non-negative; 0 is the
         lossless cavity.

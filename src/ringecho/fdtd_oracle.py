@@ -15,13 +15,12 @@ followed by the one-cell shift and a uniform amplitude factor
 M samples per step: in one trip every cell meets the junction exactly once,
 in order, so the update above acts on M-vectors at once, with the same
 arithmetic per sample as ``step``. Its trip loop updates only the state,
-``c_first`` (two in-place array operations per trip without loss), and runs
-only while there is input. Every later trip is the free ringdown, each cell
-multiplied by the same factors trip after trip, so the ringdown is one
-``multiply.accumulate`` along the trips (one per chunk with loss): the same
-products in the same order as the loop. No later trip reads ``b``, so the
-whole output is formed from the stored states in one vectorized pass at
-the end.
+``c_first`` (two in-place array operations per trip without loss). Without
+loss it runs only while there is input: every later trip is the free
+ringdown, each cell multiplied by rho trip after trip, so the ringdown is
+one in-place ``multiply.accumulate`` along the trips, the same products in
+the same order as the loop. No later trip reads ``b``, so the whole output
+is formed from the stored states in one vectorized pass at the end.
 
 Nothing here shares code with the analytic kernels; that is the point.
 """
@@ -120,18 +119,14 @@ def run(
     with zeros to whole trips, and the padded samples are dropped from both
     results.
 
-    The loop runs up to the last trip holding input. A trip counts as
-    input-free only if every sample is the bit pattern +0.0 (a -0.0 sample
-    is input): only then is ``tau * a`` exactly +0, and adding it changes no
-    value but a -0, which becomes +0. The trips after it are the free
-    ringdown, ``c <- rho * c + 0`` and then the loss factors, formed by
-    ``multiply.accumulate`` along the trips: in place on the states without
-    loss, then one ``+ 0`` for the signs of zero; with loss, each trip's
-    factors ``rho, exp(-Gamma dt), ...`` in order, in chunks whose buffer is
-    at most one state array. Every value equals the loop's bit for bit, sign
-    of zero included, except with loss the sign of a value that underflows
-    to zero: numpy's accumulate and its in-place multiply may sign such a
-    zero differently.
+    Without loss the loop runs up to the last trip holding input. A trip
+    counts as input-free only if every sample is the bit pattern +0.0 (a
+    -0.0 sample is input): only then is ``tau * a`` exactly +0, and adding
+    it changes no value but a -0, which becomes +0. The trips after it are
+    the free ringdown ``c <- rho * c + 0``, formed in place on the states by
+    one ``multiply.accumulate`` along the trips and then one ``+ 0`` for the
+    signs of zero, so every value equals the loop's bit for bit, sign of
+    zero included. With loss the loop runs over every trip.
 
     Returns
     -------
@@ -156,9 +151,11 @@ def run(
     # whole trips: the zeros padding the last one feed no sample that is kept
     a = np.zeros((trips, M), dtype=np.complex128)
     a.reshape(-1)[:n] = signal.values
-    # trips from `held` on carry no input: all their samples are +0.0 bit for bit
-    has_input = a.view(np.uint64).any(axis=1)
-    held = trips - int(np.argmax(has_input[::-1])) if has_input.any() else 0
+    held = trips
+    if loss == 1.0:
+        # trips from `held` on carry no input: all their samples are +0.0 bit for bit
+        has_input = a.view(np.uint64).any(axis=1)
+        held -= int(np.argmax(has_input[::-1])) if has_input.any() else trips
     # s[k] is the cells meeting the junction in trip k, in the order they meet it
     s = np.empty((trips + 1, M), dtype=np.complex128)
     s[0] = state.cells[::-1]
@@ -173,10 +170,8 @@ def run(
             probe[k] = c
             for _ in range(M - 1):
                 c *= loss
-    if loss == 1.0:
+    if held < trips:
         _free_lossless(s[held:], rho_c)
-    else:
-        _free_lossy(s[held:], probe[held:], rho_c, loss)
     b = np.multiply(tau, s[:-1])
     np.subtract(b, rho * a, out=b)
     b_vals, c_vals = b.reshape(-1)[:n], probe.reshape(-1)[:n]
@@ -193,26 +188,3 @@ def _free_lossless(s: np.ndarray, rho_c: np.ndarray) -> None:
     s[1:] = rho_c
     np.multiply.accumulate(s, axis=0, out=s)
     s[1:] += 0.0
-
-
-def _free_lossy(s: np.ndarray, probe: np.ndarray, rho_c: np.ndarray, loss: float) -> None:
-    """Ring down ``s[1:]`` and ``probe`` from ``s[0]`` with loss: per trip
-    ``u = rho s[k-1] + 0``, the probe ``u loss`` and ``s[k] = u loss^M``,
-    one factor at a time. Each chunk of trips is one accumulate over their
-    factors, in a buffer of at most ``max(len(probe), M + 1)`` rows of M.
-    Only a chunk's first trip takes its ``+ 0``: after it, no ``rho``
-    product is a -0 unless a value has underflowed to zero."""
-    trips, M = probe.shape
-    per = M + 1  # rows per trip: the rho product, then one per loss factor
-    chunk = max(1, trips // per)
-    buf = np.empty((chunk * per, M), dtype=np.complex128)
-    for lo in range(0, trips, chunk):
-        w = buf[: min(chunk, trips - lo) * per]
-        by_trip = w.reshape(-1, per, M)
-        np.multiply(rho_c, s[lo], out=w[0])
-        w[0] += 0.0
-        by_trip[1:, 0] = rho_c
-        by_trip[:, 1:] = loss
-        np.multiply.accumulate(w, axis=0, out=w)
-        probe[lo : lo + len(by_trip)] = by_trip[:, 1]
-        s[lo + 1 : lo + 1 + len(by_trip)] = by_trip[:, M]

@@ -98,9 +98,13 @@ class TestGca:
         for w in rng.uniform(-40, 40, 50):
             assert abs(g_ca(w + fsr, j, T) - g_ca(w, j, T)) < 1e-11
 
-    def test_rejects_bad_round_trip(self):
-        with pytest.raises(ValueError):
-            g_ca(1.0, JunctionCoupling(0.5), 0.0)
+    @pytest.mark.parametrize("fn", [g_ca, g_ba, g_ab, noise_power, sum_rule_residual, fsr_integral])
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_round_trip(self, fn, T):
+        args = (JunctionCoupling(0.5), T) if fn is fsr_integral else (1.0, JunctionCoupling(0.5), T)
+        gamma = (0.1,) if fn in (noise_power, sum_rule_residual) else ()
+        with pytest.raises(ValueError, match="round-trip time must be finite and positive"):
+            fn(*args, *gamma)
 
     @pytest.mark.parametrize("fn", [g_ca, g_ba, g_ab])
     @pytest.mark.parametrize("omega", [math.nan, math.inf, np.array([0.5, -math.inf])])
