@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -328,7 +329,9 @@ def cmd_sweep(
         gts = np.linspace(start, stop, count)
         if np.any(gts < 0.0):
             raise BadArguments("absorbed_fraction sweep needs Gamma*T >= 0")
-        vals = np.array([absorbed_fraction(j, T, gt / T) for gt in gts])
+        # the fraction depends on Gamma T alone: taken at T = 1, where Gamma
+        # is Gamma T exactly, it is the same at every --T
+        vals = np.array([absorbed_fraction(j, 1.0, gt) for gt in gts])
         path = write_table(out_dir / "sweep_absorbed_fraction",
                            ["GammaT", "absorbed_fraction"], [gts, vals], cfg.format)
 
@@ -336,7 +339,10 @@ def cmd_sweep(
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged and fills a new namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="ringecho",
         description="Ring-cavity response datasets, validation, and sweeps",

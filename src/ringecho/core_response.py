@@ -120,13 +120,19 @@ class RingGeometry:
 _BLOCK = 1 << 14
 
 
-def _terms(j: JunctionCoupling, T: float, Gamma: float, output: bool):
-    """Validated half-angle coefficients ``(c0, c1, c2, p^2, q^2)`` of
-    ``g_ba`` (``output``) or ``g_ca``; see ``_half_angle``."""
+def _check_loss(T: float, Gamma: float) -> None:
+    """Refuse a round-trip time that is not finite and positive, or a loss
+    rate that is not finite and non-negative (``ValueError``)."""
     if not 0.0 < T < math.inf:
         raise ValueError(f"round-trip time must be finite and positive, got {T}")
     if not 0.0 <= Gamma < math.inf:
         raise ValueError(f"Gamma must be finite and non-negative, got {Gamma}")
+
+
+def _terms(j: JunctionCoupling, T: float, Gamma: float, output: bool):
+    """Validated half-angle coefficients ``(c0, c1, c2, p^2, q^2)`` of
+    ``g_ba`` (``output``) or ``g_ca``; see ``_half_angle``."""
+    _check_loss(T, Gamma)
     rho, a, loss = j.rho, math.exp(-Gamma * T), -math.expm1(-Gamma * T)
     p, q = (1.0 - rho) + rho * loss, 1.0 + rho * a  # 1 - rho a without cancellation
     if output:

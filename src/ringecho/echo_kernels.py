@@ -30,7 +30,10 @@ Every lattice sum goes through ``_lattice_apply``: sampled signals
 ``correlate``, which apply one train's weights to the other's at stride 1
 over the full span of lags the pairwise definitions reach. It cuts the axis
 into blocks of one round trip and keeps only the kernel terms that reach the
-requested output window. It has three branches:
+requested output window. It runs in two steps, ``_lattice_blocks``, which
+cuts the input into blocks, and ``_blocked_sum``, which adds the sum up
+from them; the two-photon tiles call the steps themselves, to block each
+strip once for several windows. The sum has three branches:
 
 - wide inputs, and output windows of no more blocks than there are
   columns: a matrix product with the banded Toeplitz matrix of the kernel,
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -400,6 +404,82 @@ def _overlap_add(xb: np.ndarray, c: np.ndarray, shift: int, qy: int) -> np.ndarr
     return y
 
 
+class _Blocks(NamedTuple):
+    """An array cut into blocks of ``stride`` samples along one axis
+    (``_lattice_blocks``), as ``_blocked_sum`` reads it."""
+
+    xb: np.ndarray  # (blocks, float columns); row p holds samples from p stride - pad on
+    stride: int
+    pad: int  # zero samples ahead of sample 0
+    dtype: np.dtype  # float64 or complex128, the input's and the output's
+    rest: tuple[int, ...]  # the lengths of the other axes, in the order kept
+    axis: int
+
+
+def _lattice_blocks(x: np.ndarray, axis: int, stride: int, pad: int) -> _Blocks:
+    """``x`` along ``axis``, behind ``pad`` zero samples, cut into blocks of
+    ``stride`` samples: one row per block, holding that block's samples of
+    every column (the other axes, and the real and imaginary parts), with
+    zeros after the last sample up to a whole block. A C-contiguous input
+    that starts and ends on block boundaries is read in place, by a reshape;
+    any other is copied once. Each output window that starts ``pad`` samples
+    short of a block boundary, ``(-start) % stride == pad``, can be summed
+    from the same blocks."""
+    x = x.swapaxes(axis, 0)  # the other axes are columns, whatever their order
+    n, rest = x.shape[0], x.shape[1:]
+    qx = -(-(pad + n) // stride)
+    if pad == 0 and n == qx * stride and x.flags.c_contiguous:
+        xb = x.view(np.float64).reshape(qx, -1)  # already blocked: read in place
+    else:
+        xb = np.zeros((qx * stride,) + rest, dtype=x.dtype)
+        xb[pad : pad + n] = x
+        xb = xb.view(np.float64).reshape(qx, -1)
+    return _Blocks(xb, stride, pad, x.dtype, rest, axis)
+
+
+def _blocked_sum(c: np.ndarray, k0: int, blocks: _Blocks, start: int, n_out: int) -> np.ndarray:
+    """Rows ``[start, start + n_out)`` of ``y[i] = sum_k c[k - k0] x[i - k stride]``,
+    ``x`` given as its ``blocks``, which must put output row ``start`` on a
+    block boundary (``(-start) % stride == pad``). ``_lattice_apply``
+    describes the sum, its branches and its result."""
+    xb, stride, pad, dtype, rest, axis = blocks
+    del blocks  # unless the caller holds them, the per-column branch frees a blocked copy
+    if (start + pad) % stride:
+        raise ValueError(f"output row {start} is not on a block boundary at pad {pad}")
+    qx = len(xb)
+    qy = -(-n_out // stride)
+    e0 = (start + pad) // stride  # output block q reads input block q + e0 - k
+    lo = max(0, e0 - qx + 1 - k0)
+    c = c[lo : max(lo, min(len(c), e0 + qy - k0))]
+    k0 += lo
+    if not len(c):  # no kernel term reaches the output window
+        return np.zeros((n_out,) + rest, dtype=dtype).swapaxes(0, axis)
+    n_c, cols = len(c), xb.shape[1]
+    shift = e0 - k0  # output block q reads input blocks q + shift - n_c + 1 .. q + shift
+    chunk = _gemm_chunk(n_c, qx, qy, cols)
+    if chunk:
+        y = np.empty((qy, cols))  # each chunk writes all of its rows
+        for qa in range(0, qy, chunk):
+            qb = min(qy, qa + chunk)
+            pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
+            if pa < pb:
+                K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)
+                np.matmul(K, xb[pa:pb], out=y[qa:qb])
+            else:  # no input block reaches the chunk
+                y[qa:qb] = 0.0
+    elif min(n_c, qx) >= _MIN_FFT and min(n_c, qx) * cols >= _MIN_FFT_WORK:
+        y = _overlap_add(xb, c, shift, qy)
+    else:
+        xb = np.ascontiguousarray(xb.T)  # one column per row
+        y = np.zeros((qy, cols))
+        # output block q is entry q + shift of the full convolution
+        q_lo, q_hi = max(0, -shift), min(qy, qx + n_c - 1 - shift)
+        for col in range(cols):
+            y[q_lo:q_hi, col] = np.convolve(xb[col], c)[q_lo + shift : q_hi + shift]
+    y = y.view(dtype).reshape((qy * stride,) + rest)[:n_out]
+    return y.swapaxes(0, axis)
+
+
 def _lattice_apply(
     c: np.ndarray,
     k0: int,
@@ -448,48 +528,12 @@ def _lattice_apply(
     definition to relative rounding, and a one-term kernel, which never
     takes the FFT branch, gives bitwise-exact output. The result is a view
     with ``axis`` outermost in memory.
+
+    The work is two steps, ``_lattice_blocks`` and then ``_blocked_sum``: a
+    caller that sums several windows of one input with the same ``(-start)
+    % stride`` blocks the input once and runs the second step per window.
     """
-    x = x.swapaxes(axis, 0)  # the other axes are columns, whatever their order
-    n, rest = x.shape[0], x.shape[1:]
-    pad = (-start) % stride  # puts output row `start` on a block boundary
-    qx = -(-(pad + n) // stride)
-    qy = -(-n_out // stride)
-    e0 = (start + pad) // stride  # output block q reads input block q + e0 - k
-    lo = max(0, e0 - qx + 1 - k0)
-    c = c[lo : max(lo, min(len(c), e0 + qy - k0))]
-    k0 += lo
-    if not len(c):  # no kernel term reaches the output window
-        return np.zeros((n_out,) + rest, dtype=x.dtype).swapaxes(0, axis)
-    if pad == 0 and n == qx * stride and x.flags.c_contiguous:
-        xb = x.view(np.float64).reshape(qx, -1)  # already blocked: read in place
-    else:
-        xb = np.zeros((qx * stride,) + rest, dtype=x.dtype)
-        xb[pad : pad + n] = x
-        xb = xb.view(np.float64).reshape(qx, -1)
-    n_c, cols = len(c), xb.shape[1]
-    shift = e0 - k0  # output block q reads input blocks q + shift - n_c + 1 .. q + shift
-    chunk = _gemm_chunk(n_c, qx, qy, cols)
-    if chunk:
-        y = np.empty((qy, cols))  # each chunk writes all of its rows
-        for qa in range(0, qy, chunk):
-            qb = min(qy, qa + chunk)
-            pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
-            if pa < pb:
-                K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)
-                np.matmul(K, xb[pa:pb], out=y[qa:qb])
-            else:  # no input block reaches the chunk
-                y[qa:qb] = 0.0
-    elif min(n_c, qx) >= _MIN_FFT and min(n_c, qx) * cols >= _MIN_FFT_WORK:
-        y = _overlap_add(xb, c, shift, qy)
-    else:
-        xb = np.ascontiguousarray(xb.T)  # one column per row; frees any blocked copy
-        y = np.zeros((qy, cols))
-        # output block q is entry q + shift of the full convolution
-        q_lo, q_hi = max(0, -shift), min(qy, qx + n_c - 1 - shift)
-        for col in range(cols):
-            y[q_lo:q_hi, col] = np.convolve(xb[col], c)[q_lo + shift : q_hi + shift]
-    y = y.view(x.dtype).reshape((qy * stride,) + rest)[:n_out]
-    return y.swapaxes(0, axis)
+    return _blocked_sum(c, k0, _lattice_blocks(x, axis, stride, (-start) % stride), start, n_out)
 
 
 def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:

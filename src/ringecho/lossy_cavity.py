@@ -10,7 +10,7 @@ rho to ``rho exp(-Gamma T)``.
 The output channel is then no longer unimodular; what the mean field loses,
 the fluctuations replace. This module holds that noise model: the noise
 power ``N(omega)``, its quadrature cross-check and the fraction of a flat
-input spectrum that the absorber takes. ``N`` is normalized by the only
+input spectrum that the absorber takes, in closed form. ``N`` is normalized by the only
 physically forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is
 the lossy generalization of the free-space output commutator. All
 bookkeeping here is deterministic second moments; no noise realizations
@@ -32,7 +32,6 @@ a one-element array through the same loops, so ``noise_power(w)`` equals
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -40,11 +39,11 @@ from .core_response import (
     _BLOCK,
     JunctionCoupling,
     _abs_sq,
+    _check_loss,
     _gain_block,
     _ratio_block,
     _tan_blocks,
     _terms,
-    g_ba,
     g_ca,
 )
 
@@ -120,14 +119,20 @@ def sum_rule_residual(omega, j: JunctionCoupling, T: float, Gamma: float):
 def absorbed_fraction(j: JunctionCoupling, T: float, Gamma: float) -> float:
     """Fraction of a flat input spectrum the attenuated cavity absorbs.
 
-    The input is flat over one free spectral range, sampled at the 2048
-    midpoints ``(n + 1/2) FSR / 2048``; the output is ``g_ba`` there, so the
-    fraction is ``1 - sum |g_ba|^2 / 2048``. Raises ``ArithmeticError`` when
-    the frequency step ``FSR / 2048`` is not a normal float: it overflows for
-    T below about 3.5e-308 and loses digits as a subnormal above about 1.4e305.
+    An input flat over one free spectral range is, by Parseval on the
+    lattice, a unit impulse at one sample per round trip. With
+    ``L = exp(-Gamma T)`` the lossy output kernel is ``-rho`` at offset 0 and
+    ``tau^2 L (rho L)^(k-1)`` at offsets k >= 1, so the absorbed fraction,
+    one less the kernel's squared weights, is the closed form
+
+        A = (1 - rho^2) (1 - L^2) / (1 - rho^2 L^2).
+
+    It is taken with ``1 - L^2 = -expm1(-2 Gamma T)`` (``_noise_scale``) and
+    ``1 - rho^2 L^2 = (1 - rho)(1 + rho) + rho^2 (1 - L^2)``: every term is
+    non-negative, so no step cancels and A is within a few ulps at every rho
+    and Gamma T. It depends on rho and Gamma T alone.
     """
-    step = (2.0 * math.pi / T) / 2048
-    if not sys.float_info.min <= step < math.inf:
-        raise ArithmeticError(f"the frequency step 2 pi / (2048 T) = {step:g} is not a normal float")
-    omega = (np.arange(2048) + 0.5) * step
-    return 1.0 - float(np.sum(np.abs(g_ba(omega, j, T, Gamma)) ** 2)) / 2048.0
+    _check_loss(T, Gamma)
+    rho, scale = j.rho, _noise_scale(Gamma, T)
+    tau_sq = (1.0 - rho) * (1.0 + rho)
+    return tau_sq * scale / (tau_sq + rho * rho * scale)

@@ -15,12 +15,17 @@ consequences fall out and are all implemented and cross-checked here:
 - separability is invariant: a product-state input emerges as the product of
   the per-axis transformed factors.
 
-The direct transform has one code path, ``_transform_tiles``: two
-``_lattice_apply`` passes, along t1 and then along t2, restricted to a
-rectangular tile of an output window. ``transform_output`` (the full echo
-extension) and ``transform_output_on_window`` are its one-tile cases;
-``validation`` walks a large window tile by tile, so the window is never
-stored whole.
+The direct transform has one code path, ``_transform_tiles``: a lattice
+sum along t1 and then one along t2, restricted to a rectangular tile of an
+output window. The t1 pass runs once per row of tiles. Its strip is cut
+into round-trip blocks along t2 once for the row (once per distinct block
+offset of the row's tiles), and each tile's t2 pass sums those blocks.
+Those are the two steps of ``_lattice_apply`` (``_lattice_blocks``, then
+``_blocked_sum``), so each tile is bit for bit what the two
+``_lattice_apply`` passes run for it alone give. ``transform_output`` (the
+full echo extension) and ``transform_output_on_window`` are its one-tile
+cases; ``validation`` walks a large window tile by tile, so the window is
+never stored whole.
 
 Amplitudes are unnormalized throughout; only relative quantities are used.
 """
@@ -39,8 +44,11 @@ from .echo_kernels import (
     IncommensurateGrid,
     SampledSignal,
     _STRIP,
+    _Blocks,
     _amplitudes,
+    _blocked_sum,
     _lattice_apply,
+    _lattice_blocks,
     _lattice_stride,
     _sum_abs_sq,
     correlate,
@@ -230,10 +238,15 @@ def _transform_tiles(
     slices of sample offsets into the window (start and stop given, step 1).
     Yields ``(t1 range, t2 range, values)`` for each pair in order, ``values``
     of shape ``(t1 count, t2 count)`` with the t2 axis outermost in memory
-    (``values.T`` is C-contiguous). The first ``_lattice_apply`` pass, along
-    t1, runs once per t1 range and serves all of its t2 ranges; the second,
-    along t2, runs once per tile. So no more than one tile and one t1 strip
-    are held at a time, whatever the window's size. A tile's cells equal the
+    (``values.T`` is C-contiguous). The pass along t1, ``_lattice_apply``,
+    runs once per t1 range and serves all of its t2 ranges. Its strip is
+    blocked along t2 (``_lattice_blocks``) once per distinct pad
+    ``(-start) % stride`` among the row's t2 starts: once for tiles whose
+    width is a multiple of the stride, at most ``stride`` times a row. The
+    pass along t2 sums those blocks (``_blocked_sum``) once per tile. So a
+    tile is bit for bit the two ``_lattice_apply`` passes run for it alone,
+    and no more than one tile and one t1 strip with its blocked copies are
+    held at a time, whatever the window's size. A tile's cells equal the
     whole window's to rounding, and bitwise when the tile is the window.
     Each window start must lie on its input axis's grid.
     """
@@ -244,9 +257,13 @@ def _transform_tiles(
     for rows, cols_list in tiles:
         n1 = rows.stop - rows.start
         mid = _lattice_apply(kba.c, kba.k0, stride, phi.values, 0, base1 + rows.start, n1)
+        strips: dict[int, _Blocks] = {}  # mid blocked along t2, by pad
         for cols in cols_list:
-            n2 = cols.stop - cols.start
-            yield rows, cols, _lattice_apply(kba.c, kba.k0, stride, mid, 1, base2 + cols.start, n2)
+            start = base2 + cols.start
+            pad = (-start) % stride
+            if pad not in strips:
+                strips[pad] = _lattice_blocks(mid, 1, stride, pad)
+            yield rows, cols, _blocked_sum(kba.c, kba.k0, strips[pad], start, cols.stop - cols.start)
 
 
 def cw_output(

@@ -38,13 +38,17 @@ the whole round trip of about 6 million samples at rho = 0.9999.
 with ``p2 (x) p1`` on a square window whose side grows as 1/(1 - rho), 6569
 samples at rho = 0.97 and about 171k at 0.999. It never stores the window:
 it computes it one square tile of ``_COMPARE_CELLS`` cells at a time
-(``two_photon._transform_tiles``) and compares each tile while it is in
-cache, reading the largest deviation off the tile's max and min. Windows of
-up to ``_EVERY_CELL_BUDGET`` cells, which covers every rho <= 0.97, are
-compared cell by cell. Larger ones are compared on a fixed tile set of at
-most about
-``_SAMPLED_CELLS`` cells: the four corners, evenly spaced tiles along the
-first and last tile rows and columns, and seeded interior tiles. The detail
+(``two_photon._transform_tiles``, which blocks each row's t1 strip once for
+all of the row's tiles) and compares each tile while it is in cache. The
+tile's reference ``p2 (x) p1`` is one BLAS matrix product, ``(n2 x 2) @
+(2 x n1)`` with a zero second column and row: einsum's once-rounded
+products in less time, up to the sign of an exact zero, which cannot move
+the deviation. The largest deviation is read off the difference's max and
+min. Windows of up to ``_EVERY_CELL_BUDGET`` cells, which covers every
+rho <= 0.97, are compared cell by cell. Larger ones are compared on a fixed
+tile set of at most about ``_SAMPLED_CELLS`` cells: the four corners,
+evenly spaced tiles along the first and last tile rows and columns, and
+seeded interior tiles. The detail
 line names the mode ("every cell" or "sampled tiles"), the cells compared
 out of the total, and the tile count.
 
@@ -510,12 +514,19 @@ def _separable_factorization(suite: _Suite) -> tuple[bool, str]:
     err, cells, n_tiles = 0.0, 0, 0
     plan = _separable_tiles(n, suite.rng)
     buf = np.empty(_COMPARE_CELLS)  # every tile's deviation, in turn
+    # each tile's reference p2[cols] (x) p1[rows] as one matrix product with a
+    # zero second column and row: every cell p2 p1 + 0 0, the once-rounded
+    # product (up to the sign of an exact zero, which the max below ignores)
+    side = math.isqrt(_COMPARE_CELLS)
+    lhs, rhs = np.zeros((side, 2)), np.zeros((2, side))
     for rows, cols, tile in _transform_tiles(
         prod_in, suite.j, suite.T, p1.t0, p2.t0, plan, suite.eps
     ):
         # tile.T is C-contiguous (the t2 pass is outermost): compare in that layout
-        block = buf[: tile.size].reshape(tile.T.shape)
-        np.einsum("i,j->ij", p2.values[cols], p1.values[rows], out=block)
+        n2, n1 = tile.T.shape
+        block = buf[: tile.size].reshape(n2, n1)
+        lhs[:n2, 0], rhs[0, :n1] = p2.values[cols], p1.values[rows]
+        np.matmul(lhs[:n2], rhs[:, :n1], out=block)
         np.subtract(block, tile.T, out=block)
         # max |d| as max(max d, 0 - min d), keeping a NaN; 0 - min, not -min,
         # so that an exact tile reads 0 and not -0

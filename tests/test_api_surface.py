@@ -33,6 +33,7 @@ DEFAULTS_NOT_PASSED = {
     ("commutator_figure", "nz"): "the benchmark's tracer reads it by name (_map_cells)",
     ("transform_output", "eps"): "the benchmark's tracer reads it by name (_kernel_offsets)",
     ("run", "Gamma"): "the lossy oracle is the reference the noise-model tests compare against",
+    ("g_ba", "Gamma"): "absorbed_fraction is closed form; the lossy transfer functions are checked by tests",
     ("F_m", "eps"): "F_m is an export that only tests call (ALLOWED_WITHOUT_CALLER)",
 }
 

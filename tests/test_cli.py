@@ -236,7 +236,6 @@ class TestRoundTripRange:
         "command",
         [
             ["validate"],
-            ["sweep", "absorbed_fraction", "--start", "0", "--stop", "1", "--count", "2"],
             ["sweep", "cw_residual", "--start", "1", "--stop", "3", "--count", "2"],
         ],
     )
@@ -249,6 +248,15 @@ class TestRoundTripRange:
         assert rc == 2 and "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert errors and f"--T {float(T):g}" in errors[0]
+
+    @pytest.mark.parametrize("T", ["1e-310", "1e308"])
+    def test_absorbed_fraction_sweep_same_at_every_T(self, tmp_path, T):
+        # the fraction depends on Gamma T alone, so the file is --T 1's
+        command = ["sweep", "absorbed_fraction", "--start", "0", "--stop", "1", "--count", "3"]
+        assert main(command + ["--out", str(tmp_path / "unit")]) == 0
+        assert main(command + ["--T", T, "--out", str(tmp_path / "edge")]) == 0
+        name = "sweep_absorbed_fraction.csv"
+        assert (tmp_path / "edge" / name).read_bytes() == (tmp_path / "unit" / name).read_bytes()
 
     def test_fig3_cost_does_not_grow_as_T_shrinks(self, tmp_path, capsys):
         start = time.perf_counter()
@@ -270,6 +278,15 @@ class TestRoundTripRange:
 
 
 class TestValidateCommand:
+    def test_calls_in_one_process_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; a flag given to one call
+        # must not reach the next
+        assert main(["validate", "--rho", "0.5", "--out", str(tmp_path / "a")]) == 0
+        assert main(["validate", "--out", str(tmp_path / "b")]) == 0
+        for sub, rho in (("a", 0.5), ("b", 0.75)):
+            report = json.loads((tmp_path / sub / "validation_report.json").read_text())
+            assert report["config"]["rho"] == rho
+
     def test_default_run_passes(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "validation_report.json").read_text())

@@ -661,6 +661,29 @@ class TestLatticeApplyMemory:
         assert np.array_equal(out, c[0] * x)
         assert peak <= 3 * out_bytes
 
+    def test_direct_branch_frees_the_blocked_copy(self):
+        # an input off the block grid is copied into blocks; the direct sum
+        # transposes that copy and drops it before the output is made, so it
+        # holds two outputs' worth, not three
+        f = kernel_ba(JunctionCoupling(0.0), 1.0)
+        x = np.random.default_rng(1).normal(size=1 << 20).astype(complex)
+        stride, n_out = 16, len(x) - 1
+        with lattice_branches(lowered=False) as taken:
+            tracemalloc.start()
+            try:
+                out = _lattice_apply(f.c, f.k0, stride, x, 0, f.k0 * stride + 1, n_out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert taken == []
+        assert np.array_equal(out, f.c[0] * x[1:])
+        assert peak <= 2.1 * out.size * 16
+
+    def test_blocked_sum_refuses_blocks_of_another_pad(self):
+        blocks = echo_kernels._lattice_blocks(np.ones(40), 0, 8, 3)
+        with pytest.raises(ValueError, match="not on a block boundary"):
+            echo_kernels._blocked_sum(np.ones(3), 0, blocks, 4, 16)
+
     # (shape, stride, kernel terms, branches): band products, the direct sum, the FFT
     @pytest.mark.parametrize(
         "shape,stride,n_c,branches",

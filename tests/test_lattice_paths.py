@@ -1,8 +1,9 @@
 """One lattice-sum path: numpy's convolution and FFT calls in the package sit
-inside ``echo_kernels._lattice_apply`` and its FFT branch ``_overlap_add``.
+inside ``echo_kernels._blocked_sum``, the summing step of ``_lattice_apply``,
+and its FFT branch ``_overlap_add``.
 
 Every time-domain quantity is a sum on the round-trip lattice, and
-``_lattice_apply`` is the one place that chooses how to add it up (direct
+``_blocked_sum`` is the one place that chooses how to add it up (direct
 sum, banded matrix product or FFT overlap-add). A numpy convolution or FFT
 anywhere else would be a second path with its own branch rule and rounding.
 """
@@ -14,7 +15,7 @@ import ringecho
 
 PACKAGE = Path(ringecho.__file__).parent
 SUMS = {"convolve", "correlate", "fft", "ifft", "rfft", "irfft"}
-ALLOWED = {("echo_kernels.py", "_lattice_apply"), ("echo_kernels.py", "_overlap_add")}
+ALLOWED = {("echo_kernels.py", "_blocked_sum"), ("echo_kernels.py", "_overlap_add")}
 
 
 def numpy_sum_calls(tree: ast.AST) -> list[tuple[str | None, str]]:
@@ -67,7 +68,7 @@ def test_numpy_sums_only_inside_lattice_apply():
 def test_np_convolve_has_one_call_site():
     tree = ast.parse((PACKAGE / "echo_kernels.py").read_text())
     assert [c for c in numpy_sum_calls(tree) if c[1] == "convolve"] == [
-        ("_lattice_apply", "convolve")
+        ("_blocked_sum", "convolve")
     ]
 
 

@@ -6,12 +6,15 @@ import pytest
 
 from ringecho import (
     JunctionCoupling,
+    RingGeometry,
+    SampledSignal,
     absorbed_fraction,
     g_ab,
     g_ba,
     g_ca,
     noise_power,
     noise_power_quadrature,
+    run,
     sum_rule_residual,
 )
 from ringecho.core_response import _BLOCK
@@ -247,7 +250,8 @@ class TestBlockEdges:
 
 class TestLossySpectrumFilter:
     """``absorbed_fraction``: the share of a flat one-FSR spectrum that
-    filtering by ``g_ba`` takes."""
+    filtering by ``g_ba`` takes, in closed form, against the mean noise power,
+    and against the FDTD oracle's ringdown at high Q."""
 
     def test_lossless_conserves_energy(self):
         assert absorbed_fraction(J75, T, 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -259,18 +263,57 @@ class TestLossySpectrumFilter:
         )
 
     def test_flat_input_absorption_equals_mean_noise_power(self):
-        # the mean over a finer grid than absorbed_fraction's own 2048 midpoints
+        # the mean noise power over 4096 midpoints of one FSR: its aliasing,
+        # (rho L)^4096, is far below the rounding here
         fsr = 2.0 * math.pi / T
         w = (np.arange(4096) + 0.5) * (fsr / 4096)
         mean_noise = float(np.mean(noise_power(w, J75, T, 0.2)))
         assert absorbed_fraction(J75, T, 0.2) == pytest.approx(mean_noise, rel=1e-12)
 
-    @pytest.mark.parametrize("T_edge", [3.4e-308, 1e-310, 1.4e305, 1e308])
-    def test_refuses_a_frequency_step_outside_the_normal_floats(self, T_edge):
-        # 2 pi / T overflows below, 2 pi / (2048 T) is subnormal above
-        with pytest.raises(ArithmeticError, match="not a normal float"):
-            absorbed_fraction(J75, T_edge, 0.0)
+    @pytest.mark.parametrize("T_edge", [1e-310, 3.4e-308, 3.5e-308, 1.3e305, 1.4e305, 1e308])
+    def test_depends_on_gamma_t_alone(self, T_edge):
+        # no frequency grid: every positive finite T answers, at Gamma T = 0
+        # with 0 and elsewhere as at T = 1
+        assert absorbed_fraction(J75, T_edge, 0.0) == 0.0
+        gamma = 0.2 / T_edge
+        if math.isfinite(gamma) and gamma >= np.finfo(float).tiny:
+            assert absorbed_fraction(J75, T_edge, gamma) == pytest.approx(
+                absorbed_fraction(J75, 1.0, 0.2), rel=4 * np.finfo(float).eps
+            )
 
-    @pytest.mark.parametrize("T_edge", [3.5e-308, 1.3e305])
-    def test_answers_just_inside_the_normal_floats(self, T_edge):
-        assert absorbed_fraction(J75, T_edge, 0.0) == pytest.approx(0.0, abs=1e-14)
+    @pytest.mark.parametrize("T_bad,gamma", [(0.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1.0, -0.1), (1.0, math.inf)])
+    def test_refuses_a_bad_round_trip_or_rate(self, T_bad, gamma):
+        with pytest.raises(ValueError, match="must be finite"):
+            absorbed_fraction(J75, T_bad, gamma)
+
+    @pytest.mark.parametrize("gamma_t", [1e-6, 1e-4, 1e-2, 2.0])
+    @pytest.mark.parametrize("rho", [0.999, 0.9999, 0.99999])
+    def test_matches_the_oracle_at_high_q(self, rho, gamma_t):
+        # a flat one-FSR input is a unit impulse at one sample per round
+        # trip, so the M = 1 oracle's output after n trips leaves 1 - sum|b|^2
+        # absorbed or still in the loop. That exceeds A by the ringdown to
+        # come, which falls by (rho L)^2 per trip: |b_n|^2 / (1 - (rho L)^2),
+        # read off the trip after the last one summed
+        j = JunctionCoupling(rho)
+        rho_l = rho * math.exp(-gamma_t)
+        # trips for the tail to fall below half a millionth of A, sized by
+        # tail / A = (1 - rho^2) / (1 - L^2) (rho L)^(2n)
+        ratio = (1.0 - rho * rho) / -math.expm1(-2.0 * gamma_t)
+        n = math.ceil(math.log(2e6 * ratio) / (-2.0 * math.log(rho_l)))
+        impulse = np.zeros(n + 1)
+        impulse[0] = 1.0
+        out, _ = run(SampledSignal(0.0, T, impulse), j, RingGeometry(T, 1.0), 1, gamma_t / T)
+        energy = np.abs(out.values) ** 2
+        oracle = 1.0 - float(np.sum(energy[:n]))
+        tail = float(energy[n]) / (1.0 - rho_l * rho_l)
+        # rounding to first order in u: b_k after k trips of two roundings
+        # each, squared, within (4k + 8) u of |b_k|^2; the n-term pairwise
+        # sum within (log2 n + 1) u of it; the subtraction and A a few u
+        u = np.finfo(float).eps / 2
+        k = np.arange(n)
+        rounding = u * (float(np.sum((4 * k + 8) * energy[:n])) + math.log2(n) + 1 + 8)
+        a = absorbed_fraction(j, T, gamma_t / T)
+        assert -rounding <= oracle - a <= tail + rounding
+        # the comparison resolves A to a millionth: the 2048-midpoint rule
+        # this replaced read 19% to 90% low here
+        assert tail + rounding <= 1e-6 * a

@@ -24,6 +24,7 @@ from ringecho import (
     transform_output_on_window,
 )
 from ringecho.echo_kernels import _lattice_apply, _lattice_stride
+import ringecho.two_photon as two_photon
 from ringecho.two_photon import _transform_tiles, symmetric_axis
 
 T = 1.0
@@ -274,6 +275,46 @@ class TestTransformOutput:
             assert np.max(np.abs(tile - win[rows, cols])) <= 1e-13 * np.max(np.abs(win))
             seen[rows, cols] += 1
         assert np.all(seen == 1)
+
+    # (stride, side, complex input): one pad per tile row (256 at stride 8),
+    # two alternating pads (44 at stride 8), every pad in turn (256 at stride 7)
+    @pytest.mark.parametrize(
+        "stride,side,complex_input",
+        [(8, 256, False), (8, 44, False), (8, 44, True), (7, 256, False), (7, 44, True)],
+    )
+    def test_tiles_bitwise_equal_per_tile_passes(self, monkeypatch, stride, side, complex_input):
+        # every tile is, bit for bit, the two _lattice_apply passes run for it
+        # alone; the window starts 3 and 1 samples off the input's block grid
+        rng = np.random.default_rng(stride * side)
+        vals = rng.normal(size=(37, 29))
+        if complex_input:
+            vals = vals + 1j * rng.normal(size=vals.shape)
+        dt = T / stride
+        phi = JointAmplitudeGrid(-1.0, 0.5, dt, vals)
+        j = JunctionCoupling(0.9)
+        kba = kernel_ba(j, T)
+        base1, base2 = -3, 1
+        n = 600
+        cuts = [slice(a, min(n, a + side)) for a in range(0, n, side)]
+        plan = [(rows, cuts) for rows in cuts]
+        pads = {(-(base2 + cols.start)) % stride for cols in cuts}
+        assert (len(pads) > 1) == (side % stride != 0)
+        strips = []
+        blocks = two_photon._lattice_blocks
+        monkeypatch.setattr(
+            two_photon, "_lattice_blocks", lambda *a: strips.append(a[3]) or blocks(*a)
+        )
+        tiles = _transform_tiles(phi, j, T, -1.0 + base1 * dt, 0.5 + base2 * dt, plan)
+        seen = 0
+        for rows, cols, tile in tiles:
+            mid = _lattice_apply(kba.c, kba.k0, stride, vals, 0, base1 + rows.start, rows.stop - rows.start)
+            want = _lattice_apply(kba.c, kba.k0, stride, mid, 1, base2 + cols.start, cols.stop - cols.start)
+            assert tile.dtype == want.dtype and tile.shape == want.shape
+            assert np.ascontiguousarray(tile).tobytes() == np.ascontiguousarray(want).tobytes()
+            seen += 1
+        assert seen == len(cuts) ** 2
+        # each row blocks its strip once per distinct pad
+        assert sorted(strips) == sorted(list(pads) * len(cuts))
 
     def test_incommensurate_rejected(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=0.3)

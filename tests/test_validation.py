@@ -95,16 +95,21 @@ def test_separable_tiles_above_the_budget():
 
 @pytest.mark.parametrize("rho", [0.5, 0.99])
 def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
-    # both passes of every tile are banded Toeplitz matrix products, as the
-    # whole window's were, so the check covers that branch on wide inputs
+    # each tile row runs one t1 pass and blocks its strip once (256-wide
+    # tiles at stride 8 share one pad); each tile runs one blocked t2 sum.
+    # Every pass is banded Toeplitz matrix products, as the whole window's
+    # were, so the check covers that branch on wide inputs
     tiles = validation._transform_tiles
-    apply, chunk = two_photon._lattice_apply, echo_kernels._gemm_chunk
-    walking, applies, chunks = [False], [], []
+    apply, blocks, summed = two_photon._lattice_apply, two_photon._lattice_blocks, two_photon._blocked_sum
+    chunk = echo_kernels._gemm_chunk
+    walking, calls, chunks = [False], [], []
 
-    def spied_apply(*args):
-        if walking[0]:
-            applies.append(args[4])  # the axis of the pass
-        return apply(*args)
+    def spy(name, fn):
+        def spied(*args):
+            if walking[0]:
+                calls.append(name)
+            return fn(*args)
+        return spied
 
     def spied_chunk(*args):
         out = chunk(*args)
@@ -124,15 +129,18 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
                 walking[0] = False
             yield item
 
-    monkeypatch.setattr(two_photon, "_lattice_apply", spied_apply)
+    monkeypatch.setattr(two_photon, "_lattice_apply", spy("t1", apply))
+    monkeypatch.setattr(two_photon, "_lattice_blocks", spy("strip", blocks))
+    monkeypatch.setattr(two_photon, "_blocked_sum", spy("t2", summed))
     monkeypatch.setattr(echo_kernels, "_gemm_chunk", spied_chunk)
     monkeypatch.setattr(validation, "_transform_tiles", spied_tiles)
     r = _result(run_suite(rho), "separable_factorization")
     assert r.passed, r.detail
     n_tiles = int(r.detail.rsplit(", ", 1)[1].split()[0])
-    assert applies.count(1) == n_tiles
-    assert 0 < applies.count(0) < n_tiles
-    assert len(chunks) == len(applies) and min(chunks) > 0
+    assert calls.count("t2") == n_tiles
+    assert 0 < calls.count("t1") == calls.count("strip") < n_tiles
+    # each t1 pass and each t2 sum picks its branch once
+    assert len(chunks) == calls.count("t1") + calls.count("t2") and min(chunks) > 0
 
 
 def test_checks_free_their_arrays(monkeypatch):
