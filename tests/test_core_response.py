@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ringecho import (
     JunctionCoupling,
     RingGeometry,
+    absorbed_fraction,
     fsr_integral,
     g_ab,
     g_ba,
@@ -98,11 +99,14 @@ class TestGca:
         for w in rng.uniform(-40, 40, 50):
             assert abs(g_ca(w + fsr, j, T) - g_ca(w, j, T)) < 1e-11
 
-    @pytest.mark.parametrize("fn", [g_ca, g_ba, g_ab, noise_power, sum_rule_residual, fsr_integral])
+    @pytest.mark.parametrize(
+        "fn", [g_ca, g_ba, g_ab, noise_power, sum_rule_residual, fsr_integral, absorbed_fraction]
+    )
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_round_trip(self, fn, T):
-        args = (JunctionCoupling(0.5), T) if fn is fsr_integral else (1.0, JunctionCoupling(0.5), T)
-        gamma = (0.1,) if fn in (noise_power, sum_rule_residual) else ()
+        j = JunctionCoupling(0.5)
+        args = (j, T) if fn in (fsr_integral, absorbed_fraction) else (1.0, j, T)
+        gamma = (0.1,) if fn in (noise_power, sum_rule_residual, absorbed_fraction) else ()
         with pytest.raises(ValueError, match="round-trip time must be finite and positive"):
             fn(*args, *gamma)
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ringecho.two_photon as two_photon
 from ringecho import (
     DeltaTrain,
     IncommensurateGrid,
@@ -24,7 +25,6 @@ from ringecho import (
     transform_output_on_window,
 )
 from ringecho.echo_kernels import _lattice_apply, _lattice_stride
-import ringecho.two_photon as two_photon
 from ringecho.two_photon import _transform_tiles, symmetric_axis
 
 T = 1.0
@@ -277,7 +277,8 @@ class TestTransformOutput:
         assert np.all(seen == 1)
 
     # (stride, side, complex input): one pad per tile row (256 at stride 8),
-    # two alternating pads (44 at stride 8), every pad in turn (256 at stride 7)
+    # two alternating pads (44 at stride 8), a new pad for each of a row's
+    # three tiles (256 at stride 7), all seven pads (44 at stride 7)
     @pytest.mark.parametrize(
         "stride,side,complex_input",
         [(8, 256, False), (8, 44, False), (8, 44, True), (7, 256, False), (7, 44, True)],
