@@ -30,10 +30,13 @@ Every lattice sum goes through ``_lattice_apply``: sampled signals
 ``correlate``, which apply one train's weights to the other's at stride 1
 over the full span of lags the pairwise definitions reach. It cuts the axis
 into blocks of one round trip and keeps only the kernel terms that reach the
-requested output window. It runs in two steps, ``_lattice_blocks``, which
-cuts the input into blocks, and ``_blocked_sum``, which adds the sum up
-from them; the two-photon tiles call the steps themselves, to block each
-strip once for several windows. The sum has three branches:
+requested output window. It runs in three steps: ``_sum_geometry``, which
+takes from shapes and offsets alone the kernel terms that reach the window,
+the branch and its band matrices; ``_lattice_blocks``, which cuts the input
+into blocks; and ``_blocked_product``, which adds the sum up from them. The
+two-photon tiles call the steps themselves, to block each strip once for
+several windows and to make each window's geometry once for several strips.
+The sum has three branches:
 
 - wide inputs, and output windows of no more blocks than there are
   columns: a matrix product with the banded Toeplitz matrix of the kernel,
@@ -367,9 +370,10 @@ def _gemm_chunk(n_c: int, qx: int, qy: int, cols: int) -> int:
     return chunk
 
 
-def _overlap_add(xb: np.ndarray, c: np.ndarray, shift: int, qy: int) -> np.ndarray:
-    """Rows ``[shift, shift + qy)`` of the full convolution of ``c`` with
-    every column of ``xb`` (blocks x columns), by FFT overlap-add.
+def _overlap_add(xb: np.ndarray, c: np.ndarray, shift: int, y: np.ndarray) -> None:
+    """Adds rows ``[shift, shift + len(y))`` of the full convolution of ``c``
+    with every column of ``xb`` (blocks x columns), by FFT overlap-add, into
+    ``y`` (output blocks x columns), which the caller zeroes.
 
     The longer operand is cut into segments; each takes one batched
     ``rfft``/``irfft`` pair over all columns against the transform of the
@@ -381,13 +385,12 @@ def _overlap_add(xb: np.ndarray, c: np.ndarray, shift: int, qy: int) -> np.ndarr
     """
     from numpy.fft import irfft, rfft  # deferred: importing ringecho stays cheap
 
-    n_x, n_c, cols = len(xb), len(c), xb.shape[1]
+    n_x, n_c, cols, qy = len(xb), len(c), xb.shape[1], len(y)
     short, long = min(n_x, n_c), max(n_x, n_c)
     n_fft = 1 << (2 * short - 1).bit_length()
     seg = n_fft - short + 1
     spec = np.empty((n_fft // 2 + 1, cols), np.complex128)
     part = np.empty((n_fft, cols))
-    y = np.zeros((qy, cols))
     fixed = rfft(c, n_fft)[:, None] if n_x >= n_c else rfft(xb, n_fft, axis=0)
     for a in range(0, long, seg):
         # segment a reaches full-convolution rows a .. a + len + short - 2
@@ -401,12 +404,11 @@ def _overlap_add(xb: np.ndarray, c: np.ndarray, shift: int, qy: int) -> np.ndarr
             np.multiply(fixed, rfft(c[a : a + seg], n_fft)[:, None], out=spec)
         irfft(spec, n_fft, axis=0, out=part)
         y[lo - shift : hi - shift] += part[lo - a : hi - a]
-    return y
 
 
 class _Blocks(NamedTuple):
     """An array cut into blocks of ``stride`` samples along one axis
-    (``_lattice_blocks``), as ``_blocked_sum`` reads it."""
+    (``_lattice_blocks``), as ``_blocked_product`` reads it."""
 
     xb: np.ndarray  # (blocks, float columns); row p holds samples from p stride - pad on
     stride: int
@@ -414,6 +416,13 @@ class _Blocks(NamedTuple):
     dtype: np.dtype  # float64 or complex128, the input's and the output's
     rest: tuple[int, ...]  # the lengths of the other axes, in the order kept
     axis: int
+
+
+def _block_shape(x: np.ndarray, axis: int, stride: int, pad: int) -> tuple[int, int]:
+    """``(blocks, float columns)`` of ``_lattice_blocks(x, axis, stride, pad)``,
+    without cutting them."""
+    rest = x.swapaxes(axis, 0).shape[1:]
+    return -(-(pad + x.shape[axis]) // stride), stride * math.prod(rest) * (x.itemsize // 8)
 
 
 def _lattice_blocks(x: np.ndarray, axis: int, stride: int, pad: int) -> _Blocks:
@@ -437,46 +446,102 @@ def _lattice_blocks(x: np.ndarray, axis: int, stride: int, pad: int) -> _Blocks:
     return _Blocks(xb, stride, pad, x.dtype, rest, axis)
 
 
-def _blocked_sum(c: np.ndarray, k0: int, blocks: _Blocks, start: int, n_out: int) -> np.ndarray:
-    """Rows ``[start, start + n_out)`` of ``y[i] = sum_k c[k - k0] x[i - k stride]``,
-    ``x`` given as its ``blocks``, which must put output row ``start`` on a
-    block boundary (``(-start) % stride == pad``). ``_lattice_apply``
-    describes the sum, its branches and its result."""
-    xb, stride, pad, dtype, rest, axis = blocks
-    del blocks  # unless the caller holds them, the per-column branch frees a blocked copy
+class _SumGeometry(NamedTuple):
+    """Everything of one blocked sum that follows from shapes and offsets
+    alone (``_sum_geometry``), as ``_blocked_product`` reads it."""
+
+    stride: int
+    pad: int
+    qx: int  # input blocks
+    cols: int  # float columns
+    n_out: int
+    qy: int  # output blocks
+    c: np.ndarray  # the kernel terms that reach the output window
+    shift: int  # output block q reads input blocks q + shift - len(c) + 1 .. q + shift
+    branch: str  # "products", "fft", "direct", or "none" where no term reaches the window
+    chunk: int  # output blocks per matrix product; 0 off the "products" branch
+    # (qa, qb, pa, pb, K) per chunk: output blocks qa..qb are K @ input blocks
+    # pa..pb; K is None where no input block reaches the chunk
+    bands: tuple[tuple[int, int, int, int, np.ndarray | None], ...]
+
+
+def _sum_geometry(
+    c: np.ndarray, k0: int, stride: int, pad: int, qx: int, cols: int, start: int, n_out: int
+) -> _SumGeometry:
+    """The geometry of rows ``[start, start + n_out)`` of ``y[i] = sum_k c[k
+    - k0] x[i - k stride]`` summed from ``qx`` blocks of ``cols`` float
+    columns behind ``pad`` zero samples, which must put output row ``start``
+    on a block boundary (``(-start) % stride == pad``): the kernel terms
+    that reach the window, the branch, and on the branch of matrix products
+    their chunk (``_gemm_chunk``) and band matrices (``_toeplitz_band``).
+    Sums of the same shapes and offsets share one geometry.
+    ``_lattice_apply`` describes the sum and its branches."""
     if (start + pad) % stride:
         raise ValueError(f"output row {start} is not on a block boundary at pad {pad}")
-    qx = len(xb)
     qy = -(-n_out // stride)
     e0 = (start + pad) // stride  # output block q reads input block q + e0 - k
     lo = max(0, e0 - qx + 1 - k0)
     c = c[lo : max(lo, min(len(c), e0 + qy - k0))]
     k0 += lo
-    if not len(c):  # no kernel term reaches the output window
-        return np.zeros((n_out,) + rest, dtype=dtype).swapaxes(0, axis)
-    n_c, cols = len(c), xb.shape[1]
-    shift = e0 - k0  # output block q reads input blocks q + shift - n_c + 1 .. q + shift
-    chunk = _gemm_chunk(n_c, qx, qy, cols)
-    if chunk:
-        y = np.empty((qy, cols))  # each chunk writes all of its rows
-        for qa in range(0, qy, chunk):
-            qb = min(qy, qa + chunk)
-            pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
-            if pa < pb:
-                K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa)
-                np.matmul(K, xb[pa:pb], out=y[qa:qb])
-            else:  # no input block reaches the chunk
-                y[qa:qb] = 0.0
+    n_c = len(c)
+    shift = e0 - k0
+    chunk = _gemm_chunk(n_c, qx, qy, cols) if n_c else 0
+    if not n_c:
+        branch = "none"
+    elif chunk:
+        branch = "products"
     elif min(n_c, qx) >= _MIN_FFT and min(n_c, qx) * cols >= _MIN_FFT_WORK:
-        y = _overlap_add(xb, c, shift, qy)
+        branch = "fft"
     else:
-        xb = np.ascontiguousarray(xb.T)  # one column per row
-        y = np.zeros((qy, cols))
+        branch = "direct"
+    bands = []
+    for qa in range(0, qy, chunk) if chunk else ():
+        qb = min(qy, qa + chunk)
+        pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
+        K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa) if pa < pb else None
+        bands.append((qa, qb, pa, pb, K))
+    return _SumGeometry(stride, pad, qx, cols, n_out, qy, c, shift, branch, chunk, tuple(bands))
+
+
+def _blocked_product(g: _SumGeometry, blocks: _Blocks, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum whose geometry is ``g``, on the ``blocks`` it was made for.
+
+    The result is written into ``out`` when given, a float64 array of at
+    least ``g.qy * g.cols`` elements whose start it takes over, and is a
+    view of it; otherwise into a new array. ``_lattice_apply`` describes
+    the sum, its branches and its result."""
+    xb, stride, pad, dtype, rest, axis = blocks
+    del blocks  # unless the caller holds them, the per-column branch frees a blocked copy
+    if (stride, pad, len(xb), xb.shape[1]) != (g.stride, g.pad, g.qx, g.cols):
+        raise ValueError(
+            f"blocks of stride {stride}, pad {pad} and shape {xb.shape} do not fit "
+            f"the sum's stride {g.stride}, pad {g.pad} and shape {(g.qx, g.cols)}"
+        )
+    qy, cols, c, shift, branch = g.qy, g.cols, g.c, g.shift, g.branch
+    if branch == "direct":  # one column per row, made before the output
+        xb = np.ascontiguousarray(xb.T)
+    products = branch == "products"  # which write every row
+    if out is None:
+        y = (np.empty if products else np.zeros)((qy, cols))
+    else:
+        y = out[: qy * cols].reshape(qy, cols)
+        if not products:
+            y.fill(0.0)
+    if products:
+        for qa, qb, pa, pb, K in g.bands:
+            if K is None:  # no input block reaches the chunk
+                y[qa:qb] = 0.0
+            else:
+                np.matmul(K, xb[pa:pb], out=y[qa:qb])
+    elif branch == "fft":
+        _overlap_add(xb, c, shift, y)
+    elif branch == "direct":
         # output block q is entry q + shift of the full convolution
-        q_lo, q_hi = max(0, -shift), min(qy, qx + n_c - 1 - shift)
+        q_lo, q_hi = max(0, -shift), min(qy, g.qx + len(c) - 1 - shift)
         for col in range(cols):
             y[q_lo:q_hi, col] = np.convolve(xb[col], c)[q_lo + shift : q_hi + shift]
-    y = y.view(dtype).reshape((qy * stride,) + rest)[:n_out]
+    # on the "none" branch no kernel term reaches the window: y stays zero
+    y = y.view(dtype).reshape((qy * stride,) + rest)[: g.n_out]
     return y.swapaxes(0, axis)
 
 
@@ -510,7 +575,9 @@ def _lattice_apply(
       input blocks its chunk reaches and holds no more entries than the
       output it produces, except on a window of no more blocks than there
       are columns, which is one product whose ``K`` holds no more entries
-      than the input slice it reads. The branch rule counts the output: a
+      than the input slice it reads. The geometry holds every ``K`` of the
+      sum at once, so they too hold no more entries together than the
+      output, or than that one slice. The branch rule counts the output: a
       narrow window of a long kernel is a product, never the FFT.
     - When the cropped kernel and the input both have at least ``_MIN_FFT``
       blocks, and the shorter of them times the column count is at least
@@ -529,11 +596,18 @@ def _lattice_apply(
     takes the FFT branch, gives bitwise-exact output. The result is a view
     with ``axis`` outermost in memory.
 
-    The work is two steps, ``_lattice_blocks`` and then ``_blocked_sum``: a
-    caller that sums several windows of one input with the same ``(-start)
-    % stride`` blocks the input once and runs the second step per window.
+    The work is three steps: ``_sum_geometry`` takes from shapes and
+    offsets alone which kernel terms reach the window, the branch and its
+    band matrices; ``_lattice_blocks`` cuts the input into blocks; and
+    ``_blocked_product`` runs the sum on them. A caller that sums several
+    windows of one input with the same ``(-start) % stride`` blocks the
+    input once, and one that sums windows of the same shapes and offsets on
+    several inputs makes their geometry once; either runs the last step per
+    window.
     """
-    return _blocked_sum(c, k0, _lattice_blocks(x, axis, stride, (-start) % stride), start, n_out)
+    pad = (-start) % stride
+    geometry = _sum_geometry(c, k0, stride, pad, *_block_shape(x, axis, stride, pad), start, n_out)
+    return _blocked_product(geometry, _lattice_blocks(x, axis, stride, pad))
 
 
 def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:

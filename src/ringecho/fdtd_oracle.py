@@ -78,6 +78,12 @@ class RingState:
         is the state of the freshly injected cell at the end of the step,
         i.e. after the loss factor for this step has acted on it, so with
         loss it approximates the continuous field to first order in dt.
+
+        ``run`` agrees with this step bit for bit only above the underflow
+        range. With loss, once a ringdown underflows, the step's scalar
+        complex product and ``run``'s array product can round the same
+        subnormal field to zeros of opposite sign; every nonzero value
+        still agrees.
         """
         rho, tau = self.coupling.rho, self.coupling.tau
         c_last = self.cells[-1]
@@ -107,9 +113,13 @@ def run(
     The input spacing must equal T/M (the caller resamples if needed);
     one cell per round trip, M = 1, samples the lattice exactly.
     Advances one round trip per loop step, bitwise equal to calling
-    ``RingState.step`` once per sample. Trip by trip: the cell reaching
-    the junction at sample s of the trip is the one injected at sample s of
-    the trip before, so with ``a`` the trip's M inputs and ``c`` those cells,
+    ``RingState.step`` once per sample above the underflow range: with
+    loss, where a ringdown underflows, a zero can differ in sign from the
+    step's (numpy's array loop and its scalars round a subnormal complex
+    product differently), while every nonzero value agrees. Trip by trip:
+    the cell reaching the junction at sample s of the trip is the one
+    injected at sample s of the trip before, so with ``a`` the trip's M
+    inputs and ``c`` those cells,
 
         b = tau * c - rho * a,    c <- rho * c + tau * a,
 

@@ -19,13 +19,19 @@ The direct transform has one code path, ``_transform_tiles``: a lattice
 sum along t1 and then one along t2, restricted to a rectangular tile of an
 output window. The t1 pass runs once per row of tiles. Its strip is cut
 into round-trip blocks along t2 once for the row (once per distinct block
-offset of the row's tiles), and each tile's t2 pass sums those blocks.
-Those are the two steps of ``_lattice_apply`` (``_lattice_blocks``, then
-``_blocked_sum``), so each tile is bit for bit what the two
-``_lattice_apply`` passes run for it alone give. ``transform_output`` (the
-full echo extension) and ``transform_output_on_window`` are its one-tile
-cases; ``validation`` walks a large window tile by tile, so the window is
-never stored whole.
+offset of the row's tiles). The t2 pass's geometry (the kernel terms that
+reach the tile, the chunking and the band matrices) depends only on the
+tile's t2 range and height, so the walk makes it once per tile column and
+row height, and each tile runs its products on the row's blocks. Those are
+the steps of ``_lattice_apply`` (``_sum_geometry``, ``_lattice_blocks``,
+``_blocked_product``), so each tile is bit for bit what the two
+``_lattice_apply`` passes run for it alone give. Every tile of a walk is
+written into one buffer, made for the walk's largest tile: a yielded tile
+holds until the next is asked for, which overwrites it.
+``transform_output`` (the full echo extension) and
+``transform_output_on_window`` are its one-tile cases and return that
+buffer, shared with nothing, without a copy; ``validation`` walks a large
+window tile by tile, so the window is never stored whole.
 
 Amplitudes are unnormalized throughout; only relative quantities are used.
 """
@@ -45,12 +51,14 @@ from .echo_kernels import (
     SampledSignal,
     _STRIP,
     _Blocks,
+    _SumGeometry,
     _amplitudes,
-    _blocked_sum,
+    _blocked_product,
     _lattice_apply,
     _lattice_blocks,
     _lattice_stride,
     _sum_abs_sq,
+    _sum_geometry,
     correlate,
     kernel_ba,
 )
@@ -243,27 +251,55 @@ def _transform_tiles(
     blocked along t2 (``_lattice_blocks``) once per distinct pad
     ``(-start) % stride`` among the row's t2 starts: once for tiles whose
     width is a multiple of the stride, at most ``stride`` times a row. The
-    pass along t2 sums those blocks (``_blocked_sum``) once per tile. So a
-    tile is bit for bit the two ``_lattice_apply`` passes run for it alone,
-    and no more than one tile and one t1 strip with its blocked copies are
-    held at a time, whatever the window's size. A tile's cells equal the
-    whole window's to rounding, and bitwise when the tile is the window.
-    Each window start must lie on its input axis's grid.
+    pass along t2 has its geometry (``_sum_geometry``: kernel crop, chunk
+    and band matrices) made once per walk for each distinct t2 range and
+    row height, so once per tile column while the rows are of one height,
+    and runs its products on the blocks (``_blocked_product``) once per
+    tile. So a tile is bit for bit the two ``_lattice_apply`` passes run
+    for it alone. A tile's cells equal the whole window's to rounding, and
+    bitwise when the tile is the window. Each window start must lie on its
+    input axis's grid.
+
+    Every tile is written into one buffer, made once per walk for its
+    largest tile: ``values`` is a view of it and holds until the next tile
+    is asked for, which overwrites it. A one-tile walk's buffer is its
+    tile's alone, so ``transform_output`` and ``transform_output_on_window``
+    return it without a copy. Besides the buffer, no more than one t1 strip
+    with its blocked copies, and the walk's geometries, are held at a time,
+    whatever the window's size.
     """
     stride = _lattice_stride(T, phi.dt)
     base1 = _grid_offset(t1_start, phi.t1_start, phi.dt)
     base2 = _grid_offset(t2_start, phi.t2_start, phi.dt)
     kba = kernel_ba(j, T, eps)
+    # float columns per sample: the real and imaginary parts of a complex grid
+    width = phi.values.itemsize // 8
+    # the t2 pass of a tile writes whole blocks: qy stride samples per t1 sample
+    largest = max(
+        (
+            -(-(cols.stop - cols.start) // stride) * stride * (rows.stop - rows.start) * width
+            for rows, cols_list in tiles
+            for cols in cols_list
+        ),
+        default=0,
+    )
+    buf = np.empty(largest)
+    geometries: dict[tuple[int, int, int, int], _SumGeometry] = {}
     for rows, cols_list in tiles:
         n1 = rows.stop - rows.start
         mid = _lattice_apply(kba.c, kba.k0, stride, phi.values, 0, base1 + rows.start, n1)
         strips: dict[int, _Blocks] = {}  # mid blocked along t2, by pad
         for cols in cols_list:
-            start = base2 + cols.start
+            start, n_out = base2 + cols.start, cols.stop - cols.start
             pad = (-start) % stride
             if pad not in strips:
                 strips[pad] = _lattice_blocks(mid, 1, stride, pad)
-            yield rows, cols, _blocked_sum(kba.c, kba.k0, strips[pad], start, cols.stop - cols.start)
+            strip = strips[pad]
+            qx, n_cols = strip.xb.shape
+            key = (start, n_out, pad, n_cols)
+            if key not in geometries:
+                geometries[key] = _sum_geometry(kba.c, kba.k0, stride, pad, qx, n_cols, start, n_out)
+            yield rows, cols, _blocked_product(geometries[key], strip, buf)
 
 
 def cw_output(

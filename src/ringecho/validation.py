@@ -25,6 +25,12 @@ the apply checks, each build it from the suite.
 Identities between lattice weights are checked on the weights, since an
 apply to a signal would add only rounding and work: ``kernel_spectrum_match``,
 ``factor_form_equivalence``, ``ladder_resummation``, ``reindexing_identity``.
+``kernel_spectrum_match`` sums the output kernel's n weights against 101
+exponentials in blocks of ``max(64, isqrt(n))`` weights: one table
+``exp(i w j T)`` over a block's offsets and one phase ``exp(i w (k0 + b)
+T)`` per block, about ``2 x 101 sqrt(n)`` exponentials and a table of
+0.7 MB at rho = 0.9999. The two phases add up to ``w k T`` whatever the
+block size, so its first-order tolerance does not depend on it.
 Signals are read by the checks of the apply layer and what is built on it:
 ``apply_round_trip``, ``apply_parseval``, ``dispersion_cancellation``,
 ``closed_form_match``, ``separable_factorization`` and the two oracle checks.
@@ -39,7 +45,9 @@ with ``p2 (x) p1`` on a square window whose side grows as 1/(1 - rho), 6569
 samples at rho = 0.97 and about 171k at 0.999. It never stores the window:
 it computes it one square tile of ``_COMPARE_CELLS`` cells at a time
 (``two_photon._transform_tiles``, which blocks each row's t1 strip once for
-all of the row's tiles) and compares each tile while it is in cache. The
+all of the row's tiles, makes each tile column's t2 geometry once, and
+writes every tile into one reused buffer) and compares each tile while it
+is in cache, before it asks for the next, which overwrites it. The
 tile's reference ``p2 (x) p1`` is one BLAS matrix product, ``(n2 x 2) @
 (2 x n1)`` with a zero second column and row: einsum's once-rounded
 products in less time, up to the sign of an exact zero, which cannot move
@@ -110,10 +118,12 @@ _COMPARE_CELLS = 1 << 16
 _EVERY_CELL_BUDGET = 1 << 26
 _SAMPLED_CELLS = 1 << 24
 _INTERIOR_TILES = 8
-# kernel weights per block of kernel_spectrum_match's DFT, whose exp(i w j T)
-# table is 6.6 MB at this size with its 101 frequencies (smaller for a shorter
-# kernel): 2361 weights at rho = 0.99 and eps 1e-12 fit one, 191,130 at 0.9999 47
-_DFT_BLOCK = 4096
+# kernel_spectrum_match's DFT takes blocks of max(_MIN_DFT_BLOCK, isqrt(n))
+# of the kernel's n weights: one exp(i w j T) table of 101 x block and one
+# phase per block and frequency, about 2 x 101 sqrt(n) exponentials in all
+# (437 weights a block at rho = 0.9999 and eps 1e-12, a 0.7 MB table); the
+# floor keeps a short kernel to a few blocks, each a few numpy calls
+_MIN_DFT_BLOCK = 64
 
 
 def _separable_tiles(n: int, rng: np.random.Generator) -> list[tuple[slice, list[slice]]]:
@@ -295,13 +305,15 @@ def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
     fsr = 2.0 * math.pi / T
     ws = np.linspace(-2.5 * fsr, 2.5 * fsr, 101)
     # exp(i w k T) as one phase exp(i w (k0 + b) T) per block of weights,
-    # times a table exp(i w j T) for the offsets j in a block
+    # times a table exp(i w j T) for the offsets j in a block; blocks of
+    # about sqrt(n) weights make as many phases as table entries
     n = len(kba.c)
-    table = np.multiply.outer(1j * ws, np.arange(min(_DFT_BLOCK, n)) * T)
+    block = max(_MIN_DFT_BLOCK, math.isqrt(n))
+    table = np.multiply.outer(1j * ws, np.arange(min(block, n)) * T)
     np.exp(table, out=table)
     dft = np.zeros(len(ws), dtype=complex)
-    for b in range(0, n, _DFT_BLOCK):
-        blk = kba.c[b : b + _DFT_BLOCK]
+    for b in range(0, n, block):
+        blk = kba.c[b : b + block]
         dft += np.exp(1j * ws * ((kba.k0 + b) * T)) * (table[:, : len(blk)] @ blk)
     # the truncated kernel's spectrum is g_ba less the echoes it dropped,
     # sum_{k>=N} tau^2 rho^(k-1) exp(i w k T) = tau rho^(N-1) exp(i w N T) g_ca(w)

@@ -636,7 +636,7 @@ class TestTrainSumsByFFT:
 class TestLatticeApplyMemory:
     """On a whole output, ``_lattice_apply`` holds at most three outputs'
     worth of memory: the blocked input copy (none for a block-aligned
-    input), the output, and a band matrix no larger than it."""
+    input), the output, and band matrices no larger than it together."""
 
     @pytest.mark.parametrize(
         "shape,stride",
@@ -679,10 +679,15 @@ class TestLatticeApplyMemory:
         assert np.array_equal(out, f.c[0] * x[1:])
         assert peak <= 2.1 * out.size * 16
 
-    def test_blocked_sum_refuses_blocks_of_another_pad(self):
+    def test_blocked_product_refuses_blocks_of_another_pad(self):
+        # the geometry refuses a window off its pad's block grid, and the
+        # product refuses blocks cut at another pad than its geometry's
         blocks = echo_kernels._lattice_blocks(np.ones(40), 0, 8, 3)
         with pytest.raises(ValueError, match="not on a block boundary"):
-            echo_kernels._blocked_sum(np.ones(3), 0, blocks, 4, 16)
+            echo_kernels._sum_geometry(np.ones(3), 0, 8, 3, *blocks.xb.shape, 4, 16)
+        geometry = echo_kernels._sum_geometry(np.ones(3), 0, 8, 4, *blocks.xb.shape, 4, 16)
+        with pytest.raises(ValueError, match="do not fit"):
+            echo_kernels._blocked_product(geometry, blocks)
 
     # (shape, stride, kernel terms, branches): band products, the direct sum, the FFT
     @pytest.mark.parametrize(
@@ -709,8 +714,8 @@ class TestLatticeApplyMemory:
         assert set(taken) == branches
         assert np.array_equal(out, _lattice_apply(c, 0, stride, strided, 0, 0, n_out))
         if branches == {"gemm"}:
-            # the output and one band matrix no larger than the chunk it
-            # produces; a blocked copy would add a whole input
+            # the output and its band matrices, nine of 16 x 18 entries,
+            # held together; a blocked copy would add a whole input
             out_bytes = out.size * 16
             assert peak <= out_bytes + out_bytes // 4
 

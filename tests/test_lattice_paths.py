@@ -1,11 +1,14 @@
 """One lattice-sum path: numpy's convolution and FFT calls in the package sit
-inside ``echo_kernels._blocked_sum``, the summing step of ``_lattice_apply``,
-and its FFT branch ``_overlap_add``.
+inside ``echo_kernels._blocked_product``, the summing step of
+``_lattice_apply``, and its FFT branch ``_overlap_add``; its band matrices
+are made in one place, the geometry step ``_sum_geometry``.
 
 Every time-domain quantity is a sum on the round-trip lattice, and
-``_blocked_sum`` is the one place that chooses how to add it up (direct
-sum, banded matrix product or FFT overlap-add). A numpy convolution or FFT
-anywhere else would be a second path with its own branch rule and rounding.
+``_sum_geometry`` and ``_blocked_product`` are the one place that chooses
+how to add it up (direct sum, banded matrix product or FFT overlap-add). A
+numpy convolution or FFT anywhere else, or a band matrix made outside the
+geometry step (a second product path, say in the two-photon tile walk or in
+a check), would be a second path with its own branch rule and rounding.
 """
 
 import ast
@@ -15,7 +18,7 @@ import ringecho
 
 PACKAGE = Path(ringecho.__file__).parent
 SUMS = {"convolve", "correlate", "fft", "ifft", "rfft", "irfft"}
-ALLOWED = {("echo_kernels.py", "_blocked_sum"), ("echo_kernels.py", "_overlap_add")}
+ALLOWED = {("echo_kernels.py", "_blocked_product"), ("echo_kernels.py", "_overlap_add")}
 
 
 def numpy_sum_calls(tree: ast.AST) -> list[tuple[str | None, str]]:
@@ -68,8 +71,60 @@ def test_numpy_sums_only_inside_lattice_apply():
 def test_np_convolve_has_one_call_site():
     tree = ast.parse((PACKAGE / "echo_kernels.py").read_text())
     assert [c for c in numpy_sum_calls(tree) if c[1] == "convolve"] == [
-        ("_blocked_sum", "convolve")
+        ("_blocked_product", "convolve")
     ]
+
+
+def calls_of(tree: ast.AST, name: str) -> list[str | None]:
+    """The enclosing function of each call of ``name``: by its own name,
+    under an alias it was imported as, or as an attribute
+    (``echo_kernels._toeplitz_band``)."""
+    spellings = {name} | {
+        a.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name == name and a.asname
+    }
+    found = []
+
+    def visit(node: ast.AST, where: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in spellings) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_toeplitz_band_has_one_call_site():
+    # the band matrices are made by the geometry step alone
+    sites = [
+        (path.name, where)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in calls_of(ast.parse(path.read_text()), "_toeplitz_band")
+    ]
+    assert sites == [("echo_kernels.py", "_sum_geometry")]
+
+
+def test_call_detector_sees_names_and_attributes():
+    src = """
+from ringecho import echo_kernels as ek
+from ringecho.echo_kernels import _toeplitz_band as band
+
+def walk(c):
+    return ek._toeplitz_band(c, 0, 2, 2), _toeplitz_band(c, 0, 1, 1)
+
+band(None, 0, 1, 1)
+"""
+    assert calls_of(ast.parse(src), "_toeplitz_band") == ["walk", "walk", None]
 
 
 def test_detector_sees_every_spelling():

@@ -300,22 +300,83 @@ class TestTransformOutput:
         plan = [(rows, cuts) for rows in cuts]
         pads = {(-(base2 + cols.start)) % stride for cols in cuts}
         assert (len(pads) > 1) == (side % stride != 0)
-        strips = []
-        blocks = two_photon._lattice_blocks
+        strips, geometries = [], []
+        blocks, geometry = two_photon._lattice_blocks, two_photon._sum_geometry
         monkeypatch.setattr(
             two_photon, "_lattice_blocks", lambda *a: strips.append(a[3]) or blocks(*a)
         )
+        monkeypatch.setattr(
+            two_photon, "_sum_geometry", lambda *a: geometries.append(a[2:]) or geometry(*a)
+        )
         tiles = _transform_tiles(phi, j, T, -1.0 + base1 * dt, 0.5 + base2 * dt, plan)
-        seen = 0
+        seen, buffers = 0, set()
         for rows, cols, tile in tiles:
             mid = _lattice_apply(kba.c, kba.k0, stride, vals, 0, base1 + rows.start, rows.stop - rows.start)
             want = _lattice_apply(kba.c, kba.k0, stride, mid, 1, base2 + cols.start, cols.stop - cols.start)
             assert tile.dtype == want.dtype and tile.shape == want.shape
             assert np.ascontiguousarray(tile).tobytes() == np.ascontiguousarray(want).tobytes()
+            buffers.add(tile.__array_interface__["data"][0])
             seen += 1
         assert seen == len(cuts) ** 2
         # each row blocks its strip once per distinct pad
         assert sorted(strips) == sorted(list(pads) * len(cuts))
+        # the t2 geometry is made once per tile column on the rows of full
+        # height, and once more per column on the narrower last row: 2 C of
+        # this R x C walk's tiles, not R C
+        assert len(geometries) == len(set(geometries)) == 2 * len(cuts) < seen
+        # every tile is written to the start of one buffer
+        assert len(buffers) == 1
+
+    def test_tiles_off_the_product_branch_reuse_the_buffer(self, monkeypatch):
+        # after a tile of matrix products has filled the walk's buffer, a tile
+        # that no kernel term reaches (it ends before the input starts) and a
+        # one-row tile summed column by column are still, bit for bit, their
+        # two _lattice_apply passes: each writes every cell it yields
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=(37, 29))
+        phi = JointAmplitudeGrid(-1.0, 0.5, T / 8, vals)
+        j = JunctionCoupling(0.9)
+        kba = kernel_ba(j, T)
+        base2 = -100
+        plan = [
+            (slice(0, 40), [slice(100, 356), slice(0, 50)]),
+            (slice(40, 41), [slice(100, 105), slice(0, 50)]),
+        ]
+        branches = []
+        product = two_photon._blocked_product
+
+        def spied(g, *args):
+            branches.append(g.branch)
+            return product(g, *args)
+
+        monkeypatch.setattr(two_photon, "_blocked_product", spied)
+        tiles = _transform_tiles(phi, j, T, -1.0, 0.5 + base2 * T / 8, plan)
+        for rows, cols, tile in tiles:
+            mid = _lattice_apply(kba.c, kba.k0, 8, vals, 0, rows.start, rows.stop - rows.start)
+            want = _lattice_apply(kba.c, kba.k0, 8, mid, 1, base2 + cols.start, cols.stop - cols.start)
+            assert np.ascontiguousarray(tile).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert branches == ["products", "none", "direct", "none"]
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_result_owns_its_buffer(self, complex_input):
+        # a one-tile walk returns its tile buffer, no larger than the result
+        # rounded up to whole round trips along t2, and shared with nothing:
+        # two calls' results are apart, and writing one leaves the other
+        grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.4), dt=T / 8)
+        if complex_input:
+            grid = JointAmplitudeGrid(grid.t1_start, grid.t2_start, grid.dt, grid.values * (1 + 1j))
+        j = JunctionCoupling(0.5)
+        out = transform_output(grid, j, T).values
+        again = transform_output(grid, j, T).values
+        base = out
+        while base.base is not None:
+            base = base.base
+        n1, n2 = out.shape
+        assert base.nbytes == n1 * (-(-n2 // 8) * 8) * out.itemsize
+        assert not np.shares_memory(out, again)
+        before = again.copy()
+        out[...] = 0.0
+        assert np.array_equal(again, before)
 
     def test_incommensurate_rejected(self):
         grid = gaussian_amplitude(TwoPhotonGaussian(0.3, 0.3), dt=0.3)

@@ -6,6 +6,7 @@ the weight checks see a 1e-8 fault in the weights they read and stay small
 at rho = 0.9999, ``separable_factorization`` walks its window tile by tile
 in bounded memory, and no check's arrays outlive it."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -96,13 +97,15 @@ def test_separable_tiles_above_the_budget():
 @pytest.mark.parametrize("rho", [0.5, 0.99])
 def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
     # each tile row runs one t1 pass and blocks its strip once (256-wide
-    # tiles at stride 8 share one pad); each tile runs one blocked t2 sum.
-    # Every pass is banded Toeplitz matrix products, as the whole window's
-    # were, so the check covers that branch on wide inputs
+    # tiles at stride 8 share one pad); the t2 pass makes its geometry once
+    # per tile column and row height, and runs one banded product step per
+    # tile. Every pass is banded Toeplitz matrix products, as the whole
+    # window's were, so the check covers that branch on wide inputs
     tiles = validation._transform_tiles
-    apply, blocks, summed = two_photon._lattice_apply, two_photon._lattice_blocks, two_photon._blocked_sum
+    apply, blocks = two_photon._lattice_apply, two_photon._lattice_blocks
+    geometry, product = two_photon._sum_geometry, two_photon._blocked_product
     chunk = echo_kernels._gemm_chunk
-    walking, calls, chunks = [False], [], []
+    walking, calls, chunks, plans, used = [False], [], [], [], []
 
     def spy(name, fn):
         def spied(*args):
@@ -117,7 +120,13 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
             chunks.append(out)
         return out
 
+    def spied_product(g, *args):
+        if walking[0]:
+            used.append(g.branch)
+        return product(g, *args)
+
     def spied_tiles(*args):
+        plans.append(args[5])
         it = tiles(*args)
         while True:
             walking[0] = True
@@ -131,16 +140,26 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
 
     monkeypatch.setattr(two_photon, "_lattice_apply", spy("t1", apply))
     monkeypatch.setattr(two_photon, "_lattice_blocks", spy("strip", blocks))
-    monkeypatch.setattr(two_photon, "_blocked_sum", spy("t2", summed))
+    monkeypatch.setattr(two_photon, "_sum_geometry", spy("t2 geometry", geometry))
+    monkeypatch.setattr(two_photon, "_blocked_product", spied_product)
     monkeypatch.setattr(echo_kernels, "_gemm_chunk", spied_chunk)
     monkeypatch.setattr(validation, "_transform_tiles", spied_tiles)
     r = _result(run_suite(rho), "separable_factorization")
     assert r.passed, r.detail
     n_tiles = int(r.detail.rsplit(", ", 1)[1].split()[0])
-    assert calls.count("t2") == n_tiles
+    (plan,) = plans
+    columns = {
+        (cols.start, cols.stop, rows.stop - rows.start) for rows, cols_list in plan for cols in cols_list
+    }
+    assert len(used) == n_tiles
+    assert calls.count("t2 geometry") == len(columns)
     assert 0 < calls.count("t1") == calls.count("strip") < n_tiles
-    # each t1 pass and each t2 sum picks its branch once
-    assert len(chunks) == calls.count("t1") + calls.count("t2") and min(chunks) > 0
+    # each t1 pass and each t2 geometry picks its branch once, and every
+    # tile's product step runs matrix products
+    assert len(chunks) == calls.count("t1") + calls.count("t2 geometry") and min(chunks) > 0
+    assert set(used) == {"products"}
+    if rho == 0.99:  # sampled tiles: many share a column
+        assert len(columns) < n_tiles
 
 
 def test_checks_free_their_arrays(monkeypatch):
@@ -259,6 +278,16 @@ def test_weight_checks_build_no_signal(check):
     # at rho = 0.9999 the output kernel has 191,130 weights (1.5 MiB); an
     # apply to a signal would build outputs of about 3 million samples
     suite = validation._Suite(0.9999, 1.0, 1e-12)
+    n = len(suite.kba.c)
+    bound = 16 * 2**20
+    if check == "kernel_spectrum_match":
+        # three arrays of n float64 (the weights' magnitudes and the two
+        # index arrays of the phase term), the complex exp table of 101
+        # frequencies by one block of weights, and 256 KiB for the arrays of
+        # 101 frequencies and numpy's ufunc buffers: 5.3 MiB, where a table
+        # of 4096 weights a block alone would take 6.3
+        block = max(validation._MIN_DFT_BLOCK, math.isqrt(n))
+        bound = 3 * 8 * n + 16 * 101 * block + (256 << 10)
     tracemalloc.start()
     try:
         passed, detail = getattr(validation, f"_{check}")(suite)
@@ -266,7 +295,7 @@ def test_weight_checks_build_no_signal(check):
     finally:
         tracemalloc.stop()
     assert passed, detail
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_negative_control_reports_a_miss(monkeypatch):
