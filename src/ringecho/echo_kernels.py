@@ -459,9 +459,9 @@ class _SumGeometry(NamedTuple):
     c: np.ndarray  # the kernel terms that reach the output window
     shift: int  # output block q reads input blocks q + shift - len(c) + 1 .. q + shift
     branch: str  # "products", "fft", "direct", or "none" where no term reaches the window
-    chunk: int  # output blocks per matrix product; 0 off the "products" branch
-    # (qa, qb, pa, pb, K) per chunk: output blocks qa..qb are K @ input blocks
-    # pa..pb; K is None where no input block reaches the chunk
+    # on the "products" branch, (qa, qb, pa, pb, K) per chunk of output blocks
+    # (_gemm_chunk): blocks qa..qb are K @ input blocks pa..pb, and K is None
+    # where no input block reaches the chunk
     bands: tuple[tuple[int, int, int, int, np.ndarray | None], ...]
 
 
@@ -500,7 +500,7 @@ def _sum_geometry(
         pa, pb = max(0, qa + shift - n_c + 1), min(qx, qb + shift)
         K = _toeplitz_band(c, qa + shift - pa, qb - qa, pb - pa) if pa < pb else None
         bands.append((qa, qb, pa, pb, K))
-    return _SumGeometry(stride, pad, qx, cols, n_out, qy, c, shift, branch, chunk, tuple(bands))
+    return _SumGeometry(stride, pad, qx, cols, n_out, qy, c, shift, branch, tuple(bands))
 
 
 def _blocked_product(g: _SumGeometry, blocks: _Blocks, out: np.ndarray | None = None) -> np.ndarray:
