@@ -43,7 +43,6 @@ from .highq import (
 from .two_photon import (
     JointAmplitudeGrid,
     TwoPhotonGaussian,
-    F_m,
     cw_output,
     gaussian_amplitude,
     gaussian_output_closed_form,
@@ -58,6 +57,6 @@ from .lossy_cavity import (
     noise_power_quadrature,
     sum_rule_residual,
 )
-from .fdtd_oracle import RingState, run
+from .fdtd_oracle import run
 
 __version__ = "0.1.0"

@@ -610,14 +610,31 @@ def _lattice_apply(
     return _blocked_product(geometry, _lattice_blocks(x, axis, stride, pad))
 
 
-def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:
+def _grid_offset(t_out_start: float, t_in_start: float, dt: float) -> int:
+    """Samples from an input axis's start to an output window's start, which
+    must lie on the input grid (else ``IncommensurateGrid``)."""
+    off = (t_out_start - t_in_start) / dt
+    base = round(off)
+    if abs(off - base) > 1e-6:
+        raise IncommensurateGrid(
+            f"output window start {t_out_start} does not lie on the input grid "
+            f"starting at {t_in_start} with spacing {dt}"
+        )
+    return base
+
+
+def apply_train(
+    f: DeltaTrain, s: SampledSignal, t0: float | None = None, n: int | None = None
+) -> SampledSignal:
     """Apply a delta-train kernel to a sampled signal.
 
     Computes ``sum_k c_k s(t - k T)``. The train period must be an integer
     multiple of the sample spacing (relative tolerance 1e-9); echoes are
     placed by exact index shifts, never interpolated, so the lattice
     identities of the kernels survive in the sampled arithmetic. The output
-    window is extended to hold every retained echo. The sum runs through
+    window is extended to hold every retained echo, or is the ``n`` samples
+    from ``t0`` (on the signal's grid; by default to the extension's end),
+    zero outside the extension. The sum runs through
     ``_lattice_apply``: banded Toeplitz matrix products when the kernel is
     short against twice the stride, FFT overlap-add when the kernel and the
     signal both span many round trips (O(n log n); each
@@ -628,11 +645,16 @@ def apply_train(f: DeltaTrain, s: SampledSignal) -> SampledSignal:
     Raises
     ------
     IncommensurateGrid
-        If T / dt is not an integer; resample the signal instead.
+        If T / dt is not an integer, or ``t0`` is off the signal's grid.
     """
     stride = _lattice_stride(f.period, s.dt)
-    if not len(f.c):
-        return SampledSignal(s.t0, s.dt, np.zeros_like(s.values))
-    n_out = len(s) + (len(f.c) - 1) * stride
-    out = _lattice_apply(f.c, f.k0, stride, s.values, 0, f.k0 * stride, n_out)
-    return SampledSignal(s.t0 + f.k0 * f.period, s.dt, out)
+    k0 = f.k0 if len(f.c) else 0  # an empty train's extension is the signal's span
+    if t0 is None:
+        start, t0 = k0 * stride, s.t0 + k0 * f.period
+    else:
+        start = _grid_offset(t0, s.t0, s.dt)
+    if n is None:
+        n = max(0, len(s) + (k0 + max(len(f.c) - 1, 0)) * stride - start)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return SampledSignal(t0, s.dt, _lattice_apply(f.c, f.k0, stride, s.values, 0, start, n))

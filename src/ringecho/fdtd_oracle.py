@@ -11,10 +11,11 @@ placement of the loss factor. The junction update per step is the 2x2 unitary
 followed by the one-cell shift and a uniform amplitude factor
 ``exp(-Gamma * dt)`` modeling a distributed absorber.
 
-``RingState.step`` advances one sample. ``run`` advances one round trip of
-M samples per step: in one trip every cell meets the junction exactly once,
-in order, so the update above acts on M-vectors at once, with the same
-arithmetic per sample as ``step``. Its trip loop updates only the state,
+``run`` advances one round trip of M samples per step: in one trip every
+cell meets the junction exactly once, in order, so the update above acts on
+M-vectors at once, with the same arithmetic per sample as the update applied
+one sample at a time (the per-sample loop that the tests keep as ``run``'s
+bitwise reference). Its trip loop updates only the state,
 ``c_first`` (two in-place array operations per trip without loss). Without
 loss it runs only while there is input: every later trip is the free
 ringdown, each cell multiplied by rho trip after trip, so the ringdown is
@@ -27,78 +28,10 @@ Nothing here shares code with the analytic kernels; that is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core_response import JunctionCoupling, RingGeometry
 from .echo_kernels import IncommensurateGrid, SampledSignal
-
-
-@dataclass
-class RingState:
-    """Mutable state of the discretized loop (single-owner, step sequentially).
-
-    ``cells[i]`` holds the field between z = i dz and (i+1) dz; index M-1 is
-    the cell about to hit the junction. Energy counters are in per-sample
-    units (|amplitude|^2 summed, no dt factor).
-    """
-
-    cells: np.ndarray
-    coupling: JunctionCoupling
-    loss_per_step: float = 1.0
-    absorbed_energy: float = 0.0
-    input_energy: float = 0.0
-    output_energy: float = 0.0
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.cells, dtype=np.complex128)
-        if c.ndim != 1 or len(c) < 1:
-            raise ValueError("cells must be a 1-D array with at least 1 cell")
-        if not 0.0 < self.loss_per_step <= 1.0:
-            raise ValueError(
-                f"loss_per_step must lie in (0, 1], got {self.loss_per_step}"
-            )
-        self.cells = c
-
-    @classmethod
-    def empty(
-        cls, M: int, coupling: JunctionCoupling, loss_per_step: float = 1.0
-    ) -> "RingState":
-        return cls(np.zeros(M, dtype=np.complex128), coupling, loss_per_step)
-
-    @property
-    def stored_energy(self) -> float:
-        return float(np.sum(np.abs(self.cells) ** 2))
-
-    def step(self, a_in: complex) -> tuple[complex, complex]:
-        """Advance one sample: returns (b_out, cavity field just past the junction).
-
-        The output sample is exact on the lattice. The returned cavity probe
-        is the state of the freshly injected cell at the end of the step,
-        i.e. after the loss factor for this step has acted on it, so with
-        loss it approximates the continuous field to first order in dt.
-
-        ``run`` agrees with this step bit for bit only above the underflow
-        range. With loss, once a ringdown underflows, the step's scalar
-        complex product and ``run``'s array product can round the same
-        subnormal field to zeros of opposite sign; every nonzero value
-        still agrees.
-        """
-        rho, tau = self.coupling.rho, self.coupling.tau
-        c_last = self.cells[-1]
-        b = tau * c_last - rho * a_in
-        c_first = rho * c_last + tau * a_in
-        self.cells[1:] = self.cells[:-1]
-        self.cells[0] = c_first
-        if self.loss_per_step != 1.0:
-            self.absorbed_energy += (
-                1.0 - self.loss_per_step**2
-            ) * self.stored_energy
-            self.cells *= self.loss_per_step
-        self.input_energy += abs(a_in) ** 2
-        self.output_energy += abs(b) ** 2
-        return b, self.cells[0]
 
 
 def run(
@@ -112,11 +45,13 @@ def run(
 
     The input spacing must equal T/M (the caller resamples if needed);
     one cell per round trip, M = 1, samples the lattice exactly.
-    Advances one round trip per loop step, bitwise equal to calling
-    ``RingState.step`` once per sample above the underflow range: with
-    loss, where a ringdown underflows, a zero can differ in sign from the
-    step's (numpy's array loop and its scalars round a subnormal complex
-    product differently), while every nonzero value agrees. Trip by trip:
+    Advances one round trip per loop step, bitwise equal to the junction
+    update and shift applied once per sample above the underflow range:
+    with loss, where a ringdown underflows, a zero can differ in sign from
+    the per-sample loop's (numpy's array loop and its scalars round a
+    subnormal complex product differently), while every nonzero value
+    agrees. ``Gamma`` must be finite, non-negative and leave ``exp(-Gamma
+    dt) > 0``. Trip by trip:
     the cell reaching the junction at sample s of the trip is the one
     injected at sample s of the trip before, so with ``a`` the trip's M
     inputs and ``c`` those cells,
@@ -152,10 +87,12 @@ def run(
         raise IncommensurateGrid(
             f"input spacing {signal.dt} must equal T/M = {dt}"
         )
-    if Gamma < 0.0:
-        raise ValueError(f"Gamma must be non-negative, got {Gamma}")
-    state = RingState.empty(M, j, float(np.exp(-Gamma * dt)))
-    rho, tau, loss = j.rho, j.tau, state.loss_per_step
+    if not 0.0 <= Gamma < np.inf:
+        raise ValueError(f"Gamma must be non-negative and finite, got {Gamma}")
+    loss = float(np.exp(-Gamma * dt))
+    if loss == 0.0:
+        raise ValueError(f"Gamma {Gamma} damps one sample step of {dt} to zero")
+    rho, tau = j.rho, j.tau
     n = len(signal)
     trips = -(-n // M)
     # whole trips: the zeros padding the last one feed no sample that is kept
@@ -168,7 +105,7 @@ def run(
         held -= int(np.argmax(has_input[::-1])) if has_input.any() else trips
     # s[k] is the cells meeting the junction in trip k, in the order they meet it
     s = np.empty((trips + 1, M), dtype=np.complex128)
-    s[0] = state.cells[::-1]
+    s[0] = 0.0  # the loop starts empty
     probe = s[1:] if loss == 1.0 else np.empty((trips, M), dtype=np.complex128)
     # rho as complex, as numpy converts the float for every product anyway
     rho_c = np.full(M, rho, dtype=np.complex128)

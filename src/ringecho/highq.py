@@ -25,7 +25,7 @@ import numpy as np
 
 from .core_response import JunctionCoupling
 from .commutators import _broadened, spacetime_commutator_support
-from .echo_kernels import SampledSignal, _lattice_apply, _lattice_stride, kernel_ca
+from .echo_kernels import SampledSignal, apply_train, kernel_ca
 
 KAPPA_FLAVORS = ("exact", "linear")
 FIG4_TRIPS = 10  # round trips that fig4_dataset's window spans
@@ -114,9 +114,7 @@ def quasimode_field_error(a: SampledSignal, j: JunctionCoupling, T: float) -> fl
     approx = quasimode_evolve(a, kappa(j, T, "exact"))
     # the exact field in quasimode normalization, sqrt(T) x the echo sum,
     # only over the input window
-    k = kernel_ca(j, T, 1e-10)
-    stride = _lattice_stride(k.period, a.dt)
-    exact = math.sqrt(T) * _lattice_apply(k.c, k.k0, stride, a.values, 0, k.k0 * stride, len(a))
+    exact = math.sqrt(T) * apply_train(kernel_ca(j, T, 1e-10), a, a.t0, len(a)).values
     diff = approx.values - exact
     denom = np.linalg.norm(exact)
     if denom == 0.0:

@@ -11,7 +11,7 @@ consequences fall out and are all implemented and cross-checked here:
 - for pulsed-Gaussian pairs there is a closed-form output built from the
   partial-ladder sums ``F_m``, verified against the direct tensor transform
   rather than assumed; its ``E(q)`` and ``F_m`` tables (``_ladder_table``,
-  which ``F_m`` also reads) hold only the echo orders that reach the window;
+  one row per echo order) hold only the orders that reach the window;
 - separability is invariant: a product-state input emerges as the product of
   the per-axis transformed factors.
 
@@ -31,7 +31,9 @@ holds until the next is asked for, which overwrites it.
 ``transform_output`` (the full echo extension) and
 ``transform_output_on_window`` are its one-tile cases and return that
 buffer, shared with nothing, without a copy; ``validation`` walks a large
-window tile by tile, so the window is never stored whole.
+window tile by tile, so the window is never stored whole. ``cw_output``
+filters a 1-D signal through ``apply_train``, asked for the input's own
+window.
 
 Amplitudes are unnormalized throughout; only relative quantities are used.
 """
@@ -47,18 +49,19 @@ import numpy as np
 from .core_response import JunctionCoupling
 from .echo_kernels import (
     DeltaTrain,
-    IncommensurateGrid,
     SampledSignal,
     _STRIP,
     _Blocks,
     _SumGeometry,
     _amplitudes,
     _blocked_product,
+    _grid_offset,
     _lattice_apply,
     _lattice_blocks,
     _lattice_stride,
     _sum_abs_sq,
     _sum_geometry,
+    apply_train,
     correlate,
     kernel_ba,
 )
@@ -217,19 +220,6 @@ def transform_output_on_window(
     return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
 
 
-def _grid_offset(t_out_start: float, t_in_start: float, dt: float) -> int:
-    """Samples from an input axis's start to an output window's start, which
-    must lie on the input grid (else ``IncommensurateGrid``)."""
-    off = (t_out_start - t_in_start) / dt
-    base = round(off)
-    if abs(off - base) > 1e-6:
-        raise IncommensurateGrid(
-            f"output window start {t_out_start} does not lie on the input grid "
-            f"starting at {t_in_start} with spacing {dt}"
-        )
-    return base
-
-
 def _transform_tiles(
     phi: JointAmplitudeGrid,
     j: JunctionCoupling,
@@ -320,11 +310,8 @@ def cw_output(
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     echoes = j.tau * j.tau * j.rho ** np.arange(kmax)
     kernel = DeltaTrain(T, 0, np.concatenate([[-j.rho], echoes]))
-    pairs = correlate(kernel, kernel)
-    stride = _lattice_stride(T, d.dt)
-    rec = _lattice_apply(pairs.c, pairs.k0, stride, d.values, 0, 0, len(d))
-    residual = float(np.max(np.abs(rec - d.values)))
-    return residual, SampledSignal(d.t0, d.dt, rec)
+    rec = apply_train(correlate(kernel, kernel), d, d.t0, len(d))
+    return float(np.max(np.abs(rec.values - d.values))), rec
 
 
 def _ladder_table(
@@ -334,8 +321,11 @@ def _ladder_table(
 
     Returns ``e_beta[q] = E(q) = exp(-(s - qT)^2 / 2 beta^2)`` for
     q = 0 .. mmax + 2, ``coef[m] = tau^2 rho^m`` and the ladder sums
-    ``f[m] = F_m(s)`` for m = 0 .. mmax, each ``F_m`` the downward running
-    sum ``F_m = tau^2 rho^m E(m+2) + F_(m+2)`` of its parity. ``mmax`` is
+    ``f[m] = F_m(s)`` for m = 0 .. mmax, the paper's partial-ladder sums
+    ``F_m(s) = tau^2 sum_j rho^(m+2j) E(m+2j+2)``, j >= 0, over transit
+    totals of the parity of m (so F_m -> rho^m as the envelope flattens,
+    the cw limit), each the downward running sum
+    ``F_m = tau^2 rho^m E(m+2) + F_(m+2)`` of its parity. ``mmax`` is
     the first of two orders: the eps order ``ceil(ln eps / ln rho)``, past
     which ``rho^m <= eps``, and the last order whose Gaussian reaches the
     sums, ``ceil((max s + 39 beta) / T)``. ``exp(-39^2 / 2)`` is 0.0 in
@@ -354,34 +344,6 @@ def _ladder_table(
     for top in range(max(mmax - 1, 0), mmax + 1):
         f[top::-2] = np.cumsum(f[top::-2], axis=0)
     return e_beta, coef, f
-
-
-def F_m(
-    m: int,
-    s_sum,
-    g: TwoPhotonGaussian,
-    j: JunctionCoupling,
-    T: float,
-    eps: float = 1e-12,
-):
-    """Partial echo-ladder sum entering the pulsed-Gaussian closed form.
-
-    ``F_m(s) = tau^2 sum_j rho^(|m|+2j) exp(-(s - (|m|+2j+2) T)^2 / 2 beta^2)``
-    for j >= 0: the ladder runs over transit totals of the same parity as
-    |m|, which is the only reading consistent with the cw limit, where
-    F_m -> rho^|m| as the pulse envelope flattens. A row of the closed
-    form's ``_ladder_table``, truncated as it is: 0.0 past its last order.
-    ``m`` must be an integer and ``s_sum`` finite, else ``ValueError``.
-    """
-    if not float(m).is_integer():
-        raise ValueError(f"m must be an integer, got {m}")
-    s = np.asarray(s_sum, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("s must be finite")
-    _, _, f = _ladder_table(s.ravel(), g, j, T, eps)
-    mm = abs(int(m))
-    out = f[mm].reshape(s.shape) if mm < len(f) else np.zeros_like(s)
-    return out if out.ndim else float(out)
 
 
 def gaussian_output_closed_form(

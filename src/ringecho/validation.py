@@ -30,7 +30,8 @@ exponentials in blocks of ``max(64, isqrt(n))`` weights: one table
 ``exp(i w j T)`` over a block's offsets and one phase ``exp(i w (k0 + b)
 T)`` per block, about ``2 x 101 sqrt(n)`` exponentials and a table of
 0.7 MB at rho = 0.9999. The two phases add up to ``w k T`` whatever the
-block size, so its first-order tolerance does not depend on it.
+block size, so its first-order tolerance does not depend on it; its sums
+run over the same blocks, so besides the table the check holds one block.
 Signals are read by the checks of the apply layer and what is built on it:
 ``apply_round_trip``, ``apply_parseval``, ``dispersion_cancellation``,
 ``closed_form_match``, ``separable_factorization`` and the two oracle checks.
@@ -38,7 +39,7 @@ Signals are read by the checks of the apply layer and what is built on it:
 Memory stays bounded as rho -> 1. ``apply_round_trip`` reads only its
 window: it applies the output kernel to its 128-sample signal, then
 evaluates the inverse kernel's output at those 128 sample times alone
-(``_lattice_apply`` asked for that window, one banded product), not over
+(``apply_train`` asked for that window, one banded product), not over
 the whole round trip of about 6 million samples at rho = 0.9999.
 ``separable_factorization`` compares the 2-D transform of a product input
 with ``p2 (x) p1`` on a square window whose side grows as 1/(1 - rho), 6569
@@ -107,7 +108,7 @@ from . import (
     transform_output_on_window,
 )
 from .commutators import _unit_deviation
-from .echo_kernels import _MIN_FFT_WORK, _ladder, _lattice_apply, _lattice_stride
+from .echo_kernels import _MIN_FFT_WORK, _ladder
 from .two_photon import _transform_tiles
 
 
@@ -284,11 +285,8 @@ def _signal(suite: _Suite) -> SampledSignal:
 def _apply_round_trip(suite: _Suite) -> tuple[bool, str]:
     # the inverse kernel's output, only at the signal's own sample times
     sig = _signal(suite)
-    mid = apply_train(suite.kba, sig)
-    kab, i0 = suite.kab, round((sig.t0 - mid.t0) / sig.dt)
-    stride = _lattice_stride(kab.period, sig.dt)
-    back = _lattice_apply(kab.c, kab.k0, stride, mid.values, 0, i0, len(sig))
-    err = float(np.max(np.abs(back - sig.values)))
+    back = apply_train(suite.kab, apply_train(suite.kba, sig), sig.t0, len(sig))
+    err = float(np.max(np.abs(back.values - sig.values)))
     return err < 1e-9, f"max reconstruction error = {err:.3g}"
 
 
@@ -312,9 +310,14 @@ def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
     table = np.multiply.outer(1j * ws, np.arange(min(block, n)) * T)
     np.exp(table, out=table)
     dft = np.zeros(len(ws), dtype=complex)
+    # sum |c_k| and sum |c_k| |k T| for the tolerance below, block by block
+    mass = moment = 0.0
     for b in range(0, n, block):
         blk = kba.c[b : b + block]
         dft += np.exp(1j * ws * ((kba.k0 + b) * T)) * (table[:, : len(blk)] @ blk)
+        mags = np.abs(blk)
+        mass += float(mags.sum())
+        moment += float(mags @ np.abs((kba.k0 + b + np.arange(len(blk))) * T))
     # the truncated kernel's spectrum is g_ba less the echoes it dropped,
     # sum_{k>=N} tau^2 rho^(k-1) exp(i w k T) = tau rho^(N-1) exp(i w N T) g_ca(w)
     j, N = suite.j, kba.k0 + n
@@ -325,10 +328,9 @@ def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
     # eps, the n-term sum within sqrt(2) gamma_n sum|c| < n eps sum|c|; g_ba's
     # 4 eps; and the dropped echoes' phase and 8 eps of their sum, at most
     # the kernel's tail bound
-    mags, eps, wmax = np.abs(kba.c), np.finfo(float).eps, float(np.max(np.abs(ws)))
-    phase = wmax * float(mags @ np.abs((kba.k0 + np.arange(n)) * T))
+    eps, wmax = np.finfo(float).eps, float(np.max(np.abs(ws)))
     tail = kba.tail_bound * (wmax * N * T + 8.0)
-    tol = eps * ((n + 3) * float(mags.sum()) + phase + 4.0 + tail)
+    tol = eps * ((n + 3) * mass + wmax * moment + 4.0 + tail)
     return err <= tol, f"max DFT deviation = {err:.3g} (tol {tol:.3g})"
 
 

@@ -23,7 +23,6 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 ALLOWED_WITHOUT_CALLER = {
     "quasimode_field_error": "the benchmark job quasimode_error_0.999 calls it",
     "transform_output": "the benchmark job transform_full_0.9 calls it",
-    "F_m": "the paper's ladder sum, the public view of two_photon._ladder_table",
 }
 
 # defaulted parameters that no call in the package or the benchmark passes,
@@ -34,7 +33,6 @@ DEFAULTS_NOT_PASSED = {
     ("transform_output", "eps"): "the benchmark's tracer reads it by name (_kernel_offsets)",
     ("run", "Gamma"): "the lossy oracle is the reference the noise-model tests compare against",
     ("g_ba", "Gamma"): "absorbed_fraction is closed form; the lossy transfer functions are checked by tests",
-    ("F_m", "eps"): "F_m is an export that only tests call (ALLOWED_WITHOUT_CALLER)",
 }
 
 

@@ -337,6 +337,43 @@ class TestApply:
         with pytest.raises(IncommensurateGrid):
             apply_train(kernel_ba(J75, 1.0), s)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_window_is_the_slice_of_the_full_output(self, dtype):
+        # integer weights and samples make every sum exact on every branch,
+        # so a window equals its slice of the full output bit for bit, and
+        # is zero where it leaves the full output
+        rng = np.random.default_rng(11)
+        stride, margin = 4, 100
+        for f in (
+            DeltaTrain(1.0, -2, [1.0, -2.0, 0.0, 3.0]),
+            DeltaTrain(1.0, 1, rng.integers(-9, 10, 40)),
+            DeltaTrain(1.0, 0, [5.0]),
+        ):
+            x = rng.integers(-9, 10, 50).astype(dtype)
+            if dtype is np.complex128:
+                x += 1j * rng.integers(-9, 10, 50)
+            s = SampledSignal(-0.5, 1.0 / stride, x)
+            full = apply_train(f, s)
+            zeros = np.zeros(margin, dtype)
+            padded = np.concatenate([zeros, full.values, zeros])
+            for start in (-90, -3, 0, 7, len(full) - 5, len(full) + 20):
+                t0 = full.t0 + start * s.dt
+                for n in (0, 1, 13, 64):
+                    window = apply_train(f, s, t0, n)
+                    assert window.t0 == t0 and window.values.dtype == dtype
+                    want = padded[margin + start : margin + start + n]
+                    assert window.values.tobytes() == want.tobytes()
+                # without n, the window runs to the end of the full output
+                rest = apply_train(f, s, t0).values
+                assert rest.tobytes() == padded[margin + start : margin + len(full)].tobytes()
+
+    def test_window_start_off_the_grid_rejected(self):
+        s = SampledSignal(0.0, 0.25, np.ones(8))
+        with pytest.raises(IncommensurateGrid, match="does not lie on the input grid"):
+            apply_train(kernel_ba(J75, 1.0), s, 0.1, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            apply_train(kernel_ba(J75, 1.0), s, 0.0, -1)
+
     def test_spectrum_matches_transfer_function(self):
         """DFT of the sampled echo train reproduces the spectral response."""
         T = 1.0
@@ -798,6 +835,8 @@ class TestRealAmplitudes:
         for v in (np.ones(4), np.ones(4, complex)):
             out = apply_train(empty, SampledSignal(0.0, 0.5, v))
             assert out.values.dtype == v.dtype and not np.any(out.values)
+            window = apply_train(empty, SampledSignal(0.0, 0.5, v), 1.5, 3)
+            assert window.values.dtype == v.dtype and window.values.tobytes() == bytes(3 * v.itemsize)
 
     def test_lattice_apply_on_every_branch(self):
         """Random shapes, strides, axes and windows reach all three branches

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import ringecho.highq as highq
+import ringecho.echo_kernels as echo_kernels
 from ringecho import (
     JunctionCoupling,
     SampledSignal,
@@ -176,13 +176,13 @@ class TestQuasimodeEvolve:
         j = JunctionCoupling(0.99)
         a = gaussian_pulse(20.0, 1.0 / 8, -80.0, 80.0 + 6.0 / math.log(1 / 0.99))
         asked = []
-        lattice_apply = highq._lattice_apply
+        lattice_apply = echo_kernels._lattice_apply
 
         def spy(c, k0, stride, x, axis, start, n_out):
             asked.append((start, n_out))
             return lattice_apply(c, k0, stride, x, axis, start, n_out)
 
-        monkeypatch.setattr(highq, "_lattice_apply", spy)
+        monkeypatch.setattr(echo_kernels, "_lattice_apply", spy)
         got = quasimode_field_error(a, j, 1.0)
         assert asked == [(0, len(a))]
         exact = apply_train(kernel_ca(j, 1.0, 1e-10), a).values[: len(a)]

@@ -9,6 +9,10 @@ how to add it up (direct sum, banded matrix product or FFT overlap-add). A
 numpy convolution or FFT anywhere else, or a band matrix made outside the
 geometry step (a second product path, say in the two-photon tile walk or in
 a check), would be a second path with its own branch rule and rounding.
+
+Outside ``echo_kernels`` and the two-photon tile walk, which runs the sum's
+steps itself, a module asks ``apply_train`` for its window and does not
+name ``_lattice_apply`` or ``_lattice_stride``.
 """
 
 import ast
@@ -150,3 +154,40 @@ def allowed(f, g):
         ("spectrum", "convolve"),
         ("spectrum", "fft"),
     ]
+
+
+def private_names(tree: ast.AST, names: set[str]) -> set[str]:
+    """Those of ``names`` that a module names: imported, read as a name, or
+    reached as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.split(".")[-1] for a in node.names)
+    return found & names
+
+
+def test_lattice_sum_reached_only_through_apply_train():
+    lattice = {"_lattice_apply", "_lattice_stride"}
+    stray = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in {"echo_kernels.py", "two_photon.py"}
+        for name in sorted(private_names(ast.parse(path.read_text()), lattice))
+    ]
+    assert stray == []
+
+
+def test_name_detector_sees_imports_names_and_attributes():
+    src = """
+from ringecho import echo_kernels as ek
+from .echo_kernels import _lattice_stride as stride
+
+def window(x):
+    return ek._lattice_apply(x), _lattice_apply
+"""
+    found = private_names(ast.parse(src), {"_lattice_apply", "_lattice_stride", "apply_train"})
+    assert found == {"_lattice_apply", "_lattice_stride"}

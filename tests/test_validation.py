@@ -281,13 +281,13 @@ def test_weight_checks_build_no_signal(check):
     n = len(suite.kba.c)
     bound = 16 * 2**20
     if check == "kernel_spectrum_match":
-        # three arrays of n float64 (the weights' magnitudes and the two
-        # index arrays of the phase term), the complex exp table of 101
-        # frequencies by one block of weights, and 256 KiB for the arrays of
-        # 101 frequencies and numpy's ufunc buffers: 5.3 MiB, where a table
-        # of 4096 weights a block alone would take 6.3
+        # the complex exp table of 101 frequencies by one block of weights,
+        # four arrays of one block of 8-byte values (the block's magnitudes
+        # and the index, offset and magnitude arrays of its phase term), and
+        # 256 KiB for the arrays of 101 frequencies and numpy's ufunc
+        # buffers: 0.94 MiB, and no array of n weights
         block = max(validation._MIN_DFT_BLOCK, math.isqrt(n))
-        bound = 3 * 8 * n + 16 * 101 * block + (256 << 10)
+        bound = 16 * 101 * block + 4 * 8 * block + (256 << 10)
     tracemalloc.start()
     try:
         passed, detail = getattr(validation, f"_{check}")(suite)
