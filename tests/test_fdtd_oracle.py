@@ -45,7 +45,10 @@ def step(cells, a_in, j, loss=1.0):
 
 def step_loop(sig, j, M, Gamma):
     """``run``'s reference: ``step`` once per sample from an empty loop.
-    Returns the output and probe values."""
+    Returns the output and probe values. ``run`` equals it bit for bit above
+    the underflow range; with loss, once a ringdown underflows, the scalar
+    and the array complex products can round a subnormal field to zeros of
+    opposite sign (no drive tested here meets such a zero)."""
     cells = np.zeros(M, dtype=np.complex128)
     loss = float(np.exp(-Gamma * (GEOM.round_trip / M)))
     return np.array([step(cells, a, j, loss) for a in sig.values]).reshape(-1, 2).T
