@@ -369,12 +369,16 @@ def gaussian_output_closed_form(
     ``out[i, j] = C[i + j, i - j + n - 1]``. Cost: O(mmax n) exponentials
     and memory, plus one O(mmax n^2) matrix product. Verified elsewhere
     against the direct tensor transform; treated as a derived identity, not
-    an independent model.
+    an independent model. Refuses with ``ValueError`` a window whose sums
+    ``t1 + t2`` are not all finite.
     """
     rho, tau = j.rho, j.tau
-    t = t_start + dt * np.arange(n)
     # one (t1, t2) pair per value: s[i + j] = t1 + t2, d[i - j + n - 1] = t1 - t2
-    s = np.concatenate((t[0] + t, t[-1] + t[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = t_start + dt * np.arange(n)
+        s = np.concatenate((t[0] + t, t[-1] + t[1:]))
+    if not np.all(np.isfinite(s)):
+        raise ValueError("the window's sums t1 + t2 must be finite")
     d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
     two_s2 = 2.0 * _square(g.sigma)
 

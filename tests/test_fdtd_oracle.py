@@ -73,6 +73,22 @@ class TestStep:
             abs(a_in) ** 2 + abs(c_last) ** 2, rel=1e-12
         )
 
+    def test_energy_audit_every_step(self):
+        # input = output + stored + absorbed after every sample; the loss
+        # takes 1 - loss^2 of the energy the junction leaves in the cells
+        j, loss = JunctionCoupling(0.6), float(np.exp(-0.05))
+        cells = np.zeros(8, dtype=np.complex128)
+        rng = np.random.default_rng(11)
+        drive = rng.normal(size=200) + 1j * rng.normal(size=200)
+        e_in = e_out = absorbed = 0.0
+        for a in drive:
+            b, _ = step(cells, a, j, loss)
+            stored = float(np.sum(np.abs(cells) ** 2))
+            e_in += abs(a) ** 2
+            e_out += abs(b) ** 2
+            absorbed += stored * (1.0 / loss**2 - 1.0)
+            assert abs(e_out + stored + absorbed - e_in) < 1e-12 * max(1.0, e_in)
+
     def test_cumulative_output_energy_converges(self):
         j = JunctionCoupling(0.75)
         M = 16

@@ -118,11 +118,12 @@ def reference_F_m_loop(m, s_sum, g, j, T, eps=1e-12):
 
 
 def ladder_row(m, s_sum, g, j, T, eps=1e-12):
-    """``F_m`` on the sums ``s_sum``: row m of ``_ladder_table``'s ladder
-    sums, or zeros past its last row."""
+    """``F_m`` on the sums ``s_sum``: row |m| of ``_ladder_table``'s ladder
+    sums, or zeros past its last row. The closed form reads the orders m
+    and -m from the same row, pairing them in ``B_m``."""
     s = np.atleast_1d(np.asarray(s_sum, dtype=float))
     f = _ladder_table(s, g, j, T, eps)[2]
-    return f[m] if m < len(f) else np.zeros_like(s)
+    return f[abs(m)] if abs(m) < len(f) else np.zeros_like(s)
 
 
 def validate_window(rho):
@@ -552,7 +553,7 @@ class TestClosedForm:
         assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.75, 0.999])
-    @pytest.mark.parametrize("m", [0, 1, 3, 50, 5000])
+    @pytest.mark.parametrize("m", [0, 1, -1, 3, -3, 50, 5000])
     @pytest.mark.parametrize("beta", [0.5, 1e6])
     def test_ladder_sum_matches_term_by_term_loop(self, rho, m, beta):
         g, j = TwoPhotonGaussian(0.3, beta), JunctionCoupling(rho)
@@ -601,6 +602,16 @@ class TestClosedForm:
                 for i in (0, 1)
             )
             assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize(
+        "t_start,n,dt",
+        [(math.nan, 4, 0.1), (math.inf, 4, 0.1), (-math.inf, 4, 0.1), (1e308, 2, 5e307)],
+    )
+    def test_closed_form_rejects_non_finite_sums(self, t_start, n, dt):
+        # the last window's times are finite, but its sums overflow to inf
+        g, j = TwoPhotonGaussian(0.3, 0.5), JunctionCoupling(0.5)
+        with pytest.raises(ValueError, match=r"sums t1 \+ t2 must be finite"):
+            gaussian_output_closed_form(g, j, T, t_start, n, dt)
 
     def test_nearly_closed_junction_peak_moves_one_trip(self):
         g = TwoPhotonGaussian(0.3, 0.3)
