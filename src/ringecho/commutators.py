@@ -75,7 +75,8 @@ def output_commutator_decomposition(
     two cross terms, since ``kca`` is the circulating/input commutator),
     plus ``rho^2`` times the unit train. It is built from ``kernel_ca``
     alone, shares no weights with ``kernel_ba``, never divides by rho, and
-    holds at every rho in [0, 1).
+    holds at every rho in [0, 1). Its ``rounding`` is ``tau^2`` times the
+    circulating-field train's.
     """
     rho, tau = j.rho, j.tau
     kca = kernel_ca(j, T, eps)
@@ -88,7 +89,7 @@ def output_commutator_decomposition(
     w[:n] -= cross[::-1]  # its mirror
     w[n] += rho * rho
     tail = tau * tau * circ.tail_bound + 2.0 * rho * tau * kca.tail_bound
-    return DeltaTrain(T, -n, w, 0.0, tail)
+    return DeltaTrain(T, -n, w, 0.0, tail, tau**2 * circ.rounding)
 
 
 def commutator_figure(

@@ -25,18 +25,20 @@ round trip, so every sum here is a strided 1-D convolution. Trains are
 stored in the layout those sums take, ``k0`` plus an array ``c`` over the
 offset span, and the sums run on ``c`` itself in compiled numpy code.
 
-Every lattice sum goes through ``_lattice_apply``: sampled signals
-(including both axes of the two-photon transforms), and ``convolve`` and
-``correlate``, which apply one train's weights to the other's at stride 1
-over the full span of lags the pairwise definitions reach. It cuts the axis
-into blocks of one round trip and keeps only the kernel terms that reach the
-requested output window. It runs in three steps: ``_sum_geometry``, which
-takes from shapes and offsets alone the kernel terms that reach the window,
-the branch and its band matrices; ``_lattice_blocks``, which cuts the input
-into blocks; and ``_blocked_product``, which adds the sum up from them. The
-two-photon tiles call the steps themselves, to block each strip once for
-several windows and to make each window's geometry once for several strips.
-The sum has three branches:
+Every lattice sum is taken here, by ``_lattice_apply``: sampled signals,
+and ``convolve`` and ``correlate``, which apply one train's weights to the
+other's at stride 1 over the full span of lags the pairwise definitions
+reach. It cuts the axis into blocks of one round trip and keeps only the
+kernel terms that reach the requested output window. It runs in three
+steps: ``_sum_geometry``, which takes from shapes and offsets alone the
+kernel terms that reach the window, the branch and its band matrices;
+``_lattice_blocks``, which cuts the input into blocks; and
+``_blocked_product``, which adds the sum up from them. Two callers here run
+the steps themselves: ``convolve`` and ``correlate``, to read the branch
+their rounding bound depends on, and ``_tile_sums``, the tile walk of the
+two-photon transforms, which blocks each strip once for several windows and
+makes each window's geometry once for several strips. The sum has three
+branches:
 
 - wide inputs, and output windows of no more blocks than there are
   columns: a matrix product with the banded Toeplitz matrix of the kernel,
@@ -58,15 +60,20 @@ FFT rounding is absolute instead: an output sample deviates from the exact
 sum by about ``eps log2(n) sum|c| max|x|``, with n the length of the full
 convolution in blocks, ``c`` the kernel weights and ``x`` the input. For
 trains (stride 1, one column) the FFT is taken only when both have at least
-``_MIN_FFT_WORK`` terms, and each weight of the result is then within
-``eps log2(n) sum|f| sum|g|`` of the pairwise sum. ``correlate(h, h)`` is
-symmetrised, so ``weight(k) == weight(-k)`` holds bit for bit on every
+``_MIN_FFT_WORK`` terms. The trains ``convolve`` and ``correlate`` return
+carry the bound of the branch their sum took as ``rounding``: each weight
+is within ``eps log2(n) sum|f| sum|g|`` of the pairwise sum on the FFT
+branch, and within ``gamma_m sum|f| sum|g|`` otherwise, over the m products
+that meet at a lag (Higham, ch. 3 and section 24.1). ``correlate(h, h)``
+is symmetrised, so ``weight(k) == weight(-k)`` holds bit for bit on every
 branch.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,7 +175,9 @@ class DeltaTrain:
     is stored, zeros included. The constructor copies ``c`` into a read-only
     float64 array. ``tail_bound`` bounds the total absolute weight discarded
     by truncation, and ``eps`` records the truncation floor used at
-    construction (0 means nothing was dropped).
+    construction (0 means nothing was dropped). ``rounding`` bounds the
+    rounding of each weight in the lattice sum that made it (``convolve``,
+    ``correlate``); a train built from weights carries 0.
     """
 
     period: float
@@ -176,6 +185,7 @@ class DeltaTrain:
     c: np.ndarray
     eps: float = 0.0
     tail_bound: float = 0.0
+    rounding: float = 0.0
 
     def __post_init__(self) -> None:
         if self.period <= 0.0:
@@ -271,27 +281,35 @@ def _check_same_period(f: DeltaTrain, g: DeltaTrain) -> None:
 
 def _lattice_sum(f: DeltaTrain, g: DeltaTrain, reverse_f: bool) -> DeltaTrain:
     """Shared body of ``convolve`` and ``correlate`` (``f`` reversed): the
-    weights of ``f`` as a stride-1 signal under the kernel ``g``."""
+    weights of ``f`` as a stride-1 signal under the kernel ``g``, by the
+    steps of ``_lattice_apply``, with the rounding bound of the branch the
+    sum took."""
     _check_same_period(f, g)
     tail = f.tail_bound * (g.sum_abs() + g.tail_bound) + g.tail_bound * f.sum_abs()
     if not len(f.c) or not len(g.c):
         return DeltaTrain(f.period, 0, [], 0.0, tail)
     fk0, fc = (-(f.k0 + len(f.c) - 1), f.c[::-1]) if reverse_f else (f.k0, f.c)
-    c = _lattice_apply(g.c, 0, 1, fc, 0, 0, len(fc) + len(g.c) - 1)
-    return DeltaTrain(f.period, fk0 + g.k0, c, 0.0, tail)
+    m, n = min(len(fc), len(g.c)), len(fc) + len(g.c) - 1
+    geometry = _sum_geometry(g.c, 0, 1, 0, *_block_shape(fc, 0, 1, 0), 0, n)
+    c = _blocked_product(geometry, _lattice_blocks(fc, 0, 1, 0))
+    eps = np.finfo(float).eps
+    scale = eps * math.log2(n) if geometry.branch == "fft" else m * eps / (2.0 - m * eps)
+    return DeltaTrain(f.period, fk0 + g.k0, c, 0.0, tail, scale * f.sum_abs() * g.sum_abs())
 
 
 def convolve(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     """Convolution ``(f * g)_k = sum_m f_m g_(k-m)``.
 
     Realizes kernel composition. Both trains are laid out as dense arrays
-    over their offset spans and combined by ``_lattice_apply`` at stride 1:
-    a direct sum, bitwise ``np.convolve`` of the two arrays, unless both
-    have at least ``_MIN_FFT_WORK`` terms; then an FFT overlap-add, each
-    weight within ``eps log2(n) sum|f| sum|g|`` of the pairwise sum, n the
-    result's length. The result spans every lag some pair of offsets
-    reaches. No truncation is applied to it (cancellations are kept so
-    tests can inspect them); the tail bound of the inputs propagates as
+    over their offset spans and combined by ``_lattice_apply``'s steps at
+    stride 1: a direct sum, bitwise ``np.convolve`` of the two arrays,
+    unless both have at least ``_MIN_FFT_WORK`` terms; then an FFT
+    overlap-add. The result's ``rounding`` is the branch's bound on each
+    weight's distance from the pairwise sum: ``eps log2(n) sum|f| sum|g|``
+    on the FFT, n the result's length, else ``gamma_m sum|f| sum|g|``, m
+    the shorter train's length. The result spans every lag some pair of
+    offsets reaches. No truncation is applied to it (cancellations are kept
+    so tests can inspect them); the tail bound of the inputs propagates as
     ``tail_f (S_g + tail_g) + tail_g S_f`` with S the total absolute weight.
     """
     return _lattice_sum(f, g, reverse_f=False)
@@ -306,12 +324,13 @@ def correlate(f: DeltaTrain, g: DeltaTrain) -> DeltaTrain:
     in offset, with the same branches, rounding bound, span and tail-bound
     rules. When ``f is g`` the weights are symmetrised, ``(c + c[::-1]) / 2``,
     so ``weight(k) == weight(-k)`` holds bit for bit on the FFT branch too;
-    on the direct branch that changes no bit.
+    on the direct branch that changes no bit. The symmetrised train keeps
+    the sum's ``rounding``.
     """
     h = _lattice_sum(f, g, reverse_f=True)
     if f is not g:
         return h
-    return DeltaTrain(h.period, h.k0, (h.c + h.c[::-1]) / 2, 0.0, h.tail_bound)
+    return DeltaTrain(h.period, h.k0, (h.c + h.c[::-1]) / 2, 0.0, h.tail_bound, h.rounding)
 
 
 def _lattice_stride(period: float, dt: float) -> int:
@@ -603,11 +622,79 @@ def _lattice_apply(
     windows of one input with the same ``(-start) % stride`` blocks the
     input once, and one that sums windows of the same shapes and offsets on
     several inputs makes their geometry once; either runs the last step per
-    window.
+    window, as ``_tile_sums`` does.
     """
     pad = (-start) % stride
     geometry = _sum_geometry(c, k0, stride, pad, *_block_shape(x, axis, stride, pad), start, n_out)
     return _blocked_product(geometry, _lattice_blocks(x, axis, stride, pad))
+
+
+def _tile_sums(
+    x: np.ndarray,
+    c: np.ndarray,
+    k0: int,
+    stride: int,
+    base1: int,
+    base2: int,
+    tiles: list[tuple[slice, list[slice]]],
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Rectangular tiles of the 2-D array ``x`` under the kernel ``c`` along
+    both axes, ``y[i1, i2] = sum_{n,m} c[n - k0] c[m - k0] x[i1 - n stride,
+    i2 - m stride]``, on the output window whose axes start ``base1`` and
+    ``base2`` samples into ``x``'s.
+
+    ``tiles`` pairs a range of rows with the column ranges to evaluate on
+    it, both as slices of sample offsets into the window (start and stop
+    given, step 1). Yields ``(rows, columns, values)`` for each pair in
+    order, ``values`` of shape ``(row count, column count)`` with axis 1
+    outermost in memory (``values.T`` is C-contiguous). The pass along
+    axis 0, ``_lattice_apply``, runs once per row range and serves all of
+    its column ranges. Its strip is blocked along axis 1
+    (``_lattice_blocks``) once per distinct pad ``(-start) % stride`` among
+    the row's column starts: once for tiles whose width is a multiple of the
+    stride, at most ``stride`` times a row. The pass along axis 1 has its
+    geometry (``_sum_geometry``: kernel crop, chunk and band matrices) made
+    once per walk for each distinct column range and row height, so once
+    per tile column while the rows are of one height, and runs its products
+    on the blocks (``_blocked_product``) once per tile. So a tile is bit for
+    bit the two ``_lattice_apply`` passes run for it alone. A tile's cells
+    equal the whole window's to rounding, and bitwise when the tile is the
+    window.
+
+    Every tile is written into one buffer, made once per walk for its
+    largest tile: ``values`` is a view of it and holds until the next tile
+    is asked for, which overwrites it. A one-tile walk's buffer is its
+    tile's alone. Besides the buffer, no more than one strip with its
+    blocked copies, and the walk's geometries, are held at a time, whatever
+    the window's size.
+    """
+    # float columns per sample: the real and imaginary parts of a complex array
+    width = x.itemsize // 8
+    # the pass along axis 1 writes whole blocks: qy stride samples per row
+    largest = max(
+        (
+            -(-(cols.stop - cols.start) // stride) * stride * (rows.stop - rows.start) * width
+            for rows, cols_list in tiles
+            for cols in cols_list
+        ),
+        default=0,
+    )
+    buf = np.empty(largest)
+    geometries: dict[tuple[int, int, int, int], _SumGeometry] = {}
+    for rows, cols_list in tiles:
+        mid = _lattice_apply(c, k0, stride, x, 0, base1 + rows.start, rows.stop - rows.start)
+        strips: dict[int, _Blocks] = {}  # mid blocked along axis 1, by pad
+        for cols in cols_list:
+            start, n_out = base2 + cols.start, cols.stop - cols.start
+            pad = (-start) % stride
+            if pad not in strips:
+                strips[pad] = _lattice_blocks(mid, 1, stride, pad)
+            strip = strips[pad]
+            qx, n_cols = strip.xb.shape
+            key = (start, n_out, pad, n_cols)
+            if key not in geometries:
+                geometries[key] = _sum_geometry(c, k0, stride, pad, qx, n_cols, start, n_out)
+            yield rows, cols, _blocked_product(geometries[key], strip, buf)
 
 
 def _grid_offset(t_out_start: float, t_in_start: float, dt: float) -> int:
@@ -621,6 +708,18 @@ def _grid_offset(t_out_start: float, t_in_start: float, dt: float) -> int:
             f"starting at {t_in_start} with spacing {dt}"
         )
     return base
+
+
+def _window_size(n) -> int:
+    """``n`` as an output window's sample count: an integer, 0 or more (an
+    empty window), else ``ValueError``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return n
 
 
 def apply_train(
@@ -646,7 +745,12 @@ def apply_train(
     ------
     IncommensurateGrid
         If T / dt is not an integer, or ``t0`` is off the signal's grid.
+    ValueError
+        If ``n`` is not an integer or is negative; ``n = 0`` gives an empty
+        signal.
     """
+    if n is not None:
+        n = _window_size(n)
     stride = _lattice_stride(f.period, s.dt)
     k0 = f.k0 if len(f.c) else 0  # an empty train's extension is the signal's span
     if t0 is None:
@@ -655,6 +759,4 @@ def apply_train(
         start = _grid_offset(t0, s.t0, s.dt)
     if n is None:
         n = max(0, len(s) + (k0 + max(len(f.c) - 1, 0)) * stride - start)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     return SampledSignal(t0, s.dt, _lattice_apply(f.c, f.k0, stride, s.values, 0, start, n))

@@ -15,19 +15,13 @@ consequences fall out and are all implemented and cross-checked here:
 - separability is invariant: a product-state input emerges as the product of
   the per-axis transformed factors.
 
-The direct transform has one code path, ``_transform_tiles``: a lattice
-sum along t1 and then one along t2, restricted to a rectangular tile of an
-output window. The t1 pass runs once per row of tiles. Its strip is cut
-into round-trip blocks along t2 once for the row (once per distinct block
-offset of the row's tiles). The t2 pass's geometry (the kernel terms that
-reach the tile, the chunking and the band matrices) depends only on the
-tile's t2 range and height, so the walk makes it once per tile column and
-row height, and each tile runs its products on the row's blocks. Those are
-the steps of ``_lattice_apply`` (``_sum_geometry``, ``_lattice_blocks``,
-``_blocked_product``), so each tile is bit for bit what the two
-``_lattice_apply`` passes run for it alone give. Every tile of a walk is
-written into one buffer, made for the walk's largest tile: a yielded tile
-holds until the next is asked for, which overwrites it.
+The direct transform has one code path, ``_transform_tiles``: the output
+kernel along t1 and then along t2, on rectangular tiles of an output
+window. It sets the physics (the kernel, the round trip in samples and the
+window's offsets on the input grid) and leaves the lattice sums to
+``echo_kernels._tile_sums``, the tile walk, which runs the t1 pass once per
+row of tiles and writes every tile into one reused buffer; each tile is bit
+for bit the two passes of ``_lattice_apply`` run for it alone.
 ``transform_output`` (the full echo extension) and
 ``transform_output_on_window`` are its one-tile cases and return that
 buffer, shared with nothing, without a copy; ``validation`` walks a large
@@ -51,16 +45,12 @@ from .echo_kernels import (
     DeltaTrain,
     SampledSignal,
     _STRIP,
-    _Blocks,
-    _SumGeometry,
     _amplitudes,
-    _blocked_product,
     _grid_offset,
-    _lattice_apply,
-    _lattice_blocks,
     _lattice_stride,
     _sum_abs_sq,
-    _sum_geometry,
+    _tile_sums,
+    _window_size,
     apply_train,
     correlate,
     kernel_ba,
@@ -209,11 +199,12 @@ def transform_output_on_window(
 
     Same sum as ``transform_output`` restricted to the window, so a small
     display window does not force materializing the full echo extension:
-    ``_lattice_apply`` keeps only the kernel terms that reach the window.
-    The window starts at ``t_out_start`` on both axes, which must lie on
-    both input grids. This is the one-tile case of ``_transform_tiles``.
+    only the kernel terms that reach the window are summed. The window
+    starts at ``t_out_start`` on both axes, which must lie on both input
+    grids, and is ``n_out`` samples wide: an integer, 0 for an empty grid,
+    else ``ValueError``. This is the one-tile case of ``_transform_tiles``.
     """
-    whole = slice(0, n_out)
+    whole = slice(0, _window_size(n_out))
     ((_, _, out),) = _transform_tiles(
         phi, j, T, t_out_start, t_out_start, [(whole, [whole])], eps
     )
@@ -230,66 +221,20 @@ def _transform_tiles(
     eps: float = 1e-12,
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """Rectangular tiles of the direct tensor transform on the output window
-    whose axes start at ``t1_start`` and ``t2_start``.
+    whose axes start at ``t1_start`` and ``t2_start``, each of which must lie
+    on its input axis's grid.
 
     ``tiles`` pairs a t1 range with the t2 ranges to evaluate on it, both as
-    slices of sample offsets into the window (start and stop given, step 1).
-    Yields ``(t1 range, t2 range, values)`` for each pair in order, ``values``
-    of shape ``(t1 count, t2 count)`` with the t2 axis outermost in memory
-    (``values.T`` is C-contiguous). The pass along t1, ``_lattice_apply``,
-    runs once per t1 range and serves all of its t2 ranges. Its strip is
-    blocked along t2 (``_lattice_blocks``) once per distinct pad
-    ``(-start) % stride`` among the row's t2 starts: once for tiles whose
-    width is a multiple of the stride, at most ``stride`` times a row. The
-    pass along t2 has its geometry (``_sum_geometry``: kernel crop, chunk
-    and band matrices) made once per walk for each distinct t2 range and
-    row height, so once per tile column while the rows are of one height,
-    and runs its products on the blocks (``_blocked_product``) once per
-    tile. So a tile is bit for bit the two ``_lattice_apply`` passes run
-    for it alone. A tile's cells equal the whole window's to rounding, and
-    bitwise when the tile is the window. Each window start must lie on its
-    input axis's grid.
-
-    Every tile is written into one buffer, made once per walk for its
-    largest tile: ``values`` is a view of it and holds until the next tile
-    is asked for, which overwrites it. A one-tile walk's buffer is its
-    tile's alone, so ``transform_output`` and ``transform_output_on_window``
-    return it without a copy. Besides the buffer, no more than one t1 strip
-    with its blocked copies, and the walk's geometries, are held at a time,
-    whatever the window's size.
+    slices of sample offsets into the window. Yields ``(t1 range, t2 range,
+    values)`` for each pair in order, from ``echo_kernels._tile_sums`` with
+    the output kernel, the round trip in samples and the window's offsets on
+    the input grid; that walk says how the tiles are summed and held.
     """
     stride = _lattice_stride(T, phi.dt)
     base1 = _grid_offset(t1_start, phi.t1_start, phi.dt)
     base2 = _grid_offset(t2_start, phi.t2_start, phi.dt)
     kba = kernel_ba(j, T, eps)
-    # float columns per sample: the real and imaginary parts of a complex grid
-    width = phi.values.itemsize // 8
-    # the t2 pass of a tile writes whole blocks: qy stride samples per t1 sample
-    largest = max(
-        (
-            -(-(cols.stop - cols.start) // stride) * stride * (rows.stop - rows.start) * width
-            for rows, cols_list in tiles
-            for cols in cols_list
-        ),
-        default=0,
-    )
-    buf = np.empty(largest)
-    geometries: dict[tuple[int, int, int, int], _SumGeometry] = {}
-    for rows, cols_list in tiles:
-        n1 = rows.stop - rows.start
-        mid = _lattice_apply(kba.c, kba.k0, stride, phi.values, 0, base1 + rows.start, n1)
-        strips: dict[int, _Blocks] = {}  # mid blocked along t2, by pad
-        for cols in cols_list:
-            start, n_out = base2 + cols.start, cols.stop - cols.start
-            pad = (-start) % stride
-            if pad not in strips:
-                strips[pad] = _lattice_blocks(mid, 1, stride, pad)
-            strip = strips[pad]
-            qx, n_cols = strip.xb.shape
-            key = (start, n_out, pad, n_cols)
-            if key not in geometries:
-                geometries[key] = _sum_geometry(kba.c, kba.k0, stride, pad, qx, n_cols, start, n_out)
-            yield rows, cols, _blocked_product(geometries[key], strip, buf)
+    yield from _tile_sums(phi.values, kba.c, kba.k0, stride, base1, base2, tiles)
 
 
 def cw_output(
@@ -370,8 +315,12 @@ def gaussian_output_closed_form(
     and memory, plus one O(mmax n^2) matrix product. Verified elsewhere
     against the direct tensor transform; treated as a derived identity, not
     an independent model. Refuses with ``ValueError`` a window whose sums
-    ``t1 + t2`` are not all finite.
+    ``t1 + t2`` are not all finite, and an ``n`` that is not an integer or
+    is negative; ``n = 0`` gives an empty grid.
     """
+    n = _window_size(n)
+    if n == 0:
+        return JointAmplitudeGrid(t_start, t_start, dt, np.zeros((0, 0)))
     rho, tau = j.rho, j.tau
     # one (t1, t2) pair per value: s[i + j] = t1 + t2, d[i - j + n - 1] = t1 - t2
     with np.errstate(over="ignore", invalid="ignore"):

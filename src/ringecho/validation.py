@@ -45,10 +45,11 @@ the whole round trip of about 6 million samples at rho = 0.9999.
 with ``p2 (x) p1`` on a square window whose side grows as 1/(1 - rho), 6569
 samples at rho = 0.97 and about 171k at 0.999. It never stores the window:
 it computes it one square tile of ``_COMPARE_CELLS`` cells at a time
-(``two_photon._transform_tiles``, which blocks each row's t1 strip once for
-all of the row's tiles, makes each tile column's t2 geometry once, and
-writes every tile into one reused buffer) and compares each tile while it
-is in cache, before it asks for the next, which overwrites it. The
+(``two_photon._transform_tiles``, whose walk ``echo_kernels._tile_sums``
+blocks each row's t1 strip once for all of the row's tiles, makes each tile
+column's t2 geometry once, and writes every tile into one reused buffer)
+and compares each tile while it is in cache, before it asks for the next,
+which overwrites it. The
 tile's reference ``p2 (x) p1`` is one BLAS matrix product, ``(n2 x 2) @
 (2 x n1)`` with a zero second column and row: einsum's once-rounded
 products in less time, up to the sign of an exact zero, which cannot move
@@ -108,7 +109,7 @@ from . import (
     transform_output_on_window,
 )
 from .commutators import _unit_deviation
-from .echo_kernels import _MIN_FFT_WORK, _ladder
+from .echo_kernels import _ladder
 from .two_photon import _transform_tiles
 
 
@@ -171,18 +172,6 @@ def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
     return SampledSignal(0.0, T / stride, vals)
 
 
-def _lattice_rounding(f: DeltaTrain, g: DeltaTrain) -> float:
-    """Bound on the rounding of each weight of ``correlate(f, g)``: the FFT
-    branch's ``eps log2(n) sum|f| sum|g|``, n the result's length, when both
-    trains have ``_MIN_FFT_WORK`` terms or more; otherwise the direct sum's
-    ``gamma_m sum|f| sum|g|`` over the m products that meet at a lag (Higham,
-    ch. 3 and section 24.1)."""
-    m, n = min(len(f.c), len(g.c)), len(f.c) + len(g.c) - 1
-    eps = np.finfo(float).eps
-    scale = eps * math.log2(n) if m >= _MIN_FFT_WORK else m * eps / (2.0 - m * eps)
-    return scale * f.sum_abs() * g.sum_abs()
-
-
 # round trips of oracle_transfer_match's drive, at every rho
 _DRIVE_TRIPS = 60
 
@@ -225,9 +214,9 @@ class _Suite:
         # separable_factorization draws its interior tiles from rng after all
         # the draws below: a new draw goes after them, or every later detail moves
         self.rng = np.random.default_rng(20240901)
-        # 1000 couplings, drawn but not read: the draw keeps the generator's
-        # stream in place, so every later draw, and so every detail, stays the same
-        self.rng.uniform(0.0, 0.999, 1000)
+        # skip the 1000 steps where the suite once drew couplings it never
+        # read: every later draw, and so every detail, stays where it was
+        self.rng.bit_generator.advance(1000)
         # unimodularity; inverse_identity and periodicity read the first 200
         self.omegas = self.rng.uniform(-80.0, 80.0, 1000) / T
         # the complex signal of apply_round_trip and apply_parseval
@@ -363,17 +352,13 @@ def _equal_time_single_support(suite: _Suite) -> tuple[bool, str]:
 def _output_commutator(suite: _Suite) -> tuple[bool, str]:
     # the output kernel's autocorrelation is the unit train, and it agrees
     # term by term with the path through the junction relation
-    kba, kca = suite.kba, suite.kca
-    train = correlate(kba, kba)
+    train = correlate(suite.kba, suite.kba)
     zero_err, spurious = _unit_deviation(train)
     other = output_commutator_decomposition(suite.j, suite.T, suite.eps)
     paths = train.max_abs_diff(other)
     # each path is within its tail bound and its lattice sum's rounding of
-    # the exact train; the junction path's sum is tau^2 correlate(kca, kca)
-    tol = (
-        train.tail_bound + other.tail_bound
-        + _lattice_rounding(kba, kba) + suite.j.tau**2 * _lattice_rounding(kca, kca)
-    )
+    # the exact train
+    tol = train.tail_bound + other.tail_bound + train.rounding + other.rounding
     ok = zero_err < 1e-10 and spurious < 1e-10 and paths <= tol
     return ok, (
         f"c0 err {zero_err:.3g}, spurious {spurious:.3g}, "

@@ -21,6 +21,7 @@ from ringecho import (
     kernel_ab,
     kernel_ba,
     kernel_ca,
+    output_commutator_decomposition,
 )
 import ringecho.echo_kernels as echo_kernels
 from ringecho.echo_kernels import _lattice_apply
@@ -101,11 +102,16 @@ def lattice_branches(lowered):
         yield taken
 
 
+def underflow_bound(n):
+    """One smallest subnormal of underflow per operation of the transforms
+    of a convolution of length n."""
+    return n * np.log2(max(n, 2)) * np.finfo(float).smallest_subnormal
+
+
 def fft_bound(n, sum_c, max_x):
     """The FFT branch's rounding bound, n the full convolution's length, plus
-    one smallest subnormal of underflow per operation of the transforms."""
-    log_n = np.log2(max(n, 2))
-    return np.finfo(float).eps * log_n * sum_c * max_x + n * log_n * np.finfo(float).smallest_subnormal
+    ``underflow_bound(n)``."""
+    return np.finfo(float).eps * np.log2(max(n, 2)) * sum_c * max_x + underflow_bound(n)
 
 
 @st.composite
@@ -374,6 +380,20 @@ class TestApply:
         with pytest.raises(ValueError, match="non-negative"):
             apply_train(kernel_ba(J75, 1.0), s, 0.0, -1)
 
+    @pytest.mark.parametrize("n", [2.5, -1, "3", 1e300])
+    def test_window_size_not_a_count_rejected(self, n):
+        # one rule with the two-photon windows: ValueError, on the grid or off it
+        s = SampledSignal(0.0, 0.25, np.ones(8))
+        for t0 in (0.0, 0.1):
+            with pytest.raises(ValueError, match="must be an integer|non-negative"):
+                apply_train(kernel_ba(J75, 1.0), s, t0, n)
+
+    @pytest.mark.parametrize("n", [0, np.int64(0)])
+    def test_empty_window(self, n):
+        s = SampledSignal(0.0, 0.25, np.ones(8))
+        out = apply_train(kernel_ba(J75, 1.0), s, 0.5, n)
+        assert out.t0 == 0.5 and out.values.shape == (0,) and out.values.dtype == np.float64
+
     def test_spectrum_matches_transfer_function(self):
         """DFT of the sampled echo train reproduces the spectral response."""
         T = 1.0
@@ -605,15 +625,22 @@ class TestTrainSumsByFFT:
     @given(f=trains(), g=trains())
     @settings(max_examples=150, deadline=None)
     def test_within_rounding_bound_of_pairwise_sums(self, f, g):
+        # the train's own rounding bound, for the branch its sum took: the FFT
+        # with lowered thresholds, the direct sum at the defaults
         for fast, ref in ((convolve, reference_convolve), (correlate, reference_correlate)):
-            with lattice_branches(lowered=True) as taken:
-                got = fast(f, g)
             want = ref(f, g)
-            assert ("fft" in taken) == (min(len(f.c), len(g.c)) >= 2)
-            assert set(got.offsets) == set(want)
-            tol = fft_bound(len(got.c), f.sum_abs(), g.sum_abs())
-            for k, w in want.items():
-                assert abs(got.weight(k) - w) <= tol
+            for lowered in (True, False):
+                with lattice_branches(lowered) as taken:
+                    got = fast(f, g)
+                fft = min(len(f.c), len(g.c)) >= 2 and lowered
+                assert ("fft" in taken) == fft
+                assert set(got.offsets) == set(want)
+                tol = got.rounding + underflow_bound(len(got.c))
+                for k, w in want.items():
+                    assert abs(got.weight(k) - w) <= tol
+                if fft:
+                    tol = fft_bound(len(got.c), f.sum_abs(), g.sum_abs())
+                    assert all(abs(got.weight(k) - w) <= tol for k, w in want.items())
 
     @given(h=trains())
     @settings(max_examples=150, deadline=None)
@@ -624,9 +651,13 @@ class TestTrainSumsByFFT:
         with lattice_branches(lowered=True) as taken:
             by_fft = correlate(h, h)
         assert ("fft" in taken) == (len(h.c) >= 2)
+        want = reference_correlate(h, h)
         for train in (direct, by_fft):
             assert np.array_equal(train.c, train.c[::-1])
             assert train.k0 == -(len(train.c) // 2)
+            # the symmetrised train keeps its sum's rounding bound
+            tol = train.rounding + underflow_bound(len(train.c))
+            assert all(abs(train.weight(k) - w) <= tol for k, w in want.items())
 
     # the branch rule reads the column count, which a complex input doubles,
     # and BLAS and FFT rounding depend on the batch width; only two direct
@@ -655,6 +686,20 @@ class TestTrainSumsByFFT:
             sum_c, max_x = np.sum(np.abs(f.c)), np.max(np.abs(x))
             tol = fft_bound(n_blocks, sum_c, max_x) if "fft" in real_taken else 1e-13 * sum_c * max_x
             assert np.max(np.abs(real - want)) <= tol
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9999])
+    def test_junction_path_rounding_is_tau_squared_the_circulating_trains(self, rho):
+        # at 0.9999 both sums take the FFT, below it the direct sum
+        j = JunctionCoupling(rho)
+        kca = kernel_ca(j, 1.0)
+        circ = correlate(kca, kca)
+        assert circ.rounding > 0.0
+        assert output_commutator_decomposition(j).rounding == j.tau**2 * circ.rounding
+
+    def test_trains_from_weights_carry_no_rounding(self):
+        j = JunctionCoupling(0.5)
+        for train in (kernel_ca(j, 1.0), kernel_ba(j, 1.0), kernel_ab(j, 1.0), DeltaTrain(1.0, 0, [1.0])):
+            assert train.rounding == 0.0
 
     def test_high_q_kernels_take_the_fft(self):
         j = JunctionCoupling(0.9999)

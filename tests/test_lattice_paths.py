@@ -10,9 +10,15 @@ numpy convolution or FFT anywhere else, or a band matrix made outside the
 geometry step (a second product path, say in the two-photon tile walk or in
 a check), would be a second path with its own branch rule and rounding.
 
-Outside ``echo_kernels`` and the two-photon tile walk, which runs the sum's
-steps itself, a module asks ``apply_train`` for its window and does not
-name ``_lattice_apply`` or ``_lattice_stride``.
+Outside ``echo_kernels`` no module names a step of the sum
+(``_lattice_apply``, ``_sum_geometry``, ``_lattice_blocks``,
+``_blocked_product``, and the ``_Blocks`` and ``_SumGeometry`` they pass on)
+or a threshold of its branch rule (``_MIN_FFT``, ``_MIN_FFT_WORK``). A
+module that knew them could run a copy of the sum or guess which branch it
+took, and the copy would go stale when the rule is retuned. Signals ask
+``apply_train`` for their window, trains carry their sum's rounding bound
+(``DeltaTrain.rounding``), and only the two-photon transforms name the tile
+walk ``_tile_sums`` and the stride it takes, ``_lattice_stride``.
 """
 
 import ast
@@ -170,8 +176,25 @@ def private_names(tree: ast.AST, names: set[str]) -> set[str]:
     return found & names
 
 
+# the steps of the lattice sum and the thresholds of its branch rule
+STEPS = {
+    "_lattice_apply", "_sum_geometry", "_lattice_blocks", "_blocked_product",
+    "_Blocks", "_SumGeometry", "_MIN_FFT", "_MIN_FFT_WORK",
+}
+
+
+def test_lattice_sum_steps_named_only_in_echo_kernels():
+    stray = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "echo_kernels.py"
+        for name in sorted(private_names(ast.parse(path.read_text()), STEPS))
+    ]
+    assert stray == []
+
+
 def test_lattice_sum_reached_only_through_apply_train():
-    lattice = {"_lattice_apply", "_lattice_stride"}
+    lattice = {"_tile_sums", "_lattice_stride"}
     stray = [
         (path.name, name)
         for path in sorted(PACKAGE.glob("*.py"))

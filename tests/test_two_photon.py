@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import ringecho.two_photon as two_photon
 from ringecho import (
     DeltaTrain,
     IncommensurateGrid,
@@ -25,6 +24,7 @@ from ringecho import (
 )
 from ringecho.echo_kernels import _lattice_apply, _lattice_stride
 from ringecho.two_photon import _ladder_table, _transform_tiles, symmetric_axis
+from walksteps import walk_steps
 
 T = 1.0
 
@@ -291,7 +291,7 @@ class TestTransformOutput:
         "stride,side,complex_input",
         [(8, 256, False), (8, 44, False), (8, 44, True), (7, 256, False), (7, 44, True)],
     )
-    def test_tiles_bitwise_equal_per_tile_passes(self, monkeypatch, stride, side, complex_input):
+    def test_tiles_bitwise_equal_per_tile_passes(self, stride, side, complex_input):
         # every tile is, bit for bit, the two _lattice_apply passes run for it
         # alone; the window starts 3 and 1 samples off the input's block grid
         rng = np.random.default_rng(stride * side)
@@ -308,23 +308,23 @@ class TestTransformOutput:
         plan = [(rows, cuts) for rows in cuts]
         pads = {(-(base2 + cols.start)) % stride for cols in cuts}
         assert (len(pads) > 1) == (side % stride != 0)
-        strips, geometries = [], []
-        blocks, geometry = two_photon._lattice_blocks, two_photon._sum_geometry
-        monkeypatch.setattr(
-            two_photon, "_lattice_blocks", lambda *a: strips.append(a[3]) or blocks(*a)
-        )
-        monkeypatch.setattr(
-            two_photon, "_sum_geometry", lambda *a: geometries.append(a[2:]) or geometry(*a)
-        )
-        tiles = _transform_tiles(phi, j, T, -1.0 + base1 * dt, 0.5 + base2 * dt, plan)
-        seen, buffers = 0, set()
-        for rows, cols, tile in tiles:
+        with walk_steps() as steps:
+            walked = [
+                (rows, cols, tile.dtype, tile.shape, np.ascontiguousarray(tile).tobytes(),
+                 tile.__array_interface__["data"][0])
+                for rows, cols, tile in _transform_tiles(
+                    phi, j, T, -1.0 + base1 * dt, 0.5 + base2 * dt, plan
+                )
+            ]
+        # the references run after the walk, where the spies cannot see their steps
+        for rows, cols, dtype, shape, got, _ in walked:
             mid = _lattice_apply(kba.c, kba.k0, stride, vals, 0, base1 + rows.start, rows.stop - rows.start)
             want = _lattice_apply(kba.c, kba.k0, stride, mid, 1, base2 + cols.start, cols.stop - cols.start)
-            assert tile.dtype == want.dtype and tile.shape == want.shape
-            assert np.ascontiguousarray(tile).tobytes() == np.ascontiguousarray(want).tobytes()
-            buffers.add(tile.__array_interface__["data"][0])
-            seen += 1
+            assert dtype == want.dtype and shape == want.shape
+            assert got == np.ascontiguousarray(want).tobytes()
+        seen, buffers = len(walked), {address for *_, address in walked}
+        strips = [pad for step, pad in steps if step == "_lattice_blocks"]
+        geometries = [key for step, key in steps if step == "_sum_geometry"]
         assert seen == len(cuts) ** 2
         # each row blocks its strip once per distinct pad
         assert sorted(strips) == sorted(list(pads) * len(cuts))
@@ -335,7 +335,7 @@ class TestTransformOutput:
         # every tile is written to the start of one buffer
         assert len(buffers) == 1
 
-    def test_tiles_off_the_product_branch_reuse_the_buffer(self, monkeypatch):
+    def test_tiles_off_the_product_branch_reuse_the_buffer(self):
         # after a tile of matrix products has filled the walk's buffer, a tile
         # that no kernel term reaches (it ends before the input starts) and a
         # one-row tile summed column by column are still, bit for bit, their
@@ -350,19 +350,16 @@ class TestTransformOutput:
             (slice(0, 40), [slice(100, 356), slice(0, 50)]),
             (slice(40, 41), [slice(100, 105), slice(0, 50)]),
         ]
-        branches = []
-        product = two_photon._blocked_product
-
-        def spied(g, *args):
-            branches.append(g.branch)
-            return product(g, *args)
-
-        monkeypatch.setattr(two_photon, "_blocked_product", spied)
-        tiles = _transform_tiles(phi, j, T, -1.0, 0.5 + base2 * T / 8, plan)
-        for rows, cols, tile in tiles:
+        with walk_steps() as steps:
+            walked = [
+                (rows, cols, np.ascontiguousarray(tile).tobytes())
+                for rows, cols, tile in _transform_tiles(phi, j, T, -1.0, 0.5 + base2 * T / 8, plan)
+            ]
+        for rows, cols, got in walked:
             mid = _lattice_apply(kba.c, kba.k0, 8, vals, 0, rows.start, rows.stop - rows.start)
             want = _lattice_apply(kba.c, kba.k0, 8, mid, 1, base2 + cols.start, cols.stop - cols.start)
-            assert np.ascontiguousarray(tile).tobytes() == np.ascontiguousarray(want).tobytes()
+            assert got == np.ascontiguousarray(want).tobytes()
+        branches = [branch for step, branch in steps if step == "_blocked_product"]
         assert branches == ["products", "none", "direct", "none"]
 
     @pytest.mark.parametrize("complex_input", [False, True])
@@ -619,6 +616,31 @@ class TestClosedForm:
         # lattice-aligned window so (T, T) is a grid point
         grid = gaussian_output_closed_form(g, j, T, -2.5, 104, T / 16, eps=1e-12)
         assert peak_locate(grid) == (T, T)
+
+
+class TestWindowSizes:
+    """A window's sample count is an integer, as in ``apply_train``: 0 gives
+    an empty grid, and any other value that is not a count is refused."""
+
+    @pytest.mark.parametrize("n", [2.5, -1, 1e300])
+    def test_not_a_count_rejected(self, n):
+        g, j = TwoPhotonGaussian(0.3, 0.4), JunctionCoupling(0.5)
+        phi = gaussian_amplitude(g, dt=T / 8)
+        with pytest.raises(ValueError, match="must be an integer|non-negative"):
+            gaussian_output_closed_form(g, j, T, phi.t1_start, n, T / 8)
+        with pytest.raises(ValueError, match="must be an integer|non-negative"):
+            transform_output_on_window(phi, j, T, phi.t1_start, n)
+
+    @pytest.mark.parametrize("n", [0, np.int64(0)])
+    def test_zero_gives_an_empty_grid(self, n):
+        g, j = TwoPhotonGaussian(0.3, 0.4), JunctionCoupling(0.5)
+        phi = gaussian_amplitude(g, dt=T / 8)
+        for grid in (
+            gaussian_output_closed_form(g, j, T, phi.t1_start, n, T / 8),
+            transform_output_on_window(phi, j, T, phi.t1_start, n),
+        ):
+            assert grid.values.shape == (0, 0) and grid.values.dtype == np.float64
+            assert (grid.t1_start, grid.t2_start, grid.dt) == (phi.t1_start, phi.t1_start, T / 8)
 
 
 class TestSeparableOutput:

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import ringecho.echo_kernels as echo_kernels
-import ringecho.two_photon as two_photon
 import ringecho.validation as validation
 from ringecho import DeltaTrain
 from ringecho.validation import run_suite
+from walksteps import walk_steps
 
 
 def _result(results, name):
@@ -102,28 +102,14 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
     # tile. Every pass is banded Toeplitz matrix products, as the whole
     # window's were, so the check covers that branch on wide inputs
     tiles = validation._transform_tiles
-    apply, blocks = two_photon._lattice_apply, two_photon._lattice_blocks
-    geometry, product = two_photon._sum_geometry, two_photon._blocked_product
     chunk = echo_kernels._gemm_chunk
-    walking, calls, chunks, plans, used = [False], [], [], [], []
-
-    def spy(name, fn):
-        def spied(*args):
-            if walking[0]:
-                calls.append(name)
-            return fn(*args)
-        return spied
+    walking, chunks, plans = [False], [], []
 
     def spied_chunk(*args):
         out = chunk(*args)
         if walking[0]:
             chunks.append(out)
         return out
-
-    def spied_product(g, *args):
-        if walking[0]:
-            used.append(g.branch)
-        return product(g, *args)
 
     def spied_tiles(*args):
         plans.append(args[5])
@@ -138,13 +124,12 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
                 walking[0] = False
             yield item
 
-    monkeypatch.setattr(two_photon, "_lattice_apply", spy("t1", apply))
-    monkeypatch.setattr(two_photon, "_lattice_blocks", spy("strip", blocks))
-    monkeypatch.setattr(two_photon, "_sum_geometry", spy("t2 geometry", geometry))
-    monkeypatch.setattr(two_photon, "_blocked_product", spied_product)
     monkeypatch.setattr(echo_kernels, "_gemm_chunk", spied_chunk)
     monkeypatch.setattr(validation, "_transform_tiles", spied_tiles)
-    r = _result(run_suite(rho), "separable_factorization")
+    with walk_steps(lambda: walking[0]) as steps:
+        r = _result(run_suite(rho), "separable_factorization")
+    calls = [step for step, _ in steps]
+    used = [branch for step, branch in steps if step == "_blocked_product"]
     assert r.passed, r.detail
     n_tiles = int(r.detail.rsplit(", ", 1)[1].split()[0])
     (plan,) = plans
@@ -152,11 +137,12 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
         (cols.start, cols.stop, rows.stop - rows.start) for rows, cols_list in plan for cols in cols_list
     }
     assert len(used) == n_tiles
-    assert calls.count("t2 geometry") == len(columns)
-    assert 0 < calls.count("t1") == calls.count("strip") < n_tiles
+    assert calls.count("_sum_geometry") == len(columns)
+    assert 0 < calls.count("_lattice_apply") == calls.count("_lattice_blocks") < n_tiles
     # each t1 pass and each t2 geometry picks its branch once, and every
     # tile's product step runs matrix products
-    assert len(chunks) == calls.count("t1") + calls.count("t2 geometry") and min(chunks) > 0
+    assert len(chunks) == calls.count("_lattice_apply") + calls.count("_sum_geometry")
+    assert min(chunks) > 0
     assert set(used) == {"products"}
     if rho == 0.99:  # sampled tiles: many share a column
         assert len(columns) < n_tiles
