@@ -54,7 +54,6 @@ from .two_photon import (
 from .lossy_cavity import (
     absorbed_fraction,
     noise_power,
-    noise_power_quadrature,
     sum_rule_residual,
 )
 from .fdtd_oracle import run

@@ -9,24 +9,17 @@ rho to ``rho exp(-Gamma T)``.
 
 The output channel is then no longer unimodular; what the mean field loses,
 the fluctuations replace. This module holds that noise model: the noise
-power ``N(omega)``, its quadrature cross-check and the fraction of a flat
-input spectrum that the absorber takes, in closed form. ``N`` is normalized by the only
-physically forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is
-the lossy generalization of the free-space output commutator. All
-bookkeeping here is deterministic second moments; no noise realizations
-are sampled.
+power ``N(omega)`` and the fraction of a flat input spectrum that the
+absorber takes, in closed form. ``N`` is normalized by the only physically
+forced condition, the sum rule ``|g_ba|^2 + N = 1``, which is the lossy
+generalization of the free-space output commutator. All bookkeeping here is
+deterministic second moments; no noise realizations are sampled. The lossy
+oracle checks all of it (``validation``'s ``noise_quadrature_match``).
 
-Arrays are evaluated through ``core_response``'s half-angle form, block by
-block, so no value depends on the array's length or on the blocking.
-``noise_power`` and ``sum_rule_residual`` hold their float result and one
-block of scratch, as ``core_response`` describes. ``noise_power`` takes
-``|g_ca|^2`` in real arithmetic and forms no complex value.
-``noise_power_quadrature`` squares the modulus of the complex ``g_ca``
-instead, so the two are separate evaluations that agree to a few eps.
-``sum_rule_residual`` is the literal composition ``|g_ba|^2 + N - 1`` of the
-complex ``g_ba`` and ``noise_power``, one block at a time. A scalar runs as
-a one-element array through the same loops, so ``noise_power(w)`` equals
-``noise_power([w])[0]`` bit for bit, and likewise ``sum_rule_residual``.
+Arrays are evaluated block by block through ``core_response``'s half-angle
+form, so no value depends on the array's length or on the blocking, and a
+scalar runs as a one-element array through the same loops. ``noise_power``
+takes ``|g_ca|^2`` in real arithmetic and forms no complex value.
 """
 
 from __future__ import annotations
@@ -38,13 +31,11 @@ import numpy as np
 from .core_response import (
     _BLOCK,
     JunctionCoupling,
-    _abs_sq,
     _check_loss,
     _gain_block,
     _ratio_block,
     _tan_blocks,
     _terms,
-    g_ca,
 )
 
 
@@ -69,21 +60,6 @@ def noise_power(omega, j: JunctionCoupling, T: float, Gamma: float):
     for t, dst in blocks:
         _gain_block(t, dst, j.tau * j.tau, pp, qq)
         np.multiply(scale, dst, out=dst)
-    return out if np.ndim(omega) else float(out[0])
-
-
-def noise_power_quadrature(omega, j: JunctionCoupling, T: float, Gamma: float):
-    """Independent evaluation of the noise power by spatial quadrature.
-
-    Integrates the squared propagation factor of fluctuations injected along
-    the loop, ``(2 Gamma) int_0^T |exp((i omega - Gamma)(T - s))|^2 ds``, by
-    the midpoint rule on 4096 points, then routes it through the junction
-    the same way the signal goes, ``|g_ca(omega, Gamma)|^2``. Used to cross-check the closed
-    form in ``noise_power``.
-    """
-    s = (np.arange(4096) + 0.5) * (T / 4096)
-    spatial = 2.0 * Gamma * np.sum(np.exp(-2.0 * Gamma * (T - s))) * (T / 4096)
-    out = spatial * _abs_sq(g_ca(np.atleast_1d(omega), j, T, Gamma))
     return out if np.ndim(omega) else float(out[0])
 
 

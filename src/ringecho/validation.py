@@ -25,16 +25,16 @@ the apply checks, each build it from the suite.
 Identities between lattice weights are checked on the weights, since an
 apply to a signal would add only rounding and work: ``kernel_spectrum_match``,
 ``factor_form_equivalence``, ``ladder_resummation``, ``reindexing_identity``.
-``kernel_spectrum_match`` sums the output kernel's n weights against 101
-exponentials in blocks of ``max(64, isqrt(n))`` weights: one table
-``exp(i w j T)`` over a block's offsets and one phase ``exp(i w (k0 + b)
-T)`` per block, about ``2 x 101 sqrt(n)`` exponentials and a table of
-0.7 MB at rho = 0.9999. The two phases add up to ``w k T`` whatever the
-block size, so its first-order tolerance does not depend on it; its sums
-run over the same blocks, so besides the table the check holds one block.
+``kernel_spectrum_match`` sums its DFT in blocks of weights
+(``_MIN_DFT_BLOCK``), so besides one table it holds one block.
 Signals are read by the checks of the apply layer and what is built on it:
 ``apply_round_trip``, ``apply_parseval``, ``dispersion_cancellation``,
-``closed_form_match``, ``separable_factorization`` and the two oracle checks.
+``closed_form_match``, ``separable_factorization`` and the three checks
+that drive the oracle.
+
+The lossy cavity's reference is the oracle with loss: ``noise_quadrature_match``
+compares an impulse's output and its undelivered echoes in closed form
+(``_undelivered``) with ``g_ba``, ``noise_power`` and ``absorbed_fraction``.
 
 Memory stays bounded as rho -> 1. ``apply_round_trip`` reads only its
 window: it applies the output kernel to its 128-sample signal, then
@@ -42,25 +42,9 @@ evaluates the inverse kernel's output at those 128 sample times alone
 (``apply_train`` asked for that window, one banded product), not over
 the whole round trip of about 6 million samples at rho = 0.9999.
 ``separable_factorization`` compares the 2-D transform of a product input
-with ``p2 (x) p1`` on a square window whose side grows as 1/(1 - rho), 6569
-samples at rho = 0.97 and about 171k at 0.999. It never stores the window:
-it computes it one square tile of ``_COMPARE_CELLS`` cells at a time
-(``two_photon._transform_tiles``, whose walk ``echo_kernels._tile_sums``
-blocks each row's t1 strip once for all of the row's tiles, makes each tile
-column's t2 geometry once, and writes every tile into one reused buffer)
-and compares each tile while it is in cache, before it asks for the next,
-which overwrites it. The
-tile's reference ``p2 (x) p1`` is one BLAS matrix product, ``(n2 x 2) @
-(2 x n1)`` with a zero second column and row: einsum's once-rounded
-products in less time, up to the sign of an exact zero, which cannot move
-the deviation. The largest deviation is read off the difference's max and
-min. Windows of up to ``_EVERY_CELL_BUDGET`` cells, which covers every
-rho <= 0.97, are compared cell by cell. Larger ones are compared on a fixed
-tile set of at most about ``_SAMPLED_CELLS`` cells: the four corners,
-evenly spaced tiles along the first and last tile rows and columns, and
-seeded interior tiles. The detail
-line names the mode ("every cell" or "sampled tiles"), the cells compared
-out of the total, and the tile count.
+with ``p2 (x) p1`` on a window whose side grows as 1/(1 - rho), 6569 samples
+at rho = 0.97, one reused tile of ``_COMPARE_CELLS`` cells at a time on the
+tiles ``_separable_tiles`` picks, and never stores the window.
 
 Signals and grids are stored as float64 for real values and complex128
 otherwise. The impulses, Gaussian pulses and two-photon grids of the suite
@@ -71,7 +55,6 @@ and the oracle's drive tone are complex.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,6 +67,7 @@ from . import (
     RingGeometry,
     SampledSignal,
     TwoPhotonGaussian,
+    absorbed_fraction,
     apply_train,
     convolve,
     correlate,
@@ -99,7 +83,6 @@ from . import (
     kernel_ba,
     kernel_ca,
     noise_power,
-    noise_power_quadrature,
     output_commutator_decomposition,
     peak_ratio,
     quasimode_commutator,
@@ -172,8 +155,19 @@ def _impulse(T: float, stride: int, n_trips: int) -> SampledSignal:
     return SampledSignal(0.0, T / stride, vals)
 
 
+def _undelivered(w, j: JunctionCoupling, T: float, n: int, Gamma: float = 0.0):
+    """The output kernel's echoes from round trip n on at frequency w, with
+    ``L = exp(-Gamma T)``: ``sum_{k>=n} tau^2 L (rho L)^(k-1) exp(i w k T) =
+    tau L (rho L)^(n-1) exp(i w n T) g_ca(w, Gamma)``; without loss, L = 1.0
+    and the value is ``tau rho^(n-1) exp(i w n T) g_ca(w)`` bit for bit."""
+    L = math.exp(-Gamma * T)
+    return j.tau * L * (j.rho * L) ** (n - 1) * np.exp(1j * w * (n * T)) * g_ca(w, j, T, Gamma)
+
+
 # round trips of oracle_transfer_match's drive, at every rho
 _DRIVE_TRIPS = 60
+# round trips of noise_quadrature_match's lossy impulse, at Gamma T = 0.2
+_LOSSY_TRIPS = 20
 
 
 def oracle_transfer_deviation(j: JunctionCoupling, T: float = 1.0, M: int = 16) -> float:
@@ -182,10 +176,10 @@ def oracle_transfer_deviation(j: JunctionCoupling, T: float = 1.0, M: int = 16) 
     sample with the exact response to that finite drive.
 
     That sample holds the output kernel's first N weights, so the ratio is
-    ``g_ba(w)`` less the echoes the drive has not reached yet,
-    ``sum_{k>=N} tau^2 rho^(k-1) exp(i w k T) = tau rho^(N-1) exp(i w N T) g_ca(w)``.
-    The reference reads only ``g_ba`` and ``g_ca``, never the kernels, and
-    holds to rounding at every rho. Returns the deviation.
+    ``g_ba(w)`` less the echoes the drive has not reached yet
+    (``_undelivered``). The reference reads only ``g_ba`` and ``g_ca``,
+    never the kernels, and holds to rounding at every rho. Returns the
+    deviation.
     """
     w_drive = 0.37 * (2.0 * math.pi / T)
     n = _DRIVE_TRIPS
@@ -193,8 +187,7 @@ def oracle_transfer_deviation(j: JunctionCoupling, T: float = 1.0, M: int = 16) 
     drive = SampledSignal(0.0, T / M, np.exp(-1j * w_drive * tgrid))
     out, _ = run(drive, j, RingGeometry(T, 1.0), M)
     ratio = out.values[-1] / drive.values[-1]
-    echoes = j.tau * j.rho ** (n - 1) * cmath.exp(1j * w_drive * n * T) * g_ca(w_drive, j, T)
-    return abs(ratio - (g_ba(w_drive, j, T) - echoes))
+    return float(abs(ratio - (g_ba(w_drive, j, T) - _undelivered(w_drive, j, T, n))))
 
 
 class _Suite:
@@ -307,11 +300,9 @@ def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
         mags = np.abs(blk)
         mass += float(mags.sum())
         moment += float(mags @ np.abs((kba.k0 + b + np.arange(len(blk))) * T))
-    # the truncated kernel's spectrum is g_ba less the echoes it dropped,
-    # sum_{k>=N} tau^2 rho^(k-1) exp(i w k T) = tau rho^(N-1) exp(i w N T) g_ca(w)
+    # the truncated kernel's spectrum is g_ba less the echoes it dropped
     j, N = suite.j, kba.k0 + n
-    dropped = j.tau * j.rho ** (N - 1) * np.exp(1j * ws * (N * T)) * g_ca(ws, j, T)
-    err = float(np.max(np.abs(dft - (g_ba(ws, j, T) - dropped))))
+    err = float(np.max(np.abs(dft - (g_ba(ws, j, T) - _undelivered(ws, j, T, N)))))
     # the DFT's rounding to first order (Higham ch. 3): each phase fl(w t)
     # within eps |w t|, each of the two exponentials and their product within
     # eps, the n-term sum within sqrt(2) gamma_n sum|c| < n eps sum|c|; g_ba's
@@ -328,9 +319,9 @@ def _cavity_commutator(suite: _Suite) -> tuple[bool, str]:
     kca = suite.kca
     train = correlate(kca, kca)
     err = max(abs(train.weight(k) - suite.j.rho ** abs(k)) for k in range(-10, 11))
-    # certified truncation tail plus the rounding of the lattice sum
-    rounding = len(kca.c) * np.finfo(float).eps * (kca.sum_abs() + kca.tail_bound) ** 2
-    tol = train.tail_bound + rounding
+    # certified truncation tail plus the rounding bound of the branch the
+    # lattice sum took
+    tol = train.tail_bound + train.rounding
     return err <= tol, f"max |c_k - rho^|k|| = {err:.3g} (tol {tol:.3g})"
 
 
@@ -399,10 +390,43 @@ def _lossy_sum_rule(suite: _Suite) -> tuple[bool, str]:
 
 
 def _noise_quadrature_match(suite: _Suite) -> tuple[bool, str]:
-    ws, j, T = suite.ws, suite.j, suite.T
-    nq = noise_power_quadrature(ws[:50], j, T, 0.2 / T)
-    err = float(np.max(np.abs(nq - noise_power(ws[:50], j, T, 0.2 / T))))
-    return err < 1e-6, f"max quadrature deviation = {err:.3g}"
+    # the lossy oracle's impulse at one cell per round trip gives the lossy
+    # output kernel's weights b_k, k < n; with the undelivered echoes, its
+    # spectrum is g_ba, 1 - |.|^2 the noise power, 1 - energy the absorbed fraction
+    ws, j, T = suite.ws[:50], suite.j, suite.T
+    gamma, n, eps = 0.2 / T, _LOSSY_TRIPS, np.finfo(float).eps
+    b = run(_impulse(T, 1, n), j, RingGeometry(T, 1.0), 1, gamma)[0].values
+    k, mags = np.arange(n), np.abs(b)
+    spectrum = np.exp(1j * np.multiply.outer(ws, k * T)) @ b + _undelivered(ws, j, T, n, gamma)
+    noise, absorbed = noise_power(ws, j, T, gamma), absorbed_fraction(j, T, gamma)
+    # the undelivered echoes tau^2 L r^(m-1), m >= n, r = rho L, all in phase
+    # at w = 0: their 1-norm, their moment sum m |b_m| and their energy
+    r, rest = j.rho * math.exp(-gamma * T), abs(_undelivered(0.0, j, T, n, gamma))
+    mass, moment = float(mags.sum()) + rest, float(mags @ k) + rest * (n + r / (1.0 - r))
+    energy = float(mags @ mags) + rest * rest * (1.0 - r) / (1.0 + r)
+    errs = (
+        float(np.max(np.abs(spectrum - g_ba(ws, j, T, gamma)))),
+        float(np.max(np.abs(1.0 - np.abs(spectrum) ** 2 - noise))),
+        abs(1.0 - energy - absorbed),
+    )
+    # first-order rounding, one eps per rounding (Higham, ch. 3): b_k within
+    # (3k + 1) eps |b_k| (a trip rounds at rho, at the loss factor and in it);
+    # each phase within eps |w k T|, and the fl(w T) and tan of g_ba and g_ca
+    # move each side by eps (|w T| + 1) sum k |b_k|; each exponential and
+    # product within 3 eps, the sum n eps, the echoes (n + 20) eps, g_ba 16 eps.
+    # |.|^2 doubles that and rounds within 3 eps, noise_power within 15 eps;
+    # |b_k|^2 within 2 (3k + 1) eps, the energies (2n + 30) eps,
+    # absorbed_fraction 8 eps and the subtractions 2 eps
+    tol = eps * ((n + 20) * mass + (4.0 + 3.0 * float(np.max(np.abs(ws))) * T) * moment + 16.0)
+    tol_noise = 2.0 * tol + eps * (3.0 + 15.0 * float(np.max(noise)))
+    tol_energy = eps * ((2 * n + 30) * energy + 6.0 * float(mags**2 @ k) + 2.0 + 8.0 * absorbed)
+    tols = (tol, tol_noise, tol_energy)
+    detail = ", ".join(
+        f"{what} {err:.3g} (tol {tol:.3g})"
+        for what, err, tol in zip(("spectrum", "noise power", "absorbed"), errs, tols)
+    )
+    ok = all(err <= tol for err, tol in zip(errs, tols))
+    return ok, f"{detail}; oracle impulse, {n} round trips at Gamma T = 0.2"
 
 
 # -- oracle -----------------------------------------------------------------------

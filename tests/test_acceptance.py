@@ -9,6 +9,7 @@ complete even on failure.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ def test_run_suite(rho, name):
     if name == "separable_factorization":
         # every cell through 0.97; a fixed tile set above the cell budget
         assert ("(every cell: " in r.detail) == (rho <= 0.97), r.detail
+    if name == "noise_quadrature_match":
+        # each derived tolerance within 10^3 of its reading, or of eps
+        pairs = re.findall(r"(\S+) \(tol (\S+)\)", r.detail)
+        assert len(pairs) == 3, r.detail
+        for reading, tol in pairs:
+            assert float(tol) <= 1e3 * max(float(reading), np.finfo(float).eps), r.detail
     if r.skipped:
         pytest.skip(r.detail)
 

@@ -31,8 +31,6 @@ DEFAULTS_NOT_PASSED = {
     ("commutator_figure", "nt"): "the benchmark's tracer reads it by name (_map_cells)",
     ("commutator_figure", "nz"): "the benchmark's tracer reads it by name (_map_cells)",
     ("transform_output", "eps"): "the benchmark's tracer reads it by name (_kernel_offsets)",
-    ("run", "Gamma"): "the lossy oracle is the reference the noise-model tests compare against",
-    ("g_ba", "Gamma"): "absorbed_fraction is closed form; the lossy transfer functions are checked by tests",
 }
 
 

@@ -13,7 +13,6 @@ from ringecho import (
     g_ba,
     g_ca,
     noise_power,
-    noise_power_quadrature,
     run,
     sum_rule_residual,
 )
@@ -151,20 +150,6 @@ class TestNoisePower:
             scalar = noise_power(omega, j, T, G)
             assert type(scalar) is float
             assert scalar == noise_power(np.array([omega]), j, T, G)[0]
-
-    def test_matches_spatial_quadrature_oracle(self):
-        """Closed form agrees with the independently integrated noise transport."""
-        rng = np.random.default_rng(23)
-        w = rng.uniform(-40.0, 40.0, 64)
-        closed = noise_power(w, J75, T, 0.2)
-        quad = noise_power_quadrature(w, J75, T, 0.2)
-        assert np.max(np.abs(closed - quad)) < 1e-9
-
-    def test_quadrature_satisfies_sum_rule(self):
-        w = np.linspace(-10, 10, 41)
-        quad = noise_power_quadrature(w, J75, T, 0.2)
-        total = np.abs(g_ba(w, J75, T, Gamma=0.2)) ** 2 + quad
-        assert np.max(np.abs(total - 1.0)) < 1e-8
 
 
 class TestLargeArrays:

@@ -3,7 +3,8 @@
 reports a miss as one, ``ladder_resummation`` runs at the order its
 truncation bound asks for and its rounding term still sees a wrong weight,
 the weight checks see a 1e-8 fault in the weights they read and stay small
-at rho = 0.9999, ``separable_factorization`` walks its window tile by tile
+at rho = 0.9999, ``noise_quadrature_match`` sees a wrong noise power or loss
+factor, ``separable_factorization`` walks its window tile by tile
 in bounded memory, and no check's arrays outlive it."""
 
 import math
@@ -12,7 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ringecho.core_response as core_response
 import ringecho.echo_kernels as echo_kernels
+import ringecho.lossy_cavity as lossy_cavity
 import ringecho.validation as validation
 from ringecho import DeltaTrain
 from ringecho.validation import run_suite
@@ -257,6 +260,44 @@ def test_weight_checks_see_a_correlate_fault(monkeypatch, rho, check):
     monkeypatch.setattr(validation, "correlate", lambda f, g: _faulted(correlate(f, g)))
     passed, detail = getattr(validation, f"_{check}")(validation._Suite(rho, 1.0, 1e-12))
     assert not passed, detail
+
+
+def _noise_prefactor_of_one_pass(monkeypatch):
+    # 1 - exp(-Gamma T) where the noise power takes 1 - exp(-2 Gamma T)
+    monkeypatch.setattr(lossy_cavity, "_noise_scale", lambda Gamma, T: -math.expm1(-Gamma * T))
+
+
+def _noise_power_off_by_1e8(monkeypatch):
+    noise_power = validation.noise_power
+    monkeypatch.setattr(validation, "noise_power", lambda *args: noise_power(*args) * (1.0 + 1e-8))
+
+
+def _g_ca_without_loss(monkeypatch):
+    # g_ca's half-angle coefficients at Gamma = 0, in g_ca and in noise_power
+    # alike, while g_ba keeps its loss
+    terms = core_response._terms
+
+    def lossless_ca(j, T, Gamma, output):
+        return terms(j, T, Gamma if output else 0.0, output)
+
+    monkeypatch.setattr(core_response, "_terms", lossless_ca)
+    monkeypatch.setattr(lossy_cavity, "_terms", lossless_ca)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+@pytest.mark.parametrize(
+    "fault", [_noise_prefactor_of_one_pass, _noise_power_off_by_1e8, _g_ca_without_loss]
+)
+def test_noise_quadrature_match_sees_a_noise_fault(monkeypatch, rho, fault):
+    suite = validation._Suite(rho, 1.0, 1e-12)
+    fault(monkeypatch)
+    passed, detail = validation._noise_quadrature_match(suite)
+    assert not passed, detail
+
+
+def test_noise_quadrature_match_passes_at_099999():
+    passed, detail = validation._noise_quadrature_match(validation._Suite(0.99999, 1.0, 1e-12))
+    assert passed, detail
 
 
 @pytest.mark.parametrize("check", ["kernel_spectrum_match", "factor_form_equivalence"])
