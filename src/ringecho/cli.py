@@ -90,6 +90,15 @@ class RunConfig:
     def coupling_given(self) -> bool:
         return self.rho is not None or self.tau is not None
 
+    @property
+    def coupling(self) -> str:
+        """The coupling as given, for messages."""
+        if self.rho is not None:
+            return f"--rho {self.rho!r}"
+        if self.tau is not None:
+            return f"--tau {self.tau!r}"
+        return "the command's default coupling"
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -198,7 +207,7 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
         )
         for j in couplings:
             dt_sep, rendered, envelope = fig4_dataset(j, T)
-            label = f"fig4_rho{j.rho:g}".replace(".", "p")
+            label = f"fig4_rho{j.rho!r}".replace(".", "p")
             written.append(
                 write_table(
                     out_dir / label,
@@ -211,7 +220,7 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
             lattice = np.arange(1, FIG4_TRIPS + 1) * ((len(dt_sep) - 1) // FIG4_TRIPS)
             dev = float(np.max(np.abs(envelope[lattice] - rendered[lattice])))
             flag = "significant deviation" if dev > 0.02 else "envelope tracks train"
-            print(f"fig4 rho={j.rho:g}: max lattice deviation = {dev:.4f} ({flag})")
+            print(f"fig4 rho={j.rho!r}: max lattice deviation = {dev:.4f} ({flag})")
 
     elif name in ("fig5", "fig6"):
         g = (
@@ -426,8 +435,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        print(f"error: outside the floating-point range at --T {cfg.T:g}: {exc}",
-              file=sys.stderr)
+        print(f"error: outside the floating-point range at --T {cfg.T:g} and "
+              f"{cfg.coupling}: {exc}", file=sys.stderr)
         return 2
 
 

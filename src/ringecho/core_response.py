@@ -80,10 +80,25 @@ class JunctionCoupling:
 
     @classmethod
     def from_tau(cls, tau: float) -> "JunctionCoupling":
-        """Build from the transmission coefficient, tau in (0, 1]."""
+        """Build from the transmission coefficient, tau in (0, 1].
+
+        The coupling holds rho and derives tau from it, which for small tau
+        is not the tau given: 4.4e-5 off, relative, at tau = 1e-6. A tau that
+        comes back more than 1e-12 off, relative, is refused with
+        ``ValueError`` (on a scan, some tau below 9.1e-3 and none above);
+        give rho (``--rho``) for such a coupling.
+        """
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {tau}")
-        return cls(rho=math.sqrt(max(0.0, 1.0 - tau * tau)))
+        rho = math.sqrt(max(0.0, 1.0 - tau * tau))
+        if rho < 1.0:
+            j = cls(rho)
+            if abs(j.tau - tau) <= 1e-12 * tau:
+                return j
+        raise ValueError(
+            f"tau = {tau!r} does not survive the round trip through rho "
+            f"(within 1e-12, relative); give the coupling by --rho instead"
+        )
 
 
 @dataclass(frozen=True)

@@ -255,9 +255,13 @@ def kernel_ba(j: JunctionCoupling, T: float, eps: float = 1e-12) -> DeltaTrain:
     Weight ``-rho`` at offset 0 (prompt reflection, with the external phase
     flip) and ``tau^2 rho^(n-1)`` at offsets n >= 1 (the echoes). The squared
     weights sum to 1: the map is lossless.
+
+    The span depends on rho alone: offset 0 is kept for every rho > 0, even
+    below ``eps``, so the tail bound covers every echo the kernel drops. At
+    rho = 0 the kernel is the one-term pure delay, offset 1 alone.
     """
     c, tail = _ladder(j.tau * j.tau, j.rho, eps)
-    k0, c = (0, np.concatenate([[-j.rho], c])) if j.rho >= eps else (1, c)
+    k0, c = (0, np.concatenate([[-j.rho], c])) if j.rho > 0.0 else (1, c)
     return DeltaTrain(T, k0, c, eps, tail)
 
 

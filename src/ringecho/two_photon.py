@@ -181,9 +181,7 @@ def transform_output(
     kba = kernel_ba(j, T, eps)
     ext = (kba.k0 + len(kba.c) - 1) * _lattice_stride(T, phi.dt)
     rows, cols = (slice(0, n + ext) for n in phi.values.shape)
-    ((_, _, out),) = _transform_tiles(
-        phi, j, T, phi.t1_start, phi.t2_start, [(rows, [cols])], eps
-    )
+    ((_, _, out),) = _transform_tiles(phi, kba, phi.t1_start, phi.t2_start, [(rows, [cols])])
     return JointAmplitudeGrid(phi.t1_start, phi.t2_start, phi.dt, out)
 
 
@@ -206,35 +204,33 @@ def transform_output_on_window(
     """
     whole = slice(0, _window_size(n_out))
     ((_, _, out),) = _transform_tiles(
-        phi, j, T, t_out_start, t_out_start, [(whole, [whole])], eps
+        phi, kernel_ba(j, T, eps), t_out_start, t_out_start, [(whole, [whole])]
     )
     return JointAmplitudeGrid(t_out_start, t_out_start, phi.dt, out)
 
 
 def _transform_tiles(
     phi: JointAmplitudeGrid,
-    j: JunctionCoupling,
-    T: float,
+    kernel: DeltaTrain,
     t1_start: float,
     t2_start: float,
     tiles: list[tuple[slice, list[slice]]],
-    eps: float = 1e-12,
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Rectangular tiles of the direct tensor transform on the output window
+    """Rectangular tiles of the direct tensor transform by ``kernel`` (the
+    output kernel ``kernel_ba``, built by the caller) on the output window
     whose axes start at ``t1_start`` and ``t2_start``, each of which must lie
     on its input axis's grid.
 
     ``tiles`` pairs a t1 range with the t2 ranges to evaluate on it, both as
     slices of sample offsets into the window. Yields ``(t1 range, t2 range,
     values)`` for each pair in order, from ``echo_kernels._tile_sums`` with
-    the output kernel, the round trip in samples and the window's offsets on
-    the input grid; that walk says how the tiles are summed and held.
+    the kernel, its period in samples and the window's offsets on the input
+    grid; that walk says how the tiles are summed and held.
     """
-    stride = _lattice_stride(T, phi.dt)
+    stride = _lattice_stride(kernel.period, phi.dt)
     base1 = _grid_offset(t1_start, phi.t1_start, phi.dt)
     base2 = _grid_offset(t2_start, phi.t2_start, phi.dt)
-    kba = kernel_ba(j, T, eps)
-    yield from _tile_sums(phi.values, kba.c, kba.k0, stride, base1, base2, tiles)
+    yield from _tile_sums(phi.values, kernel.c, kernel.k0, stride, base1, base2, tiles)
 
 
 def cw_output(

@@ -2,8 +2,12 @@
 
 Each check is quick, deterministic (fixed RNG seeds), and returns a record
 that serializes cleanly. The suite also contains one negative control: a
-deliberately sign-flipped kernel must make the unitarity check fail, which
-guards against the suite itself going soft.
+deliberately faulted output kernel must fail the one unit-train test
+(``_unit_train``) that ``kernel_inverse`` and ``output_commutator`` apply,
+which guards against the suite itself going soft. The fault flips the sign
+of the prompt reflection where that moves the train by more than
+``_FAULT_FLOOR`` (2 rho tau^2 at lags +-1), and puts 0.5 at offset 0
+elsewhere, so that its signal stays above the floor at every rho.
 
 The suite is a table. Each check is one private function ``_<name>(suite)``
 that returns ``(passed, detail)``; ``_CHECKS`` lists them in the order they
@@ -253,9 +257,24 @@ def _kernel_unitarity(suite: _Suite) -> tuple[bool, str]:
     return max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}"
 
 
+# the unit-train test's tolerance, on c_0 - 1 and on every other weight
+_UNIT_TOL = 1e-10
+# the negative control's sign flip moves lags +-1 by 2 rho tau^2; below this
+# floor, ten times _UNIT_TOL, it puts 0.5 at offset 0 instead. A literal, so
+# that a looser _UNIT_TOL leaves the fault as it is and the control fails
+_FAULT_FLOOR = 1e-9
+
+
+def _unit_train(train: DeltaTrain) -> tuple[bool, float, float]:
+    """The one unit-train test of ``kernel_inverse``, ``output_commutator``
+    and ``negative_control``: whether ``|c_0 - 1|`` and the largest other
+    ``|c_k|`` both lie within ``_UNIT_TOL``, then those two readings."""
+    zero_err, spurious = _unit_deviation(train)
+    return zero_err < _UNIT_TOL and spurious < _UNIT_TOL, zero_err, spurious
+
+
 def _kernel_inverse(suite: _Suite) -> tuple[bool, str]:
-    zero_err, spurious = _unit_deviation(convolve(suite.kab, suite.kba))
-    ok = zero_err < 1e-10 and spurious < 1e-10
+    ok, zero_err, spurious = _unit_train(convolve(suite.kab, suite.kba))
     return ok, f"c0 err {zero_err:.3g}, max off {spurious:.3g}"
 
 
@@ -344,14 +363,13 @@ def _output_commutator(suite: _Suite) -> tuple[bool, str]:
     # the output kernel's autocorrelation is the unit train, and it agrees
     # term by term with the path through the junction relation
     train = correlate(suite.kba, suite.kba)
-    zero_err, spurious = _unit_deviation(train)
+    unit, zero_err, spurious = _unit_train(train)
     other = output_commutator_decomposition(suite.j, suite.T, suite.eps)
     paths = train.max_abs_diff(other)
     # each path is within its tail bound and its lattice sum's rounding of
     # the exact train
     tol = train.tail_bound + other.tail_bound + train.rounding + other.rounding
-    ok = zero_err < 1e-10 and spurious < 1e-10 and paths <= tol
-    return ok, (
+    return unit and paths <= tol, (
         f"c0 err {zero_err:.3g}, spurious {spurious:.3g}, "
         f"paths differ by {paths:.3g} (tol {tol:.3g})"
     )
@@ -470,17 +488,22 @@ def _ladder_resummation(suite: _Suite) -> tuple[bool, str]:
     rho, T = suite.j.rho, suite.T
     kwin = 24
     # certified truncation deficit of the pair ladder at order nmax is
-    # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within 1e-10
+    # pref rho^(2 nmax - kwin); take the smallest nmax that puts 3x it within
+    # 1e-10, sized from log pref, which holds where pref underflows
     pref = rho**2 / (1.0 - rho**2)
-    nmax = max(1, math.ceil((kwin + math.log(1e-10 / (3.0 * pref)) / math.log(rho)) / 2))
+    log_pref = 2.0 * math.log(rho) - math.log1p(-(rho**2))
+    nmax = max(1, math.ceil((kwin + (math.log(1e-10 / 3.0) - log_pref) / math.log(rho)) / 2))
     bound = pref * rho ** (2 * nmax - kwin)
     tol = max(1e-10, 3.0 * bound)
     ladder = DeltaTrain(T, 1, rho ** np.arange(1, nmax + 1))
     pairs = correlate(ladder, ladder)
     # the resummed weights at lags 0 .. kwin, down to 1e-18: running products,
     # so the first kwin do not depend on how many follow; the floor
-    # pref rho^(kwin + 2) stops them a product or two past lag kwin
-    tail, _ = _ladder(pref * rho, rho, max(1e-18, pref * rho ** (kwin + 2)))
+    # pref rho^(kwin + 2) stops them a product or two past lag kwin; where
+    # pref rho underflows to 0, so do all of them
+    tail = np.zeros(0)
+    if pref * rho > 0.0:
+        tail, _ = _ladder(pref * rho, rho, max(1e-18, pref * rho ** (kwin + 2)))
     resummed = DeltaTrain(T, 0, np.concatenate([[pref], tail[:kwin]]))
     err = max(abs(pairs.weight(k) - resummed.weight(abs(k))) for k in range(-kwin, kwin + 1))
     # rounding per lag, to first order in eps (Higham, ch. 3-4 and section
@@ -542,9 +565,7 @@ def _separable_factorization(suite: _Suite) -> tuple[bool, str]:
     # product (up to the sign of an exact zero, which the max below ignores)
     side = math.isqrt(_COMPARE_CELLS)
     lhs, rhs = np.zeros((side, 2)), np.zeros((2, side))
-    for rows, cols, tile in _transform_tiles(
-        prod_in, suite.j, suite.T, p1.t0, p2.t0, plan, suite.eps
-    ):
+    for rows, cols, tile in _transform_tiles(prod_in, suite.kba, p1.t0, p2.t0, plan):
         # tile.T is C-contiguous (the t2 pass is outermost): compare in that layout
         n2, n1 = tile.T.shape
         block = buf[: tile.size].reshape(n2, n1)
@@ -565,13 +586,15 @@ def _separable_factorization(suite: _Suite) -> tuple[bool, str]:
 
 # -- negative control -------------------------------------------------------------
 def _negative_control(suite: _Suite) -> tuple[bool, str]:
-    kba = suite.kba
-    # wrong junction sign; below eps the kernel has no offset 0, so 0.5 goes there
+    kba, j = suite.kba, suite.j
+    # wrong junction sign where its signal clears the floor, else 0.5 at
+    # offset 0 (at rho = 0 the kernel has no offset 0); the control passes
+    # exactly when the unit-train test rejects the faulted train
     bad_c = np.concatenate([np.zeros(kba.k0), kba.c])  # offsets 0 .. (kba.k0 is 0 or 1)
-    bad_c[0] = -bad_c[0] if kba.k0 == 0 else 0.5
+    bad_c[0] = -bad_c[0] if 2.0 * j.rho * j.tau * j.tau > _FAULT_FLOOR else 0.5
     bad = DeltaTrain(suite.T, 0, bad_c, kba.eps, kba.tail_bound)
-    zero_err, spurious = _unit_deviation(correlate(bad, bad))
-    detects = zero_err > 1e-6 or (suite.j.rho > 0.0 and spurious > 1e-6)
+    unit, _, spurious = _unit_train(correlate(bad, bad))
+    detects = not unit
     verdict = "detected" if detects else "not detected"
     return detects, f"sign-flipped kernel breaks unitarity by {spurious:.3g} ({verdict})"
 
@@ -627,5 +650,5 @@ def run_suite(rho: float = 0.75, T: float = 1.0, eps: float = 1e-12) -> list[Che
             passed, detail = check(suite)
             results.append(CheckResult(name, bool(passed), detail))
     except MemoryError as exc:
-        raise CheckOutOfMemory(f"{step} at rho = {rho:g}: {exc}") from exc
+        raise CheckOutOfMemory(f"{step} at rho = {rho!r}: {exc}") from exc
     return results

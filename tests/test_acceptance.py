@@ -27,7 +27,7 @@ from ringecho.validation import CHECK_NAMES, run_suite
 
 T = 1.0
 
-RHOS = (0.0, 1e-6, 1e-3, 0.3, 0.5, 0.75, 0.9, 0.97, 0.99, 0.999, 0.9999)
+RHOS = (0.0, 1e-300, 1e-13, 1e-7, 1e-6, 1e-3, 0.3, 0.5, 0.75, 0.9, 0.97, 0.99, 0.999, 0.9999)
 
 
 @functools.cache

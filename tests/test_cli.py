@@ -107,6 +107,18 @@ class TestFigureCommand:
             assert main(["figure", name, "--rho", str(rho), "--out", str(tmp_path)]) == 0
         assert seen == rhos
 
+    def test_tau_rho_cannot_carry_exits_2(self, tmp_path, capsys):
+        assert main(["figure", "fig5", "--tau", "1e-8", "--out", str(tmp_path)]) == 2
+        assert "tau = 1e-08 does not survive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fig4_labels_tell_close_couplings_apart(self, tmp_path):
+        for rho in ("0.9999991", "0.9999992"):
+            assert main(["figure", "fig4", "--rho", rho, "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig4_rho0p9999991.csv", "fig4_rho0p9999992.csv"
+        ]
+
     def test_unknown_figure_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "nope", "--out", str(tmp_path)])
@@ -247,7 +259,13 @@ class TestRoundTripRange:
         assert [str(w.message) for w in caught] == []
         assert rc == 2 and "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
-        assert errors and f"--T {float(T):g}" in errors[0]
+        assert errors and f"--T {float(T):g} and the command's default coupling" in errors[0]
+
+    @pytest.mark.parametrize("flag", ["--rho", "--tau"])
+    def test_exit_2_names_the_coupling_given(self, tmp_path, capsys, flag):
+        argv = ["figure", "fig3", "--T", "1e175", flag, "0.5", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"--T 1e+175 and {flag} 0.5: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("T", ["1e-310", "1e308"])
     def test_absorbed_fraction_sweep_same_at_every_T(self, tmp_path, T):
@@ -390,6 +408,11 @@ class TestValidateCommand:
         monkeypatch.setattr(validation, "kernel_ab", refuse)
         with pytest.raises(CheckOutOfMemory, match="^suite setup at rho = 0.75: Unable"):
             run_suite(0.75)
+        # every digit of rho, not the six of :g that read 0.9999999 as 1; the
+        # first kernel refuses, so no kernel of that rho is built
+        monkeypatch.setattr(validation, "kernel_ca", refuse)
+        with pytest.raises(CheckOutOfMemory, match="^suite setup at rho = 0.9999999: Unable"):
+            run_suite(0.9999999)
         assert main(["validate", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "out of memory: suite setup at rho = 0.75: Unable to allocate 1.00 TiB" in err

@@ -40,6 +40,16 @@ class TestJunctionCoupling:
         with pytest.raises(ValueError):
             JunctionCoupling(rho)
 
+    @pytest.mark.parametrize("tau", [0.999, 0.95, 0.85, 0.6, 0.01])
+    def test_from_tau_keeps_tau(self, tau):
+        assert JunctionCoupling.from_tau(tau).tau == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tau", [1e-8, 1e-6, 1e-4])
+    def test_from_tau_refuses_a_tau_rho_cannot_carry(self, tau):
+        # the tau of rho = sqrt(1 - tau^2) is 49% off at 1e-8, 4.4e-5 at 1e-6
+        with pytest.raises(ValueError, match=rf"tau = {tau!r} .*--rho"):
+            JunctionCoupling.from_tau(tau)
+
     def test_rejects_zero_tau(self):
         with pytest.raises(ValueError):
             JunctionCoupling.from_tau(0.0)

@@ -215,13 +215,13 @@ class TestKernelWeights:
         assert train.tail_bound == pytest.approx(expected, rel=1e-12)
         assert np.all(np.abs(train.c) >= 1e-6)
 
-    @pytest.mark.parametrize("rho", [0.0, 1e-6, 0.5, 0.999])
+    @pytest.mark.parametrize("rho", [0.0, 1e-13, 1e-6, 0.5, 0.999])
     @pytest.mark.parametrize("eps", [1e-6, 1e-12])
     def test_builders_match_reference_loops(self, rho, eps):
         j = JunctionCoupling(rho)
         ca, ca_tail = reference_ladder(j.tau, rho, eps, 0)
         ba, ba_tail = reference_ladder(j.tau * j.tau, rho, eps, 1)
-        if rho >= eps:
+        if rho > 0.0:
             ba = {0: -rho, **ba}
         ab = {-k: c for k, c in ba.items()}
         for maker, want, tail in ((kernel_ca, ca, ca_tail), (kernel_ba, ba, ba_tail),

@@ -278,7 +278,7 @@ class TestTransformOutput:
         cuts = [slice(a, min(n, a + side)) for a in range(0, n, side)]
         plan = [(rows, cuts) for rows in cuts]
         seen = np.zeros((n, n), dtype=int)
-        for rows, cols, tile in _transform_tiles(grid, j, T, grid.t1_start, grid.t2_start, plan):
+        for rows, cols, tile in _transform_tiles(grid, kernel_ba(j, T), grid.t1_start, grid.t2_start, plan):
             assert tile.T.flags.c_contiguous
             assert np.max(np.abs(tile - win[rows, cols])) <= 1e-13 * np.max(np.abs(win))
             seen[rows, cols] += 1
@@ -313,7 +313,7 @@ class TestTransformOutput:
                 (rows, cols, tile.dtype, tile.shape, np.ascontiguousarray(tile).tobytes(),
                  tile.__array_interface__["data"][0])
                 for rows, cols, tile in _transform_tiles(
-                    phi, j, T, -1.0 + base1 * dt, 0.5 + base2 * dt, plan
+                    phi, kba, -1.0 + base1 * dt, 0.5 + base2 * dt, plan
                 )
             ]
         # the references run after the walk, where the spies cannot see their steps
@@ -353,7 +353,7 @@ class TestTransformOutput:
         with walk_steps() as steps:
             walked = [
                 (rows, cols, np.ascontiguousarray(tile).tobytes())
-                for rows, cols, tile in _transform_tiles(phi, j, T, -1.0, 0.5 + base2 * T / 8, plan)
+                for rows, cols, tile in _transform_tiles(phi, kba, -1.0, 0.5 + base2 * T / 8, plan)
             ]
         for rows, cols, got in walked:
             mid = _lattice_apply(kba.c, kba.k0, 8, vals, 0, rows.start, rows.stop - rows.start)
@@ -797,8 +797,8 @@ class TestRealAmplitudes:
         )
         tiles = [(slice(0, 24), [slice(0, 16), slice(16, 40)]), (slice(24, 64), [slice(8, 64)])]
         for (*_, r), (*_, z) in zip(
-            _transform_tiles(phi, j, T, -1.0, 0.375, tiles),
-            _transform_tiles(twin, j, T, -1.0, 0.375, tiles),
+            _transform_tiles(phi, k, -1.0, 0.375, tiles),
+            _transform_tiles(twin, k, -1.0, 0.375, tiles),
         ):
             assert_real_twin(r, z, tol)
         if rho <= 0.5:  # the full extension: 360 x 347 samples at rho 0.5

@@ -34,10 +34,10 @@ def _perturb_window_cell(monkeypatch, cell, delta):
     tiles = validation._transform_tiles
     hits = []
 
-    def perturbed(phi, j, T, t1_start, t2_start, plan, eps):
+    def perturbed(phi, kernel, t1_start, t2_start, plan):
         n = max(rows.stop for rows, _ in plan)  # the last tile row is always compared
         i, k = (c % n for c in cell)
-        for rows, cols, tile in tiles(phi, j, T, t1_start, t2_start, plan, eps):
+        for rows, cols, tile in tiles(phi, kernel, t1_start, t2_start, plan):
             if rows.start <= i < rows.stop and cols.start <= k < cols.stop:
                 tile[i - rows.start, k - cols.start] += delta
                 hits.append((rows, cols))
@@ -115,7 +115,7 @@ def test_separable_tiles_take_the_gemm_branch(monkeypatch, rho):
         return out
 
     def spied_tiles(*args):
-        plans.append(args[5])
+        plans.append(args[4])
         it = tiles(*args)
         while True:
             walking[0] = True
@@ -323,6 +323,16 @@ def test_weight_checks_build_no_signal(check):
         tracemalloc.stop()
     assert passed, detail
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("rho,detects", [(0.5, True), (0.99, True), (0.9999, False)])
+def test_negative_control_guards_the_unit_train_tolerance(monkeypatch, rho, detects):
+    # loosened to 1e-3, the shared unit-train test passes the flipped sign's
+    # 2 rho tau^2 = 4e-4 at rho = 0.9999, and the control, which runs that
+    # same test, must then report the miss
+    monkeypatch.setattr(validation, "_UNIT_TOL", 1e-3)
+    passed, detail = validation._negative_control(validation._Suite(rho, 1.0, 1e-12))
+    assert passed == detects, detail
 
 
 def test_negative_control_reports_a_miss(monkeypatch):
