@@ -5,10 +5,16 @@ whatever the user prefers. Outputs are deterministic: identical configuration
 gives byte-identical files, floats are written at 17 significant digits, and
 no timestamps ever enter a data file, nor does a NaN or an infinity.
 
+Every command runs in round trips: its windows and widths scale with
+``--T`` and every Gaussian is taken in units of its width, so one code path
+serves every ``--T`` from about 1e-305 to 1e305.
+
 Exit codes: 0 success, 1 validation failure, 2 bad arguments, a request
 larger than the memory available, arithmetic outside the floating-point
-range (every command stops at its first overflow or NaN; the message names
-``--T``), or a data file that would hold a non-finite value.
+range (at the ends of ``--T`` itself: a subnormal T, or one where
+``2 pi / T`` or a window's last time overflows; every command stops at its
+first overflow or NaN and the message names ``--T``), or a data file that
+would hold a non-finite value.
 """
 
 from __future__ import annotations
@@ -100,6 +106,16 @@ class RunConfig:
         return "the command's default coupling"
 
 
+def _normal_T(T: float) -> float:
+    """``T``, refused where it is subnormal: times built from it would keep
+    fewer than 53 bits (``figure fig5 --T 1e-320`` would write magnitudes
+    0.015 off). Raised as a float-range error, the exit-2 message of the
+    other ends of ``--T``."""
+    if T < sys.float_info.min:
+        raise FloatingPointError(f"T below {sys.float_info.min:g} keeps fewer than 53 bits")
+    return T
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -160,7 +176,7 @@ def cmd_figure(name: str, cfg: RunConfig) -> int:
         probe.unlink()
     except OSError as exc:
         raise BadArguments(f"output directory not writable: {exc}") from exc
-    T = cfg.T
+    T = _normal_T(cfg.T)
     written: list[Path] = []
 
     if name == "fig2":
@@ -274,7 +290,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             f"validate needs eps <= {VALIDATE_EPS:g}: its tolerances are derived "
             f"for kernels cut off at that floor or below, got {eps:g}"
         )
-    results = run_suite(rho=j.rho, T=cfg.T, eps=eps)
+    results = run_suite(rho=j.rho, T=_normal_T(cfg.T), eps=eps)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -303,7 +319,6 @@ def cmd_sweep(
         raise BadArguments(f"count must be >= 2, got {count}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    T = cfg.T
 
     if metric == "peak_ratio":
         from .highq import peak_ratio
@@ -316,10 +331,10 @@ def cmd_sweep(
                            [rhos, vals], cfg.format)
 
     elif metric == "cw_residual":
-        from .echo_kernels import SampledSignal
+        from .echo_kernels import SampledSignal, _gaussian
         from .two_photon import cw_output
 
-        j = cfg.junction(0.75)
+        j, T = cfg.junction(0.75), _normal_T(cfg.T)
         if j.rho <= 0.0:
             raise BadArguments("cw_residual sweep needs rho > 0")
         kmaxes = np.unique(np.round(np.linspace(start, stop, count)).astype(int))
@@ -328,7 +343,7 @@ def cmd_sweep(
         dt = T / 8.0
         half = (int(kmaxes.max()) + 6) * int(round(T / dt))
         x = dt * np.arange(-half, half + 1)
-        d = SampledSignal(x[0], dt, np.exp(-(x**2) / (2.0 * (0.4 * T) ** 2)))
+        d = SampledSignal(x[0], dt, _gaussian(x, 0.4 * T))
         vals = np.array([cw_output(d, j, T, int(k))[0] for k in kmaxes])
         path = write_table(out_dir / "sweep_cw_residual", ["kmax", "residual"],
                            [kmaxes.astype(float), vals], cfg.format)

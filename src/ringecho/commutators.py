@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core_response import JunctionCoupling
-from .echo_kernels import DeltaTrain, correlate, kernel_ca
+from .echo_kernels import DeltaTrain, _gaussian, correlate, kernel_ca
 
 
 def spacetime_commutator_support(
@@ -133,5 +133,5 @@ def _broadened(
     """
     out = np.zeros_like(t)
     for _, w, t_hit in lags:
-        out += w * scale * np.exp(-((t - t_hit) ** 2) / (2.0 * broadening**2))
+        out += w * scale * _gaussian(t - t_hit, broadening)
     return out

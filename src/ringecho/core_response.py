@@ -60,8 +60,10 @@ import numpy as np
 class JunctionCoupling:
     """Amplitude reflection/transmission pair of the coupling junction.
 
-    Construct from ``rho``; ``tau`` is normalized to ``sqrt(1 - rho^2)`` so
-    the pair is always unitary. ``rho = 1`` (no outcoupling at all) is
+    Construct from ``rho``; ``tau`` is normalized to ``sqrt(1 - rho^2)``,
+    taken as ``sqrt((1 - rho)(1 + rho))``, which does not cancel as
+    rho -> 1 and is within an ulp at every rho, so the pair is always
+    unitary. ``rho = 1`` (no outcoupling at all) is
     rejected.
 
     Parameters
@@ -76,7 +78,7 @@ class JunctionCoupling:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        object.__setattr__(self, "tau", math.sqrt(1.0 - self.rho * self.rho))
+        object.__setattr__(self, "tau", math.sqrt((1.0 - self.rho) * (1.0 + self.rho)))
 
     @classmethod
     def from_tau(cls, tau: float) -> "JunctionCoupling":

@@ -144,6 +144,14 @@ def _amplitudes(values) -> np.ndarray:
     return v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
 
 
+def _gaussian(x, width: float):
+    """``exp(-x^2 / 2 width^2)``, the package's one Gaussian, in units of
+    the width: ``x / width`` does not overflow or underflow as x and the
+    width scale with T, and at T = 2^k equals its T = 1 value bit for bit
+    away from subnormals."""
+    return np.exp(-0.5 * (x / width) ** 2)
+
+
 def _sum_abs_sq(values: np.ndarray):
     """``np.sum(np.abs(values) ** 2)``, bit for bit, holding one strip at a time.
 

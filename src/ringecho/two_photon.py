@@ -46,6 +46,7 @@ from .echo_kernels import (
     SampledSignal,
     _STRIP,
     _amplitudes,
+    _gaussian,
     _grid_offset,
     _lattice_stride,
     _sum_abs_sq,
@@ -135,31 +136,21 @@ def symmetric_axis(g: TwoPhotonGaussian, dt: float) -> tuple[float, int]:
     return -n_half * dt, 2 * n_half + 1
 
 
-def _square(x: float) -> float:
-    """``x**2``, or inf where the float square overflows (x above ~1.34e154).
-
-    ``**`` is kept for finite squares: it can differ from ``x * x`` in the
-    last bit, and the figure files are pinned to it.
-    """
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def gaussian_amplitude(g: TwoPhotonGaussian, dt: float) -> JointAmplitudeGrid:
     """Sample the double-Gaussian pair amplitude on a square grid.
 
     ``exp(-(t1+t2)^2 / 2 beta^2) exp(-(t1-t2)^2 / 2 sigma^2)``, peak value 1
     at the origin, on the ``symmetric_axis`` window, wide enough that edge
-    values are negligible. The result is exchange symmetric bit for bit:
-    ``t_i + t_j`` and ``(t_i - t_j)^2`` are exact mirrors of each other.
+    values are negligible. Each factor is taken in units of its width
+    (``echo_kernels._gaussian``), so the grid scales with its times. The
+    result is exchange symmetric bit for bit: ``t_i + t_j`` and
+    ``(t_i - t_j)^2`` are exact mirrors of each other.
     """
     t_start, n = symmetric_axis(g, dt)
     t = t_start + dt * np.arange(n)
     s = t[:, None] + t[None, :]
     d = t[:, None] - t[None, :]
-    vals = np.exp(-(s**2) / (2.0 * _square(g.beta)) - (d**2) / (2.0 * _square(g.sigma)))
+    vals = _gaussian(s, g.beta) * _gaussian(d, g.sigma)
     return JointAmplitudeGrid(t_start, t_start, dt, vals)
 
 
@@ -279,7 +270,7 @@ def _ladder_table(
     reach = (s.max(initial=-math.inf) + 39.0 * g.beta) / T
     if math.isfinite(reach):
         mmax = min(mmax, max(0, math.ceil(reach)))
-    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / (2.0 * _square(g.beta)))
+    e_beta = _gaussian(s - (np.arange(mmax + 3) * T)[:, None], g.beta)
     coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
     f = coef * e_beta[2:]
     for top in range(max(mmax - 1, 0), mmax + 1):
@@ -325,15 +316,14 @@ def gaussian_output_closed_form(
     if not np.all(np.isfinite(s)):
         raise ValueError("the window's sums t1 + t2 must be finite")
     d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
-    two_s2 = 2.0 * _square(g.sigma)
 
     e_beta, coef, f_chain = _ladder_table(s, g, j, T, eps)
     a = tau * tau * f_chain - coef * e_beta[:-2]
     a[0] = tau * tau * f_chain[0] + rho * rho * e_beta[0]
     m_t = (np.arange(1, len(a)) * T)[:, None]
     b = np.empty_like(a)
-    b[0] = np.exp(-(d**2) / two_s2)
-    b[1:] = np.exp(-((d + m_t) ** 2) / two_s2) + np.exp(-((d - m_t) ** 2) / two_s2)
+    b[0] = _gaussian(d, g.sigma)
+    b[1:] = _gaussian(d + m_t, g.sigma) + _gaussian(d - m_t, g.sigma)
     c = a.T @ b
     r = np.arange(n)
     out = c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)]

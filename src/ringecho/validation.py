@@ -16,6 +16,9 @@ over the table: it builds each ``CheckResult``, reports the checks whose
 formulas divide by rho or take ln(1/rho) as skipped at rho = 0, and names
 the check (or the setup) in ``CheckOutOfMemory``. A check's arrays are freed
 when its function returns, so no check's memory adds to a later one's peak.
+A check that reads several values reduces them with ``np.max``, which keeps
+a NaN wherever it falls (Python's ``max`` drops one that does not come
+first), so a NaN reading fails its check and shows in the detail.
 
 What the checks share is built once per run, in a ``_Suite``: the coupling,
 T, eps, the kernels ``kernel_ca``, ``kernel_ba`` and ``kernel_ab``, and
@@ -96,7 +99,7 @@ from . import (
     transform_output_on_window,
 )
 from .commutators import _unit_deviation
-from .echo_kernels import _ladder
+from .echo_kernels import _gaussian, _ladder
 from .two_photon import _transform_tiles
 
 
@@ -246,15 +249,16 @@ def _periodicity(suite: _Suite) -> tuple[bool, str]:
 
 def _fsr_state_count(suite: _Suite) -> tuple[bool, str]:
     rhos = (0.0, 0.5, suite.j.rho, 0.98)
-    vals = [abs(fsr_integral(JunctionCoupling(r), suite.T) - 1.0) for r in rhos]
-    return max(vals) < 1e-6, f"max |integral - 1| = {max(vals):.3g}"
+    worst = float(np.max([abs(fsr_integral(JunctionCoupling(r), suite.T) - 1.0) for r in rhos]))
+    return worst < 1e-6, f"max |integral - 1| = {worst:.3g}"
 
 
 # -- kernel algebra -------------------------------------------------------------
 def _kernel_unitarity(suite: _Suite) -> tuple[bool, str]:
     u1 = abs(suite.kca.sum_sq() - 1.0)
     u2 = abs(suite.kba.sum_sq() - 1.0)
-    return max(u1, u2) < 1e-10, f"|sum c^2 - 1| = {max(u1, u2):.3g}"
+    worst = float(np.max([u1, u2]))
+    return worst < 1e-10, f"|sum c^2 - 1| = {worst:.3g}"
 
 
 # the unit-train test's tolerance, on c_0 - 1 and on every other weight
@@ -337,7 +341,7 @@ def _kernel_spectrum_match(suite: _Suite) -> tuple[bool, str]:
 def _cavity_commutator(suite: _Suite) -> tuple[bool, str]:
     kca = suite.kca
     train = correlate(kca, kca)
-    err = max(abs(train.weight(k) - suite.j.rho ** abs(k)) for k in range(-10, 11))
+    err = float(np.max([abs(train.weight(k) - suite.j.rho ** abs(k)) for k in range(-10, 11)]))
     # certified truncation tail plus the rounding bound of the branch the
     # lattice sum took
     tol = train.tail_bound + train.rounding
@@ -389,7 +393,7 @@ def _reindexing_identity(suite: _Suite) -> tuple[bool, str]:
 # -- quasimode --------------------------------------------------------------------
 def _envelope_interpolation(suite: _Suite) -> tuple[bool, str]:
     env = quasimode_commutator(np.arange(21) * suite.T, kappa(suite.j, suite.T, "exact"))
-    err = max(abs(float(env[k]) - suite.j.rho**k) for k in range(21))
+    err = float(np.max([abs(float(env[k]) - suite.j.rho**k) for k in range(21)]))
     return err < 1e-13, f"max |e^-k kT - rho^k| = {err:.3g}"
 
 
@@ -401,9 +405,7 @@ def _peak_ratio_bounded(suite: _Suite) -> tuple[bool, str]:
 # -- lossy cavity -----------------------------------------------------------------
 def _lossy_sum_rule(suite: _Suite) -> tuple[bool, str]:
     ws, j, T = suite.ws, suite.j, suite.T
-    worst = 0.0
-    for gt in (0.0, 0.2, 2.0):
-        worst = max(worst, float(np.max(np.abs(sum_rule_residual(ws, j, T, gt / T)))))
+    worst = float(np.max([np.abs(sum_rule_residual(ws, j, T, gt / T)) for gt in (0.0, 0.2, 2.0)]))
     return worst < 1e-12, f"max residual = {worst:.3g}"
 
 
@@ -458,7 +460,7 @@ def _oracle_impulse_match(suite: _Suite) -> tuple[bool, str]:
         for n, err in enumerate(errs)
     )
     return ok, (
-        f"lattice weight error = {max(errs):.3g} "
+        f"lattice weight error = {float(np.max(errs)):.3g} "
         f"(tol 1e-14, plus tail bound {kba.tail_bound:.3g} on dropped offsets)"
     )
 
@@ -472,7 +474,7 @@ def _oracle_transfer_match(suite: _Suite) -> tuple[bool, str]:
 def _dispersion_cancellation(suite: _Suite) -> tuple[bool, str]:
     rho, T = suite.j.rho, suite.T
     dgrid = np.arange(-40 * T, (40 + 1e-9) * T, T / 8)
-    d = SampledSignal(dgrid[0], T / 8, np.exp(-(dgrid**2) / (2 * (0.4 * T) ** 2)))
+    d = SampledSignal(dgrid[0], T / 8, _gaussian(dgrid, 0.4 * T))
     if rho > 0.0:
         kmax = max(10, int(math.ceil(math.log(1e-10) / math.log(rho))))
         residual, _ = cw_output(d, suite.j, T, kmax)
@@ -505,7 +507,9 @@ def _ladder_resummation(suite: _Suite) -> tuple[bool, str]:
     if pref * rho > 0.0:
         tail, _ = _ladder(pref * rho, rho, max(1e-18, pref * rho ** (kwin + 2)))
     resummed = DeltaTrain(T, 0, np.concatenate([[pref], tail[:kwin]]))
-    err = max(abs(pairs.weight(k) - resummed.weight(abs(k))) for k in range(-kwin, kwin + 1))
+    err = float(np.max(
+        [abs(pairs.weight(k) - resummed.weight(abs(k))) for k in range(-kwin, kwin + 1)]
+    ))
     # rounding per lag, to first order in eps (Higham, ch. 3-4 and section
     # 24.1), with S = sum_{n=1}^{nmax} rho^n: correlate's pair-ladder weights
     # within (2 nmax + 6) eps pref rho^|k| + eps log2(2 nmax - 1) S^2, the
@@ -538,8 +542,8 @@ def _pulses(suite: _Suite) -> tuple[SampledSignal, SampledSignal, SampledSignal,
     output kernel: ``(f1, f2, p1, p2)``."""
     T = suite.T
     t = np.arange(-3.0 * T, (3.0 + 1e-9) * T, T / 8)
-    f1 = SampledSignal(t[0], T / 8, np.exp(-(t**2) / (2 * (0.35 * T) ** 2)))
-    f2 = SampledSignal(t[0], T / 8, np.exp(-((t - 0.25 * T) ** 2) / (2 * (0.5 * T) ** 2)))
+    f1 = SampledSignal(t[0], T / 8, _gaussian(t, 0.35 * T))
+    f2 = SampledSignal(t[0], T / 8, _gaussian(t - 0.25 * T, 0.5 * T))
     return f1, f2, apply_train(suite.kba, f1), apply_train(suite.kba, f2)
 
 

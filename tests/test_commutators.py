@@ -222,9 +222,7 @@ def reference_figure_matrix(
             if w < 1e-300:
                 continue
             t_hit = base - k * T
-            matrix[:, ik] += w * norm * np.exp(
-                -((t_vals - t_hit) ** 2) / (2.0 * broadening**2)
-            )
+            matrix[:, ik] += w * norm * np.exp(-0.5 * ((t_vals - t_hit) / broadening) ** 2)
     return matrix
 
 

@@ -252,7 +252,7 @@ def reference_fig4(j, flavor, broadening, T, t_max):
         w = j.rho**k if k > 0 else 1.0
         if w < 1e-300:
             break
-        rendered += w * np.exp(-((dt_sep - k * T) ** 2) / (2.0 * broadening**2))
+        rendered += w * np.exp(-0.5 * ((dt_sep - k * T) / broadening) ** 2)
     return dt_sep, rendered, np.exp(-rate * dt_sep)
 
 

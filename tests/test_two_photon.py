@@ -78,10 +78,8 @@ def reference_eps_table_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
     t = t_start + dt * np.arange(n)
     s = np.concatenate((t[0] + t, t[-1] + t[1:]))
     d = np.concatenate((t[0] - t[::-1], t[1:] - t[0]))
-    two_b2 = 2.0 * g.beta**2
-    two_s2 = 2.0 * g.sigma**2
     mmax = 0 if rho == 0.0 else max(1, int(math.ceil(math.log(eps) / math.log(rho))))
-    e_beta = np.exp(-((s - (np.arange(mmax + 3) * T)[:, None]) ** 2) / two_b2)
+    e_beta = np.exp(-0.5 * ((s - (np.arange(mmax + 3) * T)[:, None]) / g.beta) ** 2)
     coef = np.array([tau * tau * rho**m for m in range(mmax + 1)])[:, None]
     f_chain = coef * e_beta[2:]
     for top in range(max(mmax - 1, 0), mmax + 1):
@@ -90,8 +88,8 @@ def reference_eps_table_closed_form(g, j, T, t_start, n, dt, eps=1e-12):
     a[0] = tau * tau * f_chain[0] + rho * rho * e_beta[0]
     m_t = (np.arange(1, mmax + 1) * T)[:, None]
     b = np.empty_like(a)
-    b[0] = np.exp(-(d**2) / two_s2)
-    b[1:] = np.exp(-((d + m_t) ** 2) / two_s2) + np.exp(-((d - m_t) ** 2) / two_s2)
+    b[0] = np.exp(-0.5 * (d / g.sigma) ** 2)
+    b[1:] = np.exp(-0.5 * ((d + m_t) / g.sigma) ** 2) + np.exp(-0.5 * ((d - m_t) / g.sigma) ** 2)
     c = a.T @ b
     r = np.arange(n)
     return c[r[:, None] + r[None, :], r[:, None] - r[None, :] + (n - 1)]
@@ -583,7 +581,8 @@ class TestClosedForm:
             assert ladder_row(m, 0.0, g, j, period) == pytest.approx([want], rel=1e-9)
 
     def test_widths_past_the_float_square_act_as_infinite(self):
-        # beta or sigma above ~1.34e154 squares to inf rather than OverflowError
+        # a beta or sigma whose square overflows (above ~1.34e154) is never
+        # squared: in its units every time is 0 or nearly, as at an infinite width
         j = JunctionCoupling(0.5)
         huge, flat = TwoPhotonGaussian(0.3, 1e300), TwoPhotonGaussian(0.3, math.inf)
         assert ladder_row(3, 0.7, huge, j, T) == ladder_row(3, 0.7, flat, j, T)
@@ -734,13 +733,14 @@ class TestDiagnostics:
         argv = ["figure", "fig5", "--tau", "0.85", "--dt", "0.25", "--out", str(tmp_path)]
         assert main(argv) == 0
         meta = json.loads((tmp_path / "fig5_tau0p85_axes.json").read_text())
-        tau = JunctionCoupling.from_tau(0.85).tau
         n = meta["shape"][0]
         assert meta["shape"] == [n, n]
         assert meta["dt"] == 0.25
-        assert meta["tau"] == tau
+        # the panel is labelled with the tau given, not the coupling's
+        # tau = sqrt((1 - rho)(1 + rho)), which reads 0.8499999999999999
+        assert meta["tau"] == 0.85
         grid = gaussian_output_closed_form(
-            TwoPhotonGaussian(0.3, 0.3), JunctionCoupling.from_tau(tau), T,
+            TwoPhotonGaussian(0.3, 0.3), JunctionCoupling.from_tau(0.85), T,
             meta["t1_start"], n, 0.25, 1e-10,
         )
         # 17 significant digits round-trip every float exactly

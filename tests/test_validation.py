@@ -4,11 +4,13 @@ reports a miss as one, ``ladder_resummation`` runs at the order its
 truncation bound asks for and its rounding term still sees a wrong weight,
 the weight checks see a 1e-8 fault in the weights they read and stay small
 at rho = 0.9999, ``noise_quadrature_match`` sees a wrong noise power or loss
-factor, ``separable_factorization`` walks its window tile by tile
-in bounded memory, and no check's arrays outlive it."""
+factor, a NaN in any one reading fails the check that reduces it,
+``separable_factorization`` walks its window tile by tile in bounded memory,
+and no check's arrays outlive it."""
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -323,6 +325,89 @@ def test_weight_checks_build_no_signal(check):
         tracemalloc.stop()
     assert passed, detail
     assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def _with_nan(train, lag=3):
+    """``train`` with a NaN weight at ``lag``, inside its span."""
+    c = train.c.copy()
+    c[lag - train.k0] = math.nan
+    return DeltaTrain(train.period, train.k0, c, train.eps, train.tail_bound, train.rounding)
+
+
+def _nan_in_correlate(monkeypatch, suite):
+    correlate = validation.correlate
+    monkeypatch.setattr(validation, "correlate", lambda f, g: _with_nan(correlate(f, g)))
+
+
+def _nan_in_envelope(monkeypatch, suite):
+    quasimode_commutator = validation.quasimode_commutator
+
+    def nan_at_5(dt_sep, k):
+        env = quasimode_commutator(dt_sep, k)
+        env[5] = math.nan
+        return env
+
+    monkeypatch.setattr(validation, "quasimode_commutator", nan_at_5)
+
+
+def _nan_in_fsr_integral(monkeypatch, suite):
+    # the second of the four couplings the check integrates, 0.5
+    fsr_integral = validation.fsr_integral
+    monkeypatch.setattr(
+        validation, "fsr_integral", lambda j, T: math.nan if j.rho == 0.5 else fsr_integral(j, T)
+    )
+
+
+def _nan_in_oracle_impulse(monkeypatch, suite):
+    run = validation.run
+
+    def nan_at_trip_3(signal, j, geometry, M, *rest):
+        out, *more = run(signal, j, geometry, M, *rest)
+        values = out.values.copy()
+        values[3 * M] = math.nan
+        return (types.SimpleNamespace(values=values), *more)
+
+    monkeypatch.setattr(validation, "run", nan_at_trip_3)
+
+
+def _nan_in_output_kernel(monkeypatch, suite):
+    suite.kba = _with_nan(suite.kba)
+
+
+def _nan_in_sum_rule(monkeypatch, suite):
+    # a NaN in the second of the three loss rates' residuals
+    sum_rule_residual = validation.sum_rule_residual
+
+    def nan_at_0_2(ws, j, T, Gamma):
+        r = sum_rule_residual(ws, j, T, Gamma)
+        if Gamma * T == 0.2:
+            r = r.copy()
+            r[7] = math.nan
+        return r
+
+    monkeypatch.setattr(validation, "sum_rule_residual", nan_at_0_2)
+
+
+@pytest.mark.parametrize(
+    "check,fault",
+    [
+        ("cavity_commutator", _nan_in_correlate),
+        ("ladder_resummation", _nan_in_correlate),
+        ("envelope_interpolation", _nan_in_envelope),
+        ("fsr_state_count", _nan_in_fsr_integral),
+        ("oracle_impulse_match", _nan_in_oracle_impulse),
+        ("kernel_unitarity", _nan_in_output_kernel),
+        ("lossy_sum_rule", _nan_in_sum_rule),
+    ],
+)
+def test_a_nan_reading_fails_the_check(monkeypatch, check, fault):
+    # each reading is reduced by a max that keeps a NaN wherever it falls;
+    # Python's max() drops one that does not come first
+    suite = validation._Suite(0.75, 1.0, 1e-12)
+    fault(monkeypatch, suite)
+    passed, detail = getattr(validation, f"_{check}")(suite)
+    assert not passed, detail
+    assert "nan" in detail
 
 
 @pytest.mark.parametrize("rho,detects", [(0.5, True), (0.99, True), (0.9999, False)])
