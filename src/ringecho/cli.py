@@ -331,7 +331,7 @@ def cmd_sweep(
                            [rhos, vals], cfg.format)
 
     elif metric == "cw_residual":
-        from .echo_kernels import SampledSignal, _gaussian
+        from .echo_kernels import DeltaTrain, SampledSignal, _gaussian, kernel_ba
         from .two_photon import cw_output
 
         j, T = cfg.junction(0.75), _normal_T(cfg.T)
@@ -344,7 +344,11 @@ def cmd_sweep(
         half = (int(kmaxes.max()) + 6) * int(round(T / dt))
         x = dt * np.arange(-half, half + 1)
         d = SampledSignal(x[0], dt, _gaussian(x, 0.4 * T))
-        vals = np.array([cw_output(d, j, T, int(k))[0] for k in kmaxes])
+        # one kernel_ba down to tau^2 rho^max(kmax), or the smallest normal
+        # float where that underflows; each kmax keeps -rho and kmax echoes
+        top = int(kmaxes.max())
+        kb = kernel_ba(j, T, max(j.tau * j.tau * j.rho**top, sys.float_info.min))
+        vals = np.array([cw_output(d, DeltaTrain(T, 0, kb.c[:k + 1]))[0] for k in kmaxes])
         path = write_table(out_dir / "sweep_cw_residual", ["kmax", "residual"],
                            [kmaxes.astype(float), vals], cfg.format)
 

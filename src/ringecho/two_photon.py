@@ -26,8 +26,8 @@ for bit the two passes of ``_lattice_apply`` run for it alone.
 ``transform_output_on_window`` are its one-tile cases and return that
 buffer, shared with nothing, without a copy; ``validation`` walks a large
 window tile by tile, so the window is never stored whole. ``cw_output``
-filters a 1-D signal through ``apply_train``, asked for the input's own
-window.
+filters a 1-D signal by the autocorrelation of the kernel it is given,
+through ``apply_train`` asked for the input's own window.
 
 Amplitudes are unnormalized throughout; only relative quantities are used.
 """
@@ -224,24 +224,18 @@ def _transform_tiles(
     yield from _tile_sums(phi.values, kernel.c, kernel.k0, stride, base1, base2, tiles)
 
 
-def cw_output(
-    d: SampledSignal, j: JunctionCoupling, T: float, kmax: int
-) -> tuple[float, SampledSignal]:
+def cw_output(d: SampledSignal, kernel: DeltaTrain) -> tuple[float, SampledSignal]:
     """Output correlation function of a cw-pumped pair, and its defect.
 
     For an input depending only on the time difference, each photon's echo
     ladder acts on it once from each side, so the output is the input
-    filtered by the autocorrelation of the output kernel, here cut at
-    ``kmax`` transits: ``-rho``, then ``tau^2 rho^(n-1)`` for n = 1 ..
-    kmax. Exact interference makes that autocorrelation the unit train, so
-    the result equals the input again; the returned residual is the max-abs
-    deviation from that identity over the sampled window, which shrinks
-    like rho^kmax.
+    filtered by the autocorrelation of the output kernel ``kernel``
+    (``kernel_ba``, or a cut of it). Exact interference makes that
+    autocorrelation the unit train, so the result equals the input again;
+    the returned residual is the max-abs deviation from that identity over
+    the sampled window, which shrinks like rho^kmax for a kernel cut after
+    kmax echoes.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    echoes = j.tau * j.tau * j.rho ** np.arange(kmax)
-    kernel = DeltaTrain(T, 0, np.concatenate([[-j.rho], echoes]))
     rec = apply_train(correlate(kernel, kernel), d, d.t0, len(d))
     return float(np.max(np.abs(rec.values - d.values))), rec
 

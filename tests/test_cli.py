@@ -537,6 +537,39 @@ class TestSweepCommand:
         slope = np.polyfit(data[:, 0], np.log(data[:, 1]), 1)[0]
         assert slope == pytest.approx(np.log(0.75), rel=0.05)
 
+    @pytest.mark.parametrize(
+        "rho,argv",
+        [
+            (0.75, ["--start", "10", "--stop", "40", "--rho", "0.75"]),  # the benchmark's
+            (0.75, ["--start", "10", "--stop", "20"]),
+            (0.75, ["--start", "1", "--stop", "3", "--count", "2"]),
+            (0.75, ["--start", "10", "--stop", "34", "--count", "7", "--rho", "0.75"]),
+            (0.3, ["--start", "1", "--stop", "60", "--count", "12", "--rho", "0.3"]),
+            (0.9999, ["--start", "1", "--stop", "300", "--count", "7", "--rho", "0.9999"]),
+        ],
+    )
+    def test_cw_residual_matches_the_written_ladder(self, tmp_path, rho, argv):
+        # the reference writes the cut kernel out, -rho and then
+        # tau^2 rho^n for n < kmax, on the sweep's own signal; the sweep cuts
+        # kernel_ba's running products, so each residual moves by rounding
+        from ringecho.echo_kernels import _gaussian
+
+        assert main(["sweep", "cw_residual", *argv, "--out", str(tmp_path)]) == 0
+        _, data = read_csv(tmp_path / "sweep_cw_residual.csv")
+        j = ringecho.JunctionCoupling(rho)
+        kmaxes = data[:, 0].astype(int)
+        half = (int(kmaxes.max()) + 6) * 8
+        x = np.arange(-half, half + 1) / 8.0
+        d = ringecho.SampledSignal(x[0], 1.0 / 8.0, _gaussian(x, 0.4))
+        ref = np.array([
+            ringecho.cw_output(d, ringecho.DeltaTrain(
+                1.0, 0, np.concatenate([[-rho], j.tau**2 * rho ** np.arange(k)])
+            ))[0]
+            for k in kmaxes
+        ])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(data[:, 1] - ref) <= np.maximum(4.0 * eps * ref, eps))
+
     def test_unknown_metric_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "nope", "--start", "0", "--stop", "1",

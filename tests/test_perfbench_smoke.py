@@ -1,8 +1,11 @@
 """Smoke test of the benchmark's job definitions: fourteen high-Q layer jobs run
-through ``perfbench/jobs.py`` and pass that file's own checks, and the
-validation suite still reports every check the benchmark's reference
-names."""
+through ``perfbench/jobs.py`` and pass that file's own checks, the
+benchmark's ``sweep cw_residual`` command still writes the table its stored
+reference summarizes, and the validation suite still reports every check the
+benchmark's reference names."""
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringecho.cli import main
 from ringecho.validation import run_suite
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +55,11 @@ def test_validate_reports_every_reference_check():
     names = json.loads((PERFBENCH / "reference.json").read_text())["validate_checks"]
     reported = {r.name for r in run_suite(0.5)}
     assert [n for n in names if n not in reported] == []
+
+
+def test_cw_residual_sweep_matches_the_reference(tmp_path):
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    argv = jobs.PAPER_COMMANDS["sweep_cw_residual"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert jobs.dir_mismatch(tmp_path, reference["outputs"]["sweep_cw_residual"]) is None

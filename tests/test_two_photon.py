@@ -427,18 +427,24 @@ class TestTransformOutput:
         assert np.max(np.abs(sd_out - sd_in)) < 1e-9 * np.max(sd_in)
 
 
+def ba_cut(j, kmax):
+    """``kernel_ba`` cut after its first ``kmax`` echoes, cut from one built
+    down to the last of them (or to the smallest normal float where that
+    underflows), as ``sweep cw_residual`` cuts it."""
+    kb = kernel_ba(j, T, max(j.tau**2 * j.rho**kmax, np.finfo(float).tiny))
+    return DeltaTrain(T, kb.k0, kb.c[: kmax + 1 - kb.k0])
+
+
 class TestCwDispersionCancellation:
     def test_residual_tiny_at_moderate_coupling(self):
-        j = JunctionCoupling(0.75)
         d = gaussian_d(0.4, T / 8, 130)
-        residual, rec = cw_output(d, j, T, kmax=120)
+        residual, rec = cw_output(d, kernel_ba(JunctionCoupling(0.75), T))
         assert residual < 1e-9
         assert np.max(np.abs(rec.values - d.values)) == residual
 
     def test_open_junction_identity(self):
-        j = JunctionCoupling(0.0)
         d = gaussian_d(0.4, T / 8, 10)
-        residual, _ = cw_output(d, j, T, kmax=5)
+        residual, _ = cw_output(d, kernel_ba(JunctionCoupling(0.0), T))
         assert residual < 1e-15
 
     @pytest.mark.parametrize("rho", [0.3, 0.75, 0.9])
@@ -446,7 +452,7 @@ class TestCwDispersionCancellation:
         j = JunctionCoupling(rho)
         kmax = max(12, int(math.ceil(math.log(1e-10) / math.log(rho))))
         d = gaussian_d(0.4, T / 8, kmax + 8)
-        residual, _ = cw_output(d, j, T, kmax)
+        residual, _ = cw_output(d, ba_cut(j, kmax))
         # every ladder truncated at kmax: the single ladders' tails plus twice
         # the double ladder's, for a unit-peak input
         single = 2.0 * j.tau**2 * rho ** (kmax + 1) / (1.0 - rho)
@@ -458,7 +464,7 @@ class TestCwDispersionCancellation:
         j = JunctionCoupling(0.75)
         d = gaussian_d(0.4, T / 8, 60)
         kmaxes = np.arange(12, 44, 4)
-        residuals = np.array([cw_output(d, j, T, int(k))[0] for k in kmaxes])
+        residuals = np.array([cw_output(d, ba_cut(j, int(k)))[0] for k in kmaxes])
         slope = np.polyfit(kmaxes, np.log(residuals), 1)[0]
         assert abs(slope - math.log(0.75)) / abs(math.log(0.75)) < 0.02
 
@@ -811,9 +817,8 @@ class TestRealAmplitudes:
         j = JunctionCoupling(rho)
         d = gaussian_d(0.4, T / 8, 40)
         twin = SampledSignal(d.t0, d.dt, d.values.astype(complex))
-        kmax = 60
-        (res_r, rec_r), (res_z, rec_z) = cw_output(d, j, T, kmax), cw_output(twin, j, T, kmax)
-        kernel = DeltaTrain(T, 0, np.concatenate([[-rho], j.tau**2 * rho ** np.arange(kmax)]))
+        kernel = ba_cut(j, 60)
+        (res_r, rec_r), (res_z, rec_z) = cw_output(d, kernel), cw_output(twin, kernel)
         pairs = correlate(kernel, kernel)
         tol = twin_bound(len(d) // 8 + len(pairs.c), pairs.sum_abs(), np.max(np.abs(d.values)))
         assert_real_twin(rec_r.values, rec_z.values, tol)

@@ -6,7 +6,10 @@ the weight checks see a 1e-8 fault in the weights they read and stay small
 at rho = 0.9999, ``noise_quadrature_match`` sees a wrong noise power or loss
 factor, a NaN in any one reading fails the check that reduces it,
 ``separable_factorization`` walks its window tile by tile in bounded memory,
-and no check's arrays outlive it."""
+``dispersion_cancellation`` filters with the suite's ``kernel_ba``,
+``causality`` sees an output that arrives early, ``peak_ratio_bounded`` sees
+a ratio other than that of the two damping rates, and no check's arrays
+outlive it."""
 
 import math
 import tracemalloc
@@ -261,6 +264,45 @@ def test_weight_checks_see_a_correlate_fault(monkeypatch, rho, check):
     correlate = validation.correlate
     monkeypatch.setattr(validation, "correlate", lambda f, g: _faulted(correlate(f, g)))
     passed, detail = getattr(validation, f"_{check}")(validation._Suite(rho, 1.0, 1e-12))
+    assert not passed, detail
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+def test_dispersion_cancellation_reads_kernel_ba(monkeypatch, rho):
+    # the output kernel with its prompt reflection +rho: its autocorrelation
+    # is no longer the unit train, and the check filters with that kernel
+    kernel_ba = validation.kernel_ba
+
+    def flipped(*args):
+        k = kernel_ba(*args)
+        c = k.c.copy()
+        c[0] = -c[0]
+        return DeltaTrain(k.period, k.k0, c, k.eps, k.tail_bound)
+
+    monkeypatch.setattr(validation, "kernel_ba", flipped)
+    passed, detail = validation._dispersion_cancellation(validation._Suite(rho, 1.0, 1e-12))
+    assert not passed, detail
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.99, 0.9999])
+def test_causality_sees_an_early_output(monkeypatch, rho):
+    # apply_train's output window one sample late on the signal's grid: each
+    # sample holds the output one sample after its time, so the prompt
+    # weight arrives at t = -dt
+    grid_offset = echo_kernels._grid_offset
+    suite = validation._Suite(rho, 1.0, 1e-12)
+    assert validation._causality(suite)[0]
+    monkeypatch.setattr(echo_kernels, "_grid_offset", lambda *args: grid_offset(*args) + 1)
+    passed, detail = validation._causality(suite)
+    assert not passed, detail
+    assert detail.startswith(f"max |y(t < 0)| = {suite.kca.c[0]:.3g} ")
+
+
+@pytest.mark.parametrize("rho", [1e-300, 0.5, 0.99, 0.9999])
+def test_peak_ratio_bounded_sees_a_wrong_ratio(monkeypatch, rho):
+    # (1 - rho) / (1 - rho^2) = 1 / (1 + rho) lies in (0, 1] as well
+    monkeypatch.setattr(validation, "peak_ratio", lambda j: (1.0 - j.rho) / (1.0 - j.rho**2))
+    passed, detail = validation._peak_ratio_bounded(validation._Suite(rho, 1.0, 1e-12))
     assert not passed, detail
 
 
